@@ -65,10 +65,8 @@ from .oracles import (
     empirical_oracle_failure_rate,
     minibatch_grad,
     minibatch_value,
-    sass_batch_sizes,
-    storm_batch_sizes,
 )
-from .problems import NoiseSpec, Problem, make_problem, sample_grad, sample_loss
+from .problems import NoiseSpec, Problem, make_problem
 from .walk import (
     WalkParams,
     WalkPath,

@@ -23,12 +23,16 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .complexity import monte_carlo_toc, sass_complexity_report, storm_complexity_report
+from .complexity import (
+    accumulate_toc,
+    monte_carlo_toc,
+    sass_complexity_report,
+    storm_complexity_report,
+)
 from .errors import (
     AdastocError,
     AssumptionViolationError,
@@ -43,7 +47,7 @@ from .oracles import (
     SassOracleSpec,
     StormMinibatchOracles,
     StormOracleSpec,
-    sass_batch_sizes,
+    sass_cost_models,
 )
 from .problems import NoiseSpec, make_problem
 from .tableio import write_csv
@@ -157,7 +161,10 @@ def run_walk(opts: dict) -> int:
         raise CliValidationError("at least one gamma is required")
     n, reps = opts["n"], opts["reps"]
     out = _resolve_out(opts["out"], "walk.csv")
-    summary_out = _resolve_out(opts["summary_out"], out.stem + "_summary.csv")
+    if opts["summary_out"]:
+        summary_out = _resolve_out(opts["summary_out"], "")
+    else:
+        summary_out = out.with_name(out.stem + "_summary.csv")
     root = np.random.SeedSequence(opts["seed"])
     children = root.spawn(len(gammas))
 
@@ -295,6 +302,10 @@ def _sass_spec(opts: dict) -> SassOracleSpec:
     return SassOracleSpec(kappa=opts["kappa"], tau=opts["tau"], delta1=opts["delta1"])
 
 
+def _case(opts: dict) -> str:
+    return "strongly_convex" if opts["mode"] == "strongly_convex" else "nonconvex"
+
+
 def _build_suite(opts: dict, problem, epsilon: float):
     oracle = opts["oracle"]
     if oracle == "exact":
@@ -306,9 +317,8 @@ def _build_suite(opts: dict, problem, epsilon: float):
     if oracle == "minibatch":
         if opts["method"] == "storm":
             return StormMinibatchOracles(_storm_spec(opts, problem.noise))
-        case = "strongly_convex" if opts["mode"] == "strongly_convex" else "nonconvex"
         return SassMinibatchOracles(
-            _sass_spec(opts), epsilon=epsilon, case=case, batch_scale=opts["batch_c"]
+            _sass_spec(opts), epsilon=epsilon, case=_case(opts), batch_scale=opts["batch_c"]
         )
     raise CliValidationError(f"unknown oracle kind {oracle!r}")
 
@@ -331,10 +341,10 @@ def _default_r(opts: dict, problem, epsilon: float) -> float:
     if opts["r"] is not None:
         return opts["r"]
     if opts["method"] == "sass" and opts["oracle"] == "minibatch":
-        case = "strongly_convex" if opts["mode"] == "strongly_convex" else "nonconvex"
-        batch0, _ = sass_batch_sizes(
-            1.0, epsilon, _sass_spec(opts), problem.noise, case, opts["batch_c"]
+        value, _ = sass_cost_models(
+            _sass_spec(opts), problem.noise, epsilon, _case(opts), opts["batch_c"]
         )
+        batch0 = value.batch(1.0)
         return 2.0 * problem.noise.sigma_f / math.sqrt(batch0)
     return 0.0
 
@@ -372,8 +382,9 @@ def run_optimize(opts: dict) -> int:
     for line in problem.descriptor().splitlines():
         print(f"# {line}")
     t_eps = "" if trace.stopping_iteration is None else str(trace.stopping_iteration)
+    toc = accumulate_toc(trace)
     print("T_eps,toc0,toc1,toc")
-    print(f"{t_eps},{trace.total_cost0},{trace.total_cost1},{trace.total_cost0 + trace.total_cost1}")
+    print(f"{t_eps},{toc.toc0},{toc.toc1},{toc.toc}")
     print(f"wrote {out}")
     return 0
 
@@ -444,53 +455,25 @@ def run_sweep(opts: dict) -> int:
             seed=0,
         )
 
+        summary = monte_carlo_toc(
+            problem, method, suite, config, epsilon, opts["reps"], master_seed,
+            mode=opts["mode"], x0=x0,
+        )
         if opts["method"] == "storm":
             prob_t = min(1.0, 1.0 / opts["horizon_c2"])
             report = storm_complexity_report(
-                _storm_spec(local, problem.noise),
-                epsilon,
-                opts["zeta"],
-                n,
-                gamma,
-                opts["omega"],
+                _storm_spec(local, problem.noise), epsilon, opts["zeta"], n, gamma, opts["omega"],
                 prob_t_exceeds_n=prob_t,
             )
-            summary = monte_carlo_toc(
-                problem,
-                method,
-                suite,
-                config,
-                epsilon,
-                opts["reps"],
-                master_seed,
-                mode=opts["mode"],
-                x0=x0,
-                bound=report.high_probability,
-            )
         else:
-            case = "strongly_convex" if opts["mode"] == "strongly_convex" else "nonconvex"
-            summary = monte_carlo_toc(
-                problem, method, suite, config, epsilon, opts["reps"], master_seed,
-                mode=opts["mode"], x0=x0,
-            )
             # plug-in exceedance probability from the observed quantile
             prob_t = 1.0 - summary.stopped_fraction
             report = sass_complexity_report(
-                _sass_spec(local),
-                problem.noise,
-                epsilon,
-                n,
-                gamma,
-                opts["omega"],
-                case,
-                p=p,
-                alpha_bar=alpha_max,
-                batch_scale=opts["batch_c"],
-                prob_t_exceeds_n=prob_t,
+                _sass_spec(local), problem.noise, epsilon, n, gamma, opts["omega"], _case(opts),
+                p=p, alpha_bar=alpha_max, batch_scale=opts["batch_c"], prob_t_exceeds_n=prob_t,
             )
-            tocs = np.array([rec.toc for rec in summary.records], dtype=float)
-            exceed = float(np.mean(tocs > report.high_probability.bound_value))
-            summary = replace(summary, exceed_fraction=exceed)
+        tocs = np.array([rec.toc for rec in summary.records], dtype=float)
+        exceed = float(np.mean(tocs > report.high_probability.bound_value))
 
         rows.append(
             (
@@ -500,7 +483,7 @@ def run_sweep(opts: dict) -> int:
                 summary.mean_toc1,
                 report.expected.bound_value,
                 report.high_probability.bound_value,
-                summary.exceed_fraction,
+                exceed,
             )
         )
     write_csv(out, SWEEP_CSV_HEADER, rows)

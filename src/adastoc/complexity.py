@@ -127,13 +127,15 @@ _ALPHA_FLOOR = 1e-70  # below this the power-law cost formulas overflow double p
 def expected_toc_bound(cost, params: WalkParams, n: int) -> BoundReport:
     """Evaluation of the expected total-cost bound over n iterations.
 
-    cost must expose cost(alpha) and be non-increasing in alpha; a violation
-    detected on the evaluation grid raises.  The sum is taken term by term
-    until the hitting weight underflows to zero (past which every term
-    vanishes exactly); should the level step size fall below the float floor
-    first, the remaining terms are replaced by a geometric upper bound on
-    the tail, so the result is always a valid upper bound.  In the divergent
-    regime (contraction faster than the tail decay) the bound is inf.
+    cost must expose cost(alpha) and power, be non-increasing in alpha, and
+    grow at most like alpha**-power; a monotonicity violation detected on
+    the evaluation grid raises.  The sum is taken term by term until the
+    hitting weight underflows to zero (past which every term vanishes
+    exactly); should the level step size fall below the float floor first,
+    the remaining terms are replaced by a geometric upper bound on the tail
+    with ratio 2q / gamma**power, so the result is always a valid upper
+    bound.  In the divergent regime (gamma < (2q)**(1/power)) the bound is
+    inf; an alpha-independent cost (power 0) never diverges.
     """
     if n < 1:
         raise InvalidParameterError("n must be a positive integer")
@@ -150,7 +152,7 @@ def expected_toc_bound(cost, params: WalkParams, n: int) -> BoundReport:
             break
         alpha_l = params.alpha_bar * params.gamma**l
         if alpha_l < _ALPHA_FLOOR:
-            ratio = 0.0 if math.isinf(prev_term) else (2.0 * q) / params.gamma**4
+            ratio = 0.0 if math.isinf(prev_term) else (2.0 * q) / params.gamma**cost.power
             if prev_term > 0.0 and ratio < 1.0:
                 total += float(n) * prev_term * ratio / (1.0 - ratio)
             else:
@@ -201,6 +203,21 @@ def highprob_toc_bound(
     )
 
 
+def _report(models, params: WalkParams, n: int, prob_t_exceeds_n: float) -> MethodComplexityReport:
+    """Both bounds on the summed per-iteration cost, plus each model's growth exponent."""
+    value_model, grad_model = models
+    total = SummedCost(components=(value_model, grad_model))
+    log_gamma, log_qp = math.log(params.gamma), math.log(params.q / params.p)
+    return MethodComplexityReport(
+        expected=expected_toc_bound(total, params, n),
+        high_probability=highprob_toc_bound(total, params, n, prob_t_exceeds_n),
+        toc0_exponent=value_model.power * log_gamma / log_qp,
+        toc1_exponent=grad_model.power * log_gamma / log_qp,
+        p=params.p,
+        alpha_bar=params.alpha_bar,
+    )
+
+
 def storm_complexity_report(
     spec: StormOracleSpec,
     epsilon: float,
@@ -221,17 +238,7 @@ def storm_complexity_report(
     if epsilon <= 0.0 or zeta <= 0.0:
         raise InvalidParameterError("epsilon and zeta must be positive")
     params = WalkParams(p=spec.p, gamma=gamma, alpha_bar=epsilon / zeta, omega=omega)
-    value_model, grad_model = storm_cost_models(spec)
-    total = SummedCost(components=(value_model, grad_model))
-    log_qp = math.log(params.q / params.p)
-    return MethodComplexityReport(
-        expected=expected_toc_bound(total, params, n),
-        high_probability=highprob_toc_bound(total, params, n, prob_t_exceeds_n),
-        toc0_exponent=4.0 * math.log(gamma) / log_qp,
-        toc1_exponent=2.0 * math.log(gamma) / log_qp,
-        p=spec.p,
-        alpha_bar=params.alpha_bar,
-    )
+    return _report(storm_cost_models(spec), params, n, prob_t_exceeds_n)
 
 
 def sass_complexity_report(
@@ -254,20 +261,11 @@ def sass_complexity_report(
     they depend on problem constants (smoothness, theta) rather than on the
     cost formulas.  Value-sample cost is alpha-independent, so its growth
     exponent is zero; the gradient exponent 2 log_{q/p} gamma comes from the
-    m_v / (kappa alpha)^2 part.
+    m_v / (kappa alpha)^2 part and vanishes with m_v.
     """
     params = WalkParams(p=p, gamma=gamma, alpha_bar=alpha_bar, omega=omega)
-    value_model, grad_model = sass_cost_models(spec, noise, epsilon, case, batch_scale)
-    total = SummedCost(components=(value_model, grad_model))
-    log_qp = math.log(params.q / params.p)
-    return MethodComplexityReport(
-        expected=expected_toc_bound(total, params, n),
-        high_probability=highprob_toc_bound(total, params, n, prob_t_exceeds_n),
-        toc0_exponent=0.0,
-        toc1_exponent=2.0 * math.log(gamma) / log_qp if noise.m_v > 0 else 0.0,
-        p=p,
-        alpha_bar=alpha_bar,
-    )
+    models = sass_cost_models(spec, noise, epsilon, case, batch_scale)
+    return _report(models, params, n, prob_t_exceeds_n)
 
 
 @dataclass(frozen=True)

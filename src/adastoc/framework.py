@@ -123,14 +123,6 @@ class RunTrace:
     final_gap: float
     final_x: np.ndarray = field(repr=False)
 
-    @property
-    def total_cost0(self) -> int:
-        return sum(rec.cost0 for rec in self.records)
-
-    @property
-    def total_cost1(self) -> int:
-        return sum(rec.cost1 for rec in self.records)
-
     def csv_rows(self):
         for rec in self.records:
             yield (
@@ -149,54 +141,29 @@ class RunTrace:
         Path(path).write_text("\n".join(lines) + "\n")
 
 
-def update_step_size(alpha: float, success: bool, gamma: float, alpha_max: float) -> float:
-    """One application of the two-outcome law.
+def update_step_size(
+    base: float, exp: int, success: bool, gamma: float, alpha_max: float
+) -> tuple[float, int]:
+    """One application of the two-outcome law to alpha = base * gamma**exp.
 
-    Returns min(alpha_max, alpha / gamma) on success and gamma * alpha on
-    failure.
+    A failure raises the integer exponent by one (alpha -> gamma * alpha);
+    a success lowers it by one (alpha -> alpha / gamma) unless that would
+    overshoot alpha_max, in which case the step size is re-anchored at
+    (alpha_max, 0).  alpha is recomputed from the pair on every read, so a
+    million updates introduce no cumulative rounding.
     """
-    if alpha <= 0.0:
-        raise InvalidParameterError("alpha must be positive")
     if not (0.0 < gamma < 1.0):
         raise InvalidParameterError(f"gamma must lie in (0,1), got {gamma}")
-    if alpha_max <= 0.0 or alpha > alpha_max:
+    alpha = base * gamma**exp
+    if alpha <= 0.0:
+        raise InvalidParameterError("alpha must be positive")
+    if alpha > alpha_max:
         raise InvalidParameterError("alpha must not exceed alpha_max")
-    if success:
-        return min(alpha_max, alpha / gamma)
-    return gamma * alpha
-
-
-class _StepSizeState:
-    """Step size as base * gamma**exp with exact integer bookkeeping.
-
-    The float value is recomputed from the pair on every read, so a million
-    updates introduce no cumulative rounding.  When an increase would
-    overshoot alpha_max the base is re-anchored at alpha_max with exponent
-    zero.
-    """
-
-    __slots__ = ("base", "exp", "gamma", "alpha_max")
-
-    def __init__(self, alpha0: float, gamma: float, alpha_max: float):
-        self.base = alpha0
-        self.exp = 0
-        self.gamma = gamma
-        self.alpha_max = alpha_max
-
-    @property
-    def value(self) -> float:
-        return self.base * self.gamma**self.exp
-
-    def update(self, success: bool) -> None:
-        if not success:
-            self.exp += 1
-            return
-        candidate = self.base * self.gamma ** (self.exp - 1)
-        if candidate > self.alpha_max:
-            self.base = self.alpha_max
-            self.exp = 0
-        else:
-            self.exp -= 1
+    if not success:
+        return base, exp + 1
+    if base * gamma ** (exp - 1) > alpha_max:
+        return alpha_max, 0
+    return base, exp - 1
 
 
 def stopping_time(trace: RunTrace, epsilon: float, mode: str) -> int | None:
@@ -258,7 +225,7 @@ def run_adaptive(
 
     rng = np.random.default_rng(config.seed)
     x = np.array(problem.x0 if x0 is None else x0, dtype=float)
-    state = _StepSizeState(config.alpha0, config.gamma, config.alpha_max)
+    base, exp = config.alpha0, 0
     records: list[IterationRecord] = []
     stopping: int | None = None
 
@@ -273,7 +240,7 @@ def run_adaptive(
         if k >= config.max_iterations:
             break
 
-        alpha = state.value
+        alpha = base * config.gamma**exp
         g, cost1 = oracle_suite.gradient(problem, x, alpha, rng)
         if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient estimate at iteration {k}")
@@ -293,13 +260,13 @@ def run_adaptive(
                 cost1=cost1,
                 true_grad_norm=grad_norm,
                 true_gap=gap,
-                alpha_base=state.base,
-                alpha_exp=state.exp,
+                alpha_base=base,
+                alpha_exp=exp,
             )
         )
         if success:
             x = x_plus
-        state.update(success)
+        base, exp = update_step_size(base, exp, success, config.gamma, config.alpha_max)
         k += 1
 
     return RunTrace(

@@ -14,12 +14,14 @@ families are implemented:
 
 Each algorithm iteration draws two value estimates (current and trial
 point) and one gradient estimate, so the per-iteration value cost is twice
-the per-call batch; the CostModel type records that multiplicity so cost
-accounting and theoretical bounds stay consistent.
+the per-call batch.  The runtime suites draw their batches from the same
+CostModel objects the complexity bounds evaluate, so the samples a run is
+charged and the samples a bound counts agree by construction.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -27,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, InvalidParameterError
-from .problems import BERNOULLI, NoiseSpec, Problem
+from .problems import NoiseSpec, Problem
 
 __all__ = [
     "SassOracleSpec",
@@ -36,16 +38,9 @@ __all__ = [
     "SummedCost",
     "minibatch_value",
     "minibatch_grad",
-    "storm_batch_sizes",
-    "sass_batch_sizes",
     "storm_cost_models",
     "sass_cost_models",
     "empirical_oracle_failure_rate",
-    "StormValueOracle",
-    "StormGradOracle",
-    "SassGradOracle",
-    "CorruptionValueOracle",
-    "CorruptionGradOracle",
     "ExactOracles",
     "StormMinibatchOracles",
     "SassMinibatchOracles",
@@ -120,15 +115,17 @@ class CostModel:
 
     raw(alpha) is the smooth batch-size formula; one call costs
     max(1, ceil(raw)) samples and an iteration makes calls_per_iteration of
-    them.  Costs must be non-increasing in alpha.  Values too large for an
-    integer are returned as math.inf by cost() (the bounds treat that as an
-    honest divergence); batch() raises instead.
+    them.  Costs must be non-increasing in alpha and grow at most like
+    alpha**-power as alpha shrinks; the expected-cost bound's tail and the
+    reports' growth exponents read power.  Values too large for an integer
+    are returned as math.inf by cost() (the bounds treat that as an honest
+    divergence); batch() raises instead.
     """
 
     raw: Callable[[float], float]
     calls_per_iteration: int = 1
     label: str = ""
-    monotone: bool = True
+    power: float = 4.0
 
     def per_call(self, alpha: float) -> float:
         if alpha <= 0.0:
@@ -164,6 +161,10 @@ class SummedCost:
     components: tuple[CostModel, ...]
     label: str = "total"
 
+    @property
+    def power(self) -> float:
+        return max(c.power for c in self.components)
+
     def cost(self, alpha: float) -> float:
         return sum(c.cost(alpha) for c in self.components)
 
@@ -191,80 +192,38 @@ def minibatch_grad(
 
 
 # -- batch-size formulas ----------------------------------------------------
-
-
-def storm_batch_sizes(alpha: float, spec: StormOracleSpec) -> tuple[int, int]:
-    """Chebyshev minibatch sizes meeting the trust-region oracle contracts.
-
-    oc0 = ceil(sigma_f**2 / (delta0 * kappa_ef**2 * alpha**4)) and
-    oc1 = ceil(sigma_g**2 / (delta1 * kappa_eg**2 * alpha**2)), both at
-    least one sample.
-    """
-    if alpha <= 0.0:
-        raise InvalidParameterError("alpha must be positive")
-    if spec.sigma_f == 0.0:
-        oc0 = 1
-    else:
-        if spec.delta0 == 0.0 or spec.kappa_ef == 0.0:
-            raise InvalidParameterError("delta0 and kappa_ef must be positive when sigma_f > 0")
-        oc0 = max(1, math.ceil(spec.sigma_f**2 / (spec.delta0 * spec.kappa_ef**2 * alpha**4)))
-    if spec.sigma_g == 0.0:
-        oc1 = 1
-    else:
-        if spec.delta1 == 0.0 or spec.kappa_eg == 0.0:
-            raise InvalidParameterError("delta1 and kappa_eg must be positive when sigma_g > 0")
-        oc1 = max(1, math.ceil(spec.sigma_g**2 / (spec.delta1 * spec.kappa_eg**2 * alpha**2)))
-    return oc0, oc1
-
-
-def sass_batch_sizes(
-    alpha: float,
-    epsilon: float,
-    spec: SassOracleSpec,
-    noise: NoiseSpec,
-    case: str,
-    c: float = 1.0,
-) -> tuple[int, int]:
-    """Minibatch sizes meeting the step-search oracle contracts at tolerance epsilon.
-
-    Zeroth order: c * sigma_f**2 / epsilon**4 (nonconvex) or / epsilon**2
-    (strongly convex), independent of alpha.  First order:
-    c * (m_c / epsilon**2 + m_v / min(tau, kappa * alpha)**2) in the
-    nonconvex case, with m_c / epsilon in the strongly convex one.  The
-    multiplier c makes the hidden constant explicit; scaling exponents are
-    what matters.
-    """
-    if alpha <= 0.0:
-        raise InvalidParameterError("alpha must be positive")
-    if epsilon <= 0.0:
-        raise InvalidParameterError("epsilon must be positive")
-    if case not in ("nonconvex", "strongly_convex"):
-        raise InvalidParameterError(f"unknown case {case!r}")
-    if c <= 0.0:
-        raise InvalidParameterError("the batch multiplier must be positive")
-    if case == "nonconvex":
-        oc0_raw = c * noise.sigma_f**2 / epsilon**4
-        oc1_raw = c * (noise.m_c / epsilon**2 + noise.m_v / min(spec.tau, spec.kappa * alpha) ** 2)
-    else:
-        oc0_raw = c * noise.sigma_f**2 / epsilon**2
-        oc1_raw = c * (noise.m_c / epsilon + noise.m_v / min(spec.tau, spec.kappa * alpha) ** 2)
-    return max(1, math.ceil(oc0_raw)), max(1, math.ceil(oc1_raw))
+#
+# These models are the only batch formulas: the runtime suites draw
+# value.batch(alpha) and grad.batch(alpha) samples per call, and the
+# complexity reports bound the same per-iteration costs.  Each raw formula
+# is evaluated in np.float64 so that its tails overflow to inf instead of
+# raising.
 
 
 def storm_cost_models(spec: StormOracleSpec) -> tuple[CostModel, CostModel]:
-    """Per-iteration value and gradient cost models for the trust-region oracles."""
-    coef0 = spec.sigma_f**2 / (spec.delta0 * spec.kappa_ef**2) if spec.sigma_f > 0 else 0.0
-    coef1 = spec.sigma_g**2 / (spec.delta1 * spec.kappa_eg**2) if spec.sigma_g > 0 else 0.0
-    value = CostModel(
-        raw=lambda a: float(np.float64(coef0) / np.float64(a) ** 4),
-        calls_per_iteration=2,
-        label="tr_value",
+    """Chebyshev batch models meeting the trust-region oracle contracts.
+
+    Per call: sigma_f**2 / (delta0 * kappa_ef**2 * alpha**4) value samples
+    and sigma_g**2 / (delta1 * kappa_eg**2 * alpha**2) gradient samples,
+    each at least one.
+    """
+    if spec.sigma_f > 0.0 and (spec.delta0 == 0.0 or spec.kappa_ef == 0.0):
+        raise InvalidParameterError("delta0 and kappa_ef must be positive when sigma_f > 0")
+    if spec.sigma_g > 0.0 and (spec.delta1 == 0.0 or spec.kappa_eg == 0.0):
+        raise InvalidParameterError("delta1 and kappa_eg must be positive when sigma_g > 0")
+    sigma_f, delta0, kappa_ef, sigma_g, delta1, kappa_eg = map(
+        np.float64,
+        (spec.sigma_f, spec.delta0, spec.kappa_ef, spec.sigma_g, spec.delta1, spec.kappa_eg),
     )
-    grad = CostModel(
-        raw=lambda a: float(np.float64(coef1) / np.float64(a) ** 2),
-        calls_per_iteration=1,
-        label="tr_grad",
-    )
+
+    def value_raw(a: float) -> float:
+        return sigma_f**2 / (delta0 * kappa_ef**2 * np.float64(a) ** 4) if sigma_f > 0.0 else 0.0
+
+    def grad_raw(a: float) -> float:
+        return sigma_g**2 / (delta1 * kappa_eg**2 * np.float64(a) ** 2) if sigma_g > 0.0 else 0.0
+
+    value = CostModel(raw=value_raw, calls_per_iteration=2, label="tr_value", power=4.0)
+    grad = CostModel(raw=grad_raw, calls_per_iteration=1, label="tr_grad", power=2.0)
     return value, grad
 
 
@@ -275,26 +234,37 @@ def sass_cost_models(
     case: str,
     c: float = 1.0,
 ) -> tuple[CostModel, CostModel]:
-    """Per-iteration value and gradient cost models for the step-search oracles."""
+    """Batch models meeting the step-search oracle contracts at tolerance epsilon.
+
+    Zeroth order: c * sigma_f**2 / epsilon**4 (nonconvex) or / epsilon**2
+    (strongly convex), independent of alpha.  First order:
+    c * (m_c / epsilon**2 + m_v / min(tau, kappa * alpha)**2) in the
+    nonconvex case, with m_c / epsilon in the strongly convex one.  The
+    multiplier c makes the hidden constant explicit; scaling exponents are
+    what matters.
+    """
     if epsilon <= 0.0:
         raise InvalidParameterError("epsilon must be positive")
     if case not in ("nonconvex", "strongly_convex"):
         raise InvalidParameterError(f"unknown case {case!r}")
-    if case == "nonconvex":
-        value_const = c * noise.sigma_f**2 / epsilon**4
-        grad_const = c * noise.m_c / epsilon**2
-    else:
-        value_const = c * noise.sigma_f**2 / epsilon**2
-        grad_const = c * noise.m_c / epsilon
-    m_v = c * noise.m_v
+    if c <= 0.0:
+        raise InvalidParameterError("the batch multiplier must be positive")
+    c, eps, sigma_f, m_c, m_v = map(np.float64, (c, epsilon, noise.sigma_f, noise.m_c, noise.m_v))
+    value_order, grad_order = (4, 2) if case == "nonconvex" else (2, 1)
     kappa, tau = spec.kappa, spec.tau
 
-    def grad_raw(a: float) -> float:
-        reach = min(tau, kappa * a)
-        return float(np.float64(grad_const) + np.float64(m_v) / np.float64(reach) ** 2)
+    def value_raw(a: float) -> float:
+        return c * sigma_f**2 / eps**value_order
 
-    value = CostModel(raw=lambda a: value_const, calls_per_iteration=2, label="ss_value")
-    grad = CostModel(raw=grad_raw, calls_per_iteration=1, label="ss_grad")
+    def grad_raw(a: float) -> float:
+        if m_v == 0.0:
+            return c * (m_c / eps**grad_order)
+        return c * (m_c / eps**grad_order + m_v / np.float64(min(tau, kappa * a)) ** 2)
+
+    value = CostModel(raw=value_raw, calls_per_iteration=2, label="ss_value", power=0.0)
+    grad = CostModel(
+        raw=grad_raw, calls_per_iteration=1, label="ss_grad", power=2.0 if m_v > 0.0 else 0.0
+    )
     return value, grad
 
 
@@ -305,99 +275,30 @@ def cost_table_rows(
     return [(float(a), value_model.batch(a), grad_model.batch(a)) for a in alphas]
 
 
-# -- oracle contract validation ---------------------------------------------
-
-
-@dataclass(frozen=True)
-class StormValueOracle:
-    """Value estimate contract |f - phi| <= kappa_ef * alpha**2."""
-
-    spec: StormOracleSpec
-
-    def draw(self, problem: Problem, x, alpha: float, rng) -> float:
-        batch, _ = storm_batch_sizes(alpha, self.spec)
-        return minibatch_value(problem, x, batch, rng)
-
-    def violated(self, problem: Problem, x, alpha: float, estimate: float) -> bool:
-        return abs(estimate - problem.value(x)) > self.spec.kappa_ef * alpha**2
-
-
-@dataclass(frozen=True)
-class StormGradOracle:
-    """Gradient estimate contract ||g - grad|| <= kappa_eg * alpha."""
-
-    spec: StormOracleSpec
-
-    def draw(self, problem: Problem, x, alpha: float, rng) -> np.ndarray:
-        _, batch = storm_batch_sizes(alpha, self.spec)
-        return minibatch_grad(problem, x, batch, rng)
-
-    def violated(self, problem: Problem, x, alpha: float, estimate) -> bool:
-        err = float(np.linalg.norm(estimate - problem.grad(x)))
-        return err > self.spec.kappa_eg * alpha
-
-
-@dataclass(frozen=True)
-class SassGradOracle:
-    """Gradient contract ||g - grad|| <= max(eps_g, min(tau, kappa*alpha) * ||g||)."""
-
-    spec: SassOracleSpec
-    epsilon: float
-    case: str = "nonconvex"
-    batch_scale: float = 1.0
-
-    def draw(self, problem: Problem, x, alpha: float, rng) -> np.ndarray:
-        _, batch = sass_batch_sizes(
-            alpha, self.epsilon, self.spec, problem.noise, self.case, self.batch_scale
-        )
-        return minibatch_grad(problem, x, batch, rng)
-
-    def violated(self, problem: Problem, x, alpha: float, estimate) -> bool:
-        err = float(np.linalg.norm(estimate - problem.grad(x)))
-        rel = min(self.spec.tau, self.spec.kappa * alpha) * float(np.linalg.norm(estimate))
-        return err > max(self.spec.eps_g, rel)
-
-
-@dataclass(frozen=True)
-class CorruptionValueOracle:
-    """Single-sample oracle over Bernoulli-corruption noise; failure = corruption."""
-
-    def draw(self, problem: Problem, x, alpha: float, rng) -> float:
-        return minibatch_value(problem, x, 1, rng)
-
-    def violated(self, problem: Problem, x, alpha: float, estimate: float) -> bool:
-        scale = 1.0 + abs(problem.value(x))
-        return abs(estimate - problem.value(x)) > 1e-12 * scale
-
-
-@dataclass(frozen=True)
-class CorruptionGradOracle:
-    def draw(self, problem: Problem, x, alpha: float, rng) -> np.ndarray:
-        return minibatch_grad(problem, x, 1, rng)
-
-    def violated(self, problem: Problem, x, alpha: float, estimate) -> bool:
-        scale = 1.0 + float(np.linalg.norm(problem.grad(x)))
-        return float(np.linalg.norm(estimate - problem.grad(x))) > 1e-12 * scale
-
-
 def empirical_oracle_failure_rate(
-    oracle,
+    suite,
     problem: Problem,
     x: np.ndarray,
     alpha: float,
     trials: int,
     master_seed: int,
-) -> float:
-    """Fraction of independent trials on which the oracle's accuracy contract fails."""
+) -> tuple[float, float]:
+    """Fractions (value, gradient) of independent trials violating the suite's contract.
+
+    Each trial draws what an iteration draws, gradient() and then values(),
+    with the trial point equal to x.
+    """
     if trials < 1:
         raise InvalidParameterError("trials must be at least 1")
     rng = np.random.default_rng(master_seed)
-    failures = 0
+    value_failures = grad_failures = 0
     for _ in range(trials):
-        estimate = oracle.draw(problem, x, alpha, rng)
-        if oracle.violated(problem, x, alpha, estimate):
-            failures += 1
-    return failures / trials
+        g, _ = suite.gradient(problem, x, alpha, rng)
+        f0, f_plus, _ = suite.values(problem, x, x, alpha, rng)
+        value_failed, grad_failed = suite.violated(problem, x, x, alpha, g, f0, f_plus)
+        value_failures += value_failed
+        grad_failures += grad_failed
+    return value_failures / trials, grad_failures / trials
 
 
 # -- runtime oracle suites ---------------------------------------------------
@@ -405,6 +306,18 @@ def empirical_oracle_failure_rate(
 # A suite supplies the three estimates an iteration needs and reports how
 # many samples were drawn.  gradient() is called first (the step depends on
 # it), then values() with both the current and the trial point.
+# violated() checks one iteration's estimates against the suite's accuracy
+# contract and returns (value_failed, grad_failed).  Each suite defines its
+# own methods (no shared base) so each can be instrumented separately.
+# Minibatch suites look their cost models up on every call (the step-search
+# models depend on the problem's noise); the caches make that a dict lookup.
+
+_storm_models = functools.lru_cache(maxsize=16)(storm_cost_models)
+_sass_models = functools.lru_cache(maxsize=16)(sass_cost_models)
+
+
+def _grad_error(problem: Problem, x, g) -> float:
+    return float(np.linalg.norm(g - problem.grad(x)))
 
 
 class ExactOracles:
@@ -421,37 +334,55 @@ class ExactOracles:
     def values(self, problem: Problem, x, x_plus, alpha: float, rng) -> tuple[float, float, int]:
         return problem.value(x), problem.value(x_plus), 2
 
+    def violated(self, problem, x, x_plus, alpha, g, f0, f_plus) -> tuple[bool, bool]:
+        return False, False
+
 
 @dataclass(frozen=True)
 class StormMinibatchOracles:
-    """Chebyshev-sized minibatch oracles for the trust-region method."""
+    """Chebyshev-sized minibatch oracles for the trust-region method.
+
+    Contract: |f - phi| <= kappa_ef * alpha**2 for both estimates of the
+    value pair and ||g - grad|| <= kappa_eg * alpha.
+    """
 
     spec: StormOracleSpec
 
     family = "storm"
 
+    def __post_init__(self):
+        _storm_models(self.spec)  # a degenerate spec fails here, not mid-run
+
     def validate(self, problem: Problem) -> None:
-        if problem.noise.distribution == BERNOULLI:
-            raise ConfigurationError("minibatch oracles require additive sampling noise")
         if problem.noise.m_v != 0.0:
             raise ConfigurationError(
                 "trust-region oracles need a uniform gradient noise bound (m_v = 0)"
             )
 
     def gradient(self, problem, x, alpha, rng):
-        _, batch = storm_batch_sizes(alpha, self.spec)
+        batch = _storm_models(self.spec)[1].batch(alpha)
         return minibatch_grad(problem, x, batch, rng), batch
 
     def values(self, problem, x, x_plus, alpha, rng):
-        batch, _ = storm_batch_sizes(alpha, self.spec)
+        batch = _storm_models(self.spec)[0].batch(alpha)
         f0 = minibatch_value(problem, x, batch, rng)
         f_plus = minibatch_value(problem, x_plus, batch, rng)
         return f0, f_plus, 2 * batch
 
+    def violated(self, problem, x, x_plus, alpha, g, f0, f_plus) -> tuple[bool, bool]:
+        tol = self.spec.kappa_ef * alpha**2
+        value_failed = abs(f0 - problem.value(x)) > tol or abs(f_plus - problem.value(x_plus)) > tol
+        return value_failed, _grad_error(problem, x, g) > self.spec.kappa_eg * alpha
+
 
 @dataclass(frozen=True)
 class SassMinibatchOracles:
-    """Tolerance-sized minibatch oracles for the step-search method."""
+    """Tolerance-sized minibatch oracles for the step-search method.
+
+    Gradient contract: ||g - grad|| <= max(eps_g, min(tau, kappa * alpha) * ||g||).
+    The value oracle has a tail condition rather than a pass/fail contract,
+    so its side never reports a violation.
+    """
 
     spec: SassOracleSpec
     epsilon: float
@@ -461,22 +392,23 @@ class SassMinibatchOracles:
     family = "sass"
 
     def validate(self, problem: Problem) -> None:
-        if problem.noise.distribution == BERNOULLI:
-            raise ConfigurationError("minibatch oracles require additive sampling noise")
+        pass
 
     def gradient(self, problem, x, alpha, rng):
-        _, batch = sass_batch_sizes(
-            alpha, self.epsilon, self.spec, problem.noise, self.case, self.batch_scale
-        )
+        models = _sass_models(self.spec, problem.noise, self.epsilon, self.case, self.batch_scale)
+        batch = models[1].batch(alpha)
         return minibatch_grad(problem, x, batch, rng), batch
 
     def values(self, problem, x, x_plus, alpha, rng):
-        batch, _ = sass_batch_sizes(
-            alpha, self.epsilon, self.spec, problem.noise, self.case, self.batch_scale
-        )
+        models = _sass_models(self.spec, problem.noise, self.epsilon, self.case, self.batch_scale)
+        batch = models[0].batch(alpha)
         f0 = minibatch_value(problem, x, batch, rng)
         f_plus = minibatch_value(problem, x_plus, batch, rng)
         return f0, f_plus, 2 * batch
+
+    def violated(self, problem, x, x_plus, alpha, g, f0, f_plus) -> tuple[bool, bool]:
+        rel = min(self.spec.tau, self.spec.kappa * alpha) * float(np.linalg.norm(g))
+        return False, _grad_error(problem, x, g) > max(self.spec.eps_g, rel)
 
 
 @dataclass(frozen=True)
@@ -488,7 +420,8 @@ class PairCorruptionOracles:
     (1 - delta0) * (1 - delta1) >= 1 - delta0 - delta1.  Corruptions are
     adversarial: the trial value is shifted up (forcing rejection) and the
     gradient is negated (an ascent direction, rejected on any convex
-    objective when r = 0).
+    objective when r = 0).  The contract fails exactly on a corrupted
+    estimate.
     """
 
     delta0: float
@@ -521,3 +454,6 @@ class PairCorruptionOracles:
         if rng.random() < self.delta0:
             f_plus = f_plus + self.value_shift
         return f0, f_plus, 2
+
+    def violated(self, problem, x, x_plus, alpha, g, f0, f_plus) -> tuple[bool, bool]:
+        return f_plus != problem.value(x_plus), not np.array_equal(g, problem.grad(x))

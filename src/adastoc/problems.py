@@ -7,11 +7,12 @@ moments respect the declared noise scales by construction:
 * value samples deviate from the truth by centered noise with variance at
   most sigma_f**2;
 * gradient samples deviate by a vector with squared norm expectation
-  exactly m_c + m_v * ||grad||**2 (Gaussian mode), which makes scaling
-  checks on minibatch sizes sharp;
-* Bernoulli corruption mode returns the exact quantity with probability
-  1 - delta and an adversarially shifted one otherwise, so oracle failure
-  probabilities are realized exactly.
+  exactly m_c + m_v * ||grad||**2, which makes scaling checks on minibatch
+  sizes sharp.
+
+Oracle corruption (failures realized with an exact probability) is a
+property of the oracle suite, not of the problem; see
+`oracles.PairCorruptionOracles`.
 
 Gaussian value noise is sub-Gaussian and therefore subexponential, which is
 what the step-search value oracle's tail condition needs; this holds by
@@ -27,10 +28,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, MissingGroundTruthError
 
-__all__ = ["NoiseSpec", "Problem", "make_problem", "sample_loss", "sample_grad"]
-
-GAUSSIAN = "gaussian"
-BERNOULLI = "bernoulli_corruption"
+__all__ = ["NoiseSpec", "Problem", "make_problem"]
 
 
 @dataclass(frozen=True)
@@ -40,31 +38,18 @@ class NoiseSpec:
     sigma_f bounds the standard deviation of value samples; the gradient
     noise second moment is m_c + m_v * ||grad||**2.  sigma_g, when set,
     declares a uniform gradient bound (requires m_v = 0) for methods that
-    need one.  delta0/delta1 are the corruption probabilities of the
-    Bernoulli mode, which replaces Gaussian perturbations by returning the
-    value shifted by value_shift, or the gradient negated, with those
-    probabilities.
+    need one.
     """
 
     sigma_f: float = 0.0
     m_c: float = 0.0
     m_v: float = 0.0
     sigma_g: float | None = None
-    distribution: str = GAUSSIAN
-    delta0: float = 0.0
-    delta1: float = 0.0
-    value_shift: float = 1.0e6
 
     def __post_init__(self):
         for name in ("sigma_f", "m_c", "m_v"):
             if getattr(self, name) < 0.0:
                 raise InvalidParameterError(f"{name} must be nonnegative")
-        if self.distribution not in (GAUSSIAN, BERNOULLI):
-            raise InvalidParameterError(f"unknown noise distribution {self.distribution!r}")
-        for name in ("delta0", "delta1"):
-            d = getattr(self, name)
-            if not (0.0 <= d < 1.0):
-                raise InvalidParameterError(f"{name} must lie in [0,1)")
         if self.sigma_g is not None:
             if self.m_v != 0.0:
                 raise InvalidParameterError(
@@ -82,18 +67,8 @@ class NoiseSpec:
         sigma_g = math.sqrt(m_c) if m_v == 0.0 else None
         return cls(sigma_f=sigma_f, m_c=m_c, m_v=m_v, sigma_g=sigma_g)
 
-    @classmethod
-    def corruption(
-        cls, delta0: float, delta1: float, value_shift: float = 1.0e6
-    ) -> "NoiseSpec":
-        return cls(
-            distribution=BERNOULLI, delta0=delta0, delta1=delta1, value_shift=value_shift
-        )
-
     @property
     def noiseless(self) -> bool:
-        if self.distribution == BERNOULLI:
-            return self.delta0 == 0.0 and self.delta1 == 0.0
         return self.sigma_f == 0.0 and self.m_c == 0.0 and self.m_v == 0.0
 
 
@@ -151,9 +126,6 @@ class Problem:
         if not np.all(np.isfinite(x)):
             raise InvalidParameterError("x must be finite")
         true = self.value(x)
-        if self.noise.distribution == BERNOULLI:
-            corrupted = rng.random(batch) < self.noise.delta0
-            return true + self.noise.value_shift * corrupted
         if self.noise.sigma_f == 0.0:
             return np.full(batch, true)
         return true + rng.normal(0.0, self.noise.sigma_f, size=batch)
@@ -165,10 +137,6 @@ class Problem:
         if not np.all(np.isfinite(x)):
             raise InvalidParameterError("x must be finite")
         g = self.grad(x)
-        if self.noise.distribution == BERNOULLI:
-            corrupted = rng.random(batch) < self.noise.delta1
-            signs = np.where(corrupted, -1.0, 1.0)
-            return signs[:, None] * g
         std = self._grad_noise_std(x)
         if std == 0.0:
             return np.tile(g, (batch, 1))
@@ -184,27 +152,14 @@ class Problem:
             ("lipschitz", self.lipschitz),
             ("min_value", "unknown" if self.min_value is None else self.min_value),
             ("seed", self.seed),
-            ("noise_distribution", n.distribution),
             ("sigma_f", n.sigma_f),
             ("m_c", n.m_c),
             ("m_v", n.m_v),
-            ("delta0", n.delta0),
-            ("delta1", n.delta1),
         ]
         return "\n".join(f"{k}={v}" for k, v in items)
 
     def with_noise(self, noise: NoiseSpec) -> "Problem":
         return replace(self, noise=noise)
-
-
-def sample_loss(problem: Problem, x: np.ndarray, rng: np.random.Generator) -> float:
-    """One unbiased stochastic estimate of the objective value at x."""
-    return float(problem.sample_loss_batch(x, 1, rng)[0])
-
-
-def sample_grad(problem: Problem, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One unbiased stochastic estimate of the gradient at x."""
-    return problem.sample_grad_batch(x, 1, rng)[0]
 
 
 def _logistic_minimum(features: np.ndarray, labels: np.ndarray, reg: float, dim: int) -> float:

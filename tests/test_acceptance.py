@@ -19,12 +19,10 @@ from adastoc.oracles import (
     PairCorruptionOracles,
     SassMinibatchOracles,
     SassOracleSpec,
-    StormGradOracle,
     StormMinibatchOracles,
     StormOracleSpec,
-    StormValueOracle,
     empirical_oracle_failure_rate,
-    sass_batch_sizes,
+    sass_cost_models,
 )
 from adastoc.problems import NoiseSpec, make_problem
 from adastoc.walk import (
@@ -185,8 +183,9 @@ def test_criterion_07_chebyshev_oracle_contracts():
     ok = True
     rates = []
     for alpha in (0.1, 0.5, 1.0):
-        rate_v = empirical_oracle_failure_rate(StormValueOracle(spec), prob, x, alpha, trials, 808)
-        rate_g = empirical_oracle_failure_rate(StormGradOracle(spec), prob, x, alpha, trials, 809)
+        rate_v, rate_g = empirical_oracle_failure_rate(
+            StormMinibatchOracles(spec), prob, x, alpha, trials, 808
+        )
         rates.append((alpha, rate_v, rate_g))
         if rate_v > spec.delta0 + half or rate_g > spec.delta1 + half:
             ok = False
@@ -257,8 +256,8 @@ def test_criterion_09_scaling_exponents():
     sspec = SassOracleSpec(kappa=1.0, tau=math.inf, delta1=0.1)
     mean_t = []
     for i, epsilon in enumerate(sc_eps):
-        b0, _ = sass_batch_sizes(alpha_bar, epsilon, sspec, noise, "strongly_convex", batch_c)
-        r = 2.0 * noise.sigma_f / math.sqrt(b0)
+        value, _ = sass_cost_models(sspec, noise, epsilon, "strongly_convex", batch_c)
+        r = 2.0 * noise.sigma_f / math.sqrt(value.batch(alpha_bar))
         cfg = AlgoConfig(theta=theta, gamma=0.7, alpha0=alpha_bar, alpha_max=alpha_bar, r=r, seed=0)
         suite = SassMinibatchOracles(sspec, epsilon=epsilon, case="strongly_convex", batch_scale=batch_c)
         summary = monte_carlo_toc(

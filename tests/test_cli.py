@@ -228,3 +228,27 @@ def test_corruption_oracle_through_cli(tmp_path, capsys):
     assert code == 0
     lines = (tmp_path / "c.csv").read_text().splitlines()
     assert len(lines) == 51
+
+
+@pytest.mark.parametrize("command", ["sweep", "optimize"])
+@pytest.mark.parametrize("flag", ["--delta0=0", "--kappa-ef=0"])
+def test_degenerate_trust_region_spec_is_validation_error(tmp_path, capsys, command, flag):
+    # sigma_f > 0 needs a positive delta0 and kappa_ef to size value batches
+    extra = ["--epsilons=0.2", "--reps=2"] if command == "sweep" else ["--epsilon=0.2"]
+    code = _run([
+        command, "--method=storm", "--sigma-f=0.001", "--m-c=0.001", flag, *extra,
+        f"--out={tmp_path / 'o.csv'}",
+    ])
+    assert code == 1
+    assert "delta0 and kappa_ef must be positive when sigma_f > 0" in capsys.readouterr().err
+
+
+def test_walk_default_summary_lands_beside_out(tmp_path, monkeypatch):
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    argv = [a for a in _walk_args(tmp_path, out=str(tmp_path / "sub" / "w.csv")) if "summary-out" not in a]
+    (tmp_path / "sub").mkdir()
+    assert _run(argv) == 0
+    assert (tmp_path / "sub" / "w_summary.csv").exists()
+    assert not (elsewhere / "w_summary.csv").exists()

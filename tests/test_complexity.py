@@ -125,6 +125,62 @@ def test_expected_bound_divergent_regime_is_inf():
     assert expected_toc_bound(total, params, 2000).bound_value == math.inf
 
 
+_GAMMAS = (0.5, 0.6, 0.7, 0.8, 0.9)
+_PS = (0.6, 0.7, 0.8, 0.9)
+
+
+class _QuarticTail:
+    """A cost whose bound tail uses the quartic ratio (2q)/gamma**4 whatever its models."""
+
+    power = 4.0
+
+    def __init__(self, total):
+        self.cost = total.cost
+
+
+def test_storm_expected_bound_divergence_set_unchanged():
+    # the storm total grows like alpha**-4, so its tail is the quartic one
+    infinite = set()
+    for gamma in _GAMMAS:
+        for p in _PS:
+            spec = StormOracleSpec(sigma_f=1.0, sigma_g=1.0, delta0=(1 - p) / 2, delta1=(1 - p) / 2)
+            params = WalkParams(p=spec.p, gamma=gamma, alpha_bar=0.1, omega=1.0)
+            total = SummedCost(components=storm_cost_models(spec))
+            got = expected_toc_bound(total, params, 2000).bound_value
+            assert got == expected_toc_bound(_QuarticTail(total), params, 2000).bound_value
+            if math.isinf(got):
+                infinite.add((gamma, p))
+    assert (0.5, 0.8) in infinite and (0.9, 0.9) not in infinite
+
+
+def test_sass_expected_bound_finite_for_alpha_independent_cost():
+    # three samples per iteration whatever alpha: the tail ratio is 2q < 1
+    report = sass_complexity_report(
+        SassOracleSpec(), NoiseSpec.none(), 0.1, 2000, 0.6, 1.0, "nonconvex", p=0.8, alpha_bar=0.5
+    )
+    assert math.isfinite(report.expected.bound_value)
+    assert report.expected.bound_value >= 2000 * 3
+    assert report.high_probability.bound_value == 2000 * 3
+
+
+def test_report_growth_exponents_on_grid():
+    for gamma in _GAMMAS:
+        for p in _PS:
+            log_qp = math.log((1 - p) / p)
+            spec = StormOracleSpec(sigma_f=1.0, sigma_g=1.0, delta0=(1 - p) / 2, delta1=(1 - p) / 2)
+            storm = storm_complexity_report(spec, 0.1, 10.0, 50, gamma, 1.0)
+            storm_log_qp = math.log((1 - spec.p) / spec.p)
+            assert storm.toc0_exponent == 4.0 * math.log(gamma) / storm_log_qp
+            assert storm.toc1_exponent == 2.0 * math.log(gamma) / storm_log_qp
+            for m_v in (0.0, 1e-3):
+                noise = NoiseSpec.gaussian(sigma_f=1e-3, m_c=1e-2, m_v=m_v)
+                sass = sass_complexity_report(
+                    SassOracleSpec(), noise, 0.1, 50, gamma, 1.0, "nonconvex", p=p, alpha_bar=0.5
+                )
+                assert sass.toc0_exponent == 0.0
+                assert sass.toc1_exponent == (2.0 * math.log(gamma) / log_qp if m_v > 0 else 0.0)
+
+
 def test_highprob_bound_constant_cost():
     params = WalkParams(p=0.8, gamma=0.7, alpha_bar=1.0, omega=1.0)
     const = CostModel(raw=lambda a: 5.0)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adastoc.complexity import accumulate_toc
 from adastoc.errors import (
     ConfigurationError,
     InvalidParameterError,
@@ -23,7 +24,13 @@ from adastoc.framework import (
     update_step_size,
 )
 from adastoc.methods import SassMethod, StormMethod
-from adastoc.oracles import ExactOracles, PairCorruptionOracles, StormMinibatchOracles, StormOracleSpec
+from adastoc.oracles import (
+    ExactOracles,
+    PairCorruptionOracles,
+    StormMinibatchOracles,
+    StormOracleSpec,
+    storm_cost_models,
+)
 from adastoc.problems import NoiseSpec, make_problem
 
 
@@ -60,32 +67,39 @@ def test_config_validation():
 
 
 def test_update_step_size_worked_values():
-    assert update_step_size(1.0, True, 0.5, 10.0) == 2.0
-    assert update_step_size(8.0, True, 0.5, 10.0) == 10.0
-    assert update_step_size(1.0, False, 0.5, 10.0) == 0.5
+    assert update_step_size(1.0, 0, True, 0.5, 10.0) == (1.0, -1)  # alpha 1 -> 2
+    assert update_step_size(8.0, 0, True, 0.5, 10.0) == (10.0, 0)  # 16 would overshoot
+    assert update_step_size(1.0, 0, False, 0.5, 10.0) == (1.0, 1)  # alpha 1 -> 0.5
 
 
 def test_update_step_size_validation():
     with pytest.raises(InvalidParameterError):
-        update_step_size(0.0, True, 0.5, 1.0)
+        update_step_size(0.0, 0, True, 0.5, 1.0)
     with pytest.raises(InvalidParameterError):
-        update_step_size(1.0, True, 1.5, 10.0)
+        update_step_size(1.0, 0, True, 1.5, 10.0)
     with pytest.raises(InvalidParameterError):
-        update_step_size(2.0, True, 0.5, 1.0)
+        update_step_size(2.0, 0, True, 0.5, 1.0)
 
 
 @settings(max_examples=150, deadline=None)
 @given(
-    alpha=st.floats(1e-8, 1e3),
+    base=st.floats(1e-8, 1e3),
+    exp=st.integers(-20, 20),
     success=st.booleans(),
     gamma=st.floats(0.01, 0.99),
     headroom=st.floats(1.0, 1e3),
 )
-def test_update_step_size_two_outcome_law(alpha, success, gamma, headroom):
+def test_update_step_size_two_outcome_law(base, exp, success, gamma, headroom):
+    alpha = base * gamma**exp
     alpha_max = alpha * headroom
-    out = update_step_size(alpha, success, gamma, alpha_max)
-    assert out in (gamma * alpha, min(alpha_max, alpha / gamma))
-    assert (out == min(alpha_max, alpha / gamma)) == success
+    new_base, new_exp = update_step_size(base, exp, success, gamma, alpha_max)
+    if not success:
+        assert (new_base, new_exp) == (base, exp + 1)
+    elif base * gamma ** (exp - 1) > alpha_max:
+        assert (new_base, new_exp) == (alpha_max, 0)
+    else:
+        assert (new_base, new_exp) == (base, exp - 1)
+    assert new_base * gamma**new_exp <= alpha_max
 
 
 def test_hand_run_lands_on_minimizer():
@@ -192,14 +206,13 @@ def test_cost_accounting_totals():
     spec = StormOracleSpec(sigma_f=0.01, sigma_g=0.1, delta0=0.1, delta1=0.1)
     cfg = _config(alpha0=0.05, alpha_max=0.05, seed=3, max_iterations=50)
     trace = run_adaptive(prob, StormMethod(), StormMinibatchOracles(spec), cfg, 1e-6)
-    assert trace.total_cost0 == sum(r.cost0 for r in trace.records)
-    assert trace.total_cost1 == sum(r.cost1 for r in trace.records)
-    from adastoc.oracles import storm_batch_sizes
-
+    toc = accumulate_toc(trace)
+    assert toc.toc0 == sum(r.cost0 for r in trace.records)
+    assert toc.toc1 == sum(r.cost1 for r in trace.records)
+    value, grad = storm_cost_models(spec)
     for rec in trace.records:
-        oc0, oc1 = storm_batch_sizes(rec.alpha, spec)
-        assert rec.cost0 == 2 * oc0
-        assert rec.cost1 == oc1
+        assert rec.cost0 == 2 * value.batch(rec.alpha)
+        assert rec.cost1 == grad.batch(rec.alpha)
 
 
 def test_zero_gradient_iteration_is_recorded_literally():

@@ -2,25 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from adastoc.errors import ConfigurationError, InvalidParameterError
 from adastoc.oracles import (
-    CorruptionGradOracle,
-    CorruptionValueOracle,
     CostModel,
+    ExactOracles,
+    PairCorruptionOracles,
+    SassMinibatchOracles,
     SassOracleSpec,
-    StormGradOracle,
     StormOracleSpec,
-    StormValueOracle,
     StormMinibatchOracles,
     SummedCost,
     cost_table_rows,
     empirical_oracle_failure_rate,
     minibatch_grad,
     minibatch_value,
-    sass_batch_sizes,
     sass_cost_models,
-    storm_batch_sizes,
     storm_cost_models,
 )
 from adastoc.problems import NoiseSpec, make_problem
@@ -54,11 +53,9 @@ def test_minibatch_zero_noise_exact():
 def test_minibatch_batch_one_matches_single_draw():
     prob = make_problem("quadratic", 3, 2.0, NoiseSpec.gaussian(m_c=1.0), seed=0)
     x = np.array([1.0, -1.0, 0.0])
-    from adastoc.problems import sample_grad
-
     assert np.array_equal(
         minibatch_grad(prob, x, 1, np.random.default_rng(4)),
-        sample_grad(prob, x, np.random.default_rng(4)),
+        prob.sample_grad_batch(x, 1, np.random.default_rng(4))[0],
     )
 
 
@@ -77,24 +74,30 @@ def test_minibatch_rejects_zero_batch():
         minibatch_value(prob, prob.x0, 0, np.random.default_rng(0))
 
 
-def test_storm_batch_sizes_worked_values():
+def test_storm_models_batch_worked_values():
     spec = StormOracleSpec(kappa_ef=1.0, delta0=0.1, kappa_eg=1.0, delta1=0.1, sigma_f=1.0, sigma_g=1.0)
-    oc0, oc1 = storm_batch_sizes(0.5, spec)
-    assert (oc0, oc1) == (160, 40)
+    value, grad = storm_cost_models(spec)
+    assert (value.batch(0.5), grad.batch(0.5)) == (160, 40)
 
 
-def test_storm_batch_sizes_noiseless_floor():
-    spec = StormOracleSpec(sigma_f=0.0, sigma_g=0.0)
-    assert storm_batch_sizes(0.5, spec) == (1, 1)
+def test_storm_models_noiseless_floor():
+    value, grad = storm_cost_models(StormOracleSpec(sigma_f=0.0, sigma_g=0.0))
+    assert (value.batch(0.5), grad.batch(0.5)) == (1, 1)
 
 
-def test_storm_batch_sizes_rejects_degenerate():
+def test_storm_models_reject_degenerate():
+    for spec in (
+        StormOracleSpec(sigma_f=1.0, delta0=0.0),
+        StormOracleSpec(sigma_f=1.0, kappa_ef=0.0),
+        StormOracleSpec(sigma_g=1.0, delta1=0.0),
+        StormOracleSpec(sigma_g=1.0, kappa_eg=0.0),
+    ):
+        with pytest.raises(InvalidParameterError):
+            storm_cost_models(spec)
+        with pytest.raises(InvalidParameterError):
+            StormMinibatchOracles(spec)  # at construction, before any run
     with pytest.raises(InvalidParameterError):
-        storm_batch_sizes(0.5, StormOracleSpec(sigma_f=1.0, delta0=0.0))
-    with pytest.raises(InvalidParameterError):
-        storm_batch_sizes(0.5, StormOracleSpec(sigma_f=1.0, kappa_ef=0.0))
-    with pytest.raises(InvalidParameterError):
-        storm_batch_sizes(0.0, StormOracleSpec())
+        storm_cost_models(StormOracleSpec())[0].batch(0.0)
 
 
 def test_storm_spec_requires_reliable_pair():
@@ -102,35 +105,110 @@ def test_storm_spec_requires_reliable_pair():
         StormOracleSpec(delta0=0.3, delta1=0.2)
 
 
-def test_sass_batch_sizes_worked_values():
+def test_sass_models_batch_worked_values():
     spec = SassOracleSpec(kappa=1.0, tau=10.0)
     noise = NoiseSpec.gaussian(sigma_f=1.0)
-    oc0, _ = sass_batch_sizes(0.5, 0.1, spec, noise, "nonconvex")
-    assert oc0 == 10**4
+    value, _ = sass_cost_models(spec, noise, 0.1, "nonconvex")
+    assert value.batch(0.5) == 10**4
     noise2 = NoiseSpec.gaussian(m_c=0.0, m_v=1.0)
-    _, oc1 = sass_batch_sizes(0.5, 0.1, spec, noise2, "nonconvex")
-    assert oc1 == 4
+    _, grad = sass_cost_models(spec, noise2, 0.1, "nonconvex")
+    assert grad.batch(0.5) == 4
 
 
-def test_sass_batch_sizes_tau_saturation():
+def test_sass_models_tau_saturation():
     spec = SassOracleSpec(kappa=1.0, tau=2.0)
     noise = NoiseSpec.gaussian(m_c=0.0, m_v=1.0)
-    at_tau = sass_batch_sizes(2.0, 0.1, spec, noise, "nonconvex")[1]
-    beyond = sass_batch_sizes(100.0, 0.1, spec, noise, "nonconvex")[1]
-    assert at_tau == beyond
+    _, grad = sass_cost_models(spec, noise, 0.1, "nonconvex")
+    assert grad.batch(2.0) == grad.batch(100.0)
 
 
-def test_sass_batch_sizes_strongly_convex_scaling():
+def test_sass_models_strongly_convex_scaling():
     spec = SassOracleSpec()
     noise = NoiseSpec.gaussian(sigma_f=1.0, m_c=1.0)
-    oc0, oc1 = sass_batch_sizes(1.0, 0.01, spec, noise, "strongly_convex")
-    assert oc0 == math.ceil(1.0 / 0.01**2)
-    assert oc1 >= math.ceil(1.0 / 0.01)
+    value, grad = sass_cost_models(spec, noise, 0.01, "strongly_convex")
+    assert value.batch(1.0) == math.ceil(1.0 / 0.01**2)
+    assert grad.batch(1.0) >= math.ceil(1.0 / 0.01)
 
 
-def test_sass_batch_sizes_rejects_zero_epsilon():
+def test_sass_models_reject_zero_epsilon():
     with pytest.raises(InvalidParameterError):
-        sass_batch_sizes(1.0, 0.0, SassOracleSpec(), NoiseSpec.none(), "nonconvex")
+        sass_cost_models(SassOracleSpec(), NoiseSpec.none(), 0.0, "nonconvex")
+    with pytest.raises(InvalidParameterError):
+        sass_cost_models(SassOracleSpec(), NoiseSpec.none(), 0.1, "nonconvex", c=0.0)
+
+
+class _NoSampling:
+    """Problem stand-in: any batch size, one zero sample drawn."""
+
+    def __init__(self, noise):
+        self.noise = noise
+
+    def sample_loss_batch(self, x, batch, rng):
+        return np.zeros(1)
+
+    def sample_grad_batch(self, x, batch, rng):
+        return np.zeros((1, 2))
+
+
+def _charged(suite, noise, alpha):
+    problem, x = _NoSampling(noise), np.zeros(2)
+    _, cost1 = suite.gradient(problem, x, alpha, None)
+    _, _, cost0 = suite.values(problem, x, x, alpha, None)
+    return cost0 // 2, cost1
+
+
+_alphas = st.builds(
+    lambda a0, gamma, j: a0 * gamma**j,
+    st.floats(1e-3, 1.0), st.floats(0.3, 0.95), st.integers(0, 40),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    alpha=_alphas,
+    sigma_f=st.floats(1e-4, 10.0),
+    sigma_g=st.floats(1e-4, 10.0),
+    delta=st.floats(0.01, 0.24),
+    kappa=st.floats(0.01, 10.0),
+)
+def test_storm_suite_charges_the_bound_models_batches(alpha, sigma_f, sigma_g, delta, kappa):
+    spec = StormOracleSpec(
+        kappa_ef=kappa, delta0=delta, kappa_eg=kappa, delta1=delta, sigma_f=sigma_f, sigma_g=sigma_g
+    )
+    value, grad = storm_cost_models(spec)
+    charged = _charged(StormMinibatchOracles(spec), NoiseSpec.gaussian(), alpha)
+    assert charged == (value.batch(alpha), grad.batch(alpha))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    alpha=_alphas,
+    epsilon=st.floats(0.01, 0.5),
+    batch_c=st.one_of(st.integers(1, 100).map(float), st.floats(0.1, 100.0)),
+    m_c=st.floats(1e-5, 1.0),
+    m_v=st.one_of(st.just(0.0), st.floats(1e-4, 1.0)),
+    case=st.sampled_from(["nonconvex", "strongly_convex"]),
+)
+@example(alpha=0.5, epsilon=0.03, batch_c=9.0, m_c=1e-3, m_v=0.0, case="nonconvex")
+def test_sass_suite_charges_the_bound_models_batches(alpha, epsilon, batch_c, m_c, m_v, case):
+    # at batch_c=9, m_c=1e-3, epsilon=0.03 two separate formulas once drew 10
+    # gradient samples per call and charged 11 in the bound
+    spec = SassOracleSpec(kappa=1.0, tau=10.0)
+    noise = NoiseSpec.gaussian(sigma_f=1e-4, m_c=m_c, m_v=m_v)
+    value, grad = sass_cost_models(spec, noise, epsilon, case, batch_c)
+    suite = SassMinibatchOracles(spec, epsilon=epsilon, case=case, batch_scale=batch_c)
+    assert _charged(suite, noise, alpha) == (value.batch(alpha), grad.batch(alpha))
+
+
+def test_cost_model_powers():
+    value, grad = storm_cost_models(StormOracleSpec(sigma_f=1.0, sigma_g=1.0))
+    assert (value.power, grad.power) == (4.0, 2.0)
+    assert SummedCost(components=(value, grad)).power == 4.0
+    for m_v, grad_power in ((0.0, 0.0), (1.0, 2.0)):
+        noise = NoiseSpec.gaussian(sigma_f=1.0, m_c=1.0, m_v=m_v)
+        value, grad = sass_cost_models(SassOracleSpec(), noise, 0.1, "nonconvex")
+        assert (value.power, grad.power) == (0.0, grad_power)
+    assert CostModel(raw=lambda a: 1.0).power == 4.0
 
 
 def test_cost_models_monotone_on_log_grid():
@@ -167,13 +245,14 @@ def test_cost_table_rows_schema():
 
 
 def test_corruption_oracle_failure_rate():
-    noise = NoiseSpec.corruption(delta0=0.2, delta1=0.2)
-    prob = make_problem("quadratic", 2, 1.0, noise, seed=0)
+    # the contract fails exactly on the suite's coins: delta0 per value pair,
+    # delta1 per gradient
+    prob = make_problem("quadratic", 2, 1.0, NoiseSpec.none(), seed=0)
     x = np.array([1.0, 1.0])
-    rate = empirical_oracle_failure_rate(CorruptionValueOracle(), prob, x, 1.0, 4000, 5)
-    assert abs(rate - 0.2) <= 2.5758 * math.sqrt(0.2 * 0.8 / 4000) + 1e-9
-    rate_g = empirical_oracle_failure_rate(CorruptionGradOracle(), prob, x, 1.0, 4000, 6)
-    assert abs(rate_g - 0.2) <= 2.5758 * math.sqrt(0.2 * 0.8 / 4000) + 1e-9
+    suite = PairCorruptionOracles(delta0=0.2, delta1=0.1)
+    rate_v, rate_g = empirical_oracle_failure_rate(suite, prob, x, 1.0, 4000, 5)
+    assert abs(rate_v - 0.2) <= 2.5758 * math.sqrt(0.2 * 0.8 / 4000) + 1e-9
+    assert abs(rate_g - 0.1) <= 2.5758 * math.sqrt(0.1 * 0.9 / 4000) + 1e-9
 
 
 def test_storm_oracle_contract_failure_below_delta():
@@ -182,8 +261,7 @@ def test_storm_oracle_contract_failure_below_delta():
     spec = StormOracleSpec(kappa_ef=1.0, delta0=0.1, kappa_eg=1.0, delta1=0.1, sigma_f=0.2, sigma_g=0.2)
     x = np.array([1.0, -0.5])
     for alpha in (0.5, 1.0):
-        rate_v = empirical_oracle_failure_rate(StormValueOracle(spec), prob, x, alpha, 2000, 7)
-        rate_g = empirical_oracle_failure_rate(StormGradOracle(spec), prob, x, alpha, 2000, 8)
+        rate_v, rate_g = empirical_oracle_failure_rate(StormMinibatchOracles(spec), prob, x, alpha, 2000, 7)
         ci = 2.5758 * math.sqrt(0.1 * 0.9 / 2000)
         assert rate_v <= 0.1 + ci
         assert rate_g <= 0.1 + ci
@@ -192,23 +270,22 @@ def test_storm_oracle_contract_failure_below_delta():
 def test_sass_grad_oracle_relative_contract():
     # interpolation-style noise: batch C/(kappa*alpha)^2 keeps the relative
     # error below min(tau, kappa*alpha) with failure rate well under delta1
-    from adastoc.oracles import SassGradOracle
-
     noise = NoiseSpec.gaussian(m_c=0.0, m_v=1.0)
     prob = make_problem("quadratic", 2, 1.0, noise, seed=0)
     spec = SassOracleSpec(kappa=1.0, tau=10.0, delta1=0.1)
-    oracle = SassGradOracle(spec, epsilon=0.1, case="nonconvex", batch_scale=9.0)
+    suite = SassMinibatchOracles(spec, epsilon=0.1, case="nonconvex", batch_scale=9.0)
     x = np.array([1.0, -0.5])
     for alpha in (0.3, 1.0):
-        rate = empirical_oracle_failure_rate(oracle, prob, x, alpha, 2000, 44)
-        assert rate <= spec.delta1 + 2.5758 * math.sqrt(0.1 * 0.9 / 2000)
+        rate_v, rate_g = empirical_oracle_failure_rate(suite, prob, x, alpha, 2000, 44)
+        assert rate_v == 0.0  # a tail condition, not a pass/fail contract
+        assert rate_g <= spec.delta1 + 2.5758 * math.sqrt(0.1 * 0.9 / 2000)
 
 
 def test_zero_noise_oracle_never_fails():
     prob = make_problem("quadratic", 2, 1.0, NoiseSpec.none(), seed=0)
     spec = StormOracleSpec(sigma_f=0.0, sigma_g=0.0)
-    rate = empirical_oracle_failure_rate(StormValueOracle(spec), prob, prob.x0, 0.5, 100, 0)
-    assert rate == 0.0
+    for suite in (StormMinibatchOracles(spec), ExactOracles()):
+        assert empirical_oracle_failure_rate(suite, prob, prob.x0, 0.5, 100, 0) == (0.0, 0.0)
 
 
 def test_minibatch_suite_rejects_unbounded_gradient_noise():

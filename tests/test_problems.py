@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from adastoc.errors import InvalidParameterError, MissingGroundTruthError
-from adastoc.problems import NoiseSpec, make_problem, sample_grad, sample_loss
+from adastoc.oracles import PairCorruptionOracles
+from adastoc.problems import NoiseSpec, make_problem
 
 
 def test_identity_quadratic():
@@ -42,15 +43,15 @@ def test_noise_spec_validation():
     with pytest.raises(InvalidParameterError):
         NoiseSpec(sigma_g=0.1, m_v=1.0)
     with pytest.raises(InvalidParameterError):
-        NoiseSpec(distribution="cauchy")
+        NoiseSpec(m_v=-1.0)
 
 
 def test_zero_noise_samples_are_exact():
     prob = make_problem("quadratic", 3, 2.0, NoiseSpec.none(), seed=0)
     rng = np.random.default_rng(0)
     x = np.array([1.0, -1.0, 0.5])
-    assert sample_loss(prob, x, rng) == prob.value(x)
-    assert np.array_equal(sample_grad(prob, x, rng), prob.grad(x))
+    assert prob.sample_loss_batch(x, 1, rng)[0] == prob.value(x)
+    assert np.array_equal(prob.sample_grad_batch(x, 1, rng)[0], prob.grad(x))
 
 
 def test_value_noise_variance_bound():
@@ -87,19 +88,21 @@ def test_interpolation_noise_vanishes_at_stationary_point():
     prob = make_problem("quadratic", 3, 1.0, NoiseSpec.gaussian(m_c=0.0, m_v=1.0), seed=0)
     rng = np.random.default_rng(0)
     x = np.zeros(3)
-    assert np.array_equal(sample_grad(prob, x, rng), prob.grad(x))
+    assert np.array_equal(prob.sample_grad_batch(x, 1, rng)[0], prob.grad(x))
 
 
 def test_bernoulli_corruption_rates_and_shift():
-    noise = NoiseSpec.corruption(delta0=0.2, delta1=0.1, value_shift=50.0)
-    prob = make_problem("quadratic", 2, 1.0, noise, seed=0)
+    # Bernoulli corruption lives in PairCorruptionOracles: delta0 shifts the
+    # trial value by value_shift, delta1 negates the gradient
+    suite = PairCorruptionOracles(delta0=0.2, delta1=0.1, value_shift=50.0)
+    prob = make_problem("quadratic", 2, 1.0, NoiseSpec.none(), seed=0)
     rng = np.random.default_rng(8)
     x = np.array([1.0, 1.0])
-    vals = prob.sample_loss_batch(x, 50_000, rng)
+    vals = np.array([suite.values(prob, x, x, 1.0, rng)[1] for _ in range(50_000)])
     corrupted = vals != prob.value(x)
     assert np.unique(vals[corrupted]) == pytest.approx(prob.value(x) + 50.0)
     assert abs(corrupted.mean() - 0.2) <= 0.01
-    grads = prob.sample_grad_batch(x, 50_000, rng)
+    grads = np.array([suite.gradient(prob, x, 1.0, rng)[0] for _ in range(50_000)])
     flipped = (grads == -prob.grad(x)).all(axis=1)
     assert abs(flipped.mean() - 0.1) <= 0.01
 
@@ -140,6 +143,7 @@ def test_descriptor_block():
     text = prob.descriptor()
     assert "kind=quadratic" in text
     assert "conditioning=4.0" in text
+    assert "sigma_f=0.5" in text
     assert all("=" in line for line in text.splitlines())
 
 
