@@ -12,11 +12,13 @@ families are implemented:
   ||g - grad|| <= max(eps_g, min(tau, kappa * alpha) * ||g||), batches sized
   by the target tolerance epsilon with an explicit constant multiplier.
 
-Each algorithm iteration draws two value estimates (current and trial
+Each algorithm iteration makes two value estimates (current and trial
 point) and one gradient estimate, so the per-iteration value cost is twice
-the per-call batch.  The runtime suites draw their batches from the same
+the per-call batch.  The runtime suites take their batch sizes from the same
 CostModel objects the complexity bounds evaluate, so the samples a run is
-charged and the samples a bound counts agree by construction.
+charged and the samples a bound counts agree by construction.  A call is
+charged its b samples, but the b-sample mean is drawn once from its exact
+law (`minibatch_value`, `minibatch_grad`).
 """
 
 from __future__ import annotations
@@ -173,22 +175,43 @@ class SummedCost:
 
 
 # -- minibatch averaging ----------------------------------------------------
+#
+# The mean of `batch` i.i.d. Gaussian samples is Gaussian, so it is drawn
+# once from that law: time, memory and random draws per call do not depend
+# on the batch, and an iteration consumes a fixed block of the stream.  At
+# batch 1 the draw equals Problem.sample_*_batch(x, 1, rng)[0] bit for bit.
+
+
+def _check_call(x, batch: int) -> None:
+    if batch < 1:
+        raise InvalidParameterError("batch must be at least 1")
+    if not np.all(np.isfinite(x)):
+        raise InvalidParameterError("x must be finite")
 
 
 def minibatch_value(problem: Problem, x: np.ndarray, batch: int, rng: np.random.Generator) -> float:
-    """Arithmetic mean of `batch` i.i.d. stochastic value samples at x."""
-    if batch < 1:
-        raise InvalidParameterError("batch must be at least 1")
-    return float(problem.sample_loss_batch(x, batch, rng).mean())
+    """Mean of `batch` i.i.d. stochastic value samples at x: one N(f(x), sigma_f**2/batch) draw."""
+    _check_call(x, batch)
+    true = problem.value(x)
+    if problem.noise.sigma_f == 0.0:
+        return true
+    return float(true + rng.normal(0.0, problem.noise.sigma_f / math.sqrt(batch)))
 
 
 def minibatch_grad(
     problem: Problem, x: np.ndarray, batch: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Componentwise mean of `batch` i.i.d. stochastic gradient samples at x."""
-    if batch < 1:
-        raise InvalidParameterError("batch must be at least 1")
-    return problem.sample_grad_batch(x, batch, rng).mean(axis=0)
+    """Mean of `batch` i.i.d. stochastic gradient samples at x: grad + N(0, std**2/batch * I).
+
+    std is the per-component sample noise `problem.grad_noise_std(grad)`;
+    one call draws dim normals.
+    """
+    _check_call(x, batch)
+    g = problem.grad(x)
+    std = problem.grad_noise_std(g)
+    if std == 0.0:
+        return g
+    return g + rng.normal(0.0, std / math.sqrt(batch), size=problem.dim)
 
 
 # -- batch-size formulas ----------------------------------------------------

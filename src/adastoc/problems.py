@@ -4,11 +4,16 @@ Each problem exposes the exact objective value and gradient for
 instrumentation, together with per-sample stochastic estimates whose second
 moments respect the declared noise scales by construction:
 
-* value samples deviate from the truth by centered noise with variance at
-  most sigma_f**2;
-* gradient samples deviate by a vector with squared norm expectation
-  exactly m_c + m_v * ||grad||**2, which makes scaling checks on minibatch
-  sizes sharp.
+* value samples deviate from the truth by N(0, sigma_f**2) noise;
+* gradient samples deviate by N(0, s**2 * I) noise with
+  s = grad_noise_std(grad), so the squared norm has expectation exactly
+  m_c + m_v * ||grad||**2, which makes scaling checks on minibatch sizes
+  sharp.
+
+Both laws are Gaussian, so the mean of b samples is Gaussian too, with the
+variance divided by b; `oracles.minibatch_value/grad` draw that mean in one
+step from the same noise scales.  `sample_loss_batch`/`sample_grad_batch`
+materialise b samples and are the per-sample reference for that law.
 
 Oracle corruption (failures realized with an exact probability) is a
 property of the oracle suite, not of the problem; see
@@ -114,8 +119,12 @@ class Problem:
 
     # -- stochastic sampling ------------------------------------------------
 
-    def _grad_noise_std(self, x: np.ndarray) -> float:
-        g = self.grad(x)
+    def grad_noise_std(self, g: np.ndarray) -> float:
+        """Per-component noise standard deviation of one gradient sample where grad = g.
+
+        The components are i.i.d., so the noise vector's squared norm has
+        expectation exactly m_c + m_v * ||g||**2.
+        """
         total_var = self.noise.m_c + self.noise.m_v * float(np.dot(g, g))
         return math.sqrt(total_var / self.dim)
 
@@ -137,7 +146,7 @@ class Problem:
         if not np.all(np.isfinite(x)):
             raise InvalidParameterError("x must be finite")
         g = self.grad(x)
-        std = self._grad_noise_std(x)
+        std = self.grad_noise_std(g)
         if std == 0.0:
             return np.tile(g, (batch, 1))
         return g + rng.normal(0.0, std, size=(batch, self.dim))

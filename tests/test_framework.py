@@ -1,4 +1,5 @@
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -213,6 +214,23 @@ def test_cost_accounting_totals():
     for rec in trace.records:
         assert rec.cost0 == 2 * value.batch(rec.alpha)
         assert rec.cost1 == grad.batch(rec.alpha)
+
+
+def test_sample_counts_beyond_int64_stay_exact():
+    # about 1e21 value samples per call: sampling is O(1) whatever the batch,
+    # and the counts stay Python ints (no int64 wrap above 2**63)
+    noise = NoiseSpec.gaussian(sigma_f=0.01, m_c=0.01)
+    prob = make_problem("quadratic", 2, 1.0, noise, seed=0)
+    spec = StormOracleSpec(sigma_f=0.01, sigma_g=0.1, delta0=0.1, delta1=0.1)
+    cfg = _config(alpha0=1e-6, alpha_max=1e-6, seed=3, max_iterations=20)
+    start = time.perf_counter()
+    trace = run_adaptive(prob, StormMethod(), StormMinibatchOracles(spec), cfg, 1e-6)
+    assert time.perf_counter() - start < 1.0
+    toc0 = accumulate_toc(trace).toc0
+    value, _ = storm_cost_models(spec)
+    assert len(trace.records) == 20
+    assert type(toc0) is int and toc0 > 2**63
+    assert toc0 == sum(2 * value.batch(rec.alpha) for rec in trace.records)
 
 
 def test_zero_gradient_iteration_is_recorded_literally():

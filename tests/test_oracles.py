@@ -1,9 +1,12 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from adastoc.errors import ConfigurationError, InvalidParameterError
 from adastoc.oracles import (
@@ -25,22 +28,36 @@ from adastoc.oracles import (
 from adastoc.problems import NoiseSpec, make_problem
 
 
-class _ForcedSamples:
-    """Problem stand-in delivering scripted per-sample values."""
-
-    def __init__(self, values):
-        self.values = np.asarray(values, dtype=float)
-
-    def sample_loss_batch(self, x, batch, rng):
-        assert batch == len(self.values)
-        return self.values
-
-    def sample_grad_batch(self, x, batch, rng):
-        return np.tile(self.values[:, None], (1, 2))[:batch]
+def test_minibatch_value_law_matches_sample_mean():
+    # one N(f, sigma_f^2/b) draw has the law of the mean of b per-sample draws
+    prob = make_problem("quadratic", 3, 2.0, NoiseSpec.gaussian(sigma_f=0.5), seed=0)
+    x = np.array([1.0, -1.0, 0.5])
+    for b in (2, 37, 1000):
+        rng_a, rng_b = np.random.default_rng(100 + b), np.random.default_rng(200 + b)
+        draws = [minibatch_value(prob, x, b, rng_a) for _ in range(2000)]
+        ref = [prob.sample_loss_batch(x, b, rng_b).mean() for _ in range(2000)]
+        p = stats.ks_2samp(draws, ref).pvalue
+        assert p > 1e-4, (b, p)
 
 
-def test_minibatch_value_is_arithmetic_mean():
-    assert minibatch_value(_ForcedSamples([1.0, 2.0, 3.0]), None, 3, None) == 2.0
+def test_minibatch_grad_law_matches_sample_mean():
+    # per component against the per-sample reference, and the squared error's
+    # mean (m_c + m_v ||grad||^2)/b within a 99.9% CI
+    x = np.array([1.0, -1.0, 0.5])
+    n = 2000
+    for m_c, m_v in ((1.0, 0.0), (0.2, 0.5)):
+        prob = make_problem("quadratic", 3, 2.0, NoiseSpec.gaussian(m_c=m_c, m_v=m_v), seed=0)
+        g = prob.grad(x)
+        for b in (2, 37, 1000):
+            rng_a, rng_b = np.random.default_rng(300 + b), np.random.default_rng(400 + b)
+            draws = np.array([minibatch_grad(prob, x, b, rng_a) for _ in range(n)])
+            ref = np.array([prob.sample_grad_batch(x, b, rng_b).mean(axis=0) for _ in range(n)])
+            for j in range(prob.dim):
+                p = stats.ks_2samp(draws[:, j], ref[:, j]).pvalue
+                assert p > 1e-4, (m_v, b, j, p)
+            sq = ((draws - g) ** 2).sum(axis=1)
+            target = (m_c + m_v * float(g @ g)) / b
+            assert abs(sq.mean() - target) <= 3.2905 * sq.std(ddof=1) / math.sqrt(n)
 
 
 def test_minibatch_zero_noise_exact():
@@ -51,11 +68,15 @@ def test_minibatch_zero_noise_exact():
 
 
 def test_minibatch_batch_one_matches_single_draw():
-    prob = make_problem("quadratic", 3, 2.0, NoiseSpec.gaussian(m_c=1.0), seed=0)
+    prob = make_problem("quadratic", 3, 2.0, NoiseSpec.gaussian(sigma_f=0.3, m_c=1.0), seed=0)
     x = np.array([1.0, -1.0, 0.0])
     assert np.array_equal(
         minibatch_grad(prob, x, 1, np.random.default_rng(4)),
         prob.sample_grad_batch(x, 1, np.random.default_rng(4))[0],
+    )
+    assert (
+        minibatch_value(prob, x, 1, np.random.default_rng(4))
+        == prob.sample_loss_batch(x, 1, np.random.default_rng(4))[0]
     )
 
 
@@ -72,6 +93,39 @@ def test_minibatch_rejects_zero_batch():
     prob = make_problem("quadratic", 2, 1.0)
     with pytest.raises(InvalidParameterError):
         minibatch_value(prob, prob.x0, 0, np.random.default_rng(0))
+
+
+def test_minibatch_grad_memory_does_not_depend_on_batch():
+    prob = make_problem("quadratic", 3, 2.0, NoiseSpec.gaussian(m_c=1.0, m_v=0.5), seed=0)
+    x, rng = np.array([1.0, -1.0, 0.5]), np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        minibatch_grad(prob, x, 10**30, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+@settings(max_examples=100, deadline=None)
+@given(alpha=st.floats(1e-6, 0.3))
+def test_random_draws_per_iteration_do_not_depend_on_batch(alpha):
+    # an iteration draws a fixed block (dim normals, then one per value
+    # estimate), so replications advanced together stay in lockstep
+    noise = NoiseSpec.gaussian(sigma_f=0.1, m_c=0.01)
+    prob = make_problem("quadratic", 2, 1.0, noise, seed=0)
+    small = StormOracleSpec(sigma_f=0.1, sigma_g=0.1, kappa_ef=1.0, kappa_eg=1.0)
+    large = replace(small, kappa_ef=1e-4, kappa_eg=1e-4)
+    for a, b in zip(storm_cost_models(small), storm_cost_models(large)):
+        assert b.batch(alpha) >= a.batch(alpha) + 10**6
+    states = []
+    for spec in (small, large):
+        rng = np.random.default_rng(11)
+        suite = StormMinibatchOracles(spec)
+        suite.gradient(prob, prob.x0, alpha, rng)
+        suite.values(prob, prob.x0, 0.5 * prob.x0, alpha, rng)
+        states.append(rng.bit_generator.state)
+    assert states[0] == states[1]
 
 
 def test_storm_models_batch_worked_values():
@@ -137,23 +191,11 @@ def test_sass_models_reject_zero_epsilon():
         sass_cost_models(SassOracleSpec(), NoiseSpec.none(), 0.1, "nonconvex", c=0.0)
 
 
-class _NoSampling:
-    """Problem stand-in: any batch size, one zero sample drawn."""
-
-    def __init__(self, noise):
-        self.noise = noise
-
-    def sample_loss_batch(self, x, batch, rng):
-        return np.zeros(1)
-
-    def sample_grad_batch(self, x, batch, rng):
-        return np.zeros((1, 2))
-
-
 def _charged(suite, noise, alpha):
-    problem, x = _NoSampling(noise), np.zeros(2)
-    _, cost1 = suite.gradient(problem, x, alpha, None)
-    _, _, cost0 = suite.values(problem, x, x, alpha, None)
+    problem = make_problem("quadratic", 2, 1.0, noise, seed=0)
+    rng = np.random.default_rng(0)
+    _, cost1 = suite.gradient(problem, problem.x0, alpha, rng)
+    _, _, cost0 = suite.values(problem, problem.x0, problem.x0, alpha, rng)
     return cost0 // 2, cost1
 
 
@@ -176,7 +218,8 @@ def test_storm_suite_charges_the_bound_models_batches(alpha, sigma_f, sigma_g, d
         kappa_ef=kappa, delta0=delta, kappa_eg=kappa, delta1=delta, sigma_f=sigma_f, sigma_g=sigma_g
     )
     value, grad = storm_cost_models(spec)
-    charged = _charged(StormMinibatchOracles(spec), NoiseSpec.gaussian(), alpha)
+    noise = NoiseSpec.gaussian(sigma_f=sigma_f, m_c=sigma_g**2)
+    charged = _charged(StormMinibatchOracles(spec), noise, alpha)
     assert charged == (value.batch(alpha), grad.batch(alpha))
 
 
