@@ -12,20 +12,21 @@ Two abstract bounds are evaluated numerically (no hidden constants):
 
 The trust-region and step-search reports instantiate these with the
 matching per-iteration cost models and additionally state the asymptotic
-growth exponents carried by the step-size walk.  Monte Carlo replication
-runs provide the empirical side of each bound.
+growth exponents carried by the step-size walk.  Monte Carlo replications
+provide the empirical side of each bound: `monte_carlo_toc` advances all
+of them in lockstep through one adaptive loop and keeps only each one's
+sample totals, iterations used and whether it stopped.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import AssumptionViolationError, InvalidParameterError
-from .framework import AlgoConfig, RunTrace, derive_configs, run_adaptive
+from .framework import AlgoConfig, RunTrace, derive_configs, run_lockstep
 from .oracles import (
     SassOracleSpec,
     StormOracleSpec,
@@ -287,15 +288,6 @@ class McTocSummary:
         return len(self.records)
 
 
-def _mc_worker(args) -> TocRecord:
-    index, problem, method, oracle_suite, config, epsilon, mode, x0 = args
-    try:
-        trace = run_adaptive(problem, method, oracle_suite, config, epsilon, mode=mode, x0=x0)
-    except Exception as exc:
-        raise type(exc)(f"replication {index}: {exc}") from exc
-    return accumulate_toc(trace)
-
-
 def monte_carlo_toc(
     problem: Problem,
     method,
@@ -307,25 +299,37 @@ def monte_carlo_toc(
     mode: str = "nonconvex",
     x0: np.ndarray | None = None,
     bound: BoundReport | None = None,
-    workers: int = 1,
 ) -> McTocSummary:
-    """Independent replications of run_adaptive with per-replication TOC records.
+    """Independent replications of the adaptive loop with per-replication TOC records.
 
-    Replication seeds derive deterministically from master_seed; aggregation
-    is order-independent, so the result does not depend on worker count.
-    exceed_fraction is the fraction of replications whose total cost exceeds
-    the supplied bound (nan when no bound is given).
+    Replication seeds derive deterministically from master_seed, and the
+    replications advance in lockstep (`framework.run_lockstep`); each one's
+    record equals accumulate_toc of run_adaptive at its seed.
+    exceed_fraction is the fraction of replications whose total cost
+    exceeds the supplied bound (nan when no bound is given).  An error is
+    reported as a one-at-a-time run would report it: the lowest replication
+    that fails is named, with its iteration.
     """
-    configs = derive_configs(config, master_seed, replications)
-    jobs = [
-        (i, problem, method, oracle_suite, cfg, epsilon, mode, x0)
-        for i, cfg in enumerate(configs)
+    seeds = [cfg.seed for cfg in derive_configs(config, master_seed, replications)]
+    try:
+        ends = run_lockstep(problem, method, oracle_suite, config, epsilon, seeds, mode=mode, x0=x0)
+    except Exception:
+        for i, seed in enumerate(seeds):
+            try:
+                run_lockstep(problem, method, oracle_suite, config, epsilon, [seed], mode=mode, x0=x0)
+            except Exception as exc:
+                raise type(exc)(f"replication {i}: {exc}") from exc
+        raise
+    records = [
+        TocRecord(
+            toc0=end.toc0,
+            toc1=end.toc1,
+            toc=end.toc0 + end.toc1,
+            iterations_used=end.iterations,
+            stopped=end.stopping_iteration is not None,
+        )
+        for end in ends
     ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_mc_worker, jobs, chunksize=max(1, replications // (4 * workers))))
-    else:
-        records = [_mc_worker(job) for job in jobs]
     tocs = np.array([rec.toc for rec in records], dtype=float)
     if bound is not None:
         exceed = float(np.mean(tocs > bound.bound_value))

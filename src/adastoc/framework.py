@@ -7,9 +7,21 @@ alpha_max) on success or by gamma on failure.  alpha is carried as
 base * gamma**exponent with an integer exponent next to the float value, so
 the two-outcome update law can be checked exactly over long runs.
 
-Ground-truth optimality measures (gradient norm, optimality gap) are
-recorded every iteration purely for instrumentation and stopping-time
-detection; the optimizer itself never reads them.
+One loop serves a single run and R independent replications alike.  It
+advances R rows in lockstep: the iterates are an (R, dim) array, each row
+has its own exponent and base, and a row leaves the stack when it stops.
+Each row draws from its own generator, in the order a lone run draws (the
+gradient estimate, then the values at the iterate and at the trial
+point), so a replication's numbers do not depend on how many rows run
+beside it.  `run_adaptive` is the loop at R = 1 keeping a trace;
+`run_lockstep` runs R rows and keeps only where each one ended.
+
+Ground truth is evaluated once per distinct iterate: f at an accepted
+trial point becomes f at the next iterate, and grad f is recomputed only
+for rows that moved.  The oracle suite turns that truth into estimates;
+the optimizer itself never reads it.  The gradient norm and optimality gap
+are recorded every iteration, purely for instrumentation and
+stopping-time detection.
 """
 
 from __future__ import annotations
@@ -27,6 +39,7 @@ from .errors import (
     NumericError,
 )
 from .problems import Problem
+from .rows import RowStreams, row_dot
 from .tableio import format_row
 
 __all__ = [
@@ -36,6 +49,8 @@ __all__ = [
     "update_step_size",
     "stopping_time",
     "run_adaptive",
+    "run_lockstep",
+    "RowResult",
     "empirical_success_probability",
     "TRACE_CSV_HEADER",
 ]
@@ -194,6 +209,24 @@ def stopping_time(trace: RunTrace, epsilon: float, mode: str) -> int | None:
     return None
 
 
+@dataclass(frozen=True)
+class RowResult:
+    """Where one row of a lockstep run ended.
+
+    stopping_iteration is None when the row reached max_iterations;
+    iterations counts the iterations it ran, toc0/toc1 its value and
+    gradient sample totals.
+    """
+
+    stopping_iteration: int | None
+    iterations: int
+    toc0: int
+    toc1: int
+    final_x: np.ndarray = field(repr=False)
+    final_grad_norm: float
+    final_gap: float
+
+
 def run_adaptive(
     problem: Problem,
     method,
@@ -208,6 +241,281 @@ def run_adaptive(
     Fresh oracle calls are made every iteration.  The trace is a
     deterministic function of (problem, config.seed, x0).
     """
+    (end,), chunks, sizes = _lockstep(
+        problem, method, oracle_suite, config, epsilon, mode, x0, [config.seed], record=True
+    )
+    min_value = math.nan if problem.min_value is None else problem.min_value
+    return RunTrace(
+        records=_records(chunks, sizes, min_value),
+        stopping_iteration=end.stopping_iteration,
+        config=config,
+        epsilon=epsilon,
+        mode=mode,
+        final_grad_norm=end.final_grad_norm,
+        final_gap=end.final_gap,
+        final_x=end.final_x,
+    )
+
+
+def run_lockstep(
+    problem: Problem,
+    method,
+    oracle_suite,
+    config: AlgoConfig,
+    epsilon: float,
+    seeds,
+    mode: str = NONCONVEX,
+    x0: np.ndarray | None = None,
+) -> list[RowResult]:
+    """One replication per seed, advanced together; config.seed is not used.
+
+    Row i's result is what run_adaptive gives with seed seeds[i], its
+    sample totals equal to accumulate_toc of that trace.
+    """
+    return _lockstep(problem, method, oracle_suite, config, epsilon, mode, x0, seeds, record=False)[0]
+
+
+_BLOCK = 256  # draws each row's generator is read ahead by
+
+
+def _lockstep(problem, method, oracle_suite, config, epsilon, mode, x0, seeds, record):
+    """The adaptive loop over one row per seed.
+
+    Returns (results, packed trace chunks, the step-size table).  With
+    record (R = 1 only) the trace is kept and the sample totals are not.
+    """
+    _check_run(problem, method, oracle_suite, epsilon, mode)
+    if len(seeds) < 1:
+        raise InvalidParameterError("at least one seed is needed")
+    suite = oracle_suite
+    if not _speaks_rows(suite, ("gradient", "values")):
+        suite = _PerCallSuite(suite)
+    if not _speaks_rows(method, ("propose", "accepts")):
+        method = _PerCallMethod(method)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    streams = RowStreams(rngs, suite.draws, _BLOCK)
+    x = np.array(problem.x0 if x0 is None else x0, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise InvalidParameterError("x0 must be finite")
+    min_value = math.nan if problem.min_value is None else problem.min_value
+    gap_mode = mode == STRONGLY_CONVEX
+
+    n = len(seeds)
+    ids = np.arange(n)
+    X = np.repeat(x[None], n, axis=0)
+    F, G = problem.value(X), problem.grad(X)
+    grad_norm = np.sqrt(row_dot(G, G))
+    met = (F - min_value if gap_mode else grad_norm) <= epsilon
+    sizes = _StepSizes(config)
+    state = np.zeros(n, dtype=np.intp)  # _StepSizes.slot(0, 0): alpha = alpha0
+    toc0 = toc1 = np.zeros(n, dtype=object)
+    results: list[RowResult | None] = [None] * n
+    chunks, columns = [], []  # the trace, packed every _CHUNK iterations
+    retire = np.count_nonzero(met) > 0
+    max_iterations = config.max_iterations
+    # the loop body runs once per iteration whatever R is: bind its callees once
+    count, isfinite = np.count_nonzero, np.isfinite
+    gradient_rows, values_rows = suite.gradient_rows, suite.values_rows
+    propose_rows, accepts_rows = method.propose_rows, method.accepts_rows
+    value, grad = problem.value, problem.grad
+
+    k = 0
+    while True:
+        if retire or k >= max_iterations:
+            out = met if k < max_iterations else np.ones(len(ids), dtype=bool)
+            for j in np.flatnonzero(out).tolist():
+                results[ids[j]] = RowResult(
+                    stopping_iteration=k if met[j] else None,
+                    iterations=k,
+                    toc0=toc0[j],
+                    toc1=toc1[j],
+                    final_x=X[j].copy(),
+                    final_grad_norm=float(grad_norm[j]),
+                    final_gap=float(F[j] - min_value),
+                )
+            keep = ~out
+            if not count(keep):
+                break
+            ids, X, F, G, grad_norm, met, state, toc0, toc1 = (
+                a[keep] for a in (ids, X, F, G, grad_norm, met, state, toc0, toc1)
+            )
+            streams.keep(keep)
+            retire = False
+        if k >= sizes.valid_until:
+            sizes.cover(state, k)
+        alpha = sizes.alpha[state]
+        if sizes.may_vanish and count(alpha > 0.0) < len(alpha):
+            raise InvalidParameterError("alpha must be positive")
+
+        g_hat, cost1 = gradient_rows(problem, X, G, alpha, streams)
+        if count(isfinite(g_hat)) < g_hat.size:
+            raise NumericError(f"non-finite gradient estimate at iteration {k}")
+        steps, aux = propose_rows(g_hat, alpha)
+        X_plus = X + steps
+        F_plus = value(X_plus)
+        f0, f_plus, cost0 = values_rows(problem, X, X_plus, F, F_plus, alpha, streams)
+        # a finite difference means both are finite; only an overflow needs the full check
+        if count(isfinite(f0 - f_plus)) < len(f0) and not (
+            np.all(isfinite(f0)) and np.all(isfinite(f_plus))
+        ):
+            raise NumericError(f"non-finite value estimate at iteration {k}")
+        success = accepts_rows(f0, f_plus, g_hat, steps, aux, alpha, config)
+        if record:
+            columns.append((state, success, cost0, cost1, grad_norm, F))
+            if len(columns) == _CHUNK:
+                chunks.append(_pack(columns))
+                columns = []
+        else:
+            toc0 = toc0 + cost0
+            toc1 = toc1 + cost1
+
+        moved = count(success)
+        if moved:
+            if moved == len(success):
+                X, F, G = X_plus, F_plus, grad(X_plus)
+            else:
+                X = np.where(success[:, None], X_plus, X)
+                F = np.where(success, F_plus, F)
+                G = G.copy()
+                G[success] = grad(X_plus[success])
+            grad_norm = np.sqrt(row_dot(G, G))
+            met = (F - min_value if gap_mode else grad_norm) <= epsilon
+            retire = count(met) > 0
+        state = sizes.next[state + success]
+        k += 1
+    if columns:
+        chunks.append(_pack(columns))
+    return results, chunks, sizes
+
+
+_CHUNK = 1024  # trace iterations kept as small arrays before they are packed
+
+
+def _pack(columns) -> tuple:
+    """One-row trace columns as arrays: state, success, cost0, cost1, grad_norm, f."""
+    state, success, cost0, cost1, grad_norm, f = zip(*columns)
+
+    def ints(costs):
+        return np.array([c if isinstance(c, int) else c[0] for c in costs], dtype=object)
+
+    flat = np.concatenate
+    return flat(state), flat(success), ints(cost0), ints(cost1), flat(grad_norm), flat(f)
+
+
+class _StepSizes:
+    """update_step_size as a transition table over step-size states.
+
+    A state is (anchor, exp): alpha = base * gamma**exp with base alpha0
+    (anchor 0) or alpha_max (anchor 1, after a re-anchoring).  Rows hold
+    the state's slot 4 * z(exp) + 2 * anchor, z the zigzag map 0, -1, 1,
+    -2, ... -> 0, 1, 2, 3, ..., so slots stay valid as the table grows in
+    either direction.  alpha[slot] is base * gamma**exp as Python computes
+    it (numpy's power differs in the last bit for some exponents), and
+    next[slot + success] is the slot after one update: a row's update is
+    one addition and two lookups.  The table is filled for exponents
+    lo..hi; other entries hold alpha = nan.
+    """
+
+    SLACK = 16  # exponents kept filled beyond the live ones, on each side
+
+    def __init__(self, config: AlgoConfig):
+        self.gamma = config.gamma
+        self.alpha_max = config.alpha_max
+        self.bases = (float(config.alpha0), float(config.alpha_max))
+        # anchor 1 is reached by a re-anchoring that changes the base
+        changes = math.isfinite(config.alpha_max) and config.alpha0 != config.alpha_max
+        self.anchors = (0, 1) if changes else (0,)
+        self.floor = self._lowest_exp(config)
+        self.lo, self.hi = 0, -1
+        self.alpha = np.empty(0)
+        self.next = np.empty(0, dtype=np.intp)
+        self.base = np.empty(0)
+        self.exp = np.empty(0, dtype=np.int64)
+        self.may_vanish = False
+        self.valid_until = 0  # the first iteration that needs cover() again
+
+    @staticmethod
+    def slot(anchor: int, exp: int) -> int:
+        return 4 * (2 * exp if exp >= 0 else -2 * exp - 1) + 2 * anchor
+
+    def cover(self, state: np.ndarray, k: int) -> None:
+        """Fill the states the rows can reach from iteration k on, and say until when.
+
+        An update moves an exponent by at most one, so the table stays
+        valid for as many iterations as the live exponents are from the
+        edges of its filled range.
+        """
+        exps = self.exp[state] if self.hi >= self.lo else np.zeros(1, dtype=np.int64)
+        lo, hi = int(exps.min()), int(exps.max())
+        if max(lo - self.SLACK, self.floor) < self.lo or hi + self.SLACK > self.hi:
+            margin = max(2 * self.SLACK, self.hi - self.lo)
+            self._fill(max(min(lo - margin, self.lo), self.floor), max(hi + margin, self.hi))
+        below = lo - self.lo if self.lo > self.floor else math.inf
+        self.valid_until = k + min(self.hi - hi, below)
+
+    @staticmethod
+    def _lowest_exp(config: AlgoConfig):
+        """The lowest exponent a row can reach: alpha0 * gamma**exp stays <= alpha_max."""
+        if math.isinf(config.alpha_max):
+            return -math.inf
+        exp = 0
+        while config.alpha0 * _power(config.gamma, exp - 1) <= config.alpha_max:
+            exp -= 1
+        return exp
+
+    def _fill(self, lo: int, hi: int) -> None:
+        size = 4 * (max(2 * hi, -2 * lo - 1) + 1)
+        grow = size - len(self.alpha)
+        self.alpha = np.concatenate([self.alpha, np.full(grow, np.nan)])
+        self.next = np.concatenate([self.next, np.full(grow, -1, dtype=np.intp)])
+        self.base = np.concatenate([self.base, np.full(grow, np.nan)])
+        self.exp = np.concatenate([self.exp, np.zeros(grow, dtype=np.int64)])
+        new = [(a, e) for e in range(lo, hi + 1) if not self.lo <= e <= self.hi for a in self.anchors]
+        slots = np.array([self.slot(a, e) for a, e in new], dtype=np.intp)
+        self.alpha[slots] = [self.bases[a] * _power(self.gamma, e) for a, e in new]
+        self.base[slots] = [self.bases[a] for a, _ in new]
+        self.exp[slots] = [e for _, e in new]
+        self.next[slots] = [self._after(a, e, False) for a, e in new]
+        self.next[slots + 1] = [self._after(a, e, True) for a, e in new]
+        self.lo, self.hi = lo, hi
+        # bases are at least alpha0 > 0, so only an underflowed gamma**exp gives alpha = 0
+        self.may_vanish = self.bases[0] * _power(self.gamma, hi) == 0.0
+
+    def _after(self, anchor: int, exp: int, success: bool) -> int:
+        base = self.bases[anchor]
+        try:
+            new_base, new_exp = update_step_size(base, exp, success, self.gamma, self.alpha_max)
+        except (InvalidParameterError, OverflowError):
+            return -1  # a state no run updates from: alpha is 0 there, or above alpha_max
+        return self.slot(anchor if new_base == base else 1, new_exp)
+
+
+def _power(gamma: float, e: int) -> float:
+    try:
+        return gamma**e
+    except OverflowError:  # gamma**e beyond the float range: alpha = inf, which no run survives
+        return math.inf
+
+
+def _records(chunks, sizes: _StepSizes, min_value: float) -> list[IterationRecord]:
+    """IterationRecords from the packed trace of a one-row run."""
+    if not chunks:
+        return []
+    state, success, cost0, cost1, grad_norm, f = (np.concatenate(col) for col in zip(*chunks))
+    rows = zip(
+        sizes.alpha[state].tolist(),
+        success.tolist(),
+        cost0.tolist(),
+        cost1.tolist(),
+        grad_norm.tolist(),
+        (f - min_value).tolist(),
+        sizes.base[state].tolist(),
+        sizes.exp[state].tolist(),
+    )
+    return [IterationRecord(k, *row) for k, row in enumerate(rows)]
+
+
+def _check_run(problem: Problem, method, oracle_suite, epsilon: float, mode: str) -> None:
     if epsilon <= 0.0:
         raise InvalidParameterError("epsilon must be positive")
     if mode not in _MODES:
@@ -223,62 +531,61 @@ def run_adaptive(
     if mode == STRONGLY_CONVEX and problem.min_value is None:
         raise MissingGroundTruthError("strongly_convex stopping needs a known minimum value")
 
-    rng = np.random.default_rng(config.seed)
-    x = np.array(problem.x0 if x0 is None else x0, dtype=float)
-    base, exp = config.alpha0, 0
-    records: list[IterationRecord] = []
-    stopping: int | None = None
 
-    k = 0
-    while True:
-        grad_norm = float(np.linalg.norm(problem.grad(x)))
-        gap = problem.gap(x) if problem.min_value is not None else math.nan
-        measure = grad_norm if mode == NONCONVEX else gap
-        if measure <= epsilon:
-            stopping = k
-            break
-        if k >= config.max_iterations:
-            break
+# -- plug-ins without the row protocol ---------------------------------------
+#
+# The loop drives suites and methods through their row methods (see
+# `oracles` and `methods`).  A plug-in that lacks them, or a subclass that
+# overrides a one-point method without its row method, is driven through
+# its one-point methods one row at a time instead, drawing from each row's
+# generator directly.
 
-        alpha = base * config.gamma**exp
-        g, cost1 = oracle_suite.gradient(problem, x, alpha, rng)
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient estimate at iteration {k}")
-        proposal = method.propose(g, alpha)
-        x_plus = x + proposal.step
-        f0, f_plus, cost0 = oracle_suite.values(problem, x, x_plus, alpha, rng)
-        if not (np.isfinite(f0) and np.isfinite(f_plus)):
-            raise NumericError(f"non-finite value estimate at iteration {k}")
-        success = method.accepts(f0, f_plus, g, proposal, alpha, config)
 
-        records.append(
-            IterationRecord(
-                k=k,
-                alpha=alpha,
-                success=success,
-                cost0=cost0,
-                cost1=cost1,
-                true_grad_norm=grad_norm,
-                true_gap=gap,
-                alpha_base=base,
-                alpha_exp=exp,
-            )
+def _speaks_rows(obj, names: tuple[str, ...]) -> bool:
+    """Whether each one-point method of obj comes from the class that defines its row method."""
+
+    def owner(name):
+        return next((c for c in type(obj).__mro__ if name in vars(c)), None)
+
+    return all(owner(f"{n}_rows") is not None and owner(f"{n}_rows") is owner(n) for n in names)
+
+
+class _PerCallSuite:
+    draws = None
+
+    def __init__(self, suite):
+        self.suite = suite
+
+    def gradient_rows(self, problem, x, g, alpha, streams):
+        calls = [
+            self.suite.gradient(problem, xi, a, rng)
+            for xi, a, rng in zip(x, alpha.tolist(), streams.rngs)
+        ]
+        g_hat, costs = zip(*calls)
+        return np.array(g_hat, dtype=float), np.array(costs, dtype=object)
+
+    def values_rows(self, problem, x, x_plus, f, f_plus, alpha, streams):
+        calls = [
+            self.suite.values(problem, xi, xp, a, rng)
+            for xi, xp, a, rng in zip(x, x_plus, alpha.tolist(), streams.rngs)
+        ]
+        f0, fp, costs = zip(*calls)
+        return np.array(f0, dtype=float), np.array(fp, dtype=float), np.array(costs, dtype=object)
+
+
+class _PerCallMethod:
+    def __init__(self, method):
+        self.method = method
+
+    def propose_rows(self, g, alpha):
+        proposals = [self.method.propose(gi, a) for gi, a in zip(g, alpha.tolist())]
+        return np.array([p.step for p in proposals], dtype=float), proposals
+
+    def accepts_rows(self, f0, f_plus, g, steps, proposals, alpha, config):
+        rows = zip(f0.tolist(), f_plus.tolist(), g, proposals, alpha.tolist())
+        return np.array(
+            [self.method.accepts(a, b, gi, p, al, config) for a, b, gi, p, al in rows], dtype=bool
         )
-        if success:
-            x = x_plus
-        base, exp = update_step_size(base, exp, success, config.gamma, config.alpha_max)
-        k += 1
-
-    return RunTrace(
-        records=records,
-        stopping_iteration=stopping,
-        config=config,
-        epsilon=epsilon,
-        mode=mode,
-        final_grad_norm=float(np.linalg.norm(problem.grad(x))),
-        final_gap=problem.gap(x) if problem.min_value is not None else math.nan,
-        final_x=x,
-    )
 
 
 def empirical_success_probability(

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameterError, NumericError
+from .rows import row_dot
 
 __all__ = [
     "StepProposal",
@@ -41,6 +42,52 @@ class StepProposal:
     grad_estimate_norm: float
 
 
+# Every formula is written once, for a stack of R gradient estimates g
+# (R, dim) at step sizes alpha (R,); the one-point functions below call it
+# with R = 1.  Row r of a result is bit-identical to the one-point result
+# for row r alone: dot products go through `row_dot`, and a non-identity h
+# is solved row by row (a multi-right-hand-side solve may round
+# differently).
+
+
+def _sass_rows(g: np.ndarray, h: np.ndarray | None, alpha: np.ndarray):
+    """(H^{-1} g, -alpha * H^{-1} g) per row."""
+    hinv_g = g if h is None else np.stack([np.linalg.solve(h, row) for row in g])
+    return hinv_g, (-alpha)[:, None] * hinv_g
+
+
+def _sass_accept_rows(f0, f_plus, g, step, theta: float, r: float) -> np.ndarray:
+    bar = -theta * row_dot(g, step)
+    return f0 - f_plus >= (bar - r if r else bar)  # x - 0.0 == x, bit for bit
+
+
+def _storm_rows(g: np.ndarray, alpha: np.ndarray):
+    """(step, ||g||) per row; a zero row gets the zero step."""
+    scale = np.maximum.reduce(np.abs(g), axis=1)
+    zero = scale == 0.0
+    if np.count_nonzero(zero):
+        unit = g / np.where(zero, 1.0, scale)[:, None]
+        unit_norm = np.sqrt(row_dot(unit, unit))
+        step = (-alpha / np.where(zero, 1.0, unit_norm))[:, None] * unit
+        return np.where(zero[:, None], 0.0, step), scale * unit_norm
+    unit = g / scale[:, None]
+    unit_norm = np.sqrt(row_dot(unit, unit))
+    return (-alpha / unit_norm)[:, None] * unit, scale * unit_norm
+
+
+def _storm_accept_rows(f0, f_plus, model_reduction, theta, grad_norm, theta2, alpha, r) -> np.ndarray:
+    decrease = f0 - f_plus
+    return (
+        (model_reduction > 0.0)
+        & (grad_norm >= theta2 * alpha)
+        & ((decrease + r if r else decrease) >= theta * model_reduction)  # x + 0.0 compares as x
+    )
+
+
+def _one(values) -> np.ndarray:
+    return np.array([values], dtype=float)
+
+
 def sass_step(g: np.ndarray, h: np.ndarray | None, alpha: float) -> StepProposal:
     """Step -alpha * H^{-1} g with model reduction (alpha/2) * g.H^{-1}.g.
 
@@ -50,15 +97,10 @@ def sass_step(g: np.ndarray, h: np.ndarray | None, alpha: float) -> StepProposal
     if alpha <= 0.0:
         raise InvalidParameterError("alpha must be positive")
     g = np.asarray(g, dtype=float)
-    if h is None:
-        hinv_g = g
-    else:
-        hinv_g = np.linalg.solve(np.asarray(h, dtype=float), g)
-    step = -alpha * hinv_g
-    reduction = 0.5 * alpha * float(np.dot(g, hinv_g))
+    hinv_g, step = _sass_rows(g[None], None if h is None else np.asarray(h, dtype=float), _one(alpha))
     return StepProposal(
-        step=step,
-        model_reduction=reduction,
+        step=step[0],
+        model_reduction=0.5 * alpha * float(np.dot(g, hinv_g[0])),
         grad_estimate_norm=float(np.linalg.norm(g)),
     )
 
@@ -69,7 +111,8 @@ def sass_accept(
     """Sufficient-reduction test f0 - f_plus >= -theta * g.step - r (ties accept)."""
     if not (np.isfinite(f0) and np.isfinite(f_plus)):
         raise NumericError("non-finite function estimates in acceptance test")
-    return f0 - f_plus >= -theta * float(np.dot(g, step)) - r
+    g, step = np.asarray(g, dtype=float), np.asarray(step, dtype=float)
+    return bool(_sass_accept_rows(_one(f0), _one(f_plus), g[None], step[None], theta, r)[0])
 
 
 def storm_step(g: np.ndarray, alpha: float) -> StepProposal:
@@ -82,17 +125,11 @@ def storm_step(g: np.ndarray, alpha: float) -> StepProposal:
     if alpha <= 0.0:
         raise InvalidParameterError("alpha must be positive")
     g = np.asarray(g, dtype=float)
-    scale = float(np.max(np.abs(g))) if g.size else 0.0
-    if scale == 0.0:
+    if not g.size:
         return StepProposal(step=np.zeros_like(g), model_reduction=0.0, grad_estimate_norm=0.0)
-    unit = g / scale
-    unit_norm = float(np.linalg.norm(unit))
-    norm = scale * unit_norm
-    return StepProposal(
-        step=(-alpha / unit_norm) * unit,
-        model_reduction=alpha * norm,
-        grad_estimate_norm=norm,
-    )
+    step, norm = _storm_rows(g[None], _one(alpha))
+    norm = float(norm[0])
+    return StepProposal(step=step[0], model_reduction=alpha * norm, grad_estimate_norm=norm)
 
 
 def storm_accept(
@@ -111,11 +148,19 @@ def storm_accept(
     """
     if not (np.isfinite(f0) and np.isfinite(f_plus)):
         raise NumericError("non-finite function estimates in acceptance test")
-    if model_reduction <= 0.0:
-        return False
-    if grad_norm < theta2 * alpha:
-        return False
-    return f0 - f_plus + r >= theta * model_reduction
+    accepted = _storm_accept_rows(
+        _one(f0), _one(f_plus), _one(model_reduction), theta, _one(grad_norm), theta2, _one(alpha), r
+    )
+    return bool(accepted[0])
+
+
+# Each method has one-point propose/accepts and the row protocol the
+# adaptive loop drives:
+#
+#   propose_rows(g, alpha) -> (steps, aux)
+#   accepts_rows(f0, f_plus, g, steps, aux, alpha, config) -> bool array
+#
+# where aux is whatever the method's acceptance test reuses from its step.
 
 
 class SassMethod:
@@ -132,6 +177,12 @@ class SassMethod:
 
     def accepts(self, f0, f_plus, g, proposal: StepProposal, alpha: float, config) -> bool:
         return sass_accept(f0, f_plus, g, proposal.step, config.theta, config.r)
+
+    def propose_rows(self, g: np.ndarray, alpha: np.ndarray):
+        return _sass_rows(g, self.h, alpha)[1], None
+
+    def accepts_rows(self, f0, f_plus, g, steps, aux, alpha, config) -> np.ndarray:
+        return _sass_accept_rows(f0, f_plus, g, steps, config.theta, config.r)
 
 
 class StormMethod:
@@ -153,4 +204,12 @@ class StormMethod:
             config.theta2,
             alpha,
             config.r,
+        )
+
+    def propose_rows(self, g: np.ndarray, alpha: np.ndarray):
+        return _storm_rows(g, alpha)
+
+    def accepts_rows(self, f0, f_plus, g, steps, norm, alpha, config) -> np.ndarray:
+        return _storm_accept_rows(
+            f0, f_plus, alpha * norm, config.theta, norm, config.theta2, alpha, config.r
         )

@@ -25,13 +25,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, InvalidParameterError
 from .problems import NoiseSpec, Problem
+from .rows import OneRow
 
 __all__ = [
     "SassOracleSpec",
@@ -128,6 +129,9 @@ class CostModel:
     calls_per_iteration: int = 1
     label: str = ""
     power: float = 4.0
+    # batch sizes already computed, by alpha: a run revisits the few step
+    # sizes of its walk, so most lookups skip the float formula
+    _batches: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def per_call(self, alpha: float) -> float:
         if alpha <= 0.0:
@@ -144,16 +148,35 @@ class CostModel:
     def cost(self, alpha: float) -> float:
         return self.calls_per_iteration * self.per_call(alpha)
 
-    def batch(self, alpha: float) -> int:
-        c = self.per_call(alpha)
-        if math.isinf(c):
-            raise InvalidParameterError(
-                f"cost model {self.label!r} overflows at alpha={alpha}"
-            )
-        return int(c)
+    def batch(self, alpha):
+        """Samples per call: an int for one alpha, an object array of ints for an array of alphas.
+
+        Counts are exact Python ints, above 2**63 too.  Each element equals
+        the batch of that alpha alone; the first alpha whose cost overflows
+        raises InvalidParameterError.
+        """
+        if np.ndim(alpha) == 0:
+            return self._batch(alpha)
+        return np.array([self._batch(a) for a in np.asarray(alpha).tolist()], dtype=object)
+
+    def _batch(self, alpha: float) -> int:
+        b = self._batches.get(alpha)
+        if b is None:
+            c = self.per_call(alpha)
+            if math.isinf(c):
+                raise InvalidParameterError(
+                    f"cost model {self.label!r} overflows at alpha={alpha}"
+                )
+            b = int(c)
+            if len(self._batches) < _BATCH_CACHE:
+                self._batches[alpha] = b
+        return b
 
     def __call__(self, alpha: float) -> float:
         return self.cost(alpha)
+
+
+_BATCH_CACHE = 4096  # step sizes remembered per cost model
 
 
 @dataclass(frozen=True)
@@ -180,11 +203,18 @@ class SummedCost:
 # once from that law: time, memory and random draws per call do not depend
 # on the batch, and an iteration consumes a fixed block of the stream.  At
 # batch 1 the draw equals Problem.sample_*_batch(x, 1, rng)[0] bit for bit.
+# The row functions add that noise to ground truth the caller already holds,
+# for R rows at once; N(0, s**2) noise is formed from a standard normal z as
+# 0.0 + s * z, which is how rng.normal(0.0, s) forms it.
 
 
 def _check_call(x, batch: int) -> None:
     if batch < 1:
         raise InvalidParameterError("batch must be at least 1")
+    try:
+        float(batch)
+    except OverflowError:
+        raise InvalidParameterError("batch is beyond the float range") from None
     if not np.all(np.isfinite(x)):
         raise InvalidParameterError("x must be finite")
 
@@ -192,10 +222,10 @@ def _check_call(x, batch: int) -> None:
 def minibatch_value(problem: Problem, x: np.ndarray, batch: int, rng: np.random.Generator) -> float:
     """Mean of `batch` i.i.d. stochastic value samples at x: one N(f(x), sigma_f**2/batch) draw."""
     _check_call(x, batch)
-    true = problem.value(x)
-    if problem.noise.sigma_f == 0.0:
-        return true
-    return float(true + rng.normal(0.0, problem.noise.sigma_f / math.sqrt(batch)))
+    (f,) = _minibatch_value_rows(
+        problem, (np.array([problem.value(x)]),), [batch], OneRow(rng, "standard_normal")
+    )
+    return float(f[0])
 
 
 def minibatch_grad(
@@ -207,11 +237,41 @@ def minibatch_grad(
     one call draws dim normals.
     """
     _check_call(x, batch)
-    g = problem.grad(x)
-    std = problem.grad_noise_std(g)
-    if std == 0.0:
-        return g
-    return g + rng.normal(0.0, std / math.sqrt(batch), size=problem.dim)
+    g = problem.grad(x)[None]
+    return _minibatch_grad_rows(problem, g, [batch], OneRow(rng, "standard_normal"))[0]
+
+
+def _minibatch_value_rows(problem: Problem, values: tuple, batch, streams) -> tuple:
+    """Each (R,) array of true values in `values` plus its row's N(0, sigma_f**2/batch) noise.
+
+    Row r draws one normal per array, in the order given.
+    """
+    sigma_f = problem.noise.sigma_f
+    if sigma_f == 0.0:
+        return values
+    scale = sigma_f / np.sqrt(np.asarray(batch, dtype=float))
+    noise = 0.0 + scale[:, None] * streams.take(len(values))
+    return tuple(v + noise[:, i] for i, v in enumerate(values))
+
+
+def _minibatch_grad_rows(problem: Problem, g: np.ndarray, batch, streams) -> np.ndarray:
+    """True gradients g (R, dim) plus N(0, std**2/batch * I) noise; rows with std = 0 draw nothing."""
+    if problem.noise.m_v == 0.0:
+        # grad_noise_std without its m_v * ||g||**2 term: the same for every row
+        std = math.sqrt(problem.noise.m_c / problem.dim)
+        if std == 0.0:
+            return g
+        every = True
+    else:
+        std = problem.grad_noise_std(g)
+        draw = std != 0.0
+        drawing = np.count_nonzero(draw)
+        if not drawing:
+            return g
+        every = drawing == len(draw)
+    z = streams.take(problem.dim, None if every else draw)
+    noisy = g + (0.0 + (std / np.sqrt(np.asarray(batch, dtype=float)))[:, None] * z)
+    return noisy if every else np.where(draw[:, None], noisy, g)
 
 
 # -- batch-size formulas ----------------------------------------------------
@@ -326,9 +386,22 @@ def empirical_oracle_failure_rate(
 
 # -- runtime oracle suites ---------------------------------------------------
 #
-# A suite supplies the three estimates an iteration needs and reports how
-# many samples were drawn.  gradient() is called first (the step depends on
-# it), then values() with both the current and the trial point.
+# A suite turns ground truth into the three estimates an iteration needs and
+# reports how many samples they cost.  The adaptive loop evaluates f and
+# grad f once per distinct iterate and passes them to the row methods, for
+# a stack of R rows at a time:
+#
+#   gradient_rows(problem, x, g, alpha, streams) -> (g_hat, cost1)
+#   values_rows(problem, x, x_plus, f, f_plus, alpha, streams)
+#       -> (f0_hat, f_plus_hat, cost0)
+#
+# x and x_plus are the (R, dim) iterates and trial points, g, f and f_plus
+# the truth there, alpha the (R,) step sizes, and streams a RowStreams (a
+# OneRow for a one-point call) of the suite's `draws` kind (None: the suite
+# draws nothing).  A cost is an int shared by every row or an object array
+# of ints.  gradient() and values() are the one-point calls: thin wrappers
+# that evaluate the truth and draw from rng directly.  gradient is drawn
+# first (the step depends on it), then the values of x and x_plus.
 # violated() checks one iteration's estimates against the suite's accuracy
 # contract and returns (value_failed, grad_failed).  Each suite defines its
 # own methods (no shared base) so each can be instrumented separately.
@@ -339,6 +412,28 @@ _storm_models = functools.lru_cache(maxsize=16)(storm_cost_models)
 _sass_models = functools.lru_cache(maxsize=16)(sass_cost_models)
 
 
+def _one_gradient(suite, problem: Problem, x, alpha: float, rng):
+    x = np.asarray(x, dtype=float)[None]
+    g, cost = suite.gradient_rows(
+        problem, x, problem.grad(x), np.array([alpha], dtype=float), OneRow(rng, suite.draws)
+    )
+    return g[0], _first(cost)
+
+
+def _one_values(suite, problem: Problem, x, x_plus, alpha: float, rng):
+    x = np.asarray(x, dtype=float)[None]
+    x_plus = np.asarray(x_plus, dtype=float)[None]
+    f0, f_plus, cost = suite.values_rows(
+        problem, x, x_plus, problem.value(x), problem.value(x_plus),
+        np.array([alpha], dtype=float), OneRow(rng, suite.draws),
+    )
+    return float(f0[0]), float(f_plus[0]), _first(cost)
+
+
+def _first(cost):
+    return cost if isinstance(cost, int) else cost[0]
+
+
 def _grad_error(problem: Problem, x, g) -> float:
     return float(np.linalg.norm(g - problem.grad(x)))
 
@@ -347,15 +442,22 @@ class ExactOracles:
     """Noise-free oracles: estimates equal the ground truth, one sample per call."""
 
     family = "any"
+    draws = None
 
     def validate(self, problem: Problem) -> None:
         pass
 
+    def gradient_rows(self, problem, x, g, alpha, streams):
+        return g, 1
+
+    def values_rows(self, problem, x, x_plus, f, f_plus, alpha, streams):
+        return f, f_plus, 2
+
     def gradient(self, problem: Problem, x, alpha: float, rng) -> tuple[np.ndarray, int]:
-        return problem.grad(x), 1
+        return _one_gradient(self, problem, x, alpha, rng)
 
     def values(self, problem: Problem, x, x_plus, alpha: float, rng) -> tuple[float, float, int]:
-        return problem.value(x), problem.value(x_plus), 2
+        return _one_values(self, problem, x, x_plus, alpha, rng)
 
     def violated(self, problem, x, x_plus, alpha, g, f0, f_plus) -> tuple[bool, bool]:
         return False, False
@@ -372,6 +474,7 @@ class StormMinibatchOracles:
     spec: StormOracleSpec
 
     family = "storm"
+    draws = "standard_normal"
 
     def __post_init__(self):
         _storm_models(self.spec)  # a degenerate spec fails here, not mid-run
@@ -382,15 +485,20 @@ class StormMinibatchOracles:
                 "trust-region oracles need a uniform gradient noise bound (m_v = 0)"
             )
 
-    def gradient(self, problem, x, alpha, rng):
+    def gradient_rows(self, problem, x, g, alpha, streams):
         batch = _storm_models(self.spec)[1].batch(alpha)
-        return minibatch_grad(problem, x, batch, rng), batch
+        return _minibatch_grad_rows(problem, g, batch, streams), batch
+
+    def values_rows(self, problem, x, x_plus, f, f_plus, alpha, streams):
+        batch = _storm_models(self.spec)[0].batch(alpha)
+        f0, f_plus = _minibatch_value_rows(problem, (f, f_plus), batch, streams)
+        return f0, f_plus, 2 * batch
+
+    def gradient(self, problem, x, alpha, rng):
+        return _one_gradient(self, problem, x, alpha, rng)
 
     def values(self, problem, x, x_plus, alpha, rng):
-        batch = _storm_models(self.spec)[0].batch(alpha)
-        f0 = minibatch_value(problem, x, batch, rng)
-        f_plus = minibatch_value(problem, x_plus, batch, rng)
-        return f0, f_plus, 2 * batch
+        return _one_values(self, problem, x, x_plus, alpha, rng)
 
     def violated(self, problem, x, x_plus, alpha, g, f0, f_plus) -> tuple[bool, bool]:
         tol = self.spec.kappa_ef * alpha**2
@@ -413,21 +521,28 @@ class SassMinibatchOracles:
     batch_scale: float = 1.0
 
     family = "sass"
+    draws = "standard_normal"
 
     def validate(self, problem: Problem) -> None:
         pass
 
+    def _models(self, problem: Problem) -> tuple[CostModel, CostModel]:
+        return _sass_models(self.spec, problem.noise, self.epsilon, self.case, self.batch_scale)
+
+    def gradient_rows(self, problem, x, g, alpha, streams):
+        batch = self._models(problem)[1].batch(alpha)
+        return _minibatch_grad_rows(problem, g, batch, streams), batch
+
+    def values_rows(self, problem, x, x_plus, f, f_plus, alpha, streams):
+        batch = self._models(problem)[0].batch(alpha)
+        f0, f_plus = _minibatch_value_rows(problem, (f, f_plus), batch, streams)
+        return f0, f_plus, 2 * batch
+
     def gradient(self, problem, x, alpha, rng):
-        models = _sass_models(self.spec, problem.noise, self.epsilon, self.case, self.batch_scale)
-        batch = models[1].batch(alpha)
-        return minibatch_grad(problem, x, batch, rng), batch
+        return _one_gradient(self, problem, x, alpha, rng)
 
     def values(self, problem, x, x_plus, alpha, rng):
-        models = _sass_models(self.spec, problem.noise, self.epsilon, self.case, self.batch_scale)
-        batch = models[0].batch(alpha)
-        f0 = minibatch_value(problem, x, batch, rng)
-        f_plus = minibatch_value(problem, x_plus, batch, rng)
-        return f0, f_plus, 2 * batch
+        return _one_values(self, problem, x, x_plus, alpha, rng)
 
     def violated(self, problem, x, x_plus, alpha, g, f0, f_plus) -> tuple[bool, bool]:
         rel = min(self.spec.tau, self.spec.kappa * alpha) * float(np.linalg.norm(g))
@@ -452,6 +567,7 @@ class PairCorruptionOracles:
     value_shift: float = 1.0e6
 
     family = "any"
+    draws = "random"
 
     def __post_init__(self):
         for name in ("delta0", "delta1"):
@@ -465,18 +581,21 @@ class PairCorruptionOracles:
     def validate(self, problem: Problem) -> None:
         pass
 
+    def gradient_rows(self, problem, x, g, alpha, streams):
+        flip = streams.take(1)[:, 0] < self.delta1
+        return (np.where(flip[:, None], -g, g) if np.count_nonzero(flip) else g), 1
+
+    def values_rows(self, problem, x, x_plus, f, f_plus, alpha, streams):
+        shift = streams.take(1)[:, 0] < self.delta0
+        if np.count_nonzero(shift):
+            f_plus = np.where(shift, f_plus + self.value_shift, f_plus)
+        return f, f_plus, 2
+
     def gradient(self, problem, x, alpha, rng):
-        g = problem.grad(x)
-        if rng.random() < self.delta1:
-            g = -g
-        return g, 1
+        return _one_gradient(self, problem, x, alpha, rng)
 
     def values(self, problem, x, x_plus, alpha, rng):
-        f0 = problem.value(x)
-        f_plus = problem.value(x_plus)
-        if rng.random() < self.delta0:
-            f_plus = f_plus + self.value_shift
-        return f0, f_plus, 2
+        return _one_values(self, problem, x, x_plus, alpha, rng)
 
     def violated(self, problem, x, x_plus, alpha, g, f0, f_plus) -> tuple[bool, bool]:
         return f_plus != problem.value(x_plus), not np.array_equal(g, problem.grad(x))

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InvalidParameterError, MissingGroundTruthError
+from .rows import row_dot
 
 __all__ = ["NoiseSpec", "Problem", "make_problem"]
 
@@ -95,38 +96,54 @@ class Problem:
     _reg: float = 0.0
 
     # -- exact ground truth -------------------------------------------------
+    #
+    # value and grad take one point (dim,) or a stack of points (R, dim), one
+    # per row.  A stack is evaluated row by row through stacked matmuls, so
+    # each row's result is bit-identical to evaluating that point alone.
 
-    def value(self, x: np.ndarray) -> float:
+    def value(self, x: np.ndarray):
+        """f(x): a float for one point, an (R,) array for a stack of points."""
         x = np.asarray(x, dtype=float)
+        rows = x[None] if x.ndim == 1 else x
         if self.kind == "quadratic":
-            return float(0.5 * np.dot(x, self._diag * x))
-        margins = -self._labels * (self._features @ x)
-        return float(np.mean(np.logaddexp(0.0, margins)) + 0.5 * self._reg * np.dot(x, x))
+            f = 0.5 * row_dot(rows, self._diag * rows)
+        else:
+            loss = np.mean(np.logaddexp(0.0, self._margins(rows)), axis=1)
+            f = loss + 0.5 * self._reg * row_dot(rows, rows)
+        return float(f[0]) if x.ndim == 1 else f
 
     def grad(self, x: np.ndarray) -> np.ndarray:
+        """The gradient of f at x, with the shape of x."""
         x = np.asarray(x, dtype=float)
         if self.kind == "quadratic":
             return self._diag * x
-        margins = -self._labels * (self._features @ x)
-        sig = 1.0 / (1.0 + np.exp(-margins))
+        rows = x[None] if x.ndim == 1 else x
+        sig = 1.0 / (1.0 + np.exp(-self._margins(rows)))
         coeff = -self._labels * sig / len(self._labels)
-        return self._features.T @ coeff + self._reg * x
+        g = np.matmul(self._features.T, coeff[:, :, None])[:, :, 0] + self._reg * rows
+        return g[0] if x.ndim == 1 else g
 
-    def gap(self, x: np.ndarray) -> float:
+    def gap(self, x: np.ndarray):
         if self.min_value is None:
             raise MissingGroundTruthError(f"{self.kind} problem has no known minimum value")
         return self.value(x) - self.min_value
 
+    def _margins(self, x: np.ndarray) -> np.ndarray:
+        return -self._labels * np.matmul(self._features, x[:, :, None])[:, :, 0]
+
     # -- stochastic sampling ------------------------------------------------
 
-    def grad_noise_std(self, g: np.ndarray) -> float:
+    def grad_noise_std(self, g: np.ndarray):
         """Per-component noise standard deviation of one gradient sample where grad = g.
 
         The components are i.i.d., so the noise vector's squared norm has
-        expectation exactly m_c + m_v * ||g||**2.
+        expectation exactly m_c + m_v * ||g||**2.  A float for one gradient,
+        an (R,) array for a stack of gradients.
         """
-        total_var = self.noise.m_c + self.noise.m_v * float(np.dot(g, g))
-        return math.sqrt(total_var / self.dim)
+        g = np.asarray(g, dtype=float)
+        rows = g[None] if g.ndim == 1 else g
+        std = np.sqrt((self.noise.m_c + self.noise.m_v * row_dot(rows, rows)) / self.dim)
+        return float(std[0]) if g.ndim == 1 else std
 
     def sample_loss_batch(self, x: np.ndarray, batch: int, rng: np.random.Generator) -> np.ndarray:
         """batch i.i.d. stochastic value samples at x."""

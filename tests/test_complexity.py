@@ -3,6 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adastoc.complexity import (
     BoundReport,
@@ -16,12 +18,14 @@ from adastoc.complexity import (
     summary_csv_row,
     SUMMARY_CSV_HEADER,
 )
-from adastoc.errors import AssumptionViolationError, InvalidParameterError
-from adastoc.framework import AlgoConfig, IterationRecord, RunTrace
+from adastoc.errors import AssumptionViolationError, InvalidParameterError, NumericError
+from adastoc.framework import AlgoConfig, IterationRecord, RunTrace, derive_configs, run_adaptive
 from adastoc.methods import SassMethod, StormMethod
 from adastoc.oracles import (
     CostModel,
     ExactOracles,
+    PairCorruptionOracles,
+    SassMinibatchOracles,
     SassOracleSpec,
     StormMinibatchOracles,
     StormOracleSpec,
@@ -278,8 +282,8 @@ def test_monte_carlo_deterministic_and_worker_independent():
     kw = dict(mode="nonconvex")
     a = monte_carlo_toc(prob, StormMethod(), StormMinibatchOracles(spec), cfg, 0.1, 6, 99, **kw)
     b = monte_carlo_toc(prob, StormMethod(), StormMinibatchOracles(spec), cfg, 0.1, 6, 99, **kw)
-    c = monte_carlo_toc(prob, StormMethod(), StormMinibatchOracles(spec), cfg, 0.1, 6, 99, workers=2, **kw)
-    assert [r.toc for r in a.records] == [r.toc for r in b.records] == [r.toc for r in c.records]
+    c = monte_carlo_toc(prob, StormMethod(), StormMinibatchOracles(spec), cfg, 0.1, 9, 99, **kw)
+    assert [r.toc for r in a.records] == [r.toc for r in b.records] == [r.toc for r in c.records[:6]]
 
 
 def test_monte_carlo_exceedance_against_highprob_bound():
@@ -309,6 +313,80 @@ def test_monte_carlo_standard_error_scaling():
     se_small = np.std([r.toc for r in small.records], ddof=1) / math.sqrt(150)
     se_big = np.std([r.toc for r in big.records], ddof=1) / math.sqrt(300)
     assert se_big == pytest.approx(se_small / math.sqrt(2), rel=0.3)
+
+
+def _lockstep_case(name, alpha0, mode):
+    """(problem, method, suite, config, epsilon, mode) over all suite x method pairs."""
+    quiet = make_problem("quadratic", 3, 10.0, NoiseSpec.none(), seed=0)
+    cfg = dict(theta=0.2, gamma=0.6, alpha0=alpha0, alpha_max=0.3, max_iterations=120)
+    if name == "storm-minibatch":
+        noise = NoiseSpec.gaussian(sigma_f=0.01, m_c=0.01)
+        spec = StormOracleSpec(sigma_f=0.01, sigma_g=0.1, delta0=0.1, delta1=0.1)
+        prob = make_problem("quadratic", 3, 10.0, noise, seed=0)
+        return prob, StormMethod(), StormMinibatchOracles(spec), AlgoConfig(**cfg), 0.05, "nonconvex"
+    if name == "sass-minibatch":
+        # m_v > 0: each row's gradient noise scale depends on its own gradient
+        noise = NoiseSpec.gaussian(sigma_f=0.01, m_c=0.01, m_v=0.3)
+        prob = make_problem("quadratic", 3, 10.0, noise, seed=0)
+        suite = SassMinibatchOracles(SassOracleSpec(), 0.05, batch_scale=3.0)
+        return prob, SassMethod(), suite, AlgoConfig(r=0.01, **cfg), 0.05, mode
+    method, suite = name.split("-")
+    method = SassMethod() if method == "sass" else StormMethod()
+    suite = ExactOracles() if suite == "exact" else PairCorruptionOracles(0.2, 0.15)
+    mode = mode if isinstance(method, SassMethod) else "nonconvex"
+    return quiet, method, suite, AlgoConfig(**cfg), 2e-3, mode
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(
+        ["sass-exact", "storm-exact", "sass-corrupt", "storm-corrupt", "storm-minibatch", "sass-minibatch"]
+    ),
+    alpha0=st.sampled_from([0.3, 0.05]),
+    mode=st.sampled_from(["nonconvex", "strongly_convex"]),
+    k=st.integers(1, 6),
+    j=st.integers(1, 6),
+    master=st.integers(0, 2**32 - 1),
+)
+def test_lockstep_replications_equal_separate_runs(name, alpha0, mode, k, j, master):
+    # R replications advanced together give each one's run_adaptive totals,
+    # and the first j rows of R = k are the R = j run
+    prob, method, suite, cfg, eps, mode = _lockstep_case(name, alpha0, mode)
+    summary = monte_carlo_toc(prob, method, suite, cfg, eps, k, master, mode=mode)
+    separate = [
+        accumulate_toc(run_adaptive(prob, method, suite, c, eps, mode=mode))
+        for c in derive_configs(cfg, master, k)
+    ]
+    assert list(summary.records) == separate
+    j = min(j, k)
+    assert monte_carlo_toc(prob, method, suite, cfg, eps, j, master, mode=mode).records == summary.records[:j]
+
+
+class _FlakyValues(PairCorruptionOracles):
+    """Pair corruption whose trial value is nan on a rare coin, drawn row by row."""
+
+    def values_rows(self, problem, x, x_plus, f, f_plus, alpha, streams):
+        f0, fp, cost = super().values_rows(problem, x, x_plus, f, f_plus, alpha, streams)
+        return f0, np.where(streams.take(1)[:, 0] < 0.004, np.nan, fp), cost
+
+    values = PairCorruptionOracles.values  # the one-point call goes through the rows above
+
+
+def test_monte_carlo_names_the_first_failing_replication_as_one_at_a_time_runs_do():
+    prob = make_problem("quadratic", 2, 2.0, NoiseSpec.none(), seed=0)
+    cfg = _config(alpha0=0.1, alpha_max=0.1, max_iterations=400)
+    suite = _FlakyValues(0.1, 0.1)
+    first = None
+    for i, c in enumerate(derive_configs(cfg, 3, 12)):
+        try:
+            run_adaptive(prob, SassMethod(), suite, c, 1e-9)
+        except NumericError as exc:
+            first = f"replication {i}: {exc}"
+            break
+    assert first is not None and "iteration" in first
+    with pytest.raises(NumericError) as raised:
+        monte_carlo_toc(prob, SassMethod(), suite, cfg, 1e-9, 12, 3)
+    assert str(raised.value) == first
 
 
 def test_monte_carlo_propagates_errors_with_replication_index():

@@ -201,6 +201,24 @@ def test_alpha_cap_reanchors_exponent():
     assert rec.alpha_base == 0.7 and rec.alpha_exp == 0
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    gamma=st.floats(0.3, 0.95),
+    headroom=st.sampled_from([1.0, 3.7, 1e3, math.inf]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_recorded_step_sizes_replay_update_step_size(gamma, headroom, seed):
+    # the loop's step sizes, bases and exponents are update_step_size
+    # replayed on the recorded outcomes, re-anchorings and alpha_max = inf included
+    prob = make_problem("quadratic", 2, 4.0, NoiseSpec.none(), seed=0)
+    cfg = _config(gamma=gamma, alpha0=0.05, alpha_max=0.05 * headroom, seed=seed, max_iterations=300)
+    trace = run_adaptive(prob, SassMethod(), PairCorruptionOracles(0.3, 0.3), cfg, 1e-12)
+    base, exp = cfg.alpha0, 0
+    for rec in trace.records:
+        assert (rec.alpha, rec.alpha_base, rec.alpha_exp) == (base * gamma**exp, base, exp)
+        base, exp = update_step_size(base, exp, rec.success, gamma, cfg.alpha_max)
+
+
 def test_cost_accounting_totals():
     noise = NoiseSpec.gaussian(sigma_f=0.01, m_c=0.01)
     prob = make_problem("quadratic", 2, 1.0, noise, seed=0)

@@ -95,6 +95,14 @@ def test_minibatch_rejects_zero_batch():
         minibatch_value(prob, prob.x0, 0, np.random.default_rng(0))
 
 
+def test_minibatch_batch_beyond_float_range_is_validation_error():
+    # the noise scale divides by sqrt(batch), which no float holds past ~1.8e308
+    prob = make_problem("quadratic", 2, 1.0, NoiseSpec.gaussian(sigma_f=0.1, m_c=0.1))
+    for fn in (minibatch_value, minibatch_grad):
+        with pytest.raises(InvalidParameterError, match="float range"):
+            fn(prob, prob.x0, 10**400, np.random.default_rng(0))
+
+
 def test_minibatch_grad_memory_does_not_depend_on_batch():
     prob = make_problem("quadratic", 3, 2.0, NoiseSpec.gaussian(m_c=1.0, m_v=0.5), seed=0)
     x, rng = np.array([1.0, -1.0, 0.5]), np.random.default_rng(0)
@@ -264,6 +272,46 @@ def test_cost_models_monotone_on_log_grid():
     for model in (*storm, *sass):
         costs = [model.cost(a) for a in grid]
         assert all(c1 >= c2 for c1, c2 in zip(costs, costs[1:]))
+
+
+_ALPHAS = st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 9.99), st.integers(-80, 0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(alphas=st.lists(_ALPHAS, min_size=1, max_size=8), model=st.integers(0, 3))
+@example(alphas=[0.5, 1e-5, 2e-77, 1e-78], model=0)  # 2**63 < batch, then the overflow edge
+def test_cost_model_batch_of_an_array_equals_scalar_batches(alphas, model):
+    # fresh models each side, so neither call reads what the other cached
+    def models():
+        noise = NoiseSpec.gaussian(sigma_f=0.3, m_c=0.2, m_v=0.5)
+        return storm_cost_models(StormOracleSpec(sigma_f=0.3, sigma_g=0.2)) + sass_cost_models(
+            SassOracleSpec(), noise, 0.01, "nonconvex", 3.0
+        )
+
+    scalar_model, array_model = models()[model], models()[model]
+    expected, failed_at = [], None
+    for a in alphas:
+        try:
+            expected.append(scalar_model.batch(a))
+        except InvalidParameterError:
+            failed_at = a
+            break
+    if failed_at is not None:
+        with pytest.raises(InvalidParameterError, match=f"alpha={failed_at!r}$"):
+            array_model.batch(np.array(alphas))
+        return
+    got = array_model.batch(np.array(alphas))
+    assert got.dtype == object and all(type(b) is int for b in got)
+    assert list(got) == expected
+    assert [array_model.batch(a) for a in alphas] == expected  # cached ints are the same
+
+
+def test_cost_model_batch_counts_above_int64_stay_exact():
+    value, _ = storm_cost_models(StormOracleSpec(sigma_f=1.0, sigma_g=1.0))
+    alphas = np.array([1e-6, 1e-40, 3e-77])
+    batches = value.batch(alphas)
+    assert all(b > 2**63 for b in batches)
+    assert list(batches) == [int(value.per_call(a)) for a in alphas]
 
 
 def test_cost_model_underflow_is_inf_not_error():
