@@ -45,15 +45,7 @@ from .framework import (
     stopping_time,
     update_step_size,
 )
-from .methods import (
-    SassMethod,
-    StepProposal,
-    StormMethod,
-    sass_accept,
-    sass_step,
-    storm_accept,
-    storm_step,
-)
+from .methods import SassMethod, StepProposal, StormMethod
 from .oracles import (
     CostModel,
     ExactOracles,

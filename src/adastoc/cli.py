@@ -434,7 +434,8 @@ def run_sweep(opts: dict) -> int:
         n = max(n, 2)
 
         if opts["method"] == "storm":
-            p = 1.0 - opts["delta0"] - opts["delta1"]
+            spec = _storm_spec(local, problem.noise)  # an inadmissible spec fails before the run
+            p = spec.p
         else:
             p = opts["reliability_p"]
         if opts["gamma_policy"] == "corollary":
@@ -462,7 +463,7 @@ def run_sweep(opts: dict) -> int:
         if opts["method"] == "storm":
             prob_t = min(1.0, 1.0 / opts["horizon_c2"])
             report = storm_complexity_report(
-                _storm_spec(local, problem.noise), epsilon, opts["zeta"], n, gamma, opts["omega"],
+                spec, epsilon, opts["zeta"], n, gamma, opts["omega"],
                 prob_t_exceeds_n=prob_t,
             )
         else:

@@ -12,9 +12,17 @@ advances R rows in lockstep: the iterates are an (R, dim) array, each row
 has its own exponent and base, and a row leaves the stack when it stops.
 Each row draws from its own generator, in the order a lone run draws (the
 gradient estimate, then the values at the iterate and at the trial
-point), so a replication's numbers do not depend on how many rows run
-beside it.  `run_adaptive` is the loop at R = 1 keeping a trace;
-`run_lockstep` runs R rows and keeps only where each one ended.
+point), and every row takes the same block of draws per call, so a
+replication's numbers do not depend on how many rows run beside it.
+`run_adaptive` is the loop at R = 1 keeping a trace; `run_lockstep` runs
+R rows and keeps only where each one ended.
+
+The loop speaks one plug-in protocol: the suite's `gradient_rows` and
+`values_rows` and the method's `propose_rows` and `accepts_rows` (see
+`oracles` and `methods`).  The one-point calls compute the same formulas
+for use outside the loop.  A plug-in that lacks a row method, or
+overrides a one-point method below its row method, is refused with
+ConfigurationError.
 
 Ground truth is evaluated once per distinct iterate: f at an accepted
 trial point becomes f at the next iterate, and grad f is recomputed only
@@ -278,20 +286,15 @@ def run_lockstep(
 _BLOCK = 256  # draws each row's generator is read ahead by
 
 
-def _lockstep(problem, method, oracle_suite, config, epsilon, mode, x0, seeds, record):
+def _lockstep(problem, method, suite, config, epsilon, mode, x0, seeds, record):
     """The adaptive loop over one row per seed.
 
     Returns (results, packed trace chunks, the step-size table).  With
     record (R = 1 only) the trace is kept and the sample totals are not.
     """
-    _check_run(problem, method, oracle_suite, epsilon, mode)
+    _check_run(problem, method, suite, epsilon, mode)
     if len(seeds) < 1:
         raise InvalidParameterError("at least one seed is needed")
-    suite = oracle_suite
-    if not _speaks_rows(suite, ("gradient", "values")):
-        suite = _PerCallSuite(suite)
-    if not _speaks_rows(method, ("propose", "accepts")):
-        method = _PerCallMethod(method)
     rngs = [np.random.default_rng(seed) for seed in seeds]
     streams = RowStreams(rngs, suite.draws, _BLOCK)
     x = np.array(problem.x0 if x0 is None else x0, dtype=float)
@@ -516,6 +519,8 @@ def _records(chunks, sizes: _StepSizes, min_value: float) -> list[IterationRecor
 
 
 def _check_run(problem: Problem, method, oracle_suite, epsilon: float, mode: str) -> None:
+    _check_rows(oracle_suite, ("gradient", "values"))
+    _check_rows(method, ("propose", "accepts"))
     if epsilon <= 0.0:
         raise InvalidParameterError("epsilon must be positive")
     if mode not in _MODES:
@@ -532,60 +537,28 @@ def _check_run(problem: Problem, method, oracle_suite, epsilon: float, mode: str
         raise MissingGroundTruthError("strongly_convex stopping needs a known minimum value")
 
 
-# -- plug-ins without the row protocol ---------------------------------------
-#
-# The loop drives suites and methods through their row methods (see
-# `oracles` and `methods`).  A plug-in that lacks them, or a subclass that
-# overrides a one-point method without its row method, is driven through
-# its one-point methods one row at a time instead, drawing from each row's
-# generator directly.
+def _check_rows(plugin, names: tuple[str, ...]) -> None:
+    """Each `<name>_rows` must exist and come from a subclass of the class defining `<name>`.
 
-
-def _speaks_rows(obj, names: tuple[str, ...]) -> bool:
-    """Whether each one-point method of obj comes from the class that defines its row method."""
+    The loop calls only the row methods, so a one-point method overridden
+    below its row method would be silently ignored.
+    """
+    cls = type(plugin)
 
     def owner(name):
-        return next((c for c in type(obj).__mro__ if name in vars(c)), None)
+        return next((c for c in cls.__mro__ if name in vars(c)), None)
 
-    return all(owner(f"{n}_rows") is not None and owner(f"{n}_rows") is owner(n) for n in names)
-
-
-class _PerCallSuite:
-    draws = None
-
-    def __init__(self, suite):
-        self.suite = suite
-
-    def gradient_rows(self, problem, x, g, alpha, streams):
-        calls = [
-            self.suite.gradient(problem, xi, a, rng)
-            for xi, a, rng in zip(x, alpha.tolist(), streams.rngs)
-        ]
-        g_hat, costs = zip(*calls)
-        return np.array(g_hat, dtype=float), np.array(costs, dtype=object)
-
-    def values_rows(self, problem, x, x_plus, f, f_plus, alpha, streams):
-        calls = [
-            self.suite.values(problem, xi, xp, a, rng)
-            for xi, xp, a, rng in zip(x, x_plus, alpha.tolist(), streams.rngs)
-        ]
-        f0, fp, costs = zip(*calls)
-        return np.array(f0, dtype=float), np.array(fp, dtype=float), np.array(costs, dtype=object)
-
-
-class _PerCallMethod:
-    def __init__(self, method):
-        self.method = method
-
-    def propose_rows(self, g, alpha):
-        proposals = [self.method.propose(gi, a) for gi, a in zip(g, alpha.tolist())]
-        return np.array([p.step for p in proposals], dtype=float), proposals
-
-    def accepts_rows(self, f0, f_plus, g, steps, proposals, alpha, config):
-        rows = zip(f0.tolist(), f_plus.tolist(), g, proposals, alpha.tolist())
-        return np.array(
-            [self.method.accepts(a, b, gi, p, al, config) for a, b, gi, p, al in rows], dtype=bool
-        )
+    for name in names:
+        rows, one = owner(f"{name}_rows"), owner(name)
+        if rows is None:
+            raise ConfigurationError(
+                f"{cls.__name__} defines no {name}_rows; the adaptive loop calls only row methods"
+            )
+        if one is not None and not issubclass(rows, one):
+            raise ConfigurationError(
+                f"{one.__name__}.{name} is overridden below {rows.__name__}.{name}_rows; "
+                f"the adaptive loop calls only {name}_rows"
+            )
 
 
 def empirical_success_probability(

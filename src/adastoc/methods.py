@@ -22,15 +22,7 @@ import numpy as np
 from .errors import InvalidParameterError, NumericError
 from .rows import row_dot
 
-__all__ = [
-    "StepProposal",
-    "sass_step",
-    "sass_accept",
-    "storm_step",
-    "storm_accept",
-    "SassMethod",
-    "StormMethod",
-]
+__all__ = ["StepProposal", "SassMethod", "StormMethod"]
 
 
 @dataclass(frozen=True)
@@ -43,7 +35,7 @@ class StepProposal:
 
 
 # Every formula is written once, for a stack of R gradient estimates g
-# (R, dim) at step sizes alpha (R,); the one-point functions below call it
+# (R, dim) at step sizes alpha (R,); the one-point propose/accepts call it
 # with R = 1.  Row r of a result is bit-identical to the one-point result
 # for row r alone: dot products go through `row_dot`, and a non-identity h
 # is solved row by row (a multi-right-hand-side solve may round
@@ -84,74 +76,9 @@ def _storm_accept_rows(f0, f_plus, model_reduction, theta, grad_norm, theta2, al
     )
 
 
-def _one(values) -> np.ndarray:
-    return np.array([values], dtype=float)
-
-
-def sass_step(g: np.ndarray, h: np.ndarray | None, alpha: float) -> StepProposal:
-    """Step -alpha * H^{-1} g with model reduction (alpha/2) * g.H^{-1}.g.
-
-    h = None means the identity.  A singular h propagates the linear-solve
-    error from the factorization.
-    """
-    if alpha <= 0.0:
-        raise InvalidParameterError("alpha must be positive")
-    g = np.asarray(g, dtype=float)
-    hinv_g, step = _sass_rows(g[None], None if h is None else np.asarray(h, dtype=float), _one(alpha))
-    return StepProposal(
-        step=step[0],
-        model_reduction=0.5 * alpha * float(np.dot(g, hinv_g[0])),
-        grad_estimate_norm=float(np.linalg.norm(g)),
-    )
-
-
-def sass_accept(
-    f0: float, f_plus: float, g: np.ndarray, step: np.ndarray, theta: float, r: float
-) -> bool:
-    """Sufficient-reduction test f0 - f_plus >= -theta * g.step - r (ties accept)."""
+def _check_values(f0, f_plus) -> None:
     if not (np.isfinite(f0) and np.isfinite(f_plus)):
         raise NumericError("non-finite function estimates in acceptance test")
-    g, step = np.asarray(g, dtype=float), np.asarray(step, dtype=float)
-    return bool(_sass_accept_rows(_one(f0), _one(f_plus), g[None], step[None], theta, r)[0])
-
-
-def storm_step(g: np.ndarray, alpha: float) -> StepProposal:
-    """Exact minimizer of the linear model over the ball of radius alpha.
-
-    Returns -alpha * g / ||g|| with model reduction alpha * ||g||, or the
-    zero step when g = 0.  The normalization is done at unit scale so the
-    step stays on the ball even for subnormal gradient magnitudes.
-    """
-    if alpha <= 0.0:
-        raise InvalidParameterError("alpha must be positive")
-    g = np.asarray(g, dtype=float)
-    if not g.size:
-        return StepProposal(step=np.zeros_like(g), model_reduction=0.0, grad_estimate_norm=0.0)
-    step, norm = _storm_rows(g[None], _one(alpha))
-    norm = float(norm[0])
-    return StepProposal(step=step[0], model_reduction=alpha * norm, grad_estimate_norm=norm)
-
-
-def storm_accept(
-    f0: float,
-    f_plus: float,
-    model_reduction: float,
-    theta: float,
-    grad_norm: float,
-    theta2: float,
-    alpha: float,
-    r: float,
-) -> bool:
-    """Ratio test (f0 - f_plus + r) / reduction >= theta plus ||g|| >= theta2 * alpha.
-
-    A zero model reduction rejects outright; no division is performed.
-    """
-    if not (np.isfinite(f0) and np.isfinite(f_plus)):
-        raise NumericError("non-finite function estimates in acceptance test")
-    accepted = _storm_accept_rows(
-        _one(f0), _one(f_plus), _one(model_reduction), theta, _one(grad_norm), theta2, _one(alpha), r
-    )
-    return bool(accepted[0])
 
 
 # Each method has one-point propose/accepts and the row protocol the
@@ -161,10 +88,15 @@ def storm_accept(
 #   accepts_rows(f0, f_plus, g, steps, aux, alpha, config) -> bool array
 #
 # where aux is whatever the method's acceptance test reuses from its step.
+# The one-point calls take a positive alpha and finite value estimates.
 
 
 class SassMethod:
-    """Step-search plug-in: scaled negative gradient steps, decrease test with offset r."""
+    """Step-search plug-in: scaled negative gradient steps, decrease test with offset r.
+
+    h = None means the identity.  A singular h propagates the linear-solve
+    error from the factorization.
+    """
 
     family = "sass"
     stopping_modes = ("nonconvex", "strongly_convex")
@@ -173,10 +105,22 @@ class SassMethod:
         self.h = None if h is None else np.asarray(h, dtype=float)
 
     def propose(self, g: np.ndarray, alpha: float) -> StepProposal:
-        return sass_step(g, self.h, alpha)
+        """Step -alpha * H^{-1} g with model reduction (alpha/2) * g.H^{-1}.g."""
+        if alpha <= 0.0:
+            raise InvalidParameterError("alpha must be positive")
+        g = np.asarray(g, dtype=float)
+        hinv_g, step = _sass_rows(g[None], self.h, np.array([alpha], dtype=float))
+        return StepProposal(
+            step=step[0],
+            model_reduction=0.5 * alpha * float(np.dot(g, hinv_g[0])),
+            grad_estimate_norm=float(np.linalg.norm(g)),
+        )
 
     def accepts(self, f0, f_plus, g, proposal: StepProposal, alpha: float, config) -> bool:
-        return sass_accept(f0, f_plus, g, proposal.step, config.theta, config.r)
+        """Sufficient-reduction test f0 - f_plus >= -theta * g.step - r (ties accept)."""
+        _check_values(f0, f_plus)
+        g, step = np.asarray(g, dtype=float), np.asarray(proposal.step, dtype=float)
+        return bool(_sass_accept_rows(f0, f_plus, g[None], step[None], config.theta, config.r)[0])
 
     def propose_rows(self, g: np.ndarray, alpha: np.ndarray):
         return _sass_rows(g, self.h, alpha)[1], None
@@ -192,18 +136,38 @@ class StormMethod:
     stopping_modes = ("nonconvex",)
 
     def propose(self, g: np.ndarray, alpha: float) -> StepProposal:
-        return storm_step(g, alpha)
+        """Exact minimizer of the linear model over the ball of radius alpha.
+
+        Returns -alpha * g / ||g|| with model reduction alpha * ||g||, or the
+        zero step when g = 0.  The normalization is done at unit scale so the
+        step stays on the ball even for subnormal gradient magnitudes.
+        """
+        if alpha <= 0.0:
+            raise InvalidParameterError("alpha must be positive")
+        g = np.asarray(g, dtype=float)
+        if not g.size:
+            return StepProposal(step=np.zeros_like(g), model_reduction=0.0, grad_estimate_norm=0.0)
+        step, norm = _storm_rows(g[None], np.array([alpha], dtype=float))
+        norm = float(norm[0])
+        return StepProposal(step=step[0], model_reduction=alpha * norm, grad_estimate_norm=norm)
 
     def accepts(self, f0, f_plus, g, proposal: StepProposal, alpha: float, config) -> bool:
-        return storm_accept(
-            f0,
-            f_plus,
-            proposal.model_reduction,
-            config.theta,
-            proposal.grad_estimate_norm,
-            config.theta2,
-            alpha,
-            config.r,
+        """Ratio test (f0 - f_plus + r) / reduction >= theta plus ||g|| >= theta2 * alpha.
+
+        A zero model reduction rejects outright; no division is performed.
+        """
+        _check_values(f0, f_plus)
+        return bool(
+            _storm_accept_rows(
+                f0,
+                f_plus,
+                proposal.model_reduction,
+                config.theta,
+                proposal.grad_estimate_norm,
+                config.theta2,
+                alpha,
+                config.r,
+            )
         )
 
     def propose_rows(self, g: np.ndarray, alpha: np.ndarray):

@@ -202,7 +202,8 @@ class SummedCost:
 # The mean of `batch` i.i.d. Gaussian samples is Gaussian, so it is drawn
 # once from that law: time, memory and random draws per call do not depend
 # on the batch, and an iteration consumes a fixed block of the stream.  At
-# batch 1 the draw equals Problem.sample_*_batch(x, 1, rng)[0] bit for bit.
+# batch 1 the draw equals Problem.sample_*_batch(x, 1, rng)[0] bit for bit
+# (a gradient whose noise std is 0 still takes its dim normals here).
 # The row functions add that noise to ground truth the caller already holds,
 # for R rows at once; N(0, s**2) noise is formed from a standard normal z as
 # 0.0 + s * z, which is how rng.normal(0.0, s) forms it.
@@ -255,23 +256,20 @@ def _minibatch_value_rows(problem: Problem, values: tuple, batch, streams) -> tu
 
 
 def _minibatch_grad_rows(problem: Problem, g: np.ndarray, batch, streams) -> np.ndarray:
-    """True gradients g (R, dim) plus N(0, std**2/batch * I) noise; rows with std = 0 draw nothing."""
+    """True gradients g (R, dim) plus N(0, std**2/batch * I) noise; every row draws dim normals.
+
+    A row whose std is 0 gets 0 * z added.  Only noise-free gradients
+    (m_c = m_v = 0) draw nothing.
+    """
     if problem.noise.m_v == 0.0:
         # grad_noise_std without its m_v * ||g||**2 term: the same for every row
         std = math.sqrt(problem.noise.m_c / problem.dim)
         if std == 0.0:
             return g
-        every = True
     else:
         std = problem.grad_noise_std(g)
-        draw = std != 0.0
-        drawing = np.count_nonzero(draw)
-        if not drawing:
-            return g
-        every = drawing == len(draw)
-    z = streams.take(problem.dim, None if every else draw)
-    noisy = g + (0.0 + (std / np.sqrt(np.asarray(batch, dtype=float)))[:, None] * z)
-    return noisy if every else np.where(draw[:, None], noisy, g)
+    z = streams.take(problem.dim)
+    return g + (0.0 + (std / np.sqrt(np.asarray(batch, dtype=float)))[:, None] * z)
 
 
 # -- batch-size formulas ----------------------------------------------------
@@ -388,8 +386,8 @@ def empirical_oracle_failure_rate(
 #
 # A suite turns ground truth into the three estimates an iteration needs and
 # reports how many samples they cost.  The adaptive loop evaluates f and
-# grad f once per distinct iterate and passes them to the row methods, for
-# a stack of R rows at a time:
+# grad f once per distinct iterate and calls only the row methods, for a
+# stack of R rows at a time:
 #
 #   gradient_rows(problem, x, g, alpha, streams) -> (g_hat, cost1)
 #   values_rows(problem, x, x_plus, f, f_plus, alpha, streams)
@@ -398,10 +396,11 @@ def empirical_oracle_failure_rate(
 # x and x_plus are the (R, dim) iterates and trial points, g, f and f_plus
 # the truth there, alpha the (R,) step sizes, and streams a RowStreams (a
 # OneRow for a one-point call) of the suite's `draws` kind (None: the suite
-# draws nothing).  A cost is an int shared by every row or an object array
-# of ints.  gradient() and values() are the one-point calls: thin wrappers
-# that evaluate the truth and draw from rng directly.  gradient is drawn
-# first (the step depends on it), then the values of x and x_plus.
+# draws nothing); a call takes the same block of draws for every row.  A
+# cost is an int shared by every row or an object array of ints.
+# gradient() and values() are the one-point calls: thin wrappers over the
+# row methods that evaluate the truth and draw from rng directly.  gradient
+# is drawn first (the step depends on it), then the values of x and x_plus.
 # violated() checks one iteration's estimates against the suite's accuracy
 # contract and returns (value_failed, grad_failed).  Each suite defines its
 # own methods (no shared base) so each can be instrumented separately.

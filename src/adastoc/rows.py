@@ -8,8 +8,9 @@ replication computes on its own:
   `np.dot` on two 1-D vectors (a batched `einsum` or a sum of products
   rounds differently);
 * `RowStreams` hands each row the next draws of that row's own generator,
-  in the order the row asks for them, whatever the other rows do;
-  `OneRow` does the same for a single row without reading ahead.
+  the same number for every row on every take, so a row's draws do not
+  depend on the other rows; `OneRow` does the same for a single row
+  without reading ahead.
 """
 
 from __future__ import annotations
@@ -30,13 +31,12 @@ row_dot = getattr(np, "vecdot", _stacked_dot)
 class RowStreams:
     """The random streams of R rows, each read from its own generator.
 
-    `take(n, rows)` returns an (R, n) array whose row r holds the next n
-    draws of generator r for every row in the bool mask `rows` (None: all
-    rows); the other rows draw nothing and their entries are unspecified.
-    `kind` names the generator method ("random" or "standard_normal"), and
-    row r's values are exactly what successive scalar calls of that method
-    on its generator return.  The generators are read ahead in blocks of
-    at least `block` draws, so a take is usually a slice of a buffer; a
+    `take(n)` returns an (R, n) array whose row r holds the next n draws of
+    generator r: every row takes the same block on every call.  `kind`
+    names the generator method ("random" or "standard_normal"), and row
+    r's values are exactly what successive scalar calls of that method on
+    its generator return.  The generators are read ahead in blocks of at
+    least `block` draws, so a take is usually a slice of a buffer; a
     generator then runs ahead of what its row has taken.
     """
 
@@ -45,59 +45,41 @@ class RowStreams:
         self.kind = kind
         self.block = block
         self._buf = np.empty((len(self.rngs), 0))
-        self._width = 0
         self._pos = 0
-        self._lag = None  # per row: draws skipped since the last refill, or None when all zero
 
-    def take(self, n: int, rows: np.ndarray | None = None) -> np.ndarray:
+    def take(self, n: int) -> np.ndarray:
         pos = self._pos
-        if pos + n > self._width:
+        if pos + n > self._buf.shape[1]:
             self._refill(n)
             pos = 0
         self._pos = pos + n
-        if self._lag is None and rows is None:
-            return self._buf[:, pos : pos + n]
-        lag = np.zeros(len(self.rngs), dtype=np.int64) if self._lag is None else self._lag
-        out = self._buf[np.arange(len(lag))[:, None], (pos - lag)[:, None] + np.arange(n)]
-        if rows is not None:
-            lag = lag + n * ~rows
-        self._lag = lag if lag.any() else None
-        return out
+        return self._buf[:, pos : pos + n]
 
     def _refill(self, n: int) -> None:
-        lag = 0 if self._lag is None else self._lag
-        start = np.broadcast_to(self._pos - lag, (len(self.rngs),))
-        kept = self._buf.shape[1] - start
-        width = int(kept.max(initial=0)) + max(n, self.block)
+        kept = self._buf.shape[1] - self._pos
+        width = kept + max(n, self.block)
         buf = np.empty((len(self.rngs), width))
+        buf[:, :kept] = self._buf[:, self._pos :]
         for r, rng in enumerate(self.rngs):
-            k = int(kept[r])
-            buf[r, :k] = self._buf[r, start[r] :]
-            buf[r, k:] = getattr(rng, self.kind)(width - k)
-        self._buf, self._width, self._pos, self._lag = buf, width, 0, None
+            buf[r, kept:] = getattr(rng, self.kind)(width - kept)
+        self._buf, self._pos = buf, 0
 
     def keep(self, mask: np.ndarray) -> None:
         """Drop the rows outside the bool mask."""
         self.rngs = [rng for rng, m in zip(self.rngs, mask.tolist()) if m]
         self._buf = self._buf[mask]
-        if self._lag is not None:
-            self._lag = self._lag[mask]
-            if not self._lag.any():
-                self._lag = None
 
 
 class OneRow:
     """The stream of one row that draws from its generator as asked, with no read-ahead.
 
     It serves one-point calls, whose caller's generator must end where
-    scalar draws would leave it; take(n, rows) is RowStreams.take for R = 1.
+    scalar draws would leave it; take(n) is RowStreams.take for R = 1.
     """
 
     def __init__(self, rng, kind: str | None):
         self.rng = rng
         self.kind = kind
 
-    def take(self, n: int, rows: np.ndarray | None = None) -> np.ndarray:
-        if rows is not None and not rows[0]:
-            return np.zeros((1, n))
+    def take(self, n: int) -> np.ndarray:
         return getattr(self.rng, self.kind)((1, n))

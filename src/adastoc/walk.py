@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CouplingInfeasibleError, InvalidParameterError
+from .framework import update_step_size
 
 __all__ = [
     "WalkParams",
@@ -179,14 +180,14 @@ def trace_exponents(trace, alpha_bar: float) -> np.ndarray:
         y[i] = rec.alpha_exp + shift_int
     if trace.records:
         last = trace.records[-1]
-        if last.success:
-            capped = (
-                trace.config.alpha_max < math.inf
-                and last.alpha_base * gamma ** (last.alpha_exp - 1) > trace.config.alpha_max
-            )
-            y[-1] = y[-2] if capped else y[-2] - 1
-        else:
+        base, exp = update_step_size(
+            last.alpha_base, last.alpha_exp, last.success, gamma, trace.config.alpha_max
+        )
+        if not last.success:
             y[-1] = y[-2] + 1
+        else:  # a success that the alpha_max cap re-anchors keeps the exponent
+            capped = (base, exp) != (last.alpha_base, last.alpha_exp - 1)
+            y[-1] = y[-2] if capped else y[-2] - 1
     else:
         y[-1] = 0
     return y

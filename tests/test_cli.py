@@ -243,6 +243,18 @@ def test_degenerate_trust_region_spec_is_validation_error(tmp_path, capsys, comm
     assert "delta0 and kappa_ef must be positive when sigma_f > 0" in capsys.readouterr().err
 
 
+def test_storm_sweep_refuses_an_unreliable_pair_before_running(tmp_path, capsys):
+    # delta0 + delta1 >= 1/2 is refused up front, not after a Monte Carlo
+    # run whose step sizes collapse
+    code = _run([
+        "sweep", "--method=storm", "--oracle=corruption", "--delta0=0.3", "--delta1=0.3",
+        "--epsilons=0.1", "--reps=4", "--seed=0", f"--out={tmp_path / 's.csv'}",
+    ])
+    assert code == 1
+    assert "delta0 + delta1" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_walk_default_summary_lands_beside_out(tmp_path, monkeypatch):
     elsewhere = tmp_path / "elsewhere"
     elsewhere.mkdir()

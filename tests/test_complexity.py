@@ -369,8 +369,6 @@ class _FlakyValues(PairCorruptionOracles):
         f0, fp, cost = super().values_rows(problem, x, x_plus, f, f_plus, alpha, streams)
         return f0, np.where(streams.take(1)[:, 0] < 0.004, np.nan, fp), cost
 
-    values = PairCorruptionOracles.values  # the one-point call goes through the rows above
-
 
 def test_monte_carlo_names_the_first_failing_replication_as_one_at_a_time_runs_do():
     prob = make_problem("quadratic", 2, 2.0, NoiseSpec.none(), seed=0)
@@ -394,8 +392,8 @@ def test_monte_carlo_propagates_errors_with_replication_index():
     from adastoc.oracles import ExactOracles as _Exact
 
     class Broken(_Exact):
-        def values(self, problem, x, x_plus, alpha, rng):
-            return math.nan, 1.0, 2
+        def values_rows(self, problem, x, x_plus, f, f_plus, alpha, streams):
+            return np.full_like(f, math.nan), np.ones_like(f_plus), 2
 
     prob = make_problem("quadratic", 2, 1.0, NoiseSpec.none(), seed=0)
     with pytest.raises(NumericError, match="replication 0"):

@@ -255,8 +255,8 @@ def test_zero_gradient_iteration_is_recorded_literally():
     # a zero gradient estimate yields a zero step; the decrease test is then
     # applied verbatim (0 >= -r accepts) and the iteration is recorded
     class ZeroGradOracles(ExactOracles):
-        def gradient(self, problem, x, alpha, rng):
-            return np.zeros(problem.dim), 1
+        def gradient_rows(self, problem, x, g, alpha, streams):
+            return np.zeros_like(g), 1
 
     prob = make_problem("quadratic", 2, 1.0, NoiseSpec.none(), seed=0)
     cfg = _config(max_iterations=3)
@@ -287,12 +287,81 @@ def test_storm_method_rejects_gap_stopping():
 
 def test_non_finite_oracle_output_raises_with_context():
     class BrokenOracles(ExactOracles):
-        def values(self, problem, x, x_plus, alpha, rng):
-            return math.nan, 1.0, 2
+        def values_rows(self, problem, x, x_plus, f, f_plus, alpha, streams):
+            return np.full_like(f, math.nan), np.ones_like(f_plus), 2
 
     prob = make_problem("quadratic", 2, 1.0)
     with pytest.raises(NumericError, match="iteration 0"):
         run_adaptive(prob, SassMethod(), BrokenOracles(), _config(), 1e-6)
+
+
+class _OnlyGradient(ExactOracles):
+    def gradient(self, problem, x, alpha, rng):
+        return super().gradient(problem, x, alpha, rng)
+
+
+class _OnlyValues(ExactOracles):
+    def values(self, problem, x, x_plus, alpha, rng):
+        return super().values(problem, x, x_plus, alpha, rng)
+
+
+class _OnlyPropose(SassMethod):
+    def propose(self, g, alpha):
+        return super().propose(g, alpha)
+
+
+class _OnlyAccepts(StormMethod):
+    def accepts(self, f0, f_plus, g, proposal, alpha, config):
+        return super().accepts(f0, f_plus, g, proposal, alpha, config)
+
+
+class _OneCallSuite:
+    """A suite with the one-point calls only, no row methods."""
+
+    family = "any"
+    draws = None
+
+    def validate(self, problem):
+        pass
+
+    def gradient(self, problem, x, alpha, rng):
+        return problem.grad(x), 1
+
+    def values(self, problem, x, x_plus, alpha, rng):
+        return problem.value(x), problem.value(x_plus), 2
+
+
+@pytest.mark.parametrize(
+    "method, suite, named",
+    [
+        (SassMethod(), _OnlyGradient(), "_OnlyGradient.gradient"),
+        (SassMethod(), _OnlyValues(), "_OnlyValues.values"),
+        (_OnlyPropose(), ExactOracles(), "_OnlyPropose.propose"),
+        (_OnlyAccepts(), ExactOracles(), "_OnlyAccepts.accepts"),
+        (SassMethod(), _OneCallSuite(), "_OneCallSuite defines no gradient_rows"),
+    ],
+)
+def test_plug_ins_the_loop_would_ignore_are_refused(method, suite, named):
+    # the loop calls only row methods: a one-point override below them, or
+    # a plug-in without them, is a configuration error naming the method
+    prob = make_problem("quadratic", 2, 1.0)
+    with pytest.raises(ConfigurationError, match=named):
+        run_adaptive(prob, method, suite, _config(max_iterations=3), 1e-6)
+
+
+def test_row_override_reaches_the_one_point_call():
+    # overriding only a row method is accepted, and the inherited one-point
+    # call goes through it
+    class HalfGradient(ExactOracles):
+        def gradient_rows(self, problem, x, g, alpha, streams):
+            return 0.5 * g, 1
+
+    prob = make_problem("quadratic", 2, 1.0)
+    x = np.array([1.0, -2.0])
+    g, cost = HalfGradient().gradient(prob, x, 1.0, np.random.default_rng(0))
+    assert np.array_equal(g, 0.5 * prob.grad(x)) and cost == 1
+    trace = run_adaptive(prob, SassMethod(), HalfGradient(), _config(max_iterations=3), 1e-6, x0=x)
+    assert len(trace.records) == 3
 
 
 def test_empirical_success_probability_exact_oracles():

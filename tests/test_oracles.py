@@ -26,6 +26,7 @@ from adastoc.oracles import (
     storm_cost_models,
 )
 from adastoc.problems import NoiseSpec, make_problem
+from adastoc.rows import RowStreams
 
 
 def test_minibatch_value_law_matches_sample_mean():
@@ -113,6 +114,29 @@ def test_minibatch_grad_memory_does_not_depend_on_batch():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
+
+
+@pytest.mark.parametrize("m_c", [0.0, 0.2])
+def test_minibatch_grad_takes_dim_normals_whatever_the_gradient(m_c):
+    # with m_v > 0 every gradient estimate takes dim normals, also where the
+    # noise std is 0 (g = 0 with m_c = 0), one point or R rows at a time
+    prob = make_problem("quadratic", 3, 2.0, NoiseSpec.gaussian(m_c=m_c, m_v=0.3), seed=0)
+    zero, x = np.zeros(3), np.array([1.0, -1.0, 0.5])
+    for point in (zero, x):
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        g = minibatch_grad(prob, point, 4, rng)
+        ref.standard_normal(3)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        if m_c == 0.0 and point is zero:
+            assert np.array_equal(g, zero)
+    suite = SassMinibatchOracles(SassOracleSpec(), epsilon=0.1)
+    X = np.stack([zero, x, zero])
+    seeds = [7, 8, 9]
+    streams = RowStreams([np.random.default_rng(s) for s in seeds], suite.draws, 1)
+    suite.gradient_rows(prob, X, prob.grad(X), np.full(3, 0.5), streams)
+    after = streams.take(1)[:, 0].tolist()
+    refs = [np.random.default_rng(s) for s in seeds]
+    assert after == [r.standard_normal(4)[3] for r in refs]
 
 
 @settings(max_examples=100, deadline=None)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adastoc.errors import CouplingInfeasibleError, InvalidParameterError
+from adastoc.framework import AlgoConfig, IterationRecord, RunTrace
 from adastoc.walk import (
     WalkParams,
     couple_with_trace,
@@ -17,6 +18,7 @@ from adastoc.walk import (
     overshoot_constant,
     simulate_walk,
     stepsize_lower_bound,
+    trace_exponents,
     transition_matrix,
     walk_ensemble_stats,
 )
@@ -272,3 +274,41 @@ def test_floor_level_reached_within_failure_budget():
         max_levels, _ = walk_ensemble_stats(p, n, reps, np.random.default_rng(1000 + n))
         frac = float(np.mean(max_levels >= level))
         assert frac <= budget + 2.5758 * math.sqrt(budget * (1 - budget) / reps)
+
+
+def _hand_trace(alpha0, alpha_max, steps):
+    """A RunTrace whose records are (alpha_base, alpha_exp, success) triples, gamma = 1/2."""
+    config = AlgoConfig(theta=0.1, gamma=0.5, alpha0=alpha0, alpha_max=alpha_max)
+    records = [
+        IterationRecord(
+            k=k, alpha=base * 0.5**exp, success=success, cost0=2, cost1=1,
+            true_grad_norm=1.0, true_gap=math.nan, alpha_base=base, alpha_exp=exp,
+        )
+        for k, (base, exp, success) in enumerate(steps)
+    ]
+    return RunTrace(
+        records=records, stopping_iteration=None, config=config, epsilon=1e-3,
+        mode="nonconvex", final_grad_norm=1.0, final_gap=math.nan, final_x=np.zeros(1),
+    )
+
+
+@pytest.mark.parametrize(
+    "alpha0, alpha_max, steps, expected",
+    [
+        # capped success at alpha_max: the exponent stays
+        (1.0, 1.0, [(1.0, 0, False), (1.0, 1, True), (1.0, 0, True)], [0, 1, 0, 0]),
+        # capped success after a re-anchoring from alpha0 = alpha_max / 4
+        (0.25, 1.0, [(0.25, 0, True), (0.25, -1, True), (1.0, 0, True)], [0, -1, -2, -2]),
+        # uncapped success below a finite alpha_max
+        (1.0, 1.0, [(1.0, 0, False), (1.0, 1, True)], [0, 1, 0]),
+        # failure with a finite alpha_max
+        (1.0, 1.0, [(1.0, 0, False), (1.0, 1, False)], [0, 1, 2]),
+        # without a cap: success and failure
+        (1.0, math.inf, [(1.0, 0, True), (1.0, -1, True)], [0, -1, -2]),
+        (1.0, math.inf, [(1.0, 0, True), (1.0, -1, False)], [0, -1, 0]),
+        (1.0, math.inf, [], [0]),
+    ],
+)
+def test_trace_exponents_final_step_follows_the_step_size_law(alpha0, alpha_max, steps, expected):
+    y = trace_exponents(_hand_trace(alpha0, alpha_max, steps), alpha0)
+    assert y.tolist() == expected
