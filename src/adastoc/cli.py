@@ -88,11 +88,10 @@ class _Parser(argparse.ArgumentParser):
         raise CliValidationError(message)
 
 
-def _floats(text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok != ""]
-    except ValueError as exc:
-        raise CliValidationError(f"bad float list {text!r}") from exc
+def _floats(value) -> list[float]:
+    """Floats from a comma-separated flag value or a config file's JSON value or list."""
+    items = value if isinstance(value, list) else str(value).split(",")
+    return [float(tok) for tok in items if tok != ""]
 
 
 def _resolve_out(value: str | None, default_name: str) -> Path:
@@ -127,8 +126,13 @@ def _merge(args: argparse.Namespace, table: dict) -> dict:
         value = getattr(args, key, None)
         if value is None:
             value = cfg.get(key, default)
-        if value is not None and cast is not None and not isinstance(value, (list,)):
-            value = cast(value)
+        if isinstance(value, list) and cast is not _floats:
+            raise CliValidationError(f"{key} takes one value, not a list")
+        if value is not None:
+            try:
+                value = cast(value)
+            except (TypeError, ValueError) as exc:
+                raise CliValidationError(f"bad value for {key}: {value!r}") from exc
         merged[key] = value
     return merged
 
@@ -144,7 +148,7 @@ def _add_options(parser: argparse.ArgumentParser, table: dict) -> None:
 
 WALK_OPTIONS = {
     "p": (float, 0.8),
-    "gamma": (str, DEFAULT_GAMMA_GRID),
+    "gamma": (_floats, DEFAULT_GAMMA_GRID),
     "alpha_bar": (float, 1.0),
     "omega": (float, 1.0),
     "n": (int, 100),
@@ -156,7 +160,7 @@ WALK_OPTIONS = {
 
 
 def run_walk(opts: dict) -> int:
-    gammas = _floats(opts["gamma"]) if isinstance(opts["gamma"], str) else list(opts["gamma"])
+    gammas = opts["gamma"]
     if not gammas:
         raise CliValidationError("at least one gamma is required")
     n, reps = opts["n"], opts["reps"]
@@ -327,6 +331,8 @@ def _default_alpha_bounds(opts: dict, problem) -> tuple[float, float]:
     """Fill alpha0/alpha_max when not given: epsilon/zeta for the trust region,
     the deterministic success threshold (1-theta)/L for step search."""
     if opts["method"] == "storm":
+        if not opts["zeta"] > 0.0:
+            raise CliValidationError("zeta must be positive")
         anchor = opts["epsilon"] / opts["zeta"]
     else:
         anchor = (1.0 - opts["theta"]) / problem.lipschitz
@@ -355,7 +361,7 @@ OPTIMIZE_OPTIONS = {
     **_PROBLEM_OPTIONS,
     **_ORACLE_OPTIONS,
     **_ALGO_OPTIONS,
-    "x0": (str, None),
+    "x0": (_floats, None),
     "out": (str, None),
 }
 
@@ -375,7 +381,7 @@ def run_optimize(opts: dict) -> int:
         max_iterations=opts["max_iterations"],
         seed=opts["seed"],
     )
-    x0 = np.array(_floats(opts["x0"])) if opts["x0"] else None
+    x0 = np.array(opts["x0"]) if opts["x0"] else None
     trace = run_adaptive(problem, method, suite, config, opts["epsilon"], mode=opts["mode"], x0=x0)
     out = _resolve_out(opts["out"], "trace.csv")
     trace.write_csv(out)
@@ -395,7 +401,7 @@ SWEEP_OPTIONS = {
     **_PROBLEM_OPTIONS,
     **_ORACLE_OPTIONS,
     **_ALGO_OPTIONS,
-    "epsilons": (str, "0.2,0.1,0.05"),
+    "epsilons": (_floats, "0.2,0.1,0.05"),
     "reps": (int, 40),
     "gamma_policy": (str, "fixed"),
     "beta": (float, 0.25),
@@ -403,21 +409,26 @@ SWEEP_OPTIONS = {
     "horizon_c1": (float, 2.0),
     "horizon_c2": (float, 10.0),
     "reliability_p": (float, 0.8),
-    "x0": (str, None),
+    "x0": (_floats, None),
     "out": (str, None),
 }
 
 
 def run_sweep(opts: dict) -> int:
-    epsilons = _floats(opts["epsilons"]) if isinstance(opts["epsilons"], str) else list(opts["epsilons"])
+    epsilons = opts["epsilons"]
     if not epsilons:
         raise CliValidationError("at least one epsilon is required")
+    if not all(epsilon > 0.0 for epsilon in epsilons):
+        raise CliValidationError("every epsilon must be positive")
+    if opts["method"] == "storm" and not opts["horizon_c2"] > 0.0:
+        # the trust-region report bounds P(T > n) by 1/horizon_c2
+        raise CliValidationError("horizon_c2 must be positive")
     problem = _build_problem(opts)
     method = _build_method(opts)
     out = _resolve_out(opts["out"], "sweep.csv")
     root = np.random.SeedSequence(opts["seed"])
     children = root.spawn(len(epsilons))
-    x0 = np.array(_floats(opts["x0"])) if opts["x0"] else None
+    x0 = np.array(opts["x0"]) if opts["x0"] else None
 
     rows = []
     for epsilon, child in zip(epsilons, children):

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InvalidParameterError
 from .problems import NoiseSpec, Problem
-from .rows import OneRow
+from .rows import RowStreams, row_dot
 
 __all__ = [
     "SassOracleSpec",
@@ -172,9 +172,6 @@ class CostModel:
                 self._batches[alpha] = b
         return b
 
-    def __call__(self, alpha: float) -> float:
-        return self.cost(alpha)
-
 
 _BATCH_CACHE = 4096  # step sizes remembered per cost model
 
@@ -192,9 +189,6 @@ class SummedCost:
 
     def cost(self, alpha: float) -> float:
         return sum(c.cost(alpha) for c in self.components)
-
-    def __call__(self, alpha: float) -> float:
-        return self.cost(alpha)
 
 
 # -- minibatch averaging ----------------------------------------------------
@@ -224,7 +218,7 @@ def minibatch_value(problem: Problem, x: np.ndarray, batch: int, rng: np.random.
     """Mean of `batch` i.i.d. stochastic value samples at x: one N(f(x), sigma_f**2/batch) draw."""
     _check_call(x, batch)
     (f,) = _minibatch_value_rows(
-        problem, (np.array([problem.value(x)]),), [batch], OneRow(rng, "standard_normal")
+        problem, (np.array([problem.value(x)]),), [batch], RowStreams([rng], "standard_normal", 0)
     )
     return float(f[0])
 
@@ -239,7 +233,7 @@ def minibatch_grad(
     """
     _check_call(x, batch)
     g = problem.grad(x)[None]
-    return _minibatch_grad_rows(problem, g, [batch], OneRow(rng, "standard_normal"))[0]
+    return _minibatch_grad_rows(problem, g, [batch], RowStreams([rng], "standard_normal", 0))[0]
 
 
 def _minibatch_value_rows(problem: Problem, values: tuple, batch, streams) -> tuple:
@@ -366,20 +360,21 @@ def empirical_oracle_failure_rate(
 ) -> tuple[float, float]:
     """Fractions (value, gradient) of independent trials violating the suite's contract.
 
-    Each trial draws what an iteration draws, gradient() and then values(),
-    with the trial point equal to x.
+    Each trial is one row of one row call: it draws what an iteration
+    draws, the gradient and then the values, with the trial point equal to
+    x, from its own generator, a child spawned from SeedSequence(master_seed).
     """
     if trials < 1:
         raise InvalidParameterError("trials must be at least 1")
-    rng = np.random.default_rng(master_seed)
-    value_failures = grad_failures = 0
-    for _ in range(trials):
-        g, _ = suite.gradient(problem, x, alpha, rng)
-        f0, f_plus, _ = suite.values(problem, x, x, alpha, rng)
-        value_failed, grad_failed = suite.violated(problem, x, x, alpha, g, f0, f_plus)
-        value_failures += value_failed
-        grad_failures += grad_failed
-    return value_failures / trials, grad_failures / trials
+    children = np.random.SeedSequence(master_seed).spawn(trials)
+    streams = RowStreams([np.random.default_rng(c) for c in children], suite.draws, 0)
+    x = np.repeat(np.asarray(x, dtype=float)[None], trials, axis=0)
+    alpha = np.full(trials, float(alpha))
+    f = problem.value(x)
+    g, _ = suite.gradient_rows(problem, x, problem.grad(x), alpha, streams)
+    f0, f_plus, _ = suite.values_rows(problem, x, x, f, f, alpha, streams)
+    value_failed, grad_failed = suite.violated(problem, x, x, alpha, g, f0, f_plus)
+    return int(np.count_nonzero(value_failed)) / trials, int(np.count_nonzero(grad_failed)) / trials
 
 
 # -- runtime oracle suites ---------------------------------------------------
@@ -394,16 +389,21 @@ def empirical_oracle_failure_rate(
 #       -> (f0_hat, f_plus_hat, cost0)
 #
 # x and x_plus are the (R, dim) iterates and trial points, g, f and f_plus
-# the truth there, alpha the (R,) step sizes, and streams a RowStreams (a
-# OneRow for a one-point call) of the suite's `draws` kind (None: the suite
-# draws nothing); a call takes the same block of draws for every row.  A
-# cost is an int shared by every row or an object array of ints.
-# gradient() and values() are the one-point calls: thin wrappers over the
-# row methods that evaluate the truth and draw from rng directly.  gradient
-# is drawn first (the step depends on it), then the values of x and x_plus.
-# violated() checks one iteration's estimates against the suite's accuracy
-# contract and returns (value_failed, grad_failed).  Each suite defines its
-# own methods (no shared base) so each can be instrumented separately.
+# the truth there, alpha the (R,) step sizes, and streams a RowStreams of
+# the suite's `draws` kind (None: the suite draws nothing); a call takes the
+# same block of draws for every row.  A cost is an int shared by every row
+# or an object array of ints.  gradient is drawn first (the step depends on
+# it), then the values of x and x_plus.
+#
+#   violated(problem, x, x_plus, alpha, g, f0, f_plus)
+#       -> (value_failed, grad_failed)
+#
+# checks R rows of estimates against the suite's accuracy contract and
+# returns two (R,) bool arrays.  gradient() and values() are the one-point
+# calls: R = 1 row calls that evaluate the truth and draw from rng through
+# a RowStreams with no read-ahead, so rng ends where scalar draws leave it.
+# Each suite defines its own methods (no shared base) so each can be
+# instrumented separately.
 # Minibatch suites look their cost models up on every call (the step-search
 # models depend on the problem's noise); the caches make that a dict lookup.
 
@@ -413,8 +413,9 @@ _sass_models = functools.lru_cache(maxsize=16)(sass_cost_models)
 
 def _one_gradient(suite, problem: Problem, x, alpha: float, rng):
     x = np.asarray(x, dtype=float)[None]
+    streams = RowStreams([rng], suite.draws, 0)
     g, cost = suite.gradient_rows(
-        problem, x, problem.grad(x), np.array([alpha], dtype=float), OneRow(rng, suite.draws)
+        problem, x, problem.grad(x), np.array([alpha], dtype=float), streams
     )
     return g[0], _first(cost)
 
@@ -424,7 +425,7 @@ def _one_values(suite, problem: Problem, x, x_plus, alpha: float, rng):
     x_plus = np.asarray(x_plus, dtype=float)[None]
     f0, f_plus, cost = suite.values_rows(
         problem, x, x_plus, problem.value(x), problem.value(x_plus),
-        np.array([alpha], dtype=float), OneRow(rng, suite.draws),
+        np.array([alpha], dtype=float), RowStreams([rng], suite.draws, 0),
     )
     return float(f0[0]), float(f_plus[0]), _first(cost)
 
@@ -433,8 +434,8 @@ def _first(cost):
     return cost if isinstance(cost, int) else cost[0]
 
 
-def _grad_error(problem: Problem, x, g) -> float:
-    return float(np.linalg.norm(g - problem.grad(x)))
+def _norms(v: np.ndarray) -> np.ndarray:
+    return np.sqrt(row_dot(v, v))
 
 
 class ExactOracles:
@@ -458,8 +459,9 @@ class ExactOracles:
     def values(self, problem: Problem, x, x_plus, alpha: float, rng) -> tuple[float, float, int]:
         return _one_values(self, problem, x, x_plus, alpha, rng)
 
-    def violated(self, problem, x, x_plus, alpha, g, f0, f_plus) -> tuple[bool, bool]:
-        return False, False
+    def violated(self, problem, x, x_plus, alpha, g, f0, f_plus):
+        none = np.zeros(len(x), dtype=bool)
+        return none, none
 
 
 @dataclass(frozen=True)
@@ -499,10 +501,11 @@ class StormMinibatchOracles:
     def values(self, problem, x, x_plus, alpha, rng):
         return _one_values(self, problem, x, x_plus, alpha, rng)
 
-    def violated(self, problem, x, x_plus, alpha, g, f0, f_plus) -> tuple[bool, bool]:
+    def violated(self, problem, x, x_plus, alpha, g, f0, f_plus):
         tol = self.spec.kappa_ef * alpha**2
-        value_failed = abs(f0 - problem.value(x)) > tol or abs(f_plus - problem.value(x_plus)) > tol
-        return value_failed, _grad_error(problem, x, g) > self.spec.kappa_eg * alpha
+        value_failed = np.abs(f0 - problem.value(x)) > tol
+        value_failed |= np.abs(f_plus - problem.value(x_plus)) > tol
+        return value_failed, _norms(g - problem.grad(x)) > self.spec.kappa_eg * alpha
 
 
 @dataclass(frozen=True)
@@ -543,9 +546,10 @@ class SassMinibatchOracles:
     def values(self, problem, x, x_plus, alpha, rng):
         return _one_values(self, problem, x, x_plus, alpha, rng)
 
-    def violated(self, problem, x, x_plus, alpha, g, f0, f_plus) -> tuple[bool, bool]:
-        rel = min(self.spec.tau, self.spec.kappa * alpha) * float(np.linalg.norm(g))
-        return False, _grad_error(problem, x, g) > max(self.spec.eps_g, rel)
+    def violated(self, problem, x, x_plus, alpha, g, f0, f_plus):
+        rel = np.minimum(self.spec.tau, self.spec.kappa * alpha) * _norms(g)
+        grad_failed = _norms(g - problem.grad(x)) > np.maximum(self.spec.eps_g, rel)
+        return np.zeros(len(x), dtype=bool), grad_failed
 
 
 @dataclass(frozen=True)
@@ -596,5 +600,5 @@ class PairCorruptionOracles:
     def values(self, problem, x, x_plus, alpha, rng):
         return _one_values(self, problem, x, x_plus, alpha, rng)
 
-    def violated(self, problem, x, x_plus, alpha, g, f0, f_plus) -> tuple[bool, bool]:
-        return f_plus != problem.value(x_plus), not np.array_equal(g, problem.grad(x))
+    def violated(self, problem, x, x_plus, alpha, g, f0, f_plus):
+        return f_plus != problem.value(x_plus), np.any(g != problem.grad(x), axis=1)

@@ -27,7 +27,7 @@ construction and is not separately enforced.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,10 +72,6 @@ class NoiseSpec:
     def gaussian(cls, sigma_f: float = 0.0, m_c: float = 0.0, m_v: float = 0.0) -> "NoiseSpec":
         sigma_g = math.sqrt(m_c) if m_v == 0.0 else None
         return cls(sigma_f=sigma_f, m_c=m_c, m_v=m_v, sigma_g=sigma_g)
-
-    @property
-    def noiseless(self) -> bool:
-        return self.sigma_f == 0.0 and self.m_c == 0.0 and self.m_v == 0.0
 
 
 @dataclass(frozen=True)
@@ -183,9 +179,6 @@ class Problem:
             ("m_v", n.m_v),
         ]
         return "\n".join(f"{k}={v}" for k, v in items)
-
-    def with_noise(self, noise: NoiseSpec) -> "Problem":
-        return replace(self, noise=noise)
 
 
 def _logistic_minimum(features: np.ndarray, labels: np.ndarray, reg: float, dim: int) -> float:

@@ -9,15 +9,16 @@ replication computes on its own:
   rounds differently);
 * `RowStreams` hands each row the next draws of that row's own generator,
   the same number for every row on every take, so a row's draws do not
-  depend on the other rows; `OneRow` does the same for a single row
-  without reading ahead.
+  depend on the other rows.  With block 0 it reads no further ahead than
+  asked, so a one-row stream leaves its generator where scalar draws
+  would.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["row_dot", "RowStreams", "OneRow"]
+__all__ = ["row_dot", "RowStreams"]
 
 
 def _stacked_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -68,18 +69,3 @@ class RowStreams:
         """Drop the rows outside the bool mask."""
         self.rngs = [rng for rng, m in zip(self.rngs, mask.tolist()) if m]
         self._buf = self._buf[mask]
-
-
-class OneRow:
-    """The stream of one row that draws from its generator as asked, with no read-ahead.
-
-    It serves one-point calls, whose caller's generator must end where
-    scalar draws would leave it; take(n) is RowStreams.take for R = 1.
-    """
-
-    def __init__(self, rng, kind: str | None):
-        self.rng = rng
-        self.kind = kind
-
-    def take(self, n: int) -> np.ndarray:
-        return getattr(self.rng, self.kind)((1, n))

@@ -114,20 +114,23 @@ class WalkPath:
         return bool((self.states >= level).any())
 
 
-def simulate_walk(params: WalkParams, n: int, rng: np.random.Generator) -> WalkPath:
-    """Simulate n steps of the walk from Z_0 = 0.
+def _reflected_walks(q: float, m: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Z_1..Z_n of m independent walks from Z_0 = 0, one row each.
 
-    Uses the reflection identity Z_k = S_k - min_{j<=k} S_j for the
-    unrestricted +-1 walk S (up w.p. q), which reproduces the hold-at-zero
-    dynamics exactly and vectorizes.
+    Uses the reflection identity Z_k = S_k - min_{j<=k} S_j (S_0 = 0) for
+    the unrestricted +-1 walk S (up w.p. q), which reproduces the
+    hold-at-zero dynamics exactly and vectorizes.  Draws rng.random((m, n)).
     """
+    steps = np.where(rng.random((m, n)) < q, 1, -1).astype(np.int32)
+    s = np.cumsum(steps, axis=1)
+    return s - np.minimum(np.minimum.accumulate(s, axis=1), 0)
+
+
+def simulate_walk(params: WalkParams, n: int, rng: np.random.Generator) -> WalkPath:
+    """Simulate n steps of the walk from Z_0 = 0 (n uniform draws)."""
     if n < 1:
         raise InvalidParameterError("n must be a positive integer")
-    ups = rng.random(n) < params.q
-    steps = np.where(ups, 1, -1).astype(np.int64)
-    s = np.concatenate(([0], np.cumsum(steps)))
-    running_min = np.minimum.accumulate(s)
-    return WalkPath(states=s - running_min)
+    return WalkPath(states=np.concatenate(([0], _reflected_walks(params.q, 1, n, rng)[0])))
 
 
 def walk_ensemble_stats(
@@ -150,10 +153,7 @@ def walk_ensemble_stats(
     done = 0
     while done < reps:
         m = min(chunk, reps - done)
-        steps = np.where(rng.random((m, n)) < 1.0 - p, 1, -1).astype(np.int32)
-        s = np.cumsum(steps, axis=1)
-        running_min = np.minimum(np.minimum.accumulate(s, axis=1), 0)
-        z = s - running_min
+        z = _reflected_walks(1.0 - p, m, n, rng)
         max_levels[done : done + m] = z.max(axis=1)
         finals[done : done + m] = z[:, -1]
         done += m

@@ -264,3 +264,46 @@ def test_walk_default_summary_lands_beside_out(tmp_path, monkeypatch):
     assert _run(argv) == 0
     assert (tmp_path / "sub" / "w_summary.csv").exists()
     assert not (elsewhere / "w_summary.csv").exists()
+
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--epsilons=0", "--reps=2"],
+        ["sweep", "--epsilons=0", "--mode=strongly_convex", "--reps=2"],
+        ["sweep", "--method=storm", "--zeta=0", "--epsilons=0.2", "--reps=2"],
+        ["optimize", "--method=storm", "--zeta=0"],
+        ["sweep", "--method=storm", "--horizon-c2=0", "--epsilons=0.2", "--reps=2"],
+    ],
+)
+def test_zero_divisor_is_validation_error(tmp_path, capsys, argv):
+    # epsilon, zeta and the trust-region horizon_c2 are divisors: 0 is refused
+    # before anything runs
+    assert _run([*argv, f"--out={tmp_path / 'o.csv'}"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_config_file_json_lists(tmp_path, capsys, monkeypatch):
+    # a JSON list of floats is read as the comma-separated flag value would be
+    base = [
+        "--method=sass", "--oracle=exact", "--noise=none", "--epsilon=0.001", "--theta=0.1",
+        "--gamma=0.5", "--alpha0=1.0", "--alpha-max=1.0",
+    ]
+    (tmp_path / "cfg.json").write_text(json.dumps({"x0": [2.0, 0.0]}))
+    assert _run(["optimize", f"--config={tmp_path / 'cfg.json'}", *base, f"--out={tmp_path / 'a.csv'}"]) == 0
+    assert _run(["optimize", "--x0=2.0,0.0", *base, f"--out={tmp_path / 'b.csv'}"]) == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    (tmp_path / "cfg.json").write_text(json.dumps({"gamma": [0.5, 0.7], "n": 20, "reps": 100}))
+    assert _run(["walk", f"--config={tmp_path / 'cfg.json'}", f"--out={tmp_path / 'w.csv'}"]) == 0
+    assert len((tmp_path / "w.csv").read_text().splitlines()) == 1 + 2 * 21
+    (tmp_path / "cfg.json").write_text(json.dumps({"x0": [2.0, "zero"]}))
+    assert _run(["optimize", f"--config={tmp_path / 'cfg.json'}", *base, f"--out={tmp_path / 'c.csv'}"]) == 1
+    assert "bad value for x0" in capsys.readouterr().err
+    # a list where one value is expected is refused, not passed on
+    monkeypatch.setenv("ADASTOC_OUTDIR", str(tmp_path))
+    for key, value in (("p", 0.8), ("out", str(tmp_path / "l.csv"))):
+        (tmp_path / "cfg.json").write_text(json.dumps({key: [value], "n": 5, "reps": 10}))
+        assert _run(["hitting", f"--config={tmp_path / 'cfg.json'}"]) == 1
+        assert f"{key} takes one value, not a list" in capsys.readouterr().err

@@ -403,6 +403,49 @@ def test_zero_noise_oracle_never_fails():
         assert empirical_oracle_failure_rate(suite, prob, prob.x0, 0.5, 100, 0) == (0.0, 0.0)
 
 
+
+def _failure_rate_trial_by_trial(suite, problem, x, alpha, trials, master_seed):
+    # one-point calls on each trial's own spawned generator, checked one row at a time
+    value_failures = grad_failures = 0
+    for child in np.random.SeedSequence(master_seed).spawn(trials):
+        rng = np.random.default_rng(child)
+        g, _ = suite.gradient(problem, x, alpha, rng)
+        f0, f_plus, _ = suite.values(problem, x, x, alpha, rng)
+        value_failed, grad_failed = suite.violated(
+            problem, x[None], x[None], np.array([alpha]), g[None], np.array([f0]), np.array([f_plus])
+        )
+        assert value_failed.shape == grad_failed.shape == (1,)
+        value_failures += int(value_failed[0])
+        grad_failures += int(grad_failed[0])
+    return value_failures / trials, grad_failures / trials
+
+
+_NOISY = NoiseSpec.gaussian(sigma_f=0.5, m_c=0.25)
+
+
+@pytest.mark.parametrize(
+    "suite, noise",
+    [
+        (ExactOracles(), _NOISY),
+        # batches sized for far less noise than the problem has: contracts fail often
+        (StormMinibatchOracles(StormOracleSpec(sigma_f=0.01, sigma_g=0.01)), _NOISY),
+        (
+            SassMinibatchOracles(SassOracleSpec(tau=10.0), epsilon=0.1, batch_scale=0.01),
+            NoiseSpec.gaussian(m_c=0.0, m_v=1.0),
+        ),
+        (PairCorruptionOracles(delta0=0.3, delta1=0.2), NoiseSpec.none()),
+    ],
+    ids=["exact", "storm", "sass", "corruption"],
+)
+def test_failure_rate_row_call_equals_trial_by_trial(suite, noise):
+    prob = make_problem("quadratic", 2, 1.0, noise, seed=0)
+    x = np.array([1.0, -0.5])
+    rates = empirical_oracle_failure_rate(suite, prob, x, 0.5, 300, 17)
+    assert rates == _failure_rate_trial_by_trial(suite, prob, x, 0.5, 300, 17)
+    if not isinstance(suite, ExactOracles):
+        assert 0.0 < max(rates) < 1.0
+
+
 def test_minibatch_suite_rejects_unbounded_gradient_noise():
     prob = make_problem("quadratic", 2, 1.0, NoiseSpec.gaussian(m_c=1.0, m_v=1.0), seed=0)
     suite = StormMinibatchOracles(StormOracleSpec(sigma_f=1.0, sigma_g=1.0))

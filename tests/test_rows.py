@@ -8,14 +8,15 @@ from adastoc.rows import RowStreams, row_dot
 @settings(max_examples=100, deadline=None)
 @given(
     kind=st.sampled_from(["random", "standard_normal"]),
-    block=st.sampled_from([1, 3, 256]),
+    block=st.sampled_from([0, 1, 3, 256]),
     rows=st.integers(1, 4),
     takes=st.lists(st.integers(1, 5), max_size=40),
     keep_at=st.integers(0, 40),
 )
 def test_row_streams_give_each_row_its_own_sequence(kind, block, rows, takes, keep_at):
     # every row sees exactly what scalar calls on its own generator return,
-    # however the reads are blocked, and after rows are dropped
+    # however the reads are blocked, and after rows are dropped; block 0
+    # reads no further ahead than taken
     seeds = list(range(rows))
     streams = RowStreams([np.random.default_rng(s) for s in seeds], kind, block)
     refs = [np.random.default_rng(s) for s in seeds]
@@ -30,6 +31,9 @@ def test_row_streams_give_each_row_its_own_sequence(kind, block, rows, takes, ke
         for pos, r in enumerate(live):
             expected = [getattr(refs[r], kind)() for _ in range(n)]
             assert out[pos].tolist() == expected
+    if block == 0:
+        for rng, r in zip(streams.rngs, live):
+            assert getattr(rng, kind)() == getattr(refs[r], kind)()
 
 
 def test_row_dot_equals_one_dimensional_dot():
