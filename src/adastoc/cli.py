@@ -209,12 +209,16 @@ HITTING_OPTIONS = {
 
 def run_hitting(opts: dict) -> int:
     p, l_max, n, reps = opts["p"], opts["l_max"], opts["n"], opts["reps"]
+    if l_max < 0:
+        raise CliValidationError(f"l_max must be nonnegative, got {l_max}")
+    if not (0.5 < p <= 1.0):
+        raise CliValidationError(f"reliability p must lie in (1/2, 1], got {p}")
     out = _resolve_out(opts["out"], "hitting.csv")
     rng = np.random.default_rng(np.random.SeedSequence(opts["seed"]))
     max_levels, _ = walk_ensemble_stats(p, n, reps, rng)
     rows = []
-    for level in range(l_max + 1):
-        exact = hitting_prob_exact(p, level, n)
+    exacts = hitting_prob_exact(p, range(l_max + 1), n)
+    for level, exact in enumerate(exacts.tolist()):
         bound = 1.0 if level == 0 else hitting_prob_bound(p, level, n)
         if exact > min(1.0, bound) + 1e-12:
             raise TheoryViolationError(

@@ -15,11 +15,18 @@ on the realized step size.  This module provides the walk simulator, the
 explicit pathwise coupling, exact and closed-form hitting/transition
 probabilities for the walk restricted to {0..l}, and the resulting
 step-size floor alpha_star(n) with its failure probability.
+
+No Python loop runs per walk step or per level.  Simulated paths, the
+ensemble statistics and the coupling are one reflected cumulative sum over
+a boolean mask of up-moves (`_reflected_walks`); ensembles are generated in
+blocks of bounded size.  Exact hitting probabilities for any set of levels
+come from one O(n * sum(l)) recursion over all their chains at once.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,49 +121,62 @@ class WalkPath:
         return bool((self.states >= level).any())
 
 
-def _reflected_walks(q: float, m: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Z_1..Z_n of m independent walks from Z_0 = 0, one row each.
+_BLOCK = 2**16  # walk steps per ensemble block: 512 KiB of uniform draws, cache-resident
 
-    Uses the reflection identity Z_k = S_k - min_{j<=k} S_j (S_0 = 0) for
-    the unrestricted +-1 walk S (up w.p. q), which reproduces the
-    hold-at-zero dynamics exactly and vectorizes.  Draws rng.random((m, n)).
+
+def _reflected_walks(up: np.ndarray, z0: int | np.ndarray = 0) -> np.ndarray:
+    """Z_1..Z_n of the walk from Z_0 = z0 along each row of the up-move mask `up`.
+
+    Uses the reflection identity Z_k = S_k - min(min_{j<=k} S_j, -z0)
+    (S_0 = 0) for the unrestricted +-1 walk S, which reproduces the
+    hold-at-zero dynamics exactly and vectorizes; S_k = 2 U_k - k with U_k
+    the count of up-moves.  z0 is a scalar or an (m, 1) column of
+    nonnegative starts.  The result is int32 whenever every value fits,
+    else int64.
     """
-    steps = np.where(rng.random((m, n)) < q, 1, -1).astype(np.int32)
-    s = np.cumsum(steps, axis=1)
-    return s - np.minimum(np.minimum.accumulate(s, axis=1), 0)
+    n = up.shape[-1]
+    peak = n + int(np.max(z0))
+    s = np.cumsum(up, axis=-1, dtype=np.int32 if peak < 2**30 else np.int64)
+    s *= 2
+    s -= np.arange(1, n + 1, dtype=s.dtype)
+    floor = np.minimum.accumulate(s, axis=-1)
+    np.minimum(floor, -np.asarray(z0, dtype=s.dtype), out=floor)
+    s -= floor
+    return s
 
 
 def simulate_walk(params: WalkParams, n: int, rng: np.random.Generator) -> WalkPath:
     """Simulate n steps of the walk from Z_0 = 0 (n uniform draws)."""
     if n < 1:
         raise InvalidParameterError("n must be a positive integer")
-    return WalkPath(states=np.concatenate(([0], _reflected_walks(params.q, 1, n, rng)[0])))
+    return WalkPath(states=np.concatenate(([0], _reflected_walks(rng.random(n) < params.q))))
 
 
 def walk_ensemble_stats(
-    p: float,
-    n: int,
-    reps: int,
-    rng: np.random.Generator,
-    chunk: int = 100_000,
+    p: float, n: int, reps: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-path (max level, final state) over `reps` independent n-step walks.
 
-    Memory-bounded: paths are generated in chunks and never stored whole.
+    Memory-bounded in n and reps: walks are generated in blocks of at most
+    2**16 steps and never stored whole.  A block holds whole rows when a
+    row fits, else one row continued segment by segment from its last
+    state; either way the draws are those of rng.random((reps, n)).
     """
     if not (0.0 <= p <= 1.0):
         raise InvalidParameterError("p must be a probability")
     if n < 1 or reps < 1:
         raise InvalidParameterError("n and reps must be positive")
-    max_levels = np.empty(reps, dtype=np.int64)
-    finals = np.empty(reps, dtype=np.int64)
-    done = 0
-    while done < reps:
-        m = min(chunk, reps - done)
-        z = _reflected_walks(1.0 - p, m, n, rng)
-        max_levels[done : done + m] = z.max(axis=1)
-        finals[done : done + m] = z[:, -1]
-        done += m
+    rows, width = max(1, _BLOCK // n), min(n, _BLOCK)
+    max_levels = np.zeros(reps, dtype=np.int64)
+    finals = np.zeros(reps, dtype=np.int64)
+    for start in range(0, reps, rows):
+        block = slice(start, min(start + rows, reps))
+        top, last = max_levels[block], finals[block]  # views, filled in place
+        for done in range(0, n, width):
+            up = rng.random((len(last), min(width, n - done))) < 1.0 - p
+            z = _reflected_walks(up, last[:, None])
+            np.maximum(top, z.max(axis=1), out=top)
+            last[:] = z[:, -1]
     return max_levels, finals
 
 
@@ -169,15 +189,17 @@ def trace_exponents(trace, alpha_bar: float) -> np.ndarray:
     """
     gamma = trace.config.gamma
     log_gamma = math.log(gamma)
-    y = np.empty(len(trace.records) + 1, dtype=np.int64)
-    for i, rec in enumerate(trace.records):
-        shift = math.log(rec.alpha_base / alpha_bar) / log_gamma
-        shift_int = round(shift)
-        if abs(shift - shift_int) > 1e-9:
+    bases, which = np.unique([rec.alpha_base for rec in trace.records], return_inverse=True)
+    shifts = np.empty(len(bases), dtype=np.int64)
+    for j, base in enumerate(bases.tolist()):  # alpha0, and alpha_max once the cap re-anchors
+        shift = math.log(base / alpha_bar) / log_gamma
+        shifts[j] = round(shift)
+        if abs(shift - shifts[j]) > 1e-9:
             raise InvalidParameterError(
                 "trace step sizes do not sit on the geometric grid anchored at alpha_bar"
             )
-        y[i] = rec.alpha_exp + shift_int
+    y = np.empty(len(trace.records) + 1, dtype=np.int64)
+    y[:-1] = np.array([rec.alpha_exp for rec in trace.records], dtype=np.int64) + shifts[which]
     if trace.records:
         last = trace.records[-1]
         base, exp = update_step_size(
@@ -208,7 +230,9 @@ def couple_with_trace(
     array), thinning successes down to probability exactly p; elsewhere Z
     advances independently or mirrors Y's extension moves.  The returned Z
     has the marginal law of the one-sided walk and satisfies Z_k >= Y_k at
-    every index.
+    every index.  A step that needs thinning with p_prime below p raises
+    CouplingInfeasibleError before anything is drawn; otherwise one
+    rng.random call draws, in step order, for every step that needs a draw.
     """
     _check_reliability(p)
     y = np.asarray(y, dtype=np.int64)
@@ -219,31 +243,23 @@ def couple_with_trace(
         raise InvalidParameterError("exponent sequence must start at or below zero")
     pp = np.broadcast_to(np.asarray(p_prime, dtype=float), (n,))
     horizon = n if t_eps is None else t_eps
-    q = 1.0 - p
-    z = np.empty(n + 1, dtype=np.int64)
-    z[0] = 0
-    for k in range(n):
-        moved_up = y[k + 1] == y[k] + 1
-        if k >= horizon:
-            # beyond the stopping time Y itself moves down w.p. exactly p
-            z[k + 1] = z[k] + 1 if moved_up else max(z[k] - 1, 0)
-        elif y[k] <= -1:
-            z[k + 1] = z[k] + 1 if rng.random() < q else max(z[k] - 1, 0)
-        else:
-            pk = pp[k]
-            if pk < p:
-                raise CouplingInfeasibleError(
-                    f"success probability {pk} at step {k} is below the assumed level {p}"
-                )
-            if moved_up:
-                z[k + 1] = z[k] + 1
-            else:
-                # success (down move, or hold at the cap): thin to rate p
-                if rng.random() < p / pk:
-                    z[k + 1] = max(z[k] - 1, 0)
-                else:
-                    z[k + 1] = z[k] + 1
-    return WalkPath(states=z)
+    moved_up = y[1:] == y[:-1] + 1
+    live = np.arange(n) < horizon  # beyond the stopping time Z mirrors Y
+    below = live & (y[:-1] <= -1)  # Z advances on its own draw
+    thinned = live & ~below  # Z thins Y's successes at rate p / p'_k
+    infeasible = np.flatnonzero(thinned & (pp < p))
+    if len(infeasible):
+        k = infeasible[0]
+        raise CouplingInfeasibleError(
+            f"success probability {pp[k]} at step {k} is below the assumed level {p}"
+        )
+    thinned &= ~moved_up
+    drawn = below | thinned
+    u = rng.random(int(np.count_nonzero(drawn)))
+    up = moved_up.copy()
+    up[below] = u[below[drawn]] < 1.0 - p
+    up[thinned] = ~(u[thinned[drawn]] < p / pp[thinned])
+    return WalkPath(states=np.concatenate(([0], _reflected_walks(up))))
 
 
 def transition_matrix(p: float, l: int) -> np.ndarray:
@@ -303,33 +319,55 @@ def feller_transition_prob(p: float, l: int, m: int) -> float:
     return float(stationary - transient)
 
 
-def hitting_prob_exact(p: float, l: int, n: int) -> float:
+def hitting_prob_exact(p: float, l: int | Sequence[int], n: int) -> float | np.ndarray:
     """Exact probability that the walk reaches level l within n steps.
 
-    Iterates the distribution vector of the {0..l} chain with l made
-    absorbing; the absorbed mass after n steps is the first-passage
-    probability.  O(n*l) time.
+    Iterates the distribution over the transient states 0..l-1 of the
+    {0..l} chain with l made absorbing; the absorbed mass after n steps is
+    the first-passage probability.  l may be one level (a float is
+    returned) or a sequence of levels (an array in the same order): the
+    chains of all distinct levels lie end to end in one vector and advance
+    together, so one O(n * sum(l)) recursion serves every level.
     """
-    if l < 0:
+    levels = np.asarray(l)
+    if levels.ndim > 1 or (levels.size and levels.dtype.kind not in "iu"):
+        raise InvalidParameterError("l must be an integer level or a sequence of them")
+    levels = levels.astype(np.int64)  # an empty sequence arrives as floats
+    if np.any(levels < 0):
         raise InvalidParameterError("l must be nonnegative")
     if n < 1:
         raise InvalidParameterError("n must be a positive integer")
     if not (0.0 < p <= 1.0):
         raise InvalidParameterError("p must lie in (0,1]")
-    if l == 0:
-        return 1.0
     q = 1.0 - p
-    v = np.zeros(l + 1)
-    v[0] = 1.0
-    for _ in range(n):
-        nxt = np.zeros_like(v)
-        nxt[0] = p * v[0] + (p * v[1] if l >= 2 else 0.0)
-        if l >= 2:
-            nxt[1 : l - 1] = q * v[0 : l - 2] + p * v[2:l]
-            nxt[l - 1] = q * v[l - 2]
-        nxt[l] = v[l] + q * v[l - 1]
-        v = nxt
-    return float(v[l])
+    distinct, where = np.unique(levels, return_inverse=True)
+    chains = distinct[distinct > 0]
+    ends = np.cumsum(chains)  # chain j holds states ends[j] - chains[j] .. ends[j] - 1
+    size = int(chains.sum())
+    first, last = ends - chains, ends - 1
+    # state i takes coef[i] * v[below[i]] + p * v[above[i]]: q from the state
+    # below, or p from itself at a chain's state 0; index `size` is a zero
+    below = np.arange(-1, size - 1)
+    below[first] = first
+    coef = np.full(size, q)
+    coef[first] = p
+    above = np.arange(1, size + 1)
+    above[last] = size
+    v, nxt = np.zeros(size + 1), np.zeros(size + 1)
+    v[first] = 1.0
+    absorbed = np.zeros(len(chains))
+    step, gained = np.empty(size), np.empty(len(chains))
+    for _ in range(n if size else 0):
+        np.multiply(q, v[last], out=gained)
+        absorbed += gained
+        np.multiply(coef, v[below], out=nxt[:size])
+        np.multiply(p, v[above], out=step)
+        nxt[:size] += step
+        v, nxt = nxt, v
+    probs = np.ones(len(distinct))
+    probs[distinct > 0] = absorbed
+    out = probs[where].reshape(levels.shape)
+    return float(out) if levels.ndim == 0 else out
 
 
 def hitting_prob_union_sum(p: float, l: int, n: int) -> float:

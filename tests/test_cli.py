@@ -307,3 +307,25 @@ def test_config_file_json_lists(tmp_path, capsys, monkeypatch):
         (tmp_path / "cfg.json").write_text(json.dumps({key: [value], "n": 5, "reps": 10}))
         assert _run(["hitting", f"--config={tmp_path / 'cfg.json'}"]) == 1
         assert f"{key} takes one value, not a list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, expected",
+    [
+        ("--l-max=-1", "l_max must be nonnegative"),
+        ("--p=0.5", "reliability p must lie in (1/2, 1]"),
+        ("--p=0.3", "reliability p must lie in (1/2, 1]"),
+        ("--p=1.5", "reliability p must lie in (1/2, 1]"),
+    ],
+)
+def test_hitting_refuses_bad_level_or_reliability_before_simulating(tmp_path, capsys, monkeypatch, flag, expected):
+    # an empty level range or a p outside (1/2, 1] is refused before any walk
+    # is simulated and before a CSV is written
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("hitting simulated walks before validating its options")
+
+    monkeypatch.setattr(cli, "walk_ensemble_stats", no_simulation)
+    argv = ["hitting", "--p=0.8", "--l-max=4", "--n=10", "--reps=100", flag, f"--out={tmp_path / 'h.csv'}"]
+    assert _run(argv) == 1
+    assert expected in capsys.readouterr().err
+    assert not (tmp_path / "h.csv").exists()

@@ -1,12 +1,15 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adastoc import walk
 from adastoc.errors import CouplingInfeasibleError, InvalidParameterError
-from adastoc.framework import AlgoConfig, IterationRecord, RunTrace
+from adastoc.framework import AlgoConfig, IterationRecord, RunTrace, update_step_size
 from adastoc.walk import (
     WalkParams,
     couple_with_trace,
@@ -312,3 +315,195 @@ def _hand_trace(alpha0, alpha_max, steps):
 def test_trace_exponents_final_step_follows_the_step_size_law(alpha0, alpha_max, steps, expected):
     y = trace_exponents(_hand_trace(alpha0, alpha_max, steps), alpha0)
     assert y.tolist() == expected
+
+
+# -- the vectorised kernels against the loops they replaced --------------------
+
+
+def _loop_hitting_prob_exact(p, l, n):
+    """Per-level recursion: the distribution of the {0..l} chain, l absorbing."""
+    if l == 0:
+        return 1.0
+    q = 1.0 - p
+    v = np.zeros(l + 1)
+    v[0] = 1.0
+    for _ in range(n):
+        nxt = np.zeros_like(v)
+        nxt[0] = p * v[0] + (p * v[1] if l >= 2 else 0.0)
+        if l >= 2:
+            nxt[1 : l - 1] = q * v[0 : l - 2] + p * v[2:l]
+            nxt[l - 1] = q * v[l - 2]
+        nxt[l] = v[l] + q * v[l - 1]
+        v = nxt
+    return float(v[l])
+
+
+def _loop_walks(q, m, n, rng):
+    """Z_0..Z_n of m walks, one step at a time, on the draws rng.random((m, n))."""
+    u = rng.random((m, n))
+    z = np.zeros((m, n + 1), dtype=np.int64)
+    for i in range(m):
+        for k in range(n):
+            z[i, k + 1] = z[i, k] + 1 if u[i, k] < q else max(z[i, k] - 1, 0)
+    return z
+
+
+def _loop_couple(y, p, rng, p_prime, t_eps=None):
+    """Step-by-step coupling: one draw per step that needs one, in step order."""
+    y = np.asarray(y, dtype=np.int64)
+    n = len(y) - 1
+    pp = np.broadcast_to(np.asarray(p_prime, dtype=float), (n,))
+    horizon = n if t_eps is None else t_eps
+    q = 1.0 - p
+    z = np.zeros(n + 1, dtype=np.int64)
+    for k in range(n):
+        moved_up = y[k + 1] == y[k] + 1
+        if k >= horizon:
+            z[k + 1] = z[k] + 1 if moved_up else max(z[k] - 1, 0)
+        elif y[k] <= -1:
+            z[k + 1] = z[k] + 1 if rng.random() < q else max(z[k] - 1, 0)
+        else:
+            pk = pp[k]
+            if pk < p:
+                raise CouplingInfeasibleError(
+                    f"success probability {pk} at step {k} is below the assumed level {p}"
+                )
+            if moved_up:
+                z[k + 1] = z[k] + 1
+            elif rng.random() < p / pk:
+                z[k + 1] = max(z[k] - 1, 0)
+            else:
+                z[k + 1] = z[k] + 1
+    return z
+
+
+def _loop_trace_exponents(trace, alpha_bar):
+    """One log per record for the grid shift, then the final step by the law."""
+    gamma = trace.config.gamma
+    y = np.empty(len(trace.records) + 1, dtype=np.int64)
+    for i, rec in enumerate(trace.records):
+        shift = math.log(rec.alpha_base / alpha_bar) / math.log(gamma)
+        if abs(shift - round(shift)) > 1e-9:
+            raise InvalidParameterError("off grid")
+        y[i] = rec.alpha_exp + round(shift)
+    if not trace.records:
+        y[-1] = 0
+        return y
+    last = trace.records[-1]
+    base, exp = update_step_size(last.alpha_base, last.alpha_exp, last.success, gamma, trace.config.alpha_max)
+    if not last.success:
+        y[-1] = y[-2] + 1
+    else:
+        y[-1] = y[-2] if (base, exp) != (last.alpha_base, last.alpha_exp - 1) else y[-2] - 1
+    return y
+
+
+_reliability = st.one_of(st.just(1.0), st.floats(0.5, 1.0, exclude_min=True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=_reliability, n=st.integers(1, 120), top=st.integers(0, 25), data=st.data())
+def test_hitting_exact_levels_equal_the_per_level_loop(p, n, top, data):
+    # every level of one call equals its own per-level recursion bit for bit,
+    # for the full range 0..top and for shuffled subsets with repeats
+    reference = [_loop_hitting_prob_exact(p, l, n) for l in range(top + 1)]
+    assert hitting_prob_exact(p, range(top + 1), n).tolist() == reference
+    subset = data.draw(st.lists(st.integers(0, top), max_size=8))
+    got = hitting_prob_exact(p, subset, n)
+    assert got.shape == (len(subset),)
+    assert got.tolist() == [reference[l] for l in subset]
+    level = data.draw(st.integers(0, top))
+    single = hitting_prob_exact(p, level, n)
+    assert type(single) is float and single == reference[level]
+
+
+def test_hitting_exact_rejects_bad_levels():
+    for bad in (-1, [3, -2], [1.5], [[1, 2]]):
+        with pytest.raises(InvalidParameterError):
+            hitting_prob_exact(0.8, bad, 10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    q=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    m=st.integers(1, 5),
+    n=st.integers(1, 40),
+    block=st.sampled_from([1, 2, 3, 7, 64, 2**16]),
+    seed=st.integers(0, 2**31),
+)
+def test_walk_kernel_equals_the_step_loop(q, m, n, block, seed):
+    # paths, ensemble maxima and finals match a step-by-step walk on the same
+    # draws, however the ensemble is cut into blocks, and leave the generator
+    # where rng.random((m, n)) leaves it
+    ref_rng = np.random.default_rng(seed)
+    z = _loop_walks(q, m, n, ref_rng)
+    after = ref_rng.random()
+    rng = np.random.default_rng(seed)
+    with mock.patch.object(walk, "_BLOCK", block):
+        max_levels, finals = walk_ensemble_stats(1.0 - q, n, m, rng)
+    assert max_levels.tolist() == z.max(axis=1).tolist()
+    assert finals.tolist() == z[:, -1].tolist()
+    assert rng.random() == after
+    rng = np.random.default_rng(seed)
+    path = simulate_walk(WalkParams(p=1.0 - q, gamma=0.5, alpha_bar=1.0), n, rng)
+    assert path.states.tolist() == _loop_walks(q, 1, n, np.random.default_rng(seed))[0].tolist()
+    assert rng.random() == np.random.default_rng(seed).random(n + 1)[-1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    p=_reliability,
+    y0=st.integers(-3, 0),
+    moves=st.lists(st.sampled_from([-1, 0, 1]), min_size=1, max_size=60),
+    p_prime=st.one_of(st.floats(0.4, 1.0), st.lists(st.floats(0.4, 1.0), min_size=60, max_size=60)),
+    t_eps=st.one_of(st.none(), st.integers(-1, 62)),
+    seed=st.integers(0, 2**31),
+)
+def test_coupling_equals_the_step_loop(p, y0, moves, p_prime, t_eps, seed):
+    # same path and same generator state afterwards; an infeasible step is
+    # refused with the same message
+    y = y0 + np.concatenate(([0], np.cumsum(moves)))
+    pp = p_prime if isinstance(p_prime, float) else np.array(p_prime[: len(moves)])
+    ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    try:
+        expected = _loop_couple(y, p, ref_rng, pp, t_eps)
+    except CouplingInfeasibleError as exc:
+        with pytest.raises(CouplingInfeasibleError) as got:
+            couple_with_trace(y, p, rng, pp, t_eps)
+        assert str(got.value) == str(exc)
+        return
+    assert couple_with_trace(y, p, rng, pp, t_eps).states.tolist() == expected.tolist()
+    assert rng.random() == ref_rng.random()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lift=st.integers(0, 3),
+    alpha_max=st.sampled_from([1.0, math.inf]),
+    outcomes=st.lists(st.booleans(), max_size=40),
+    anchor=st.sampled_from([0, 1, -2]),
+)
+def test_trace_exponents_equal_the_record_loop(lift, alpha_max, outcomes, anchor):
+    # records follow the step-size law from alpha0 = 2**-lift, so the cap can
+    # re-anchor them at alpha_max; the exponents of both anchors agree
+    alpha0, steps, base, exp = 0.5**lift, [], 0.5**lift, 0
+    for success in outcomes:
+        steps.append((base, exp, success))
+        base, exp = update_step_size(base, exp, success, 0.5, alpha_max)
+    trace = _hand_trace(alpha0, alpha_max, steps)
+    alpha_bar = alpha0 * 0.5**anchor
+    assert trace_exponents(trace, alpha_bar).tolist() == _loop_trace_exponents(trace, alpha_bar).tolist()
+    if steps:
+        with pytest.raises(InvalidParameterError):
+            trace_exponents(trace, alpha0 * 0.7)
+
+
+def test_walk_ensemble_memory_is_bounded_in_n_and_reps():
+    # 5000 x 1000 steps would be 40 MB of uniform draws at once
+    tracemalloc.start()
+    try:
+        walk_ensemble_stats(0.8, 5000, 1000, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
