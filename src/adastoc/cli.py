@@ -371,6 +371,8 @@ OPTIMIZE_OPTIONS = {
 
 
 def run_optimize(opts: dict) -> int:
+    if not opts["epsilon"] > 0.0:
+        raise CliValidationError("epsilon must be positive")
     problem = _build_problem(opts)
     method = _build_method(opts)
     suite = _build_suite(opts, problem, opts["epsilon"])
@@ -551,3 +553,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

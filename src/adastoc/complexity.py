@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AssumptionViolationError, InvalidParameterError
-from .framework import AlgoConfig, RunTrace, derive_configs, run_lockstep
+from .framework import AlgoConfig, RunTrace, _lockstep, _start, derive_configs
 from .oracles import (
     SassOracleSpec,
     StormOracleSpec,
@@ -48,22 +48,7 @@ __all__ = [
     "storm_complexity_report",
     "sass_complexity_report",
     "monte_carlo_toc",
-    "SUMMARY_CSV_HEADER",
-    "summary_csv_row",
 ]
-
-SUMMARY_CSV_HEADER = (
-    "epsilon",
-    "n",
-    "gamma",
-    "bound_expected",
-    "bound_highprob",
-    "failure_prob",
-    "mc_mean",
-    "mc_p50",
-    "mc_p95",
-    "exceed_frac",
-)
 
 
 @dataclass(frozen=True)
@@ -111,14 +96,13 @@ class MethodComplexityReport:
 
 def accumulate_toc(trace: RunTrace, horizon: int | None = None) -> TocRecord:
     """Sum per-iteration costs over the trace, optionally capped at a horizon."""
-    records = trace.records if horizon is None else trace.records[:horizon]
-    toc0 = sum(rec.cost0 for rec in records)
-    toc1 = sum(rec.cost1 for rec in records)
+    cost0, cost1 = trace.cost0[:horizon], trace.cost1[:horizon]
+    toc0, toc1 = sum(cost0.tolist()), sum(cost1.tolist())
     stopped = trace.stopping_iteration is not None and (
         horizon is None or trace.stopping_iteration <= horizon
     )
     return TocRecord(
-        toc0=toc0, toc1=toc1, toc=toc0 + toc1, iterations_used=len(records), stopped=stopped
+        toc0=toc0, toc1=toc1, toc=toc0 + toc1, iterations_used=len(cost0), stopped=stopped
     )
 
 
@@ -303,20 +287,22 @@ def monte_carlo_toc(
     """Independent replications of the adaptive loop with per-replication TOC records.
 
     Replication seeds derive deterministically from master_seed, and the
-    replications advance in lockstep (`framework.run_lockstep`); each one's
-    record equals accumulate_toc of run_adaptive at its seed.
+    replications advance in lockstep keeping only their sample totals;
+    each one's record equals accumulate_toc of run_adaptive at its seed.
     exceed_fraction is the fraction of replications whose total cost
-    exceeds the supplied bound (nan when no bound is given).  An error is
-    reported as a one-at-a-time run would report it: the lowest replication
-    that fails is named, with its iteration.
+    exceeds the supplied bound (nan when no bound is given).  A bad start
+    point or configuration is refused before any replication runs; an
+    error during the runs names the lowest replication that fails, with
+    its iteration, as one-at-a-time runs would.
     """
     seeds = [cfg.seed for cfg in derive_configs(config, master_seed, replications)]
+    x = _start(problem, method, oracle_suite, epsilon, mode, x0)
     try:
-        ends = run_lockstep(problem, method, oracle_suite, config, epsilon, seeds, mode=mode, x0=x0)
+        ends = _lockstep(problem, method, oracle_suite, config, epsilon, mode, x, seeds, record=False)
     except Exception:
         for i, seed in enumerate(seeds):
             try:
-                run_lockstep(problem, method, oracle_suite, config, epsilon, [seed], mode=mode, x0=x0)
+                _lockstep(problem, method, oracle_suite, config, epsilon, mode, x, [seed], record=False)
             except Exception as exc:
                 raise type(exc)(f"replication {i}: {exc}") from exc
         raise
@@ -345,27 +331,4 @@ def monte_carlo_toc(
         mean_iterations=float(np.mean([rec.iterations_used for rec in records])),
         stopped_fraction=float(np.mean([rec.stopped for rec in records])),
         exceed_fraction=exceed,
-    )
-
-
-def summary_csv_row(
-    epsilon: float,
-    n: int,
-    gamma: float,
-    expected: BoundReport,
-    high_probability: BoundReport,
-    summary: McTocSummary,
-) -> tuple:
-    """One row of the bound-versus-Monte-Carlo summary table."""
-    return (
-        epsilon,
-        n,
-        gamma,
-        expected.bound_value,
-        high_probability.bound_value,
-        high_probability.failure_prob,
-        summary.mean_toc,
-        summary.p50_toc,
-        summary.p95_toc,
-        summary.exceed_fraction,
     )

@@ -14,8 +14,14 @@ Each row draws from its own generator, in the order a lone run draws (the
 gradient estimate, then the values at the iterate and at the trial
 point), and every row takes the same block of draws per call, so a
 replication's numbers do not depend on how many rows run beside it.
-`run_adaptive` is the loop at R = 1 keeping a trace; `run_lockstep` runs
-R rows and keeps only where each one ended.
+`run_lockstep` keeps every row's trace and returns one `RunTrace` per
+seed; `run_adaptive` is its one-seed call.  The Monte Carlo harness
+(`complexity.monte_carlo_toc`) runs the same loop keeping only each row's
+sample totals, so its memory does not grow with the iterations.
+
+A trace is columns, one array per recorded quantity (`TRACE_COLUMNS`), as
+the loop produces them; `RunTrace.records` is the same trace as one
+`IterationRecord` per iteration, built on first use.
 
 The loop speaks one plug-in protocol: the suite's `gradient_rows` and
 `values_rows` and the method's `propose_rows` and `accepts_rows` (see
@@ -36,6 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -58,11 +65,23 @@ __all__ = [
     "stopping_time",
     "run_adaptive",
     "run_lockstep",
-    "RowResult",
     "empirical_success_probability",
+    "TRACE_COLUMNS",
     "TRACE_CSV_HEADER",
 ]
 
+# a trace's columns and their dtypes; cost0/cost1 hold Python ints, exact beyond int64
+_COLUMN_DTYPES = {
+    "alpha": float,
+    "success": bool,
+    "cost0": object,
+    "cost1": object,
+    "true_grad_norm": float,
+    "true_gap": float,
+    "alpha_base": float,
+    "alpha_exp": np.int64,
+}
+TRACE_COLUMNS = tuple(_COLUMN_DTYPES)
 TRACE_CSV_HEADER = ("k", "alpha", "success", "cost0", "cost1", "true_grad_norm", "true_gap")
 
 NONCONVEX = "nonconvex"
@@ -128,39 +147,55 @@ class IterationRecord:
     alpha_exp: int
 
 
-@dataclass
 class RunTrace:
-    """The realization of one run: per-iteration records plus stopping data.
+    """The realization of one run: one array per trace column plus stopping data.
 
-    Records cover iterations 0..T-1 when the run stopped at T (a stopped run
-    does no work at its stopping index); final_grad_norm/final_gap are the
-    ground-truth measures at the last iterate reached.
+    The columns (`TRACE_COLUMNS`) cover iterations 0..T-1 when the run
+    stopped at T (a stopped run does no work at its stopping index):
+    alpha, success, cost0 and cost1 (object arrays of Python ints),
+    true_grad_norm, true_gap, alpha_base and alpha_exp.
+    final_grad_norm/final_gap are the ground-truth measures at the last
+    iterate reached.  A trace built from IterationRecords converts them to
+    columns once; `records` converts back, once, on first use.
     """
 
-    records: list[IterationRecord]
-    stopping_iteration: int | None
-    config: AlgoConfig
-    epsilon: float
-    mode: str
-    final_grad_norm: float
-    final_gap: float
-    final_x: np.ndarray = field(repr=False)
+    def __init__(
+        self,
+        records: list[IterationRecord],
+        stopping_iteration: int | None,
+        config: AlgoConfig,
+        epsilon: float,
+        mode: str,
+        final_grad_norm: float,
+        final_gap: float,
+        final_x: np.ndarray,
+    ):
+        for name, dtype in _COLUMN_DTYPES.items():
+            setattr(self, name, np.array([getattr(rec, name) for rec in records], dtype=dtype))
+        self.stopping_iteration = stopping_iteration
+        self.config = config
+        self.epsilon = epsilon
+        self.mode = mode
+        self.final_grad_norm = final_grad_norm
+        self.final_gap = final_gap
+        self.final_x = final_x
 
-    def csv_rows(self):
-        for rec in self.records:
-            yield (
-                rec.k,
-                rec.alpha,
-                rec.success,
-                rec.cost0,
-                rec.cost1,
-                rec.true_grad_norm,
-                rec.true_gap,
-            )
+    @classmethod
+    def _from_columns(cls, columns: dict, **ends) -> RunTrace:
+        """A trace from one array per column and the stopping data, without IterationRecords."""
+        trace = cls.__new__(cls)
+        vars(trace).update(columns, **ends)
+        return trace
+
+    @cached_property
+    def records(self) -> list[IterationRecord]:
+        rows = zip(*(getattr(self, name).tolist() for name in TRACE_COLUMNS))
+        return [IterationRecord(k, *row) for k, row in enumerate(rows)]
 
     def write_csv(self, path: str | Path) -> None:
+        columns = [getattr(self, name).tolist() for name in TRACE_CSV_HEADER[1:]]
         lines = [",".join(TRACE_CSV_HEADER)]
-        lines.extend(format_row(row) for row in self.csv_rows())
+        lines.extend(format_row(row) for row in zip(range(len(self.alpha)), *columns))
         Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -200,18 +235,16 @@ def stopping_time(trace: RunTrace, epsilon: float, mode: str) -> int | None:
     if mode not in _MODES:
         raise InvalidParameterError(f"unknown stopping mode {mode!r}")
     if mode == NONCONVEX:
-        measures = [rec.true_grad_norm for rec in trace.records]
-        final = trace.final_grad_norm
+        measures, final = trace.true_grad_norm, trace.final_grad_norm
     else:
-        measures = [rec.true_gap for rec in trace.records]
-        final = trace.final_gap
-        if any(math.isnan(m) for m in measures) or math.isnan(final):
+        measures, final = trace.true_gap, trace.final_gap
+        if np.isnan(measures).any() or math.isnan(final):
             raise MissingGroundTruthError(
                 "strongly_convex stopping needs the problem's minimum value"
             )
-    for k, m in enumerate(measures):
-        if m <= epsilon:
-            return k
+    met = np.flatnonzero(measures <= epsilon)
+    if len(met):
+        return int(met[0])
     if final <= epsilon:
         return len(measures)
     return None
@@ -223,7 +256,7 @@ class RowResult:
 
     stopping_iteration is None when the row reached max_iterations;
     iterations counts the iterations it ran, toc0/toc1 its value and
-    gradient sample totals.
+    gradient sample totals (kept only when the trace is not).
     """
 
     stopping_iteration: int | None
@@ -249,20 +282,7 @@ def run_adaptive(
     Fresh oracle calls are made every iteration.  The trace is a
     deterministic function of (problem, config.seed, x0).
     """
-    (end,), chunks, sizes = _lockstep(
-        problem, method, oracle_suite, config, epsilon, mode, x0, [config.seed], record=True
-    )
-    min_value = math.nan if problem.min_value is None else problem.min_value
-    return RunTrace(
-        records=_records(chunks, sizes, min_value),
-        stopping_iteration=end.stopping_iteration,
-        config=config,
-        epsilon=epsilon,
-        mode=mode,
-        final_grad_norm=end.final_grad_norm,
-        final_gap=end.final_gap,
-        final_x=end.final_x,
-    )
+    return run_lockstep(problem, method, oracle_suite, config, epsilon, [config.seed], mode, x0)[0]
 
 
 def run_lockstep(
@@ -274,32 +294,29 @@ def run_lockstep(
     seeds,
     mode: str = NONCONVEX,
     x0: np.ndarray | None = None,
-) -> list[RowResult]:
+) -> list[RunTrace]:
     """One replication per seed, advanced together; config.seed is not used.
 
-    Row i's result is what run_adaptive gives with seed seeds[i], its
-    sample totals equal to accumulate_toc of that trace.
+    Trace i is what run_adaptive gives with seed seeds[i].
     """
-    return _lockstep(problem, method, oracle_suite, config, epsilon, mode, x0, seeds, record=False)[0]
+    x = _start(problem, method, oracle_suite, epsilon, mode, x0)
+    return _lockstep(problem, method, oracle_suite, config, epsilon, mode, x, seeds, record=True)
 
 
 _BLOCK = 256  # draws each row's generator is read ahead by
+_CHUNK = 1024  # trace entries (rows x iterations) kept as per-iteration arrays before they are packed
 
 
-def _lockstep(problem, method, suite, config, epsilon, mode, x0, seeds, record):
-    """The adaptive loop over one row per seed.
+def _lockstep(problem, method, suite, config, epsilon, mode, x, seeds, record):
+    """The adaptive loop over one row per seed, from the start point x (see `_start`).
 
-    Returns (results, packed trace chunks, the step-size table).  With
-    record (R = 1 only) the trace is kept and the sample totals are not.
+    With record, returns one RunTrace per seed.  Without, returns one
+    RowResult per seed: the trace is not kept, only the sample totals.
     """
-    _check_run(problem, method, suite, epsilon, mode)
     if len(seeds) < 1:
         raise InvalidParameterError("at least one seed is needed")
     rngs = [np.random.default_rng(seed) for seed in seeds]
     streams = RowStreams(rngs, suite.draws, _BLOCK)
-    x = np.array(problem.x0 if x0 is None else x0, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise InvalidParameterError("x0 must be finite")
     min_value = math.nan if problem.min_value is None else problem.min_value
     gap_mode = mode == STRONGLY_CONVEX
 
@@ -313,7 +330,7 @@ def _lockstep(problem, method, suite, config, epsilon, mode, x0, seeds, record):
     state = np.zeros(n, dtype=np.intp)  # _StepSizes.slot(0, 0): alpha = alpha0
     toc0 = toc1 = np.zeros(n, dtype=object)
     results: list[RowResult | None] = [None] * n
-    chunks, columns = [], []  # the trace, packed every _CHUNK iterations
+    chunks, columns, pending = [], [], 0  # the trace of every row, packed every _CHUNK entries
     retire = np.count_nonzero(met) > 0
     max_iterations = config.max_iterations
     # the loop body runs once per iteration whatever R is: bind its callees once
@@ -364,10 +381,11 @@ def _lockstep(problem, method, suite, config, epsilon, mode, x0, seeds, record):
             raise NumericError(f"non-finite value estimate at iteration {k}")
         success = accepts_rows(f0, f_plus, g_hat, steps, aux, alpha, config)
         if record:
-            columns.append((state, success, cost0, cost1, grad_norm, F))
-            if len(columns) == _CHUNK:
+            columns.append((ids, state, success, cost0, cost1, grad_norm, F))
+            pending += len(ids)
+            if pending >= _CHUNK:
                 chunks.append(_pack(columns))
-                columns = []
+                columns, pending = [], 0
         else:
             toc0 = toc0 + cost0
             toc1 = toc1 + cost1
@@ -386,23 +404,50 @@ def _lockstep(problem, method, suite, config, epsilon, mode, x0, seeds, record):
             retire = count(met) > 0
         state = sizes.next[state + success]
         k += 1
+    if not record:
+        return results
     if columns:
         chunks.append(_pack(columns))
-    return results, chunks, sizes
-
-
-_CHUNK = 1024  # trace iterations kept as small arrays before they are packed
+    return _traces(chunks, results, sizes, min_value, config, epsilon, mode)
 
 
 def _pack(columns) -> tuple:
-    """One-row trace columns as arrays: state, success, cost0, cost1, grad_norm, f."""
-    state, success, cost0, cost1, grad_norm, f = zip(*columns)
+    """Several iterations' entries as one array per column: ids, state, success, cost0, cost1, grad_norm, f."""
+    ids, state, success, cost0, cost1, grad_norm, f = zip(*columns)
+    lengths = [len(i) for i in ids]
 
-    def ints(costs):
-        return np.array([c if isinstance(c, int) else c[0] for c in costs], dtype=object)
+    def samples(costs):  # a suite returns one sample count for all rows or one per row
+        if all(isinstance(c, int) for c in costs):
+            return np.repeat(np.array(costs, dtype=object), lengths)
+        return np.concatenate(
+            [np.full(m, c, dtype=object) if isinstance(c, int) else c for c, m in zip(costs, lengths)]
+        )
 
     flat = np.concatenate
-    return flat(state), flat(success), ints(cost0), ints(cost1), flat(grad_norm), flat(f)
+    return flat(ids), flat(state), flat(success), samples(cost0), samples(cost1), flat(grad_norm), flat(f)
+
+
+def _traces(chunks, ends, sizes, min_value, config, epsilon, mode) -> list[RunTrace]:
+    """One RunTrace per row: a stable sort on the row ids puts each row's iterations together, in order."""
+    columns = {name: np.empty(0, dtype=dtype) for name, dtype in _COLUMN_DTYPES.items()}
+    if chunks:
+        ids, *parts = zip(*chunks)
+        order = np.argsort(np.concatenate(ids), kind="stable")
+        state, success, cost0, cost1, grad_norm, gap = (np.concatenate(p)[order] for p in parts)
+        gap -= min_value
+        columns = dict(zip(TRACE_COLUMNS, (
+            sizes.alpha[state], success, cost0, cost1, grad_norm, gap,
+            sizes.base[state], sizes.exp[state],
+        )))
+    bounds = np.cumsum([end.iterations for end in ends]).tolist()
+    traces = []
+    for end, lo, hi in zip(ends, [0] + bounds, bounds):
+        traces.append(RunTrace._from_columns(
+            {name: col[lo:hi] for name, col in columns.items()},
+            stopping_iteration=end.stopping_iteration, config=config, epsilon=epsilon, mode=mode,
+            final_grad_norm=end.final_grad_norm, final_gap=end.final_gap, final_x=end.final_x,
+        ))
+    return traces
 
 
 class _StepSizes:
@@ -500,25 +545,8 @@ def _power(gamma: float, e: int) -> float:
         return math.inf
 
 
-def _records(chunks, sizes: _StepSizes, min_value: float) -> list[IterationRecord]:
-    """IterationRecords from the packed trace of a one-row run."""
-    if not chunks:
-        return []
-    state, success, cost0, cost1, grad_norm, f = (np.concatenate(col) for col in zip(*chunks))
-    rows = zip(
-        sizes.alpha[state].tolist(),
-        success.tolist(),
-        cost0.tolist(),
-        cost1.tolist(),
-        grad_norm.tolist(),
-        (f - min_value).tolist(),
-        sizes.base[state].tolist(),
-        sizes.exp[state].tolist(),
-    )
-    return [IterationRecord(k, *row) for k, row in enumerate(rows)]
-
-
-def _check_run(problem: Problem, method, oracle_suite, epsilon: float, mode: str) -> None:
+def _start(problem: Problem, method, oracle_suite, epsilon: float, mode: str, x0) -> np.ndarray:
+    """Check a run's configuration before anything is drawn; return its start point."""
     _check_rows(oracle_suite, ("gradient", "values"))
     _check_rows(method, ("propose", "accepts"))
     if epsilon <= 0.0:
@@ -535,6 +563,12 @@ def _check_run(problem: Problem, method, oracle_suite, epsilon: float, mode: str
     oracle_suite.validate(problem)
     if mode == STRONGLY_CONVEX and problem.min_value is None:
         raise MissingGroundTruthError("strongly_convex stopping needs a known minimum value")
+    x = np.array(problem.x0 if x0 is None else x0, dtype=float)
+    if x.shape != (problem.dim,):
+        raise InvalidParameterError(f"x0 must have shape ({problem.dim},), got {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise InvalidParameterError("x0 must be finite")
+    return x
 
 
 def _check_rows(plugin, names: tuple[str, ...]) -> None:
@@ -571,14 +605,11 @@ def empirical_success_probability(
     """
     if alpha_bar <= 0.0:
         raise InvalidParameterError("alpha_bar must be positive")
-    successes = 0
-    count = 0
-    tol = 1.0 + 1e-12
+    successes = count = 0
     for trace in traces:
-        for rec in trace.records:
-            if rec.alpha <= alpha_bar * tol:
-                count += 1
-                successes += rec.success
+        below = trace.alpha <= alpha_bar * (1.0 + 1e-12)
+        count += int(np.count_nonzero(below))
+        successes += int(np.count_nonzero(trace.success[below]))
     if count == 0:
         return None, 0
     return successes / count, count

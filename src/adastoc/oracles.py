@@ -577,10 +577,6 @@ class PairCorruptionOracles:
             if not (0.0 <= getattr(self, name) < 0.5):
                 raise InvalidParameterError(f"{name} must lie in [0, 1/2)")
 
-    @property
-    def clean_probability(self) -> float:
-        return (1.0 - self.delta0) * (1.0 - self.delta1)
-
     def validate(self, problem: Problem) -> None:
         pass
 

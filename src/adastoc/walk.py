@@ -117,9 +117,6 @@ class WalkPath:
     def max_level(self) -> int:
         return int(self.states.max())
 
-    def hits(self, level: int) -> bool:
-        return bool((self.states >= level).any())
-
 
 _BLOCK = 2**16  # walk steps per ensemble block: 512 KiB of uniform draws, cache-resident
 
@@ -189,7 +186,7 @@ def trace_exponents(trace, alpha_bar: float) -> np.ndarray:
     """
     gamma = trace.config.gamma
     log_gamma = math.log(gamma)
-    bases, which = np.unique([rec.alpha_base for rec in trace.records], return_inverse=True)
+    bases, which = np.unique(trace.alpha_base, return_inverse=True)
     shifts = np.empty(len(bases), dtype=np.int64)
     for j, base in enumerate(bases.tolist()):  # alpha0, and alpha_max once the cap re-anchors
         shift = math.log(base / alpha_bar) / log_gamma
@@ -198,17 +195,16 @@ def trace_exponents(trace, alpha_bar: float) -> np.ndarray:
             raise InvalidParameterError(
                 "trace step sizes do not sit on the geometric grid anchored at alpha_bar"
             )
-    y = np.empty(len(trace.records) + 1, dtype=np.int64)
-    y[:-1] = np.array([rec.alpha_exp for rec in trace.records], dtype=np.int64) + shifts[which]
-    if trace.records:
-        last = trace.records[-1]
-        base, exp = update_step_size(
-            last.alpha_base, last.alpha_exp, last.success, gamma, trace.config.alpha_max
-        )
-        if not last.success:
+    y = np.empty(len(trace.alpha_exp) + 1, dtype=np.int64)
+    y[:-1] = trace.alpha_exp + shifts[which]
+    if len(trace.alpha_exp):
+        last_base, last_exp = trace.alpha_base[-1].item(), trace.alpha_exp[-1].item()
+        success = trace.success[-1].item()
+        base, exp = update_step_size(last_base, last_exp, success, gamma, trace.config.alpha_max)
+        if not success:
             y[-1] = y[-2] + 1
         else:  # a success that the alpha_max cap re-anchors keeps the exponent
-            capped = (base, exp) != (last.alpha_base, last.alpha_exp - 1)
+            capped = (base, exp) != (last_base, last_exp - 1)
             y[-1] = y[-2] if capped else y[-2] - 1
     else:
         y[-1] = 0

@@ -13,7 +13,7 @@ from scipy import stats
 
 from adastoc import cli
 from adastoc.complexity import monte_carlo_toc, storm_complexity_report
-from adastoc.framework import AlgoConfig, derive_configs, run_adaptive
+from adastoc.framework import AlgoConfig, derive_configs, run_lockstep
 from adastoc.methods import SassMethod, StormMethod
 from adastoc.oracles import (
     PairCorruptionOracles,
@@ -124,8 +124,9 @@ def test_criterion_05_coupling_soundness():
     rng = np.random.default_rng(31337)
     violations = 0
     finals = np.empty(pairs, dtype=np.int64)
-    for i, c in enumerate(derive_configs(cfg, 4242, pairs)):
-        trace = run_adaptive(prob, SassMethod(), suite, c, 1e-9, x0=np.array([2.0, 0.0]))
+    seeds = [c.seed for c in derive_configs(cfg, 4242, pairs)]
+    traces = run_lockstep(prob, SassMethod(), suite, cfg, 1e-9, seeds, x0=np.array([2.0, 0.0]))
+    for i, trace in enumerate(traces):
         assert trace.stopping_iteration is None
         y = trace_exponents(trace, 0.1)
         z = couple_with_trace(y, p_assumed, rng, p_prime=p_clean)

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from adastoc import cli
+import adastoc
+from adastoc import cli, complexity, framework
 
 
 def _run(argv):
@@ -328,4 +333,52 @@ def test_hitting_refuses_bad_level_or_reliability_before_simulating(tmp_path, ca
     argv = ["hitting", "--p=0.8", "--l-max=4", "--n=10", "--reps=100", flag, f"--out={tmp_path / 'h.csv'}"]
     assert _run(argv) == 1
     assert expected in capsys.readouterr().err
+    assert not (tmp_path / "h.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["optimize", "--problem=quadratic", "--dim=2", "--x0=1.0,2.0,3.0"],
+        ["optimize", "--problem=logistic", "--dim=5", "--x0=1.0,2.0"],
+        ["sweep", "--method=sass", "--oracle=corruption", "--noise=none", "--dim=2",
+         "--x0=1.0", "--epsilons=0.1", "--reps=3"],
+    ],
+)
+def test_x0_of_the_wrong_length_is_refused_before_running(tmp_path, capsys, monkeypatch, argv):
+    # a start point that does not match the problem's dimension is named as
+    # such, not left to a numpy broadcasting error; sweep refuses it once,
+    # before any replication runs
+    def no_loop(*args, **kwargs):
+        raise AssertionError("the adaptive loop ran with a start point of the wrong length")
+
+    monkeypatch.setattr(framework, "_lockstep", no_loop)
+    monkeypatch.setattr(complexity, "_lockstep", no_loop)
+    assert _run([*argv, f"--out={tmp_path / 'o.csv'}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: x0 must have shape (")
+    assert "replication" not in err
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("epsilon", ["0", "-0.1", "nan"])
+def test_optimize_refuses_a_non_positive_epsilon(tmp_path, capsys, epsilon):
+    # the tolerance is named, not the alpha bounds derived from it
+    for method in ("storm", "sass"):
+        argv = ["optimize", f"--method={method}", f"--epsilon={epsilon}", f"--out={tmp_path / 'o.csv'}"]
+        assert _run(argv) == 1
+        assert capsys.readouterr().err == "error: epsilon must be positive\n"
+        assert not (tmp_path / "o.csv").exists()
+
+
+def test_module_runs_as_a_script(tmp_path):
+    # `python -m adastoc.cli` runs main and exits with its code
+    src = str(Path(adastoc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "adastoc.cli", "hitting", "--l-max", "-1", "--out", str(tmp_path / "h.csv")],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 1
+    assert "l_max must be nonnegative" in done.stderr
     assert not (tmp_path / "h.csv").exists()

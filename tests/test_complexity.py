@@ -1,4 +1,7 @@
 import math
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -6,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adastoc import framework
 from adastoc.complexity import (
-    BoundReport,
     TocRecord,
     accumulate_toc,
     expected_toc_bound,
@@ -15,11 +18,17 @@ from adastoc.complexity import (
     monte_carlo_toc,
     sass_complexity_report,
     storm_complexity_report,
-    summary_csv_row,
-    SUMMARY_CSV_HEADER,
 )
 from adastoc.errors import AssumptionViolationError, InvalidParameterError, NumericError
-from adastoc.framework import AlgoConfig, IterationRecord, RunTrace, derive_configs, run_adaptive
+from adastoc.framework import (
+    TRACE_COLUMNS,
+    AlgoConfig,
+    IterationRecord,
+    RunTrace,
+    derive_configs,
+    run_adaptive,
+    run_lockstep,
+)
 from adastoc.methods import SassMethod, StormMethod
 from adastoc.oracles import (
     CostModel,
@@ -347,17 +356,33 @@ def _lockstep_case(name, alpha0, mode):
     k=st.integers(1, 6),
     j=st.integers(1, 6),
     master=st.integers(0, 2**32 - 1),
+    chunk=st.sampled_from([1, 5, 1024]),
 )
-def test_lockstep_replications_equal_separate_runs(name, alpha0, mode, k, j, master):
-    # R replications advanced together give each one's run_adaptive totals,
-    # and the first j rows of R = k are the R = j run
+def test_lockstep_replications_equal_separate_runs(name, alpha0, mode, k, j, master, chunk):
+    # R replications advanced together give each one's run_adaptive trace,
+    # column by column and in CSV bytes, however the trace is packed, and
+    # its totals; the first j rows of R = k are the R = j run
     prob, method, suite, cfg, eps, mode = _lockstep_case(name, alpha0, mode)
+    configs = derive_configs(cfg, master, k)
+    separate = [run_adaptive(prob, method, suite, c, eps, mode=mode) for c in configs]
+    with mock.patch.object(framework, "_CHUNK", chunk):
+        together = run_lockstep(prob, method, suite, cfg, eps, [c.seed for c in configs], mode=mode)
+    assert len(together) == k
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, (a, b) in enumerate(zip(together, separate)):
+            for column in TRACE_COLUMNS:
+                ca, cb = getattr(a, column), getattr(b, column)
+                assert ca.dtype == cb.dtype and ca.tolist() == cb.tolist(), column
+            assert (a.stopping_iteration, a.final_grad_norm, a.final_gap) == (
+                b.stopping_iteration, b.final_grad_norm, b.final_gap
+            )
+            assert a.final_x.tolist() == b.final_x.tolist()
+            paths = Path(tmp) / f"a{i}.csv", Path(tmp) / f"b{i}.csv"
+            a.write_csv(paths[0])
+            b.write_csv(paths[1])
+            assert paths[0].read_bytes() == paths[1].read_bytes()
     summary = monte_carlo_toc(prob, method, suite, cfg, eps, k, master, mode=mode)
-    separate = [
-        accumulate_toc(run_adaptive(prob, method, suite, c, eps, mode=mode))
-        for c in derive_configs(cfg, master, k)
-    ]
-    assert list(summary.records) == separate
+    assert list(summary.records) == [accumulate_toc(t) for t in separate]
     j = min(j, k)
     assert monte_carlo_toc(prob, method, suite, cfg, eps, j, master, mode=mode).records == summary.records[:j]
 
@@ -398,13 +423,3 @@ def test_monte_carlo_propagates_errors_with_replication_index():
     prob = make_problem("quadratic", 2, 1.0, NoiseSpec.none(), seed=0)
     with pytest.raises(NumericError, match="replication 0"):
         monte_carlo_toc(prob, SassMethod(), Broken(), _config(), 1e-6, 3, 0)
-
-
-def test_summary_csv_row_schema():
-    expected = BoundReport(bound_value=10.0, failure_prob=0.0, kind="expected")
-    hp = BoundReport(bound_value=20.0, failure_prob=0.3, kind="high_probability")
-    prob = make_problem("quadratic", 2, 1.0, NoiseSpec.none(), seed=0)
-    summary = monte_carlo_toc(prob, SassMethod(), ExactOracles(), _config(), 1e-3, 2, 0, bound=hp)
-    row = summary_csv_row(0.1, 100, 0.8, expected, hp, summary)
-    assert len(row) == len(SUMMARY_CSV_HEADER)
-    assert row[:6] == (0.1, 100, 0.8, 10.0, 20.0, 0.3)

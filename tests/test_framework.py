@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adastoc.complexity import accumulate_toc
+from adastoc.complexity import accumulate_toc, monte_carlo_toc
 from adastoc.errors import (
     ConfigurationError,
     InvalidParameterError,
@@ -21,6 +21,7 @@ from adastoc.framework import (
     derive_configs,
     empirical_success_probability,
     run_adaptive,
+    run_lockstep,
     stopping_time,
     update_step_size,
 )
@@ -401,3 +402,29 @@ def test_derive_configs_are_deterministic_and_distinct():
     b = derive_configs(cfg, 5, 8)
     assert [c.seed for c in a] == [c.seed for c in b]
     assert len({c.seed for c in a}) == 8
+
+
+@pytest.mark.parametrize("x0", [np.zeros(3), np.zeros(1), np.zeros((1, 2)), np.float64(1.0)])
+def test_start_point_of_the_wrong_shape_is_refused(x0):
+    # refused by name before any draw, in a single run, a lockstep run and
+    # the Monte Carlo harness alike
+    prob = make_problem("quadratic", 2, 1.0, NoiseSpec.none(), seed=0)
+    calls = (
+        lambda: run_adaptive(prob, SassMethod(), ExactOracles(), _config(), 1e-3, x0=x0),
+        lambda: run_lockstep(prob, SassMethod(), ExactOracles(), _config(), 1e-3, [1, 2], x0=x0),
+        lambda: monte_carlo_toc(prob, SassMethod(), ExactOracles(), _config(), 1e-3, 3, 0, x0=x0),
+    )
+    for call in calls:
+        with pytest.raises(InvalidParameterError, match=r"^x0 must have shape \(2,\), got "):
+            call()
+
+
+def test_gap_column_is_measured_from_the_minimum_value():
+    # a logistic minimum is not 0, so a gap taken from 0 would show
+    prob = make_problem("logistic_synthetic", 3, 10.0, NoiseSpec.none(), seed=0)
+    assert prob.min_value > 0.0
+    x0 = np.ones(3)
+    cfg = _config(alpha0=0.1, alpha_max=0.1, max_iterations=5)
+    for trace in run_lockstep(prob, SassMethod(), ExactOracles(), cfg, 1e-9, [0, 1], x0=x0):
+        assert trace.true_gap[0] == prob.value(x0) - prob.min_value
+        assert trace.final_gap == prob.value(trace.final_x) - prob.min_value

@@ -8,8 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adastoc import walk
+from adastoc.complexity import TocRecord, accumulate_toc
 from adastoc.errors import CouplingInfeasibleError, InvalidParameterError
-from adastoc.framework import AlgoConfig, IterationRecord, RunTrace, update_step_size
+from adastoc.framework import (
+    TRACE_COLUMNS,
+    AlgoConfig,
+    IterationRecord,
+    RunTrace,
+    empirical_success_probability,
+    run_adaptive,
+    stopping_time,
+    update_step_size,
+)
+from adastoc.methods import SassMethod
+from adastoc.oracles import PairCorruptionOracles
+from adastoc.problems import NoiseSpec, make_problem
 from adastoc.walk import (
     WalkParams,
     couple_with_trace,
@@ -507,3 +520,83 @@ def test_walk_ensemble_memory_is_bounded_in_n_and_reps():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+# -- trace columns against the per-record definitions they replaced ------------
+
+
+def _record_toc(trace, horizon=None):
+    records = trace.records if horizon is None else trace.records[:horizon]
+    toc0 = sum(rec.cost0 for rec in records)
+    toc1 = sum(rec.cost1 for rec in records)
+    stopped = trace.stopping_iteration is not None and (
+        horizon is None or trace.stopping_iteration <= horizon
+    )
+    return TocRecord(toc0=toc0, toc1=toc1, toc=toc0 + toc1, iterations_used=len(records), stopped=stopped)
+
+
+def _record_stopping_time(trace, epsilon, mode):
+    if mode == "nonconvex":
+        measures, final = [rec.true_grad_norm for rec in trace.records], trace.final_grad_norm
+    else:
+        measures, final = [rec.true_gap for rec in trace.records], trace.final_gap
+    for k, m in enumerate(measures):
+        if m <= epsilon:
+            return k
+    return len(measures) if final <= epsilon else None
+
+
+def _record_success_probability(traces, alpha_bar):
+    successes = count = 0
+    for trace in traces:
+        for rec in trace.records:
+            if rec.alpha <= alpha_bar * (1.0 + 1e-12):
+                count += 1
+                successes += rec.success
+    return (None, 0) if count == 0 else (successes / count, count)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    headroom=st.sampled_from([1.0, 8.0, 3.0, math.inf]),
+    iterations=st.integers(1, 150),
+    epsilon=st.sampled_from([1e-12, 0.3]),
+    start=st.sampled_from([(2.0, 0.0), (0.0, 0.0), (0.4, -0.2)]),
+    horizon=st.integers(0, 200),
+)
+def test_trace_columns_round_trip_and_match_the_record_loops(
+    seed, headroom, iterations, epsilon, start, horizon
+):
+    # headroom 8 re-anchors on the grid of alpha0 (gamma = 1/2), 3 off it
+    prob = make_problem("quadratic", 2, 2.0, NoiseSpec.none(), seed=0)
+    cfg = AlgoConfig(theta=0.1, gamma=0.5, alpha0=0.05, alpha_max=0.05 * headroom,
+                     seed=seed, max_iterations=iterations)
+    trace = run_adaptive(prob, SassMethod(), PairCorruptionOracles(0.2, 0.2), cfg, epsilon, x0=np.array(start))
+    records = trace.records
+    rebuilt = RunTrace(
+        records=records, stopping_iteration=trace.stopping_iteration, config=cfg, epsilon=epsilon,
+        mode="nonconvex", final_grad_norm=trace.final_grad_norm, final_gap=trace.final_gap,
+        final_x=trace.final_x,
+    )
+    assert rebuilt.records == records
+    for name in TRACE_COLUMNS:
+        a, b = getattr(trace, name), getattr(rebuilt, name)
+        assert a.dtype == b.dtype and a.tolist() == b.tolist(), name
+    assert all(type(c) is int for c in trace.cost0.tolist() + trace.cost1.tolist())
+    for t in (trace, rebuilt):
+        for h in (None, 0, horizon):
+            assert accumulate_toc(t, h) == _record_toc(t, h)
+        for mode in ("nonconvex", "strongly_convex"):
+            for eps in {epsilon, 0.05, 1.0, *t.true_grad_norm[:3].tolist()} - {0.0}:
+                assert stopping_time(t, eps, mode) == _record_stopping_time(t, eps, mode)
+        for alpha_bar in (0.05, 0.025, 0.4):
+            assert empirical_success_probability([t, t], alpha_bar) == _record_success_probability([t, t], alpha_bar)
+        for alpha_bar in (0.05, 0.2):
+            try:
+                expected = _loop_trace_exponents(t, alpha_bar)
+            except InvalidParameterError:
+                with pytest.raises(InvalidParameterError):
+                    trace_exponents(t, alpha_bar)
+                continue
+            assert trace_exponents(t, alpha_bar).tolist() == expected.tolist()
