@@ -23,6 +23,7 @@ import json
 import math
 import os
 import sys
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +51,7 @@ from .oracles import (
     sass_cost_models,
 )
 from .problems import NoiseSpec, make_problem
-from .tableio import write_csv
+from .tableio import write_csv, write_formatted_csv
 from .walk import (
     WalkParams,
     gamma_threshold,
@@ -66,6 +67,7 @@ Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 DEFAULT_GAMMA_GRID = "0.5,0.6,0.7,0.8,0.9"
 
 WALK_CSV_HEADER = ("gamma", "k", "alpha_walk_min_so_far", "alpha_star")
+_WALK_CSV_FORMAT = "%.17e,%d,%.17e,%.17e"
 WALK_SUMMARY_HEADER = ("gamma", "alpha_star", "dip_fraction", "failure_bound", "n", "reps")
 HITTING_CSV_HEADER = ("l", "exact", "bound", "mc_estimate", "mc_ci_halfwidth")
 SWEEP_CSV_HEADER = (
@@ -181,15 +183,14 @@ def run_walk(opts: dict) -> int:
         path = simulate_walk(params, n, np.random.default_rng(path_stream))
         running_max = np.maximum.accumulate(path.states)
         min_so_far = params.alpha_bar * gamma ** running_max.astype(float)
-        for k in range(n + 1):
-            rows.append((gamma, k, float(min_so_far[k]), alpha_star))
+        rows.extend(zip(repeat(gamma), range(n + 1), min_so_far.tolist(), repeat(alpha_star)))
         max_levels, _ = walk_ensemble_stats(opts["p"], n, reps, np.random.default_rng(ensemble_stream))
         induced_min = params.alpha_bar * gamma ** max_levels.astype(float)
         dip_fraction = float(np.mean(induced_min < alpha_star))
         summary_rows.append(
             (gamma, alpha_star, dip_fraction, 1.0 - success_prob, n, reps)
         )
-    write_csv(out, WALK_CSV_HEADER, rows)
+    write_formatted_csv(out, WALK_CSV_HEADER, _WALK_CSV_FORMAT, rows)
     write_csv(summary_out, WALK_SUMMARY_HEADER, summary_rows)
     print(f"wrote {out} and {summary_out}")
     return 0

@@ -31,11 +31,14 @@ overrides a one-point method below its row method, is refused with
 ConfigurationError.
 
 Ground truth is evaluated once per distinct iterate: f at an accepted
-trial point becomes f at the next iterate, and grad f is recomputed only
-for rows that moved.  The oracle suite turns that truth into estimates;
-the optimizer itself never reads it.  The gradient norm and optimality gap
-are recorded every iteration, purely for instrumentation and
-stopping-time detection.
+trial point becomes f at the next iterate, and grad f is computed only
+for rows that moved.  A·x is computed once per point: evaluating f at the
+trial points (`Problem._value_rows`) also returns the partial result grad
+f is built from, which is kept until acceptance is known and finishes
+grad f for the rows that moved.  The oracle suite turns that truth into
+estimates; the optimizer itself never reads it.  The gradient norm and
+optimality gap are recorded every iteration, purely for instrumentation
+and stopping-time detection.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from .errors import (
 )
 from .problems import Problem
 from .rows import RowStreams, row_dot
-from .tableio import format_row
+from .tableio import write_formatted_csv
 
 __all__ = [
     "AlgoConfig",
@@ -83,6 +86,7 @@ _COLUMN_DTYPES = {
 }
 TRACE_COLUMNS = tuple(_COLUMN_DTYPES)
 TRACE_CSV_HEADER = ("k", "alpha", "success", "cost0", "cost1", "true_grad_norm", "true_gap")
+_TRACE_CSV_FORMAT = "%d,%.17e,%d,%d,%d,%.17e,%.17e"
 
 NONCONVEX = "nonconvex"
 STRONGLY_CONVEX = "strongly_convex"
@@ -194,9 +198,8 @@ class RunTrace:
 
     def write_csv(self, path: str | Path) -> None:
         columns = [getattr(self, name).tolist() for name in TRACE_CSV_HEADER[1:]]
-        lines = [",".join(TRACE_CSV_HEADER)]
-        lines.extend(format_row(row) for row in zip(range(len(self.alpha)), *columns))
-        Path(path).write_text("\n".join(lines) + "\n")
+        rows = zip(range(len(self.alpha)), *columns)
+        write_formatted_csv(path, TRACE_CSV_HEADER, _TRACE_CSV_FORMAT, rows)
 
 
 def update_step_size(
@@ -315,15 +318,16 @@ def _lockstep(problem, method, suite, config, epsilon, mode, x, seeds, record):
     """
     if len(seeds) < 1:
         raise InvalidParameterError("at least one seed is needed")
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    streams = RowStreams(rngs, suite.draws, _BLOCK)
+    streams = RowStreams((np.random.default_rng(seed) for seed in seeds), suite.draws, _BLOCK)
     min_value = math.nan if problem.min_value is None else problem.min_value
     gap_mode = mode == STRONGLY_CONVEX
 
     n = len(seeds)
     ids = np.arange(n)
     X = np.repeat(x[None], n, axis=0)
-    F, G = problem.value(X), problem.grad(X)
+    value_rows, grad_rows = problem._value_rows, problem._grad_rows
+    F, partial = value_rows(X)
+    G = grad_rows(X, partial)
     grad_norm = np.sqrt(row_dot(G, G))
     met = (F - min_value if gap_mode else grad_norm) <= epsilon
     sizes = _StepSizes(config)
@@ -337,7 +341,6 @@ def _lockstep(problem, method, suite, config, epsilon, mode, x, seeds, record):
     count, isfinite = np.count_nonzero, np.isfinite
     gradient_rows, values_rows = suite.gradient_rows, suite.values_rows
     propose_rows, accepts_rows = method.propose_rows, method.accepts_rows
-    value, grad = problem.value, problem.grad
 
     k = 0
     while True:
@@ -372,7 +375,7 @@ def _lockstep(problem, method, suite, config, epsilon, mode, x, seeds, record):
             raise NumericError(f"non-finite gradient estimate at iteration {k}")
         steps, aux = propose_rows(g_hat, alpha)
         X_plus = X + steps
-        F_plus = value(X_plus)
+        F_plus, partial = value_rows(X_plus)  # kept to build grad f at X_plus if a row accepts
         f0, f_plus, cost0 = values_rows(problem, X, X_plus, F, F_plus, alpha, streams)
         # a finite difference means both are finite; only an overflow needs the full check
         if count(isfinite(f0 - f_plus)) < len(f0) and not (
@@ -393,12 +396,12 @@ def _lockstep(problem, method, suite, config, epsilon, mode, x, seeds, record):
         moved = count(success)
         if moved:
             if moved == len(success):
-                X, F, G = X_plus, F_plus, grad(X_plus)
+                X, F, G = X_plus, F_plus, grad_rows(X_plus, partial)
             else:
                 X = np.where(success[:, None], X_plus, X)
                 F = np.where(success, F_plus, F)
                 G = G.copy()
-                G[success] = grad(X_plus[success])
+                G[success] = grad_rows(X_plus[success], partial[success])
             grad_norm = np.sqrt(row_dot(G, G))
             met = (F - min_value if gap_mode else grad_norm) <= epsilon
             retire = count(met) > 0
@@ -406,6 +409,7 @@ def _lockstep(problem, method, suite, config, epsilon, mode, x, seeds, record):
         k += 1
     if not record:
         return results
+    del streams  # the generators and their read-ahead buffers, before the trace is sorted
     if columns:
         chunks.append(_pack(columns))
     return _traces(chunks, results, sizes, min_value, config, epsilon, mode)
@@ -428,12 +432,19 @@ def _pack(columns) -> tuple:
 
 
 def _traces(chunks, ends, sizes, min_value, config, epsilon, mode) -> list[RunTrace]:
-    """One RunTrace per row: a stable sort on the row ids puts each row's iterations together, in order."""
+    """One RunTrace per row: a stable sort on the row ids puts each row's iterations together, in order.
+
+    Empties chunks, and sorts one column at a time, so each column's packed
+    pieces are freed as soon as it is sorted.
+    """
     columns = {name: np.empty(0, dtype=dtype) for name, dtype in _COLUMN_DTYPES.items()}
     if chunks:
-        ids, *parts = zip(*chunks)
-        order = np.argsort(np.concatenate(ids), kind="stable")
-        state, success, cost0, cost1, grad_norm, gap = (np.concatenate(p)[order] for p in parts)
+        parts = list(zip(*chunks))  # ids, state, success, cost0, cost1, grad_norm, f
+        chunks.clear()
+        order = np.argsort(np.concatenate(parts.pop(0)), kind="stable")
+        state, success, cost0, cost1, grad_norm, gap = (
+            np.concatenate(parts.pop(0))[order] for _ in range(6)
+        )
         gap -= min_value
         columns = dict(zip(TRACE_COLUMNS, (
             sizes.alpha[state], success, cost0, cost1, grad_norm, gap,

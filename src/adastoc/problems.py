@@ -88,7 +88,7 @@ class Problem:
     x0: np.ndarray = field(repr=False)
     _diag: np.ndarray | None = field(default=None, repr=False)
     _features: np.ndarray | None = field(default=None, repr=False)
-    _labels: np.ndarray | None = field(default=None, repr=False)
+    _neg_labels: np.ndarray | None = field(default=None, repr=False)  # -labels, the margins' signs
     _reg: float = 0.0
 
     # -- exact ground truth -------------------------------------------------
@@ -96,27 +96,22 @@ class Problem:
     # value and grad take one point (dim,) or a stack of points (R, dim), one
     # per row.  A stack is evaluated row by row through stacked matmuls, so
     # each row's result is bit-identical to evaluating that point alone.
+    # The formulas live in one pair of row functions: `_value_rows` returns
+    # f with the partial result grad f is built from (the margins -y * (A x)
+    # for logistic, D x for the quadratic), and `_grad_rows` finishes grad f
+    # from it, so a caller holding f at a point never computes A x again.
 
     def value(self, x: np.ndarray):
         """f(x): a float for one point, an (R,) array for a stack of points."""
         x = np.asarray(x, dtype=float)
-        rows = x[None] if x.ndim == 1 else x
-        if self.kind == "quadratic":
-            f = 0.5 * row_dot(rows, self._diag * rows)
-        else:
-            loss = np.mean(np.logaddexp(0.0, self._margins(rows)), axis=1)
-            f = loss + 0.5 * self._reg * row_dot(rows, rows)
+        f, _ = self._value_rows(x[None] if x.ndim == 1 else x)
         return float(f[0]) if x.ndim == 1 else f
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         """The gradient of f at x, with the shape of x."""
         x = np.asarray(x, dtype=float)
-        if self.kind == "quadratic":
-            return self._diag * x
         rows = x[None] if x.ndim == 1 else x
-        sig = 1.0 / (1.0 + np.exp(-self._margins(rows)))
-        coeff = -self._labels * sig / len(self._labels)
-        g = np.matmul(self._features.T, coeff[:, :, None])[:, :, 0] + self._reg * rows
+        g = self._grad_rows(rows, self._value_rows(rows)[1])
         return g[0] if x.ndim == 1 else g
 
     def gap(self, x: np.ndarray):
@@ -124,8 +119,22 @@ class Problem:
             raise MissingGroundTruthError(f"{self.kind} problem has no known minimum value")
         return self.value(x) - self.min_value
 
-    def _margins(self, x: np.ndarray) -> np.ndarray:
-        return -self._labels * np.matmul(self._features, x[:, :, None])[:, :, 0]
+    def _value_rows(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """f at each row of an (R, dim) stack, and the partial result `_grad_rows` takes."""
+        if self.kind == "quadratic":
+            dx = self._diag * rows
+            return 0.5 * row_dot(rows, dx), dx
+        margins = self._neg_labels * np.matmul(self._features, rows[:, :, None])[:, :, 0]
+        loss = np.add.reduce(np.logaddexp(0.0, margins), axis=1) / len(self._neg_labels)
+        return loss + 0.5 * self._reg * row_dot(rows, rows), margins
+
+    def _grad_rows(self, rows: np.ndarray, partial: np.ndarray) -> np.ndarray:
+        """grad f at each row of rows, from `_value_rows(rows)[1]` (or the same rows of it)."""
+        if self.kind == "quadratic":
+            return partial
+        sig = 1.0 / (1.0 + np.exp(-partial))
+        coeff = self._neg_labels * sig / len(self._neg_labels)
+        return np.matmul(self._features.T, coeff[:, :, None])[:, :, 0] + self._reg * rows
 
     # -- stochastic sampling ------------------------------------------------
 
@@ -257,7 +266,7 @@ def make_problem(
             seed=seed,
             x0=np.full(dim, 0.5),
             _features=features,
-            _labels=labels,
+            _neg_labels=-labels,
             _reg=reg,
         )
     raise InvalidParameterError(f"unknown problem kind {kind!r}")

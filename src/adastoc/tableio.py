@@ -33,7 +33,21 @@ def format_row(cells: Sequence) -> str:
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    path = Path(path)
-    lines = [",".join(header)]
-    lines.extend(format_row(r) for r in rows)
-    path.write_text("\n".join(lines) + "\n")
+    _write_lines(path, header, map(format_row, rows))
+
+
+def write_formatted_csv(
+    path: str | Path, header: Sequence[str], row_format: str, rows: Iterable[tuple]
+) -> None:
+    """write_csv for rows of fixed cell types, each row formatted by one `%` format string.
+
+    row_format holds one %d or %.17e per cell, which print as format_cell
+    does: %d prints ints of any size and bools as 1/0, and %.17e prints
+    floats including nan, inf, -inf, -0.0 and subnormals.  A row must be a
+    tuple.
+    """
+    _write_lines(path, header, map(row_format.__mod__, rows))
+
+
+def _write_lines(path: str | Path, header: Sequence[str], lines: Iterable[str]) -> None:
+    Path(path).write_text("\n".join([",".join(header), *lines]) + "\n")

@@ -9,6 +9,7 @@ import pytest
 
 import adastoc
 from adastoc import cli, complexity, framework
+from adastoc.tableio import write_csv
 
 
 def _run(argv):
@@ -30,6 +31,10 @@ def test_walk_schema_and_row_count(tmp_path):
     lines = (tmp_path / "walk.csv").read_text().splitlines()
     assert lines[0] == "gamma,k,alpha_walk_min_so_far,alpha_star"
     assert len(lines) == 1 + 2 * 51  # header + (n+1) rows per gamma
+    # the cells are what tableio.write_csv prints for the same values (%.17e round-trips)
+    rows = [(float(g), int(k), float(a), float(s)) for g, k, a, s in (line.split(",") for line in lines[1:])]
+    write_csv(tmp_path / "again.csv", lines[0].split(","), rows)
+    assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "walk.csv").read_bytes()
     summary = (tmp_path / "walk_summary.csv").read_text().splitlines()
     assert summary[0] == "gamma,alpha_star,dip_fraction,failure_bound,n,reps"
     assert len(summary) == 3

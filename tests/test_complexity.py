@@ -6,7 +6,7 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adastoc import framework
@@ -339,6 +339,11 @@ def _lockstep_case(name, alpha0, mode):
         prob = make_problem("quadratic", 3, 10.0, noise, seed=0)
         suite = SassMinibatchOracles(SassOracleSpec(), 0.05, batch_scale=3.0)
         return prob, SassMethod(), suite, AlgoConfig(r=0.01, **cfg), 0.05, mode
+    if name == "sass-corrupt-logistic":
+        # rows accept at different iterations, so grad f is built from the trial point's
+        # margins for a subset of rows
+        prob = make_problem("logistic_synthetic", 3, 10.0, NoiseSpec.none(), seed=1)
+        return prob, SassMethod(), PairCorruptionOracles(0.2, 0.15), AlgoConfig(**cfg), 2e-3, mode
     method, suite = name.split("-")
     method = SassMethod() if method == "sass" else StormMethod()
     suite = ExactOracles() if suite == "exact" else PairCorruptionOracles(0.2, 0.15)
@@ -349,7 +354,8 @@ def _lockstep_case(name, alpha0, mode):
 @settings(max_examples=40, deadline=None)
 @given(
     name=st.sampled_from(
-        ["sass-exact", "storm-exact", "sass-corrupt", "storm-corrupt", "storm-minibatch", "sass-minibatch"]
+        ["sass-exact", "storm-exact", "sass-corrupt", "storm-corrupt", "storm-minibatch", "sass-minibatch",
+         "sass-corrupt-logistic"]
     ),
     alpha0=st.sampled_from([0.3, 0.05]),
     mode=st.sampled_from(["nonconvex", "strongly_convex"]),
@@ -358,6 +364,8 @@ def _lockstep_case(name, alpha0, mode):
     master=st.integers(0, 2**32 - 1),
     chunk=st.sampled_from([1, 5, 1024]),
 )
+@example(name="sass-corrupt-logistic", alpha0=0.3, mode="nonconvex", k=5, j=2, master=7, chunk=5)
+@example(name="sass-corrupt-logistic", alpha0=0.05, mode="strongly_convex", k=4, j=3, master=8, chunk=1024)
 def test_lockstep_replications_equal_separate_runs(name, alpha0, mode, k, j, master, chunk):
     # R replications advanced together give each one's run_adaptive trace,
     # column by column and in CSV bytes, however the trace is packed, and

@@ -15,6 +15,7 @@ from adastoc.errors import (
     NumericError,
 )
 from adastoc.framework import (
+    TRACE_CSV_HEADER,
     AlgoConfig,
     IterationRecord,
     RunTrace,
@@ -34,6 +35,7 @@ from adastoc.oracles import (
     storm_cost_models,
 )
 from adastoc.problems import NoiseSpec, make_problem
+from adastoc.tableio import format_row
 
 
 def _config(**kw):
@@ -154,6 +156,31 @@ def test_trace_csv_schema(tmp_path):
     cells = lines[1].split(",")
     assert cells[0] == "0" and cells[2] == "1"
     assert float(cells[1]) == 1.0 and "e" in cells[1]
+
+
+def test_trace_csv_formats_every_cell_as_format_cell_does(tmp_path):
+    # one format string per row gives the bytes of format_row, edge values included
+    cells = [
+        (math.nan, True, 2**70, 0, -0.0, math.inf),
+        (5e-324, False, 3, 2**63, math.inf, -math.inf),
+        (1.0 / 3.0, True, 1, 1, 5e-324, -0.0),
+        (1e308, False, 0, 2**70 + 1, -1e-300, math.nan),
+    ]
+    records = [
+        IterationRecord(
+            k=k, alpha=a, success=s, cost0=c0, cost1=c1, true_grad_norm=gn, true_gap=gp,
+            alpha_base=1.0, alpha_exp=0,
+        )
+        for k, (a, s, c0, c1, gn, gp) in enumerate(cells)
+    ]
+    trace = RunTrace(
+        records=records, stopping_iteration=None, config=_config(), epsilon=1e-9,
+        mode="nonconvex", final_grad_norm=1.0, final_gap=math.nan, final_x=np.zeros(1),
+    )
+    path = tmp_path / "t.csv"
+    trace.write_csv(path)
+    lines = [",".join(TRACE_CSV_HEADER)] + [format_row((k, *row)) for k, row in enumerate(cells)]
+    assert path.read_text() == "\n".join(lines) + "\n"
 
 
 def test_stopping_time_examples():

@@ -6,6 +6,7 @@ import pytest
 from adastoc.errors import InvalidParameterError, MissingGroundTruthError
 from adastoc.oracles import PairCorruptionOracles
 from adastoc.problems import NoiseSpec, make_problem
+from adastoc.rows import row_dot
 
 
 def test_identity_quadratic():
@@ -157,3 +158,42 @@ def test_unbiasedness_monte_carlo_rate():
         errs.append(abs(prob.sample_loss_batch(x, n, rng).mean() - prob.value(x)))
     # each quadrupling of N should roughly halve the error; allow wide slack
     assert errs[2] <= errs[0]
+
+
+def _reference_value(prob, rows):
+    # the formulas as first written: margins, mean loss and gradient computed afresh
+    if prob.kind == "quadratic":
+        return 0.5 * row_dot(rows, prob._diag * rows)
+    labels = -prob._neg_labels
+    margins = -labels * np.matmul(prob._features, rows[:, :, None])[:, :, 0]
+    return np.mean(np.logaddexp(0.0, margins), axis=1) + 0.5 * prob._reg * row_dot(rows, rows)
+
+
+def _reference_grad(prob, rows):
+    if prob.kind == "quadratic":
+        return prob._diag * rows
+    labels = -prob._neg_labels
+    margins = -labels * np.matmul(prob._features, rows[:, :, None])[:, :, 0]
+    sig = 1.0 / (1.0 + np.exp(-margins))
+    coeff = -labels * sig / len(labels)
+    return np.matmul(prob._features.T, coeff[:, :, None])[:, :, 0] + prob._reg * rows
+
+
+@pytest.mark.parametrize("kind, dim", [("quadratic", 7), ("logistic_synthetic", 50), ("logistic_synthetic", 3)])
+def test_value_and_grad_keep_the_reference_bits(kind, dim):
+    # value/grad, and grad built from the partial result _value_rows returns (whole or for a
+    # subset of rows, as the adaptive loop builds it), equal the reference formulas bit for bit
+    prob = make_problem(kind, dim, 100.0, NoiseSpec.none(), seed=2)
+    rng = np.random.default_rng(5)
+    point = rng.standard_normal(dim)
+    assert prob.value(point) == float(_reference_value(prob, point[None])[0])
+    assert prob.grad(point).tolist() == _reference_grad(prob, point[None])[0].tolist()
+    for r in (1, 3, 64):
+        rows = rng.standard_normal((r, dim)) * rng.uniform(0.1, 2.0, size=(r, 1))
+        f, partial = prob._value_rows(rows)
+        assert prob.value(rows).tolist() == f.tolist() == _reference_value(prob, rows).tolist()
+        reference = _reference_grad(prob, rows)
+        assert prob.grad(rows).tolist() == prob._grad_rows(rows, partial).tolist() == reference.tolist()
+        subset = rng.random(r) < 0.5
+        assert prob._grad_rows(rows[subset], partial[subset]).tolist() == reference[subset].tolist()
+        assert prob.grad(rows[subset]).tolist() == _reference_grad(prob, rows[subset]).tolist()
