@@ -29,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .complexity import (
+    _exceed_fraction,
     accumulate_toc,
     monte_carlo_toc,
     sass_complexity_report,
@@ -39,7 +40,7 @@ from .errors import (
     AssumptionViolationError,
     TheoryViolationError,
 )
-from .framework import AlgoConfig, run_adaptive
+from .framework import AlgoConfig, derive_seeds, run_adaptive
 from .methods import SassMethod, StormMethod
 from .oracles import (
     ExactOracles,
@@ -212,8 +213,7 @@ def run_hitting(opts: dict) -> int:
     p, l_max, n, reps = opts["p"], opts["l_max"], opts["n"], opts["reps"]
     if l_max < 0:
         raise CliValidationError(f"l_max must be nonnegative, got {l_max}")
-    if not (0.5 < p <= 1.0):
-        raise CliValidationError(f"reliability p must lie in (1/2, 1], got {p}")
+    _check_reliability(p)
     out = _resolve_out(opts["out"], "hitting.csv")
     rng = np.random.default_rng(np.random.SeedSequence(opts["seed"]))
     max_levels, _ = walk_ensemble_stats(p, n, reps, rng)
@@ -231,6 +231,13 @@ def run_hitting(opts: dict) -> int:
     write_csv(out, HITTING_CSV_HEADER, rows)
     print(f"wrote {out}")
     return 0
+
+
+def _check_reliability(p: float) -> float:
+    """The walk's bounds need the per-iteration reliability p in (1/2, 1]."""
+    if not (0.5 < p <= 1.0):
+        raise CliValidationError(f"reliability p must lie in (1/2, 1], got {p}")
+    return p
 
 
 # -- shared problem/method construction -----------------------------------------
@@ -332,32 +339,39 @@ def _build_suite(opts: dict, problem, epsilon: float):
     raise CliValidationError(f"unknown oracle kind {oracle!r}")
 
 
-def _default_alpha_bounds(opts: dict, problem) -> tuple[float, float]:
-    """Fill alpha0/alpha_max when not given: epsilon/zeta for the trust region,
-    the deterministic success threshold (1-theta)/L for step search."""
+def _run_config(opts: dict, problem, epsilon: float, gamma: float) -> AlgoConfig:
+    """The loop's parameters for one run at tolerance epsilon.
+
+    An unset alpha_max is epsilon/zeta for the trust region and the
+    deterministic success threshold (1-theta)/L for step search; an unset
+    alpha0 is alpha_max.  An unset r (noise compensation) is zero for the
+    trust region and the exact oracles, and twice the minibatch
+    value-estimate deviation for step search.
+    """
     if opts["method"] == "storm":
         if not opts["zeta"] > 0.0:
             raise CliValidationError("zeta must be positive")
-        anchor = opts["epsilon"] / opts["zeta"]
+        anchor = epsilon / opts["zeta"]
     else:
         anchor = (1.0 - opts["theta"]) / problem.lipschitz
     alpha_max = opts["alpha_max"] if opts["alpha_max"] is not None else anchor
-    alpha0 = opts["alpha0"] if opts["alpha0"] is not None else alpha_max
-    return alpha0, alpha_max
-
-
-def _default_r(opts: dict, problem, epsilon: float) -> float:
-    """Per-method noise compensation: zero for the trust region and the exact
-    oracles, twice the minibatch value-estimate deviation for step search."""
-    if opts["r"] is not None:
-        return opts["r"]
-    if opts["method"] == "sass" and opts["oracle"] == "minibatch":
-        value, _ = sass_cost_models(
-            _sass_spec(opts), problem.noise, epsilon, _case(opts), opts["batch_c"]
-        )
-        batch0 = value.batch(1.0)
-        return 2.0 * problem.noise.sigma_f / math.sqrt(batch0)
-    return 0.0
+    r = opts["r"]
+    if r is None:
+        r = 0.0
+        if opts["method"] == "sass" and opts["oracle"] == "minibatch":
+            value, _ = sass_cost_models(
+                _sass_spec(opts), problem.noise, epsilon, _case(opts), opts["batch_c"]
+            )
+            r = 2.0 * problem.noise.sigma_f / math.sqrt(value.batch(1.0))
+    return AlgoConfig(
+        theta=opts["theta"],
+        gamma=gamma,
+        alpha0=opts["alpha0"] if opts["alpha0"] is not None else alpha_max,
+        alpha_max=alpha_max,
+        r=r,
+        theta2=opts["theta2"],
+        max_iterations=opts["max_iterations"],
+    )
 
 
 # -- optimize --------------------------------------------------------------------
@@ -372,24 +386,17 @@ OPTIMIZE_OPTIONS = {
 
 
 def run_optimize(opts: dict) -> int:
-    if not opts["epsilon"] > 0.0:
+    epsilon = opts["epsilon"]
+    if not epsilon > 0.0:
         raise CliValidationError("epsilon must be positive")
     problem = _build_problem(opts)
     method = _build_method(opts)
-    suite = _build_suite(opts, problem, opts["epsilon"])
-    alpha0, alpha_max = _default_alpha_bounds(opts, problem)
-    config = AlgoConfig(
-        theta=opts["theta"],
-        gamma=opts["gamma"],
-        alpha0=alpha0,
-        alpha_max=alpha_max,
-        r=_default_r(opts, problem, opts["epsilon"]),
-        theta2=opts["theta2"],
-        max_iterations=opts["max_iterations"],
-        seed=opts["seed"],
-    )
+    suite = _build_suite(opts, problem, epsilon)
+    config = _run_config(opts, problem, epsilon, opts["gamma"])
     x0 = np.array(opts["x0"]) if opts["x0"] else None
-    trace = run_adaptive(problem, method, suite, config, opts["epsilon"], mode=opts["mode"], x0=x0)
+    trace = run_adaptive(
+        problem, method, suite, config, epsilon, mode=opts["mode"], x0=x0, seed=opts["seed"]
+    )
     out = _resolve_out(opts["out"], "trace.csv")
     trace.write_csv(out)
     for line in problem.descriptor().splitlines():
@@ -427,73 +434,52 @@ def run_sweep(opts: dict) -> int:
         raise CliValidationError("at least one epsilon is required")
     if not all(epsilon > 0.0 for epsilon in epsilons):
         raise CliValidationError("every epsilon must be positive")
-    if opts["method"] == "storm" and not opts["horizon_c2"] > 0.0:
+    storm = opts["method"] == "storm"
+    if storm and not opts["horizon_c2"] > 0.0:
         # the trust-region report bounds P(T > n) by 1/horizon_c2
         raise CliValidationError("horizon_c2 must be positive")
     problem = _build_problem(opts)
     method = _build_method(opts)
+    if storm:
+        spec = _storm_spec(opts, problem.noise)  # an inadmissible spec fails before any run
+        p = spec.p
+    else:
+        spec = _sass_spec(opts)
+        p = _check_reliability(opts["reliability_p"])
+    policy = opts["gamma_policy"]
+    if policy not in ("fixed", "corollary"):
+        raise CliValidationError(f"unknown gamma policy {policy!r}")
     out = _resolve_out(opts["out"], "sweep.csv")
-    root = np.random.SeedSequence(opts["seed"])
-    children = root.spawn(len(epsilons))
     x0 = np.array(opts["x0"]) if opts["x0"] else None
 
     rows = []
-    for epsilon, child in zip(epsilons, children):
-        master_seed = int(child.generate_state(1, dtype=np.uint64)[0])
-        local = dict(opts)
-        local["epsilon"] = epsilon
-        suite = _build_suite(local, problem, epsilon)
-        alpha0, alpha_max = _default_alpha_bounds(local, problem)
-
+    for epsilon, master_seed in zip(epsilons, derive_seeds(opts["seed"], len(epsilons))):
         if opts["mode"] == "strongly_convex":
             n = math.ceil(opts["horizon_c1"] * max(1.0, math.log(1.0 / epsilon)) + opts["horizon_c2"])
         else:
             n = math.ceil(opts["horizon_c2"] * opts["horizon_c1"] / epsilon**2)
         n = max(n, 2)
-
-        if opts["method"] == "storm":
-            spec = _storm_spec(local, problem.noise)  # an inadmissible spec fails before the run
-            p = spec.p
-        else:
-            p = opts["reliability_p"]
-        if opts["gamma_policy"] == "corollary":
+        gamma = opts["gamma"]
+        if policy == "corollary":
             gamma = gamma_threshold(p, n, opts["omega"], opts["beta"])
-        elif opts["gamma_policy"] == "fixed":
-            gamma = opts["gamma"]
-        else:
-            raise CliValidationError(f"unknown gamma policy {opts['gamma_policy']!r}")
-
-        config = AlgoConfig(
-            theta=opts["theta"],
-            gamma=gamma,
-            alpha0=alpha0,
-            alpha_max=alpha_max,
-            r=_default_r(opts, problem, epsilon),
-            theta2=opts["theta2"],
-            max_iterations=opts["max_iterations"],
-            seed=0,
-        )
-
+        config = _run_config(opts, problem, epsilon, gamma)
+        suite = _build_suite(opts, problem, epsilon)
         summary = monte_carlo_toc(
             problem, method, suite, config, epsilon, opts["reps"], master_seed,
             mode=opts["mode"], x0=x0,
         )
-        if opts["method"] == "storm":
-            prob_t = min(1.0, 1.0 / opts["horizon_c2"])
+        if storm:
             report = storm_complexity_report(
                 spec, epsilon, opts["zeta"], n, gamma, opts["omega"],
-                prob_t_exceeds_n=prob_t,
+                prob_t_exceeds_n=min(1.0, 1.0 / opts["horizon_c2"]),
             )
         else:
             # plug-in exceedance probability from the observed quantile
-            prob_t = 1.0 - summary.stopped_fraction
             report = sass_complexity_report(
-                _sass_spec(local), problem.noise, epsilon, n, gamma, opts["omega"], _case(opts),
-                p=p, alpha_bar=alpha_max, batch_scale=opts["batch_c"], prob_t_exceeds_n=prob_t,
+                spec, problem.noise, epsilon, n, gamma, opts["omega"], _case(opts),
+                p=p, alpha_bar=config.alpha_max, batch_scale=opts["batch_c"],
+                prob_t_exceeds_n=1.0 - summary.stopped_fraction,
             )
-        tocs = np.array([rec.toc for rec in summary.records], dtype=float)
-        exceed = float(np.mean(tocs > report.high_probability.bound_value))
-
         rows.append(
             (
                 epsilon,
@@ -502,7 +488,7 @@ def run_sweep(opts: dict) -> int:
                 summary.mean_toc1,
                 report.expected.bound_value,
                 report.high_probability.bound_value,
-                exceed,
+                _exceed_fraction(summary.records, report.high_probability),
             )
         )
     write_csv(out, SWEEP_CSV_HEADER, rows)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AssumptionViolationError, InvalidParameterError
-from .framework import AlgoConfig, RunTrace, _lockstep, _start, derive_configs
+from .framework import AlgoConfig, RunTrace, _lockstep, _start, derive_seeds
 from .oracles import (
     SassOracleSpec,
     StormOracleSpec,
@@ -57,13 +57,12 @@ class TocRecord:
 
     toc0: int
     toc1: int
-    toc: int
     iterations_used: int
     stopped: bool
 
-    def __post_init__(self):
-        if self.toc != self.toc0 + self.toc1:
-            raise InvalidParameterError("toc must equal toc0 + toc1")
+    @property
+    def toc(self) -> int:
+        return self.toc0 + self.toc1
 
 
 @dataclass(frozen=True)
@@ -96,13 +95,14 @@ class MethodComplexityReport:
 
 def accumulate_toc(trace: RunTrace, horizon: int | None = None) -> TocRecord:
     """Sum per-iteration costs over the trace, optionally capped at a horizon."""
+    if horizon is not None and horizon < 0:
+        raise InvalidParameterError("horizon must be nonnegative")
     cost0, cost1 = trace.cost0[:horizon], trace.cost1[:horizon]
-    toc0, toc1 = sum(cost0.tolist()), sum(cost1.tolist())
     stopped = trace.stopping_iteration is not None and (
         horizon is None or trace.stopping_iteration <= horizon
     )
     return TocRecord(
-        toc0=toc0, toc1=toc1, toc=toc0 + toc1, iterations_used=len(cost0), stopped=stopped
+        toc0=sum(cost0.tolist()), toc1=sum(cost1.tolist()), iterations_used=len(cost0), stopped=stopped
     )
 
 
@@ -192,7 +192,9 @@ def _report(models, params: WalkParams, n: int, prob_t_exceeds_n: float) -> Meth
     """Both bounds on the summed per-iteration cost, plus each model's growth exponent."""
     value_model, grad_model = models
     total = SummedCost(components=(value_model, grad_model))
-    log_gamma, log_qp = math.log(params.gamma), math.log(params.q / params.p)
+    # a perfectly reliable walk (q = 0) never climbs a level: both exponents are 0
+    log_gamma = math.log(params.gamma)
+    log_qp = math.log(params.q / params.p) if params.q > 0.0 else -math.inf
     return MethodComplexityReport(
         expected=expected_toc_bound(total, params, n),
         high_probability=highprob_toc_bound(total, params, n, prob_t_exceeds_n),
@@ -261,8 +263,6 @@ class McTocSummary:
     mean_toc: float
     mean_toc0: float
     mean_toc1: float
-    p50_toc: float
-    p95_toc: float
     mean_iterations: float
     stopped_fraction: float
     exceed_fraction: float
@@ -286,7 +286,7 @@ def monte_carlo_toc(
 ) -> McTocSummary:
     """Independent replications of the adaptive loop with per-replication TOC records.
 
-    Replication seeds derive deterministically from master_seed, and the
+    Replication seeds are derive_seeds(master_seed, replications), and the
     replications advance in lockstep keeping only their sample totals;
     each one's record equals accumulate_toc of run_adaptive at its seed.
     exceed_fraction is the fraction of replications whose total cost
@@ -295,7 +295,7 @@ def monte_carlo_toc(
     error during the runs names the lowest replication that fails, with
     its iteration, as one-at-a-time runs would.
     """
-    seeds = [cfg.seed for cfg in derive_configs(config, master_seed, replications)]
+    seeds = derive_seeds(master_seed, replications)
     x = _start(problem, method, oracle_suite, epsilon, mode, x0)
     try:
         ends = _lockstep(problem, method, oracle_suite, config, epsilon, mode, x, seeds, record=False)
@@ -310,25 +310,28 @@ def monte_carlo_toc(
         TocRecord(
             toc0=end.toc0,
             toc1=end.toc1,
-            toc=end.toc0 + end.toc1,
             iterations_used=end.iterations,
             stopped=end.stopping_iteration is not None,
         )
         for end in ends
     ]
-    tocs = np.array([rec.toc for rec in records], dtype=float)
-    if bound is not None:
-        exceed = float(np.mean(tocs > bound.bound_value))
-    else:
-        exceed = math.nan
     return McTocSummary(
         records=tuple(records),
-        mean_toc=float(tocs.mean()),
+        mean_toc=float(_tocs(records).mean()),
         mean_toc0=float(np.mean([rec.toc0 for rec in records])),
         mean_toc1=float(np.mean([rec.toc1 for rec in records])),
-        p50_toc=float(np.quantile(tocs, 0.5)),
-        p95_toc=float(np.quantile(tocs, 0.95)),
         mean_iterations=float(np.mean([rec.iterations_used for rec in records])),
         stopped_fraction=float(np.mean([rec.stopped for rec in records])),
-        exceed_fraction=exceed,
+        exceed_fraction=_exceed_fraction(records, bound),
     )
+
+
+def _tocs(records) -> np.ndarray:
+    return np.array([rec.toc for rec in records], dtype=float)
+
+
+def _exceed_fraction(records, bound: BoundReport | None) -> float:
+    """Fraction of the records whose total cost exceeds the bound; nan without a bound."""
+    if bound is None:
+        return math.nan
+    return float(np.mean(_tocs(records) > bound.bound_value))

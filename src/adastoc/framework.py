@@ -44,7 +44,7 @@ and stopping-time detection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -68,6 +68,7 @@ __all__ = [
     "stopping_time",
     "run_adaptive",
     "run_lockstep",
+    "derive_seeds",
     "empirical_success_probability",
     "TRACE_COLUMNS",
     "TRACE_CSV_HEADER",
@@ -110,7 +111,6 @@ class AlgoConfig:
     r: float = 0.0
     theta2: float = 1.0
     max_iterations: int = 1_000_000
-    seed: int = 0
 
     def __post_init__(self):
         if not (0.0 < self.theta < 1.0):
@@ -127,8 +127,6 @@ class AlgoConfig:
             raise InvalidParameterError("theta2 must be nonnegative")
         if self.max_iterations < 1:
             raise InvalidParameterError("max_iterations must be positive")
-        if self.seed < 0:
-            raise InvalidParameterError("seed must be a nonnegative integer")
 
 
 @dataclass(frozen=True)
@@ -279,13 +277,14 @@ def run_adaptive(
     epsilon: float,
     mode: str = NONCONVEX,
     x0: np.ndarray | None = None,
+    seed: int = 0,
 ) -> RunTrace:
     """Run the adaptive loop until the stopping time or max_iterations.
 
     Fresh oracle calls are made every iteration.  The trace is a
-    deterministic function of (problem, config.seed, x0).
+    deterministic function of (problem, config, seed, x0).
     """
-    return run_lockstep(problem, method, oracle_suite, config, epsilon, [config.seed], mode, x0)[0]
+    return run_lockstep(problem, method, oracle_suite, config, epsilon, [seed], mode, x0)[0]
 
 
 def run_lockstep(
@@ -298,7 +297,7 @@ def run_lockstep(
     mode: str = NONCONVEX,
     x0: np.ndarray | None = None,
 ) -> list[RunTrace]:
-    """One replication per seed, advanced together; config.seed is not used.
+    """One replication per seed, advanced together.
 
     Trace i is what run_adaptive gives with seed seeds[i].
     """
@@ -318,6 +317,8 @@ def _lockstep(problem, method, suite, config, epsilon, mode, x, seeds, record):
     """
     if len(seeds) < 1:
         raise InvalidParameterError("at least one seed is needed")
+    if not all(map(_is_seed, seeds)):
+        raise InvalidParameterError("seed must be a nonnegative integer")
     streams = RowStreams((np.random.default_rng(seed) for seed in seeds), suite.draws, _BLOCK)
     min_value = math.nan if problem.min_value is None else problem.min_value
     gap_mode = mode == STRONGLY_CONVEX
@@ -626,12 +627,17 @@ def empirical_success_probability(
     return successes / count, count
 
 
-def derive_configs(config: AlgoConfig, master_seed: int, replications: int) -> list[AlgoConfig]:
-    """Per-replication configs with independent seeds derived from master_seed."""
+def derive_seeds(master_seed: int, replications: int) -> list[int]:
+    """Independent replication seeds derived from master_seed, one per spawned child."""
     if replications < 1:
         raise InvalidParameterError("replications must be positive")
-    seeds = [
+    if not _is_seed(master_seed):
+        raise InvalidParameterError("seed must be a nonnegative integer")
+    return [
         int(child.generate_state(1, dtype=np.uint64)[0])
         for child in np.random.SeedSequence(master_seed).spawn(replications)
     ]
-    return [replace(config, seed=s) for s in seeds]
+
+
+def _is_seed(seed) -> bool:
+    return isinstance(seed, (int, np.integer)) and seed >= 0

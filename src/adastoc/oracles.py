@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -48,7 +48,6 @@ __all__ = [
     "StormMinibatchOracles",
     "SassMinibatchOracles",
     "PairCorruptionOracles",
-    "cost_table_rows",
 ]
 
 
@@ -76,10 +75,6 @@ class SassOracleSpec:
             raise InvalidParameterError("lam, kappa and tau must be positive")
         if not (0.0 <= self.delta1 < 1.0):
             raise InvalidParameterError("delta1 must lie in [0,1)")
-
-    def recommended_r(self) -> float:
-        """Default noise-compensation offset 2*eps_f + (2/lam)*log(4)."""
-        return 2.0 * self.eps_f + 2.0 / self.lam * math.log(4.0)
 
 
 @dataclass(frozen=True)
@@ -341,13 +336,6 @@ def sass_cost_models(
         raw=grad_raw, calls_per_iteration=1, label="ss_grad", power=2.0 if m_v > 0.0 else 0.0
     )
     return value, grad
-
-
-def cost_table_rows(
-    alphas: Sequence[float], value_model: CostModel, grad_model: CostModel
-) -> list[tuple[float, int, int]]:
-    """Rows (alpha, oc0, oc1) of per-call batch sizes, for CSV export."""
-    return [(float(a), value_model.batch(a), grad_model.batch(a)) for a in alphas]
 
 
 def empirical_oracle_failure_rate(

@@ -13,7 +13,7 @@ from scipy import stats
 
 from adastoc import cli
 from adastoc.complexity import monte_carlo_toc, storm_complexity_report
-from adastoc.framework import AlgoConfig, derive_configs, run_lockstep
+from adastoc.framework import AlgoConfig, derive_seeds, run_lockstep
 from adastoc.methods import SassMethod, StormMethod
 from adastoc.oracles import (
     PairCorruptionOracles,
@@ -120,11 +120,11 @@ def test_criterion_05_coupling_soundness():
     n, pairs = 100, 10**4
     prob = make_problem("quadratic", 2, 2.0, NoiseSpec.none(), seed=0)
     suite = PairCorruptionOracles(delta0=delta0, delta1=delta1)
-    cfg = AlgoConfig(theta=0.1, gamma=0.5, alpha0=0.1, alpha_max=0.1, r=0.0, seed=0, max_iterations=n)
+    cfg = AlgoConfig(theta=0.1, gamma=0.5, alpha0=0.1, alpha_max=0.1, r=0.0, max_iterations=n)
     rng = np.random.default_rng(31337)
     violations = 0
     finals = np.empty(pairs, dtype=np.int64)
-    seeds = [c.seed for c in derive_configs(cfg, 4242, pairs)]
+    seeds = derive_seeds(4242, pairs)
     traces = run_lockstep(prob, SassMethod(), suite, cfg, 1e-9, seeds, x0=np.array([2.0, 0.0]))
     for i, trace in enumerate(traces):
         assert trace.stopping_iteration is None
@@ -206,7 +206,7 @@ def _storm_setup(epsilon: float, gamma: float = 0.8, zeta: float = 10.0):
     alpha_bar = epsilon / zeta
     cfg = AlgoConfig(
         theta=0.1, gamma=gamma, alpha0=alpha_bar, alpha_max=alpha_bar,
-        r=0.0, theta2=1.0, max_iterations=10**6, seed=0,
+        r=0.0, theta2=1.0, max_iterations=10**6,
     )
     return prob, spec, cfg
 
@@ -259,7 +259,7 @@ def test_criterion_09_scaling_exponents():
     for i, epsilon in enumerate(sc_eps):
         value, _ = sass_cost_models(sspec, noise, epsilon, "strongly_convex", batch_c)
         r = 2.0 * noise.sigma_f / math.sqrt(value.batch(alpha_bar))
-        cfg = AlgoConfig(theta=theta, gamma=0.7, alpha0=alpha_bar, alpha_max=alpha_bar, r=r, seed=0)
+        cfg = AlgoConfig(theta=theta, gamma=0.7, alpha0=alpha_bar, alpha_max=alpha_bar, r=r)
         suite = SassMinibatchOracles(sspec, epsilon=epsilon, case="strongly_convex", batch_scale=batch_c)
         summary = monte_carlo_toc(
             prob_sc, SassMethod(), suite, cfg, epsilon, 20, 7100 + i,

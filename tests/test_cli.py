@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,9 @@ import pytest
 
 import adastoc
 from adastoc import cli, complexity, framework
+from adastoc.methods import SassMethod, StormMethod
+from adastoc.oracles import PairCorruptionOracles, SassOracleSpec, StormMinibatchOracles, StormOracleSpec
+from adastoc.problems import NoiseSpec, make_problem
 from adastoc.tableio import write_csv
 
 
@@ -263,6 +267,93 @@ def test_storm_sweep_refuses_an_unreliable_pair_before_running(tmp_path, capsys)
     assert code == 1
     assert "delta0 + delta1" in capsys.readouterr().err
     assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("p", ["0.4", "0.5", "1.5"])
+def test_sass_sweep_refuses_an_unreliable_p_before_running(tmp_path, capsys, monkeypatch, p):
+    # --reliability-p outside (1/2, 1] is refused up front, not after every
+    # replication of the first epsilon has run
+    def no_loop(*args, **kwargs):
+        raise AssertionError("the adaptive loop ran before --reliability-p was checked")
+
+    monkeypatch.setattr(complexity, "_lockstep", no_loop)
+    code = _run([
+        "sweep", "--method=sass", f"--reliability-p={p}", "--epsilons=0.2", "--reps=4",
+        "--seed=0", f"--out={tmp_path / 's.csv'}",
+    ])
+    assert code == 1
+    assert f"reliability p must lie in (1/2, 1], got {float(p)}" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--method=storm", "--oracle=exact", "--noise=none", "--delta0=0", "--delta1=0"],
+        ["--method=sass", "--reliability-p=1"],
+    ],
+)
+def test_sweep_reports_a_perfectly_reliable_walk(tmp_path, argv):
+    # p = 1 is admissible: the reports take q/p = 0 without a math domain error
+    out = tmp_path / "s.csv"
+    assert _run(["sweep", *argv, "--epsilons=0.2,0.1", "--reps=3", "--seed=0", f"--out={out}"]) == 0
+    rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+    assert rows.shape == (2, 7) and np.isfinite(rows).all()
+
+
+def _sweep_rows_from_the_library(case, seed, epsilons, reps):
+    """Each sweep row recomputed from monte_carlo_toc and the method's report, at the derived seeds."""
+    rows = []
+    for epsilon, master in zip(epsilons, framework.derive_seeds(seed, len(epsilons))):
+        if case == "storm-minibatch":
+            prob = make_problem("quadratic", 2, 1.0, NoiseSpec.gaussian(sigma_f=1e-3, m_c=1e-2), seed=0)
+            spec = StormOracleSpec(delta0=0.1, delta1=0.1, sigma_f=1e-3, sigma_g=0.1)
+            n = max(2, math.ceil(10.0 * 2.0 / epsilon**2))
+            alpha_bar = epsilon / 10.0  # epsilon / zeta
+            cfg = framework.AlgoConfig(theta=0.1, gamma=0.8, alpha0=alpha_bar, alpha_max=alpha_bar)
+            summary = complexity.monte_carlo_toc(
+                prob, StormMethod(), StormMinibatchOracles(spec), cfg, epsilon, reps, master
+            )
+            report = complexity.storm_complexity_report(spec, epsilon, 10.0, n, 0.8, 1.0, prob_t_exceeds_n=0.1)
+        else:
+            prob = make_problem("quadratic", 4, 10.0, NoiseSpec.none(), seed=0)
+            n = max(2, math.ceil(1.0 * 0.05 / epsilon**2))
+            alpha_max = (1.0 - 0.1) / prob.lipschitz
+            cfg = framework.AlgoConfig(theta=0.1, gamma=0.6, alpha0=alpha_max, alpha_max=alpha_max)
+            summary = complexity.monte_carlo_toc(
+                prob, SassMethod(), PairCorruptionOracles(0.1, 0.1), cfg, epsilon, reps, master
+            )
+            # today's step-search semantics: alpha_bar = alpha_max, P(T > n) from the same sample
+            report = complexity.sass_complexity_report(
+                SassOracleSpec(delta1=0.1), NoiseSpec.none(), epsilon, n, 0.6, 1.0, "nonconvex",
+                p=0.8, alpha_bar=alpha_max, prob_t_exceeds_n=1.0 - summary.stopped_fraction,
+            )
+        tocs = [rec.toc for rec in summary.records]
+        bound = report.high_probability.bound_value
+        rows.append([
+            epsilon, summary.mean_iterations, summary.mean_toc0, summary.mean_toc1,
+            report.expected.bound_value, bound, sum(t > bound for t in tocs) / reps,
+        ])
+    return rows
+
+
+@pytest.mark.parametrize(
+    "case, flags",
+    [
+        ("storm-minibatch", ["--method=storm", "--oracle=minibatch", "--sigma-f=0.001", "--m-c=0.01",
+                             "--gamma=0.8"]),
+        ("sass-corrupt", ["--method=sass", "--oracle=corruption", "--noise=none", "--dim=4",
+                          "--conditioning=10", "--gamma=0.6", "--horizon-c1=0.05", "--horizon-c2=1"]),
+    ],
+)
+def test_sweep_rows_are_the_library_monte_carlo_and_report(tmp_path, case, flags):
+    # pins the sweep's wiring: seeds, horizon, config, bounds and exceedance
+    epsilons, reps, seed = [0.1, 0.03] if case == "sass-corrupt" else [0.2, 0.1], 6, 4
+    out = tmp_path / "s.csv"
+    argv = ["sweep", *flags, f"--epsilons={','.join(map(str, epsilons))}", f"--reps={reps}", f"--seed={seed}"]
+    assert _run([*argv, f"--out={out}"]) == 0
+    got = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2).tolist()
+    assert got == _sweep_rows_from_the_library(case, seed, epsilons, reps)
 
 
 def test_walk_default_summary_lands_beside_out(tmp_path, monkeypatch):

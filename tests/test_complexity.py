@@ -25,7 +25,7 @@ from adastoc.framework import (
     AlgoConfig,
     IterationRecord,
     RunTrace,
-    derive_configs,
+    derive_seeds,
     run_adaptive,
     run_lockstep,
 )
@@ -46,7 +46,7 @@ from adastoc.walk import WalkParams, gamma_threshold, stepsize_lower_bound
 
 
 def _config(**kw):
-    base = dict(theta=0.1, gamma=0.5, alpha0=1.0, alpha_max=1.0, seed=0)
+    base = dict(theta=0.1, gamma=0.5, alpha0=1.0, alpha_max=1.0)
     base.update(kw)
     return AlgoConfig(**base)
 
@@ -84,8 +84,17 @@ def test_accumulate_toc_horizon_cap():
     assert rec.toc == 6 and rec.iterations_used == 3
 
 
+@pytest.mark.parametrize("horizon", [-1, -11])
+def test_accumulate_toc_refuses_a_negative_horizon(horizon):
+    # a negative slice bound would count from the end of the trace
+    with pytest.raises(InvalidParameterError, match="horizon"):
+        accumulate_toc(_trace_with_costs([(1, 1)] * 11), horizon=horizon)
+
+
 def test_toc_record_sum_invariant():
-    with pytest.raises(InvalidParameterError):
+    # the total is toc0 + toc1 by construction; it cannot be given separately
+    assert TocRecord(toc0=1, toc1=2, iterations_used=1, stopped=True).toc == 3
+    with pytest.raises(TypeError):
         TocRecord(toc0=1, toc1=1, toc=3, iterations_used=1, stopped=True)
 
 
@@ -251,6 +260,21 @@ def test_storm_report_growth_exponents_and_p():
     assert report.toc0_exponent == pytest.approx(2 * report.toc1_exponent, rel=1e-12)
 
 
+def test_reports_accept_a_perfectly_reliable_walk():
+    # p = 1 (q = 0): the walk never climbs a level, so both growth exponents are 0
+    storm_spec = StormOracleSpec(delta0=0.0, delta1=0.0)
+    storm = storm_complexity_report(storm_spec, 0.1, 10.0, 100, 0.9, 1.0)
+    noise = NoiseSpec.gaussian(sigma_f=1e-3, m_c=1e-2, m_v=1e-3)
+    sass = sass_complexity_report(
+        SassOracleSpec(), noise, 0.1, 100, 0.9, 1.0, "nonconvex", p=1.0, alpha_bar=0.5
+    )
+    for report in (storm, sass):
+        assert report.p == 1.0
+        assert (report.toc0_exponent, report.toc1_exponent) == (0.0, 0.0)
+        assert math.isfinite(report.expected.bound_value)
+        assert math.isfinite(report.high_probability.bound_value)
+
+
 def test_sass_report_interpolation_case():
     # m_c = 0 leaves only the m_v / min(tau, kappa*alpha)^2 gradient cost
     spec = SassOracleSpec(kappa=1.0, tau=10.0, delta1=0.1)
@@ -279,7 +303,7 @@ def test_monte_carlo_zero_noise_has_zero_variance():
     summary = monte_carlo_toc(prob, SassMethod(), ExactOracles(), cfg, 1e-6, 8, 11)
     tocs = {rec.toc for rec in summary.records}
     assert len(tocs) == 1
-    assert summary.p50_toc == summary.mean_toc
+    assert summary.mean_toc == tocs.pop()
     assert math.isnan(summary.exceed_fraction)
 
 
@@ -371,10 +395,10 @@ def test_lockstep_replications_equal_separate_runs(name, alpha0, mode, k, j, mas
     # column by column and in CSV bytes, however the trace is packed, and
     # its totals; the first j rows of R = k are the R = j run
     prob, method, suite, cfg, eps, mode = _lockstep_case(name, alpha0, mode)
-    configs = derive_configs(cfg, master, k)
-    separate = [run_adaptive(prob, method, suite, c, eps, mode=mode) for c in configs]
+    seeds = derive_seeds(master, k)
+    separate = [run_adaptive(prob, method, suite, cfg, eps, mode=mode, seed=s) for s in seeds]
     with mock.patch.object(framework, "_CHUNK", chunk):
-        together = run_lockstep(prob, method, suite, cfg, eps, [c.seed for c in configs], mode=mode)
+        together = run_lockstep(prob, method, suite, cfg, eps, seeds, mode=mode)
     assert len(together) == k
     with tempfile.TemporaryDirectory() as tmp:
         for i, (a, b) in enumerate(zip(together, separate)):
@@ -408,9 +432,9 @@ def test_monte_carlo_names_the_first_failing_replication_as_one_at_a_time_runs_d
     cfg = _config(alpha0=0.1, alpha_max=0.1, max_iterations=400)
     suite = _FlakyValues(0.1, 0.1)
     first = None
-    for i, c in enumerate(derive_configs(cfg, 3, 12)):
+    for i, seed in enumerate(derive_seeds(3, 12)):
         try:
-            run_adaptive(prob, SassMethod(), suite, c, 1e-9)
+            run_adaptive(prob, SassMethod(), suite, cfg, 1e-9, seed=seed)
         except NumericError as exc:
             first = f"replication {i}: {exc}"
             break
@@ -418,6 +442,13 @@ def test_monte_carlo_names_the_first_failing_replication_as_one_at_a_time_runs_d
     with pytest.raises(NumericError) as raised:
         monte_carlo_toc(prob, SassMethod(), suite, cfg, 1e-9, 12, 3)
     assert str(raised.value) == first
+
+
+@pytest.mark.parametrize("master_seed", [-1, 1.5])
+def test_monte_carlo_refuses_a_bad_master_seed(master_seed):
+    prob = make_problem("quadratic", 2, 1.0, NoiseSpec.none(), seed=0)
+    with pytest.raises(InvalidParameterError, match="seed"):
+        monte_carlo_toc(prob, SassMethod(), ExactOracles(), _config(), 1e-6, 3, master_seed)
 
 
 def test_monte_carlo_propagates_errors_with_replication_index():

@@ -19,7 +19,7 @@ from adastoc.framework import (
     AlgoConfig,
     IterationRecord,
     RunTrace,
-    derive_configs,
+    derive_seeds,
     empirical_success_probability,
     run_adaptive,
     run_lockstep,
@@ -39,7 +39,7 @@ from adastoc.tableio import format_row
 
 
 def _config(**kw):
-    base = dict(theta=0.1, gamma=0.5, alpha0=1.0, alpha_max=1.0, r=0.0, seed=0)
+    base = dict(theta=0.1, gamma=0.5, alpha0=1.0, alpha_max=1.0, r=0.0)
     base.update(kw)
     return AlgoConfig(**base)
 
@@ -135,9 +135,9 @@ def test_run_from_minimizer_is_empty():
 def test_identical_seeds_give_bit_identical_traces(tmp_path):
     prob = make_problem("quadratic", 2, 2.0, NoiseSpec.none(), seed=0)
     suite = PairCorruptionOracles(delta0=0.15, delta1=0.1)
-    cfg = _config(alpha0=0.25, alpha_max=0.25, seed=31, max_iterations=150)
-    a = run_adaptive(prob, SassMethod(), suite, cfg, 1e-12)
-    b = run_adaptive(prob, SassMethod(), suite, cfg, 1e-12)
+    cfg = _config(alpha0=0.25, alpha_max=0.25, max_iterations=150)
+    a = run_adaptive(prob, SassMethod(), suite, cfg, 1e-12, seed=31)
+    b = run_adaptive(prob, SassMethod(), suite, cfg, 1e-12, seed=31)
     assert a.records == b.records
     assert a.stopping_iteration == b.stopping_iteration
     pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -204,8 +204,8 @@ def test_step_size_law_holds_exactly_over_noisy_run():
     # gamma = 0.5 and dyadic alpha0 keep every update exactly representable
     prob = make_problem("quadratic", 2, 2.0, NoiseSpec.none(), seed=0)
     suite = PairCorruptionOracles(delta0=0.2, delta1=0.2)
-    cfg = _config(alpha0=0.125, alpha_max=0.125, seed=5, max_iterations=150)
-    trace = run_adaptive(prob, SassMethod(), suite, cfg, 1e-12, x0=np.array([2.0, 0.0]))
+    cfg = _config(alpha0=0.125, alpha_max=0.125, max_iterations=150)
+    trace = run_adaptive(prob, SassMethod(), suite, cfg, 1e-12, x0=np.array([2.0, 0.0]), seed=5)
     recs = trace.records
     assert len(recs) == 150
     for prev, nxt in zip(recs, recs[1:]):
@@ -220,7 +220,7 @@ def test_step_size_law_holds_exactly_over_noisy_run():
 def test_alpha_cap_reanchors_exponent():
     prob = make_problem("quadratic", 2, 1.0, NoiseSpec.none(), seed=0)
     # alpha_max not a power of gamma times alpha0: the cap re-anchors the base
-    cfg = _config(alpha0=0.3, alpha_max=0.7, theta=0.5, seed=0, max_iterations=6)
+    cfg = _config(alpha0=0.3, alpha_max=0.7, theta=0.5, max_iterations=6)
     trace = run_adaptive(prob, SassMethod(), ExactOracles(), cfg, 1e-12, x0=np.array([1e-3, 0.0]))
     alphas = [r.alpha for r in trace.records]
     assert alphas[0] == 0.3 and alphas[1] == 0.6 and alphas[2] == 0.7
@@ -239,8 +239,8 @@ def test_recorded_step_sizes_replay_update_step_size(gamma, headroom, seed):
     # the loop's step sizes, bases and exponents are update_step_size
     # replayed on the recorded outcomes, re-anchorings and alpha_max = inf included
     prob = make_problem("quadratic", 2, 4.0, NoiseSpec.none(), seed=0)
-    cfg = _config(gamma=gamma, alpha0=0.05, alpha_max=0.05 * headroom, seed=seed, max_iterations=300)
-    trace = run_adaptive(prob, SassMethod(), PairCorruptionOracles(0.3, 0.3), cfg, 1e-12)
+    cfg = _config(gamma=gamma, alpha0=0.05, alpha_max=0.05 * headroom, max_iterations=300)
+    trace = run_adaptive(prob, SassMethod(), PairCorruptionOracles(0.3, 0.3), cfg, 1e-12, seed=seed)
     base, exp = cfg.alpha0, 0
     for rec in trace.records:
         assert (rec.alpha, rec.alpha_base, rec.alpha_exp) == (base * gamma**exp, base, exp)
@@ -251,8 +251,8 @@ def test_cost_accounting_totals():
     noise = NoiseSpec.gaussian(sigma_f=0.01, m_c=0.01)
     prob = make_problem("quadratic", 2, 1.0, noise, seed=0)
     spec = StormOracleSpec(sigma_f=0.01, sigma_g=0.1, delta0=0.1, delta1=0.1)
-    cfg = _config(alpha0=0.05, alpha_max=0.05, seed=3, max_iterations=50)
-    trace = run_adaptive(prob, StormMethod(), StormMinibatchOracles(spec), cfg, 1e-6)
+    cfg = _config(alpha0=0.05, alpha_max=0.05, max_iterations=50)
+    trace = run_adaptive(prob, StormMethod(), StormMinibatchOracles(spec), cfg, 1e-6, seed=3)
     toc = accumulate_toc(trace)
     assert toc.toc0 == sum(r.cost0 for r in trace.records)
     assert toc.toc1 == sum(r.cost1 for r in trace.records)
@@ -268,9 +268,9 @@ def test_sample_counts_beyond_int64_stay_exact():
     noise = NoiseSpec.gaussian(sigma_f=0.01, m_c=0.01)
     prob = make_problem("quadratic", 2, 1.0, noise, seed=0)
     spec = StormOracleSpec(sigma_f=0.01, sigma_g=0.1, delta0=0.1, delta1=0.1)
-    cfg = _config(alpha0=1e-6, alpha_max=1e-6, seed=3, max_iterations=20)
+    cfg = _config(alpha0=1e-6, alpha_max=1e-6, max_iterations=20)
     start = time.perf_counter()
-    trace = run_adaptive(prob, StormMethod(), StormMinibatchOracles(spec), cfg, 1e-6)
+    trace = run_adaptive(prob, StormMethod(), StormMinibatchOracles(spec), cfg, 1e-6, seed=3)
     assert time.perf_counter() - start < 1.0
     toc0 = accumulate_toc(trace).toc0
     value, _ = storm_cost_models(spec)
@@ -394,7 +394,7 @@ def test_row_override_reaches_the_one_point_call():
 
 def test_empirical_success_probability_exact_oracles():
     prob = make_problem("quadratic", 2, 1.0, NoiseSpec.none(), seed=0)
-    cfg = _config(theta=0.3, alpha0=0.5, alpha_max=0.5, seed=0, max_iterations=60)
+    cfg = _config(theta=0.3, alpha0=0.5, alpha_max=0.5, max_iterations=60)
     traces = [run_adaptive(prob, SassMethod(), ExactOracles(), cfg, 1e-30)]
     # every step below the deterministic threshold succeeds
     p_hat, count = empirical_success_probability(traces, 0.5)
@@ -414,8 +414,8 @@ def test_empirical_success_probability_corruption_bound():
     suite = PairCorruptionOracles(delta0=delta0, delta1=delta1)
     cfg = _config(alpha0=0.1, alpha_max=0.1, max_iterations=100)
     traces = [
-        run_adaptive(prob, SassMethod(), suite, c, 1e-9, x0=np.array([2.0, 0.0]))
-        for c in derive_configs(cfg, 77, 120)
+        run_adaptive(prob, SassMethod(), suite, cfg, 1e-9, x0=np.array([2.0, 0.0]), seed=s)
+        for s in derive_seeds(77, 120)
     ]
     p_hat, count = empirical_success_probability(traces, 0.1)
     assert count >= 10_000
@@ -423,12 +423,25 @@ def test_empirical_success_probability_corruption_bound():
     assert p_hat >= (1 - delta0 - delta1) - ci
 
 
-def test_derive_configs_are_deterministic_and_distinct():
-    cfg = _config()
-    a = derive_configs(cfg, 5, 8)
-    b = derive_configs(cfg, 5, 8)
-    assert [c.seed for c in a] == [c.seed for c in b]
-    assert len({c.seed for c in a}) == 8
+def test_derive_seeds_are_deterministic_and_distinct():
+    a = derive_seeds(5, 8)
+    assert a == derive_seeds(5, 8)
+    assert len(set(a)) == 8
+    # one uint64 from each child of SeedSequence(master).spawn(R), in order
+    assert a[:3] == [15658875773272509128, 6924645418555453511, 1725439304048894018]
+    assert derive_seeds(5, 3) == a[:3]
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "7", None])
+def test_a_bad_seed_is_refused_before_anything_is_drawn(seed):
+    prob = make_problem("quadratic", 2, 1.0, NoiseSpec.none(), seed=0)
+    with pytest.raises(InvalidParameterError, match="seed must be a nonnegative integer"):
+        run_adaptive(prob, SassMethod(), ExactOracles(), _config(), 1e-3, seed=seed)
+    with pytest.raises(InvalidParameterError, match="seed must be a nonnegative integer"):
+        run_lockstep(prob, SassMethod(), ExactOracles(), _config(), 1e-3, [0, seed])
+    if isinstance(seed, int):
+        with pytest.raises(InvalidParameterError, match="seed must be a nonnegative integer"):
+            derive_seeds(seed, 2)
 
 
 @pytest.mark.parametrize("x0", [np.zeros(3), np.zeros(1), np.zeros((1, 2)), np.float64(1.0)])

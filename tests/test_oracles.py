@@ -18,7 +18,6 @@ from adastoc.oracles import (
     StormOracleSpec,
     StormMinibatchOracles,
     SummedCost,
-    cost_table_rows,
     empirical_oracle_failure_rate,
     minibatch_grad,
     minibatch_value,
@@ -353,12 +352,6 @@ def test_summed_cost_adds_components():
     assert value.cost(0.5) == 2 * value.per_call(0.5)
 
 
-def test_cost_table_rows_schema():
-    value, grad = storm_cost_models(StormOracleSpec(sigma_f=1.0, sigma_g=1.0))
-    rows = cost_table_rows([1.0, 0.5], value, grad)
-    assert rows == [(1.0, 10, 10), (0.5, 160, 40)]
-
-
 def test_corruption_oracle_failure_rate():
     # the contract fails exactly on the suite's coins: delta0 per value pair,
     # delta1 per gradient
@@ -451,8 +444,3 @@ def test_minibatch_suite_rejects_unbounded_gradient_noise():
     suite = StormMinibatchOracles(StormOracleSpec(sigma_f=1.0, sigma_g=1.0))
     with pytest.raises(ConfigurationError):
         suite.validate(prob)
-
-
-def test_sass_recommended_r():
-    spec = SassOracleSpec(eps_f=0.1, lam=2.0)
-    assert spec.recommended_r() == pytest.approx(0.2 + math.log(4.0))

@@ -532,7 +532,7 @@ def _record_toc(trace, horizon=None):
     stopped = trace.stopping_iteration is not None and (
         horizon is None or trace.stopping_iteration <= horizon
     )
-    return TocRecord(toc0=toc0, toc1=toc1, toc=toc0 + toc1, iterations_used=len(records), stopped=stopped)
+    return TocRecord(toc0=toc0, toc1=toc1, iterations_used=len(records), stopped=stopped)
 
 
 def _record_stopping_time(trace, epsilon, mode):
@@ -570,9 +570,10 @@ def test_trace_columns_round_trip_and_match_the_record_loops(
 ):
     # headroom 8 re-anchors on the grid of alpha0 (gamma = 1/2), 3 off it
     prob = make_problem("quadratic", 2, 2.0, NoiseSpec.none(), seed=0)
-    cfg = AlgoConfig(theta=0.1, gamma=0.5, alpha0=0.05, alpha_max=0.05 * headroom,
-                     seed=seed, max_iterations=iterations)
-    trace = run_adaptive(prob, SassMethod(), PairCorruptionOracles(0.2, 0.2), cfg, epsilon, x0=np.array(start))
+    cfg = AlgoConfig(theta=0.1, gamma=0.5, alpha0=0.05, alpha_max=0.05 * headroom, max_iterations=iterations)
+    trace = run_adaptive(
+        prob, SassMethod(), PairCorruptionOracles(0.2, 0.2), cfg, epsilon, x0=np.array(start), seed=seed
+    )
     records = trace.records
     rebuilt = RunTrace(
         records=records, stopping_iteration=trace.stopping_iteration, config=cfg, epsilon=epsilon,
