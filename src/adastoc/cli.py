@@ -40,7 +40,7 @@ from .errors import (
     AssumptionViolationError,
     TheoryViolationError,
 )
-from .framework import AlgoConfig, derive_seeds, run_adaptive
+from .framework import AlgoConfig, _check_seed, derive_seeds, run_adaptive
 from .methods import SassMethod, StormMethod
 from .oracles import (
     ExactOracles,
@@ -526,6 +526,7 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         table, runner = _RUNNERS[args.command]
         opts = _merge(args, table)
+        _check_seed(opts["seed"])  # every subcommand takes --seed
         return runner(opts)
     except (TheoryViolationError, AssumptionViolationError) as exc:
         print(f"theory violation: {exc}", file=sys.stderr)

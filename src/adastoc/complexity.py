@@ -3,9 +3,9 @@
 The total oracle cost of a run is the sum of per-iteration sample counts.
 Two abstract bounds are evaluated numerically (no hidden constants):
 
-* expected: n * sum_{l=1..n} min(1, n (q/p)^l + c (2q)^l) * oc(alpha_bar
-  gamma^l) + n * oc(alpha_bar), a finite sum taken exactly with log-space
-  powers;
+* expected: n * sum_{l=0..n} min(1, n (q/p)^l + c (2q)^l) *
+  oc(alpha_bar gamma^l), a finite sum over the walk's levels, taken in log
+  space where a step size, weight or cost leaves the double range;
 * high probability: n * oc(alpha_star(n)) with failure probability
   P(T > n) + n^-omega + c n^-(1+omega), where alpha_star is the step-size
   floor.
@@ -27,13 +27,7 @@ import numpy as np
 
 from .errors import AssumptionViolationError, InvalidParameterError
 from .framework import AlgoConfig, RunTrace, _lockstep, _start, derive_seeds
-from .oracles import (
-    SassOracleSpec,
-    StormOracleSpec,
-    SummedCost,
-    sass_cost_models,
-    storm_cost_models,
-)
+from .oracles import SassOracleSpec, StormOracleSpec, sass_cost_models, storm_cost_models
 from .problems import NoiseSpec, Problem
 from .walk import WalkParams, stepsize_lower_bound
 
@@ -106,54 +100,67 @@ def accumulate_toc(trace: RunTrace, horizon: int | None = None) -> TocRecord:
     )
 
 
-_ALPHA_FLOOR = 1e-70  # below this the power-law cost formulas overflow double precision
+_LEVEL_BLOCK = 4096  # levels per array pass: memory does not grow with n
+_LOG_TINY = math.log(math.ulp(0.0))  # a term whose log is below this is 0 in a double
 
 
-def expected_toc_bound(cost, params: WalkParams, n: int) -> BoundReport:
+def _level_costs(models, params: WalkParams, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Summed per-iteration cost of the models at alpha_l = alpha_bar * gamma**l, and its log.
+
+    The cost is inf where it overflows a double; the log is then taken from
+    log alpha_l = log alpha_bar + l log gamma, so it is finite at every level.
+    """
+    alpha = params.alpha_bar * np.float_power(params.gamma, levels)
+    log_alpha = math.log(params.alpha_bar) + levels * math.log(params.gamma)
+    costs = [m.cost(alpha) for m in models]
+    logs = [np.where(np.isfinite(c), np.log(c), math.log(m.calls_per_iteration) + m.log_raw(log_alpha))
+            for m, c in zip(models, costs)]
+    with np.errstate(over="ignore"):
+        return sum(costs), np.logaddexp.reduce(logs)
+
+
+def expected_toc_bound(models, params: WalkParams, n: int) -> BoundReport:
     """Evaluation of the expected total-cost bound over n iterations.
 
-    cost must expose cost(alpha) and power, be non-increasing in alpha, and
-    grow at most like alpha**-power; a monotonicity violation detected on
-    the evaluation grid raises.  The sum is taken term by term until the
-    hitting weight underflows to zero (past which every term vanishes
-    exactly); should the level step size fall below the float floor first,
-    the remaining terms are replaced by a geometric upper bound on the tail
-    with ratio 2q / gamma**power, so the result is always a valid upper
-    bound.  In the divergent regime (gamma < (2q)**(1/power)) the bound is
-    inf; an alpha-independent cost (power 0) never diverges.
+    models are the cost models one iteration pays, e.g. (value, gradient);
+    their summed cost oc(alpha) must be non-increasing in alpha, and a
+    violation on the level grid raises.  The bound n * sum_{l=0..n} w_l *
+    oc(alpha_bar * gamma**l), w_l = min(1, n (q/p)**l + c (2q)**l), is the
+    correctly rounded sum (math.fsum) of its terms: products of doubles
+    where the weight is a normal double and the cost finite, else
+    exp(log n + log w_l + log oc).  The levels end at n, past the last term
+    that is not 0 in a double, or where the sum overflows: the bound is inf
+    only when the sum exceeds the double range.
     """
     if n < 1:
         raise InvalidParameterError("n must be a positive integer")
-    q, p, c = params.q, params.p, params.c
-    log_qp = math.log(q / p) if q > 0.0 else -math.inf
-    log_2q = math.log(2.0 * q) if q > 0.0 else -math.inf
-    base_cost = cost.cost(params.alpha_bar)
-    total = float(n) * base_cost
-    prev_cost = base_cost
-    prev_term = math.inf
-    for l in range(1, n + 1):
-        weight = min(1.0, n * math.exp(l * log_qp) + c * math.exp(l * log_2q))
-        if weight == 0.0:
-            break
-        alpha_l = params.alpha_bar * params.gamma**l
-        if alpha_l < _ALPHA_FLOOR:
-            ratio = 0.0 if math.isinf(prev_term) else (2.0 * q) / params.gamma**cost.power
-            if prev_term > 0.0 and ratio < 1.0:
-                total += float(n) * prev_term * ratio / (1.0 - ratio)
-            else:
+    q, p, c, log_n = params.q, params.p, params.c, math.log(n)
+    total, last_log = 0.0, -math.inf
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log_qp, log_2q, log_c = np.log(q / p), np.log(2.0 * q), np.log(c)
+        # where w_l < 1 a term is at most exp(decay) times the one before (the weight
+        # falls by 2q, the cost grows by gamma**-power), so with decay < 0 a 0 stays 0
+        decay = log_2q - max(0.0, *(m.power for m in models)) * math.log(params.gamma)
+        for start in range(0, n + 1, _LEVEL_BLOCK):
+            levels = np.arange(start, min(start + _LEVEL_BLOCK, n + 1), dtype=float)
+            cost, log_cost = _level_costs(models, params, levels)
+            rising = np.diff(log_cost, prepend=last_log) < 0.0
+            if rising.any():
+                level = start + int(np.argmax(rising))
+                raise AssumptionViolationError(f"cost model increases with alpha near level {level}; monotonicity is required")
+            # fmin: at q = 0, level 0 meets 0 * log 0 = nan, and its weight is 1
+            weight = np.fmin(1.0, n * np.exp(levels * log_qp) + c * np.exp(levels * log_2q))
+            log_weight = np.fmin(0.0, np.logaddexp(log_n + levels * log_qp, log_c + levels * log_2q))
+            log_term = log_n + log_weight + log_cost
+            exact = (weight >= np.finfo(float).tiny) & np.isfinite(cost)
+            term = np.where(exact, float(n) * (weight * cost), np.exp(log_term))
+            try:
+                total = math.fsum([total, *term.tolist()])
+            except OverflowError:  # finite terms whose sum is beyond the double range
                 total = math.inf
-            break
-        level_cost = cost.cost(alpha_l)
-        if level_cost < prev_cost:
-            raise AssumptionViolationError(
-                f"cost model increases with alpha near level {l}; monotonicity is required"
-            )
-        prev_cost = level_cost
-        term = weight * level_cost
-        prev_term = term
-        total += float(n) * term
-        if math.isinf(total):
-            break
+            last_log = log_cost[-1]
+            if math.isinf(total) or (decay < 0.0 and weight[-1] < 1.0 and log_term[-1] < _LOG_TINY):
+                break
     return BoundReport(
         bound_value=total,
         failure_prob=0.0,
@@ -163,16 +170,20 @@ def expected_toc_bound(cost, params: WalkParams, n: int) -> BoundReport:
 
 
 def highprob_toc_bound(
-    cost, params: WalkParams, n: int, prob_t_exceeds_n: float
+    models, params: WalkParams, n: int, prob_t_exceeds_n: float
 ) -> BoundReport:
-    """n * oc(alpha_star(n)), failing w.p. at most P(T>n) + n^-omega + c n^-(1+omega)."""
+    """n * oc(alpha_star(n)), failing w.p. at most P(T>n) + n^-omega + c n^-(1+omega).
+
+    oc is the models' summed cost, as in expected_toc_bound; it is inf at a
+    floor that underflows to 0 unless no model grows as alpha shrinks.
+    """
     if not (0.0 <= prob_t_exceeds_n <= 1.0):
         raise InvalidParameterError("prob_t_exceeds_n must lie in [0,1]")
     alpha_star, _, level = stepsize_lower_bound(params, n)
     walk_failure = n ** (-params.omega) + params.c * n ** (-(1.0 + params.omega))
     failure = min(1.0, prob_t_exceeds_n + walk_failure)
     return BoundReport(
-        bound_value=float(n) * cost.cost(alpha_star),
+        bound_value=float(n) * float(sum(m.cost(alpha_star) for m in models)),
         failure_prob=failure,
         kind="high_probability",
         inputs={
@@ -191,13 +202,12 @@ def highprob_toc_bound(
 def _report(models, params: WalkParams, n: int, prob_t_exceeds_n: float) -> MethodComplexityReport:
     """Both bounds on the summed per-iteration cost, plus each model's growth exponent."""
     value_model, grad_model = models
-    total = SummedCost(components=(value_model, grad_model))
     # a perfectly reliable walk (q = 0) never climbs a level: both exponents are 0
     log_gamma = math.log(params.gamma)
     log_qp = math.log(params.q / params.p) if params.q > 0.0 else -math.inf
     return MethodComplexityReport(
-        expected=expected_toc_bound(total, params, n),
-        high_probability=highprob_toc_bound(total, params, n, prob_t_exceeds_n),
+        expected=expected_toc_bound(models, params, n),
+        high_probability=highprob_toc_bound(models, params, n, prob_t_exceeds_n),
         toc0_exponent=value_model.power * log_gamma / log_qp,
         toc1_exponent=grad_model.power * log_gamma / log_qp,
         p=params.p,

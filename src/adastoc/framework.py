@@ -317,8 +317,8 @@ def _lockstep(problem, method, suite, config, epsilon, mode, x, seeds, record):
     """
     if len(seeds) < 1:
         raise InvalidParameterError("at least one seed is needed")
-    if not all(map(_is_seed, seeds)):
-        raise InvalidParameterError("seed must be a nonnegative integer")
+    for seed in seeds:
+        _check_seed(seed)
     streams = RowStreams((np.random.default_rng(seed) for seed in seeds), suite.draws, _BLOCK)
     min_value = math.nan if problem.min_value is None else problem.min_value
     gap_mode = mode == STRONGLY_CONVEX
@@ -631,13 +631,13 @@ def derive_seeds(master_seed: int, replications: int) -> list[int]:
     """Independent replication seeds derived from master_seed, one per spawned child."""
     if replications < 1:
         raise InvalidParameterError("replications must be positive")
-    if not _is_seed(master_seed):
-        raise InvalidParameterError("seed must be a nonnegative integer")
+    _check_seed(master_seed)
     return [
         int(child.generate_state(1, dtype=np.uint64)[0])
         for child in np.random.SeedSequence(master_seed).spawn(replications)
     ]
 
 
-def _is_seed(seed) -> bool:
-    return isinstance(seed, (int, np.integer)) and seed >= 0
+def _check_seed(seed) -> None:
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise InvalidParameterError("seed must be a nonnegative integer")

@@ -26,7 +26,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -38,7 +37,6 @@ __all__ = [
     "SassOracleSpec",
     "StormOracleSpec",
     "CostModel",
-    "SummedCost",
     "minibatch_value",
     "minibatch_grad",
     "storm_cost_models",
@@ -111,79 +109,84 @@ class StormOracleSpec:
 class CostModel:
     """Per-iteration oracle cost as a function of the step size parameter.
 
-    raw(alpha) is the smooth batch-size formula; one call costs
+    The batch-size formula raw(alpha) = sum_i c_i / min(alpha, a_i)**P_i has
+    one (c_i, a_i, P_i) term per entry of terms: c_i > 0, a cap a_i > 0
+    (math.inf for none) and a power P_i (0 for a constant).  One call costs
     max(1, ceil(raw)) samples and an iteration makes calls_per_iteration of
-    them.  Costs must be non-increasing in alpha and grow at most like
-    alpha**-power as alpha shrinks; the expected-cost bound's tail and the
-    reports' growth exponents read power.  Values too large for an integer
-    are returned as math.inf by cost() (the bounds treat that as an honest
-    divergence); batch() raises instead.
+    them.  power = max P_i (0 with no term) is the reports' growth rate.
+    raw, log_raw, per_call and cost take a float or an array of step sizes;
+    costs beyond the double range are inf there, and batch() raises.
     """
 
-    raw: Callable[[float], float]
+    terms: tuple[tuple[float, float, float], ...] = ()
     calls_per_iteration: int = 1
     label: str = ""
-    power: float = 4.0
     # batch sizes already computed, by alpha: a run revisits the few step
-    # sizes of its walk, so most lookups skip the float formula
+    # sizes of its walk, so most lookups skip the formula
     _batches: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def per_call(self, alpha: float) -> float:
-        if alpha <= 0.0:
-            raise InvalidParameterError("alpha must be positive")
-        with np.errstate(divide="ignore", over="ignore"):
-            v = float(self.raw(alpha))
-        if math.isnan(v):
-            raise InvalidParameterError(f"cost model {self.label!r} produced nan at {alpha}")
-        if math.isinf(v):
-            return math.inf
-        # float-domain ceiling: exact below 2**53, graceful inf beyond float range
-        return max(1.0, float(np.ceil(v)))
+    def __post_init__(self):
+        for c, a, power in self.terms:
+            if not (c > 0.0 and a > 0.0 and math.isfinite(power)):
+                raise InvalidParameterError(f"cost model {self.label!r}: a term needs c, a > 0, finite P")
 
-    def cost(self, alpha: float) -> float:
+    @property
+    def power(self) -> float:
+        return max((power for _, _, power in self.terms), default=0.0)
+
+    def raw(self, alpha):
+        """The batch-size formula at each alpha; inf where it overflows a double."""
+        alpha = np.asarray(alpha, dtype=float)
+        total = np.zeros_like(alpha)
+        with np.errstate(divide="ignore", over="ignore"):
+            for c, a, power in self.terms:
+                # float_power is the C library's pow, as scalar ** is; array ** differs in the last bit
+                total = total + c / np.float_power(np.minimum(alpha, a), power)
+        return total
+
+    def log_raw(self, log_alpha):
+        """log raw(alpha) from log alpha: finite wherever raw overflows or alpha underflows."""
+        log_alpha = np.asarray(log_alpha, dtype=float)
+        logs = [math.log(c) - power * np.minimum(log_alpha, math.log(a)) for c, a, power in self.terms]
+        return np.logaddexp.reduce([np.full_like(log_alpha, -math.inf), *logs])
+
+    def per_call(self, alpha):
+        """Samples per call, max(1, ceil(raw)), as floats; inf beyond the float range."""
+        return np.maximum(1.0, np.ceil(self.raw(alpha)))[()]
+
+    def cost(self, alpha):
         return self.calls_per_iteration * self.per_call(alpha)
 
     def batch(self, alpha):
         """Samples per call: an int for one alpha, an object array of ints for an array of alphas.
 
         Counts are exact Python ints, above 2**63 too.  Each element equals
-        the batch of that alpha alone; the first alpha whose cost overflows
-        raises InvalidParameterError.
+        the batch of that alpha alone; the first alpha that is not positive,
+        or whose cost overflows, raises InvalidParameterError.
         """
-        if np.ndim(alpha) == 0:
-            return self._batch(alpha)
-        return np.array([self._batch(a) for a in np.asarray(alpha).tolist()], dtype=object)
+        scalar = np.ndim(alpha) == 0
+        alphas = [alpha] if scalar else np.asarray(alpha).tolist()
+        batches = [self._batches.get(a) for a in alphas]
+        if None in batches:
+            new = self._new_batches([a for a in dict.fromkeys(alphas) if a not in self._batches])
+            batches = [new[a] if b is None else b for a, b in zip(alphas, batches)]
+        return batches[0] if scalar else np.array(batches, dtype=object)
 
-    def _batch(self, alpha: float) -> int:
-        b = self._batches.get(alpha)
-        if b is None:
-            c = self.per_call(alpha)
-            if math.isinf(c):
-                raise InvalidParameterError(
-                    f"cost model {self.label!r} overflows at alpha={alpha}"
-                )
-            b = int(c)
-            if len(self._batches) < _BATCH_CACHE:
-                self._batches[alpha] = b
-        return b
+    def _new_batches(self, alphas: list) -> dict:
+        """Batches of step sizes not remembered yet, from one array evaluation; remembered if room."""
+        new = {}
+        for a, b in zip(alphas, self.per_call(np.array(alphas, dtype=float)).tolist()):
+            if not a > 0.0:
+                raise InvalidParameterError("alpha must be positive")
+            if math.isinf(b):
+                raise InvalidParameterError(f"cost model {self.label!r} overflows at alpha={a}")
+            new[a] = int(b)
+        if len(self._batches) < _BATCH_CACHE:
+            self._batches.update(new)
+        return new
 
 
 _BATCH_CACHE = 4096  # step sizes remembered per cost model
-
-
-@dataclass(frozen=True)
-class SummedCost:
-    """Sum of component cost models, for total-cost bounds."""
-
-    components: tuple[CostModel, ...]
-    label: str = "total"
-
-    @property
-    def power(self) -> float:
-        return max(c.power for c in self.components)
-
-    def cost(self, alpha: float) -> float:
-        return sum(c.cost(alpha) for c in self.components)
 
 
 # -- minibatch averaging ----------------------------------------------------
@@ -265,36 +268,29 @@ def _minibatch_grad_rows(problem: Problem, g: np.ndarray, batch, streams) -> np.
 #
 # These models are the only batch formulas: the runtime suites draw
 # value.batch(alpha) and grad.batch(alpha) samples per call, and the
-# complexity reports bound the same per-iteration costs.  Each raw formula
-# is evaluated in np.float64 so that its tails overflow to inf instead of
-# raising.
+# complexity reports bound the same per-iteration costs.  A noise source
+# that is 0 adds no term.
+
+
+def _model(terms, calls_per_iteration: int, label: str) -> CostModel:
+    return CostModel(tuple(t for t in terms if t[0] > 0.0), calls_per_iteration, label)
 
 
 def storm_cost_models(spec: StormOracleSpec) -> tuple[CostModel, CostModel]:
     """Chebyshev batch models meeting the trust-region oracle contracts.
 
-    Per call: sigma_f**2 / (delta0 * kappa_ef**2 * alpha**4) value samples
-    and sigma_g**2 / (delta1 * kappa_eg**2 * alpha**2) gradient samples,
+    Per call: sigma_f**2 / (delta0 * kappa_ef**2) / alpha**4 value samples
+    and sigma_g**2 / (delta1 * kappa_eg**2) / alpha**2 gradient samples,
     each at least one.
     """
     if spec.sigma_f > 0.0 and (spec.delta0 == 0.0 or spec.kappa_ef == 0.0):
         raise InvalidParameterError("delta0 and kappa_ef must be positive when sigma_f > 0")
     if spec.sigma_g > 0.0 and (spec.delta1 == 0.0 or spec.kappa_eg == 0.0):
         raise InvalidParameterError("delta1 and kappa_eg must be positive when sigma_g > 0")
-    sigma_f, delta0, kappa_ef, sigma_g, delta1, kappa_eg = map(
-        np.float64,
-        (spec.sigma_f, spec.delta0, spec.kappa_ef, spec.sigma_g, spec.delta1, spec.kappa_eg),
-    )
-
-    def value_raw(a: float) -> float:
-        return sigma_f**2 / (delta0 * kappa_ef**2 * np.float64(a) ** 4) if sigma_f > 0.0 else 0.0
-
-    def grad_raw(a: float) -> float:
-        return sigma_g**2 / (delta1 * kappa_eg**2 * np.float64(a) ** 2) if sigma_g > 0.0 else 0.0
-
-    value = CostModel(raw=value_raw, calls_per_iteration=2, label="tr_value", power=4.0)
-    grad = CostModel(raw=grad_raw, calls_per_iteration=1, label="tr_grad", power=2.0)
-    return value, grad
+    # np.float64: a coefficient beyond the double range is inf (every batch overflows), not an error
+    value = (np.float64(spec.sigma_f) ** 2 / (spec.delta0 * spec.kappa_ef**2) if spec.sigma_f else 0.0, math.inf, 4.0)
+    grad = (np.float64(spec.sigma_g) ** 2 / (spec.delta1 * spec.kappa_eg**2) if spec.sigma_g else 0.0, math.inf, 2.0)
+    return _model([value], 2, "tr_value"), _model([grad], 1, "tr_grad")
 
 
 def sass_cost_models(
@@ -319,23 +315,14 @@ def sass_cost_models(
         raise InvalidParameterError(f"unknown case {case!r}")
     if c <= 0.0:
         raise InvalidParameterError("the batch multiplier must be positive")
-    c, eps, sigma_f, m_c, m_v = map(np.float64, (c, epsilon, noise.sigma_f, noise.m_c, noise.m_v))
     value_order, grad_order = (4, 2) if case == "nonconvex" else (2, 1)
-    kappa, tau = spec.kappa, spec.tau
-
-    def value_raw(a: float) -> float:
-        return c * sigma_f**2 / eps**value_order
-
-    def grad_raw(a: float) -> float:
-        if m_v == 0.0:
-            return c * (m_c / eps**grad_order)
-        return c * (m_c / eps**grad_order + m_v / np.float64(min(tau, kappa * a)) ** 2)
-
-    value = CostModel(raw=value_raw, calls_per_iteration=2, label="ss_value", power=0.0)
-    grad = CostModel(
-        raw=grad_raw, calls_per_iteration=1, label="ss_grad", power=2.0 if m_v > 0.0 else 0.0
-    )
-    return value, grad
+    c, eps = np.float64(c), np.float64(epsilon)  # as in storm_cost_models
+    value = (c * noise.sigma_f**2 / eps**value_order, math.inf, 0.0)
+    grad = [
+        (c * (noise.m_c / eps**grad_order), math.inf, 0.0),
+        (c * noise.m_v / spec.kappa**2, spec.tau / spec.kappa, 2.0),
+    ]
+    return _model([value], 2, "ss_value"), _model(grad, 1, "ss_grad")
 
 
 def empirical_oracle_failure_rate(

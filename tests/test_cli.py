@@ -478,3 +478,26 @@ def test_module_runs_as_a_script(tmp_path):
     assert done.returncode == 1
     assert "l_max must be nonnegative" in done.stderr
     assert not (tmp_path / "h.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["walk", "hitting", "optimize", "sweep"])
+def test_negative_seed_is_refused_with_the_package_message(tmp_path, capsys, command):
+    # numpy's own "expected non-negative integer" never reaches the user
+    assert _run([command, "--seed=-1", f"--out={tmp_path / 'o.csv'}"]) == 1
+    assert capsys.readouterr().err == "error: seed must be a nonnegative integer\n"
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_sweep_reports_inf_when_the_step_size_floor_underflows(tmp_path):
+    # at p = 0.52 and gamma = 0.1 the floor alpha_star(2e5) is 0.0 in a double:
+    # both bounds are inf, and the sweep still writes its row
+    out = tmp_path / "s.csv"
+    assert _run([
+        "sweep", "--method=storm", "--epsilons=0.1", "--reps=2", "--sigma-f=0.001", "--m-c=0.01",
+        "--gamma=0.1", "--delta0=0.24", "--delta1=0.24", "--horizon-c2=1000",
+        "--max-iterations=200", "--seed=0", f"--out={out}",
+    ]) == 0
+    header, row = out.read_text().splitlines()
+    values = dict(zip(header.split(","), row.split(",")))
+    assert (values["bound_expected"], values["bound_highprob"]) == ("inf", "inf")
+    assert float(values["exceed_frac"]) == 0.0

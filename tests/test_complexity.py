@@ -1,5 +1,6 @@
 import math
 import tempfile
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -38,7 +39,7 @@ from adastoc.oracles import (
     SassOracleSpec,
     StormMinibatchOracles,
     StormOracleSpec,
-    SummedCost,
+    sass_cost_models,
     storm_cost_models,
 )
 from adastoc.problems import NoiseSpec, make_problem
@@ -98,10 +99,14 @@ def test_toc_record_sum_invariant():
         TocRecord(toc0=1, toc1=1, toc=3, iterations_used=1, stopped=True)
 
 
+def _total_cost(models, alpha):
+    return sum(m.cost(alpha) for m in models)
+
+
 def test_expected_bound_constant_cost_identity():
     params = WalkParams(p=0.9, gamma=0.8, alpha_bar=0.1, omega=1.0)
-    const = CostModel(raw=lambda a: 7.0)
-    got = expected_toc_bound(const, params, 50).bound_value
+    const = CostModel(((7.0, math.inf, 0.0),))
+    got = expected_toc_bound((const,), params, 50).bound_value
     q, c = params.q, params.c
     manual = 7 * 50 * (1 + sum(min(1.0, 50 * (q / 0.9) ** l + c * (2 * q) ** l) for l in range(1, 51)))
     assert got == pytest.approx(manual, rel=1e-12)
@@ -111,15 +116,15 @@ def test_expected_bound_matches_high_precision_resummation():
     # same per-level costs, accumulated at 50 significant digits
     spec = StormOracleSpec(sigma_f=1.0, sigma_g=1.0, delta0=0.05, delta1=0.05, kappa_ef=1.0, kappa_eg=1.0)
     params = WalkParams(p=0.9, gamma=0.8, alpha_bar=0.1, omega=1.0)
-    total = SummedCost(components=storm_cost_models(spec))
-    got = expected_toc_bound(total, params, 100).bound_value
+    models = storm_cost_models(spec)
+    got = expected_toc_bound(models, params, 100).bound_value
     with mpmath.workdps(50):
         q = mpmath.mpf(1) - mpmath.mpf("0.9")
         c = 2 * mpmath.sqrt(mpmath.mpf("0.9") * q) / (1 - 2 * mpmath.sqrt(mpmath.mpf("0.9") * q)) ** 2
-        acc = mpmath.mpf(100) * total.cost(0.1)
+        acc = mpmath.mpf(100) * _total_cost(models, 0.1)
         for l in range(1, 101):
             w = min(mpmath.mpf(1), 100 * (q / mpmath.mpf("0.9")) ** l + c * (2 * q) ** l)
-            acc += 100 * w * total.cost(0.1 * 0.8**l)
+            acc += 100 * w * _total_cost(models, 0.1 * 0.8**l)
         ref = float(acc)
     assert got == pytest.approx(ref, rel=1e-10)
 
@@ -127,51 +132,40 @@ def test_expected_bound_matches_high_precision_resummation():
 def test_expected_bound_nondecreasing_in_n():
     spec = StormOracleSpec(sigma_f=1.0, sigma_g=1.0, delta0=0.05, delta1=0.05)
     params = WalkParams(p=0.9, gamma=0.85, alpha_bar=0.1, omega=1.0)
-    total = SummedCost(components=storm_cost_models(spec))
-    values = [expected_toc_bound(total, params, n).bound_value for n in (10, 20, 40, 80, 160)]
+    models = storm_cost_models(spec)
+    values = [expected_toc_bound(models, params, n).bound_value for n in (10, 20, 40, 80, 160)]
     assert all(a <= b for a, b in zip(values, values[1:]))
 
 
 def test_expected_bound_rejects_increasing_cost():
     params = WalkParams(p=0.9, gamma=0.8, alpha_bar=1.0, omega=1.0)
-    increasing = CostModel(raw=lambda a: 100.0 * a)
-    with pytest.raises(AssumptionViolationError):
-        expected_toc_bound(increasing, params, 20)
+    increasing = CostModel(((100.0, math.inf, -1.0),))  # 100 * alpha
+    with pytest.raises(AssumptionViolationError, match="near level 1;"):
+        expected_toc_bound((increasing,), params, 20)
 
 
 def test_expected_bound_divergent_regime_is_inf():
     # contraction faster than the tail decay: gamma < (2q)^(1/4)
     spec = StormOracleSpec(sigma_f=1.0, sigma_g=1.0, delta0=0.1, delta1=0.1)
     params = WalkParams(p=0.8, gamma=0.5, alpha_bar=0.1, omega=1.0)
-    total = SummedCost(components=storm_cost_models(spec))
-    assert expected_toc_bound(total, params, 2000).bound_value == math.inf
+    assert expected_toc_bound(storm_cost_models(spec), params, 2000).bound_value == math.inf
 
 
 _GAMMAS = (0.5, 0.6, 0.7, 0.8, 0.9)
 _PS = (0.6, 0.7, 0.8, 0.9)
 
 
-class _QuarticTail:
-    """A cost whose bound tail uses the quartic ratio (2q)/gamma**4 whatever its models."""
-
-    power = 4.0
-
-    def __init__(self, total):
-        self.cost = total.cost
-
-
-def test_storm_expected_bound_divergence_set_unchanged():
-    # the storm total grows like alpha**-4, so its tail is the quartic one
+def test_storm_expected_bound_is_inf_only_in_the_divergent_regime():
+    # the storm total grows like alpha**-4: past the levels of weight 1 the
+    # terms shrink geometrically when gamma**4 > 2q, so the sum is finite there
     infinite = set()
     for gamma in _GAMMAS:
         for p in _PS:
             spec = StormOracleSpec(sigma_f=1.0, sigma_g=1.0, delta0=(1 - p) / 2, delta1=(1 - p) / 2)
             params = WalkParams(p=spec.p, gamma=gamma, alpha_bar=0.1, omega=1.0)
-            total = SummedCost(components=storm_cost_models(spec))
-            got = expected_toc_bound(total, params, 2000).bound_value
-            assert got == expected_toc_bound(_QuarticTail(total), params, 2000).bound_value
-            if math.isinf(got):
+            if math.isinf(expected_toc_bound(storm_cost_models(spec), params, 2000).bound_value):
                 infinite.add((gamma, p))
+                assert gamma**4 < 2 * params.q
     assert (0.5, 0.8) in infinite and (0.9, 0.9) not in infinite
 
 
@@ -205,8 +199,8 @@ def test_report_growth_exponents_on_grid():
 
 def test_highprob_bound_constant_cost():
     params = WalkParams(p=0.8, gamma=0.7, alpha_bar=1.0, omega=1.0)
-    const = CostModel(raw=lambda a: 5.0)
-    report = highprob_toc_bound(const, params, 100, prob_t_exceeds_n=0.2)
+    const = CostModel(((5.0, math.inf, 0.0),))
+    report = highprob_toc_bound((const,), params, 100, prob_t_exceeds_n=0.2)
     assert report.bound_value == 500.0
     walk_failure = 100**-1.0 + params.c * 100**-2.0
     assert report.failure_prob == pytest.approx(min(1.0, 0.2 + walk_failure))
@@ -217,10 +211,9 @@ def test_highprob_bound_at_corollary_gamma():
     p, n, omega, beta = 0.8, 10**4, 1.0, 0.25
     gamma = gamma_threshold(p, n, omega, beta)
     params = WalkParams(p=p, gamma=gamma, alpha_bar=1.0, omega=omega)
-    value, grad = storm_cost_models(StormOracleSpec(sigma_f=1.0, sigma_g=1.0))
-    total = SummedCost(components=(value, grad))
-    report = highprob_toc_bound(total, params, n, prob_t_exceeds_n=0.0)
-    assert report.bound_value <= n * total.cost(beta * 1.0)
+    models = storm_cost_models(StormOracleSpec(sigma_f=1.0, sigma_g=1.0))
+    report = highprob_toc_bound(models, params, n, prob_t_exceeds_n=0.0)
+    assert report.bound_value <= n * _total_cost(models, beta * 1.0)
     alpha_star, _, _ = stepsize_lower_bound(params, n)
     assert alpha_star >= beta
 
@@ -462,3 +455,100 @@ def test_monte_carlo_propagates_errors_with_replication_index():
     prob = make_problem("quadratic", 2, 1.0, NoiseSpec.none(), seed=0)
     with pytest.raises(NumericError, match="replication 0"):
         monte_carlo_toc(prob, SassMethod(), Broken(), _config(), 1e-6, 3, 0)
+
+
+def test_storm_report_is_inf_when_the_step_size_floor_underflows():
+    # alpha_star(10**6) = 0.0 in a double at level 677: a cost growing as
+    # alpha shrinks is beyond the double range there, not a parameter error
+    spec = StormOracleSpec(sigma_f=1e-3, sigma_g=0.1, delta0=0.24, delta1=0.24)
+    report = storm_complexity_report(spec, 0.1, 10.0, 10**6, 0.1, 1.0)
+    assert report.high_probability.inputs["alpha_star"] == 0.0
+    assert report.high_probability.inputs["level"] == 677
+    assert report.high_probability.bound_value == math.inf
+    assert report.expected.bound_value == math.inf
+
+
+# The theory grid of the benchmark's `theory` workload: storm and sass
+# reports over gammas x tolerances, horizon ceil(20 / epsilon**2).
+_GRID_GAMMAS = (0.5, 0.6, 0.7, 0.8, 0.9)
+_GRID_EPSILONS = (0.2, 0.1, 0.05)
+_GRID_STORM = StormOracleSpec(sigma_f=1e-3, sigma_g=0.1)
+_GRID_NOISE = NoiseSpec.gaussian(sigma_f=1e-3, m_c=1e-2, m_v=1e-3)
+
+
+def _grid_report(kind, gamma, eps):
+    n = math.ceil(20.0 / eps**2)
+    if kind == "storm":
+        return storm_complexity_report(_GRID_STORM, eps, 10.0, n, gamma, 1.0, prob_t_exceeds_n=0.1)
+    return sass_complexity_report(
+        SassOracleSpec(), _GRID_NOISE, eps, n, gamma, 1.0, "nonconvex", p=0.8, alpha_bar=0.45,
+        prob_t_exceeds_n=0.1,
+    )
+
+
+def test_theory_grid_expected_bounds_are_inf_exactly_where_the_sum_overflows():
+    infinite = {
+        (kind, gamma, eps)
+        for gamma in _GRID_GAMMAS
+        for eps in _GRID_EPSILONS
+        for kind in ("storm", "sass")
+        if math.isinf(_grid_report(kind, gamma, eps).expected.bound_value)
+    }
+    assert infinite == {
+        ("storm", 0.5, 0.2), ("storm", 0.5, 0.1), ("storm", 0.5, 0.05),
+        ("sass", 0.5, 0.1), ("sass", 0.5, 0.05),
+        ("storm", 0.6, 0.1), ("storm", 0.6, 0.05), ("sass", 0.6, 0.05),
+        ("storm", 0.7, 0.1), ("storm", 0.7, 0.05),
+    }
+
+
+def _mp_expected_bound(models, params, n):
+    """n * sum_{l=0..n} w_l * oc(alpha_bar gamma**l) at 40 digits, from the same float inputs."""
+    with mpmath.workdps(40):
+        p, q = mpmath.mpf(params.p), mpmath.mpf(params.q)
+        c = 2 * mpmath.sqrt(p * q) / (1 - 2 * mpmath.sqrt(p * q)) ** 2
+        total = mpmath.mpf(0)
+        for l in range(n + 1):
+            weight = min(1, n * (q / p) ** l + c * (2 * q) ** l)
+            alpha = mpmath.mpf(params.alpha_bar) * mpmath.mpf(params.gamma) ** l
+            cost = 0
+            for model in models:
+                raw = sum(mpmath.mpf(ci) / min(alpha, mpmath.mpf(ai)) ** pi for ci, ai, pi in model.terms)
+                cost += model.calls_per_iteration * max(1, mpmath.ceil(raw))
+            total += n * weight * cost
+        return total
+
+
+@pytest.mark.parametrize(
+    "kind, gamma, eps",
+    [
+        # dominant terms where the cost or the weight leaves the double range
+        ("sass", 0.5, 0.2), ("sass", 0.6, 0.2), ("sass", 0.6, 0.1), ("storm", 0.6, 0.2), ("storm", 0.7, 0.2),
+        # convergent sums
+        ("storm", 0.8, 0.1), ("sass", 0.8, 0.2), ("storm", 0.9, 0.2),
+    ],
+)
+def test_expected_bound_matches_mpmath_summation(kind, gamma, eps):
+    report = _grid_report(kind, gamma, eps)
+    n = report.expected.inputs["n"]
+    params = WalkParams(p=report.p, gamma=gamma, alpha_bar=report.alpha_bar, omega=1.0)
+    if kind == "storm":
+        models = storm_cost_models(_GRID_STORM)
+    else:
+        models = sass_cost_models(SassOracleSpec(), _GRID_NOISE, eps, "nonconvex")
+    got = report.expected.bound_value
+    assert math.isfinite(got)
+    ref = _mp_expected_bound(models, params, n)
+    assert abs(got - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("gamma", [0.5, 0.9])
+def test_expected_bound_work_does_not_grow_with_n(gamma):
+    # the levels end where every later term is 0 in a double, or where the
+    # sum overflows, not at level n
+    models = storm_cost_models(StormOracleSpec(sigma_f=1.0, sigma_g=1.0))
+    params = WalkParams(p=0.8, gamma=gamma, alpha_bar=0.1, omega=1.0)
+    start = time.perf_counter()
+    value = expected_toc_bound(models, params, 10**9).bound_value
+    assert time.perf_counter() - start < 0.5
+    assert math.isinf(value) == (gamma**4 < 2 * params.q)

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from adastoc.complexity import _level_costs
 from adastoc.errors import ConfigurationError, InvalidParameterError
 from adastoc.oracles import (
     CostModel,
@@ -17,7 +19,6 @@ from adastoc.oracles import (
     SassOracleSpec,
     StormOracleSpec,
     StormMinibatchOracles,
-    SummedCost,
     empirical_oracle_failure_rate,
     minibatch_grad,
     minibatch_value,
@@ -26,6 +27,7 @@ from adastoc.oracles import (
 )
 from adastoc.problems import NoiseSpec, make_problem
 from adastoc.rows import RowStreams
+from adastoc.walk import WalkParams
 
 
 def test_minibatch_value_law_matches_sample_mean():
@@ -277,12 +279,82 @@ def test_sass_suite_charges_the_bound_models_batches(alpha, epsilon, batch_c, m_
 def test_cost_model_powers():
     value, grad = storm_cost_models(StormOracleSpec(sigma_f=1.0, sigma_g=1.0))
     assert (value.power, grad.power) == (4.0, 2.0)
-    assert SummedCost(components=(value, grad)).power == 4.0
+    value, grad = storm_cost_models(StormOracleSpec(sigma_f=0.0, sigma_g=1.0))
+    assert (value.power, grad.power) == (0.0, 2.0)  # no noise, no term
     for m_v, grad_power in ((0.0, 0.0), (1.0, 2.0)):
         noise = NoiseSpec.gaussian(sigma_f=1.0, m_c=1.0, m_v=m_v)
         value, grad = sass_cost_models(SassOracleSpec(), noise, 0.1, "nonconvex")
         assert (value.power, grad.power) == (0.0, grad_power)
-    assert CostModel(raw=lambda a: 1.0).power == 4.0
+    assert CostModel().power == 0.0
+
+
+def _exact_batch(raw: Fraction) -> int | None:
+    """max(1, ceil(raw)), or None where raw is within a relative 1e-14 of an integer."""
+    if abs(raw - round(raw)) <= Fraction(1, 10**14) * raw:
+        return None
+    return max(1, math.ceil(raw))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    alpha=st.floats(1e-3, 10.0),
+    sigma_f=st.floats(1e-4, 10.0),
+    sigma_g=st.floats(1e-4, 10.0),
+    delta=st.floats(0.01, 0.24),
+    kappa=st.one_of(st.just(1.0), st.floats(0.1, 10.0)),
+)
+@example(alpha=0.01, sigma_f=0.001, sigma_g=0.1, delta=0.1, kappa=1.0)  # exact raws 1000 and 1000
+def test_storm_batches_are_the_ceiling_of_the_exact_formula(alpha, sigma_f, sigma_g, delta, kappa):
+    # the float inputs taken as exact rationals: the term formula may round
+    # in any order, but its ceiling must be the exact one
+    spec = StormOracleSpec(
+        kappa_ef=kappa, delta0=delta, kappa_eg=kappa, delta1=delta, sigma_f=sigma_f, sigma_g=sigma_g
+    )
+    value, grad = storm_cost_models(spec)
+    a, k, d = Fraction(alpha), Fraction(kappa), Fraction(delta)
+    for model, exact in (
+        (value, Fraction(sigma_f) ** 2 / (d * k**2 * a**4)),
+        (grad, Fraction(sigma_g) ** 2 / (d * k**2 * a**2)),
+    ):
+        expected = _exact_batch(exact)
+        if expected is not None:
+            assert model.batch(alpha) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    alpha=st.floats(1e-3, 10.0),
+    epsilon=st.floats(0.01, 0.5),
+    batch_c=st.one_of(st.just(1.0), st.integers(2, 100).map(float), st.floats(0.1, 100.0)),
+    sigma_f=st.floats(1e-4, 1.0),
+    m_c=st.one_of(st.just(0.0), st.floats(1e-5, 1.0)),
+    m_v=st.one_of(st.just(0.0), st.floats(1e-4, 1.0)),
+    kappa=st.one_of(st.just(1.0), st.floats(0.1, 10.0)),
+    tau=st.one_of(st.just(math.inf), st.floats(0.01, 10.0)),
+    case=st.sampled_from(["nonconvex", "strongly_convex"]),
+)
+@example(
+    alpha=0.5, epsilon=0.03, batch_c=9.0, sigma_f=1e-3, m_c=1e-3, m_v=0.0, kappa=1.0, tau=math.inf,
+    case="nonconvex",
+)
+def test_sass_batches_are_the_ceiling_of_the_exact_formula(
+    alpha, epsilon, batch_c, sigma_f, m_c, m_v, kappa, tau, case
+):
+    spec = SassOracleSpec(kappa=kappa, tau=tau)
+    noise = NoiseSpec.gaussian(sigma_f=sigma_f, m_c=m_c, m_v=m_v)
+    value, grad = sass_cost_models(spec, noise, epsilon, case, batch_c)
+    value_order, grad_order = (4, 2) if case == "nonconvex" else (2, 1)
+    c, eps = Fraction(batch_c), Fraction(epsilon)
+    scale = Fraction(kappa) * Fraction(alpha)
+    if tau < math.inf:
+        scale = min(Fraction(tau), scale)
+    for model, exact in (
+        (value, c * Fraction(sigma_f) ** 2 / eps**value_order),
+        (grad, c * (Fraction(m_c) / eps**grad_order + Fraction(m_v) / scale**2)),
+    ):
+        expected = _exact_batch(exact)
+        if expected is not None:
+            assert model.batch(alpha) == expected
 
 
 def test_cost_models_monotone_on_log_grid():
@@ -345,9 +417,14 @@ def test_cost_model_underflow_is_inf_not_error():
 
 
 def test_summed_cost_adds_components():
+    # the bounds charge each level the sum of the models' per-iteration costs
     value, grad = storm_cost_models(StormOracleSpec(sigma_f=1.0, sigma_g=1.0))
-    total = SummedCost(components=(value, grad))
-    assert total.cost(0.5) == value.cost(0.5) + grad.cost(0.5)
+    params = WalkParams(p=0.8, gamma=0.5, alpha_bar=0.5)
+    levels = np.arange(4.0)
+    cost, log_cost = _level_costs((value, grad), params, levels)
+    alphas = [0.5 * 0.5**l for l in range(4)]
+    assert cost.tolist() == [value.cost(a) + grad.cost(a) for a in alphas]
+    assert np.allclose(log_cost, np.log(cost), rtol=1e-14, atol=0.0)
     # per-iteration value cost counts both function estimates
     assert value.cost(0.5) == 2 * value.per_call(0.5)
 
