@@ -10,10 +10,11 @@ Four subcommands:
 * sweep    - tolerance sweep comparing Monte Carlo total cost against the
              expected and high-probability bounds.
 
-Flags are long-form `--name value`; unknown flags are errors.  A JSON file
-passed with --config supplies defaults, explicit flags win.  Relative output
-paths resolve against $ADASTOC_OUTDIR when set.  Exit codes: 0 success,
-1 validation error, 2 theory violation detected, 3 I/O error.
+Flags are long-form `--name value`; unknown flags, and prefixes of known
+ones, are errors.  A JSON file passed with --config supplies defaults,
+explicit flags win.  Relative output paths resolve against $ADASTOC_OUTDIR
+when set.  Exit codes: 0 success, 1 validation error, 2 theory violation
+detected, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ from .problems import NoiseSpec, make_problem
 from .tableio import write_csv, write_formatted_csv
 from .walk import (
     WalkParams,
+    _check_reliability,
     gamma_threshold,
     hitting_prob_bound,
     hitting_prob_exact,
@@ -233,13 +235,6 @@ def run_hitting(opts: dict) -> int:
     return 0
 
 
-def _check_reliability(p: float) -> float:
-    """The walk's bounds need the per-iteration reliability p in (1/2, 1]."""
-    if not (0.5 < p <= 1.0):
-        raise CliValidationError(f"reliability p must lie in (1/2, 1], got {p}")
-    return p
-
-
 # -- shared problem/method construction -----------------------------------------
 
 _PROBLEM_OPTIONS = {
@@ -267,7 +262,6 @@ _ORACLE_OPTIONS = {
 
 _ALGO_OPTIONS = {
     "method": (str, "storm"),
-    "epsilon": (float, 0.1),
     "mode": (str, "nonconvex"),
     "theta": (float, 0.1),
     "gamma": (float, 0.6),
@@ -303,19 +297,18 @@ def _build_method(opts: dict):
 
 
 def _storm_spec(opts: dict, noise: NoiseSpec) -> StormOracleSpec:
-    sigma_g = noise.sigma_g if noise.sigma_g is not None else math.sqrt(noise.m_c)
     return StormOracleSpec(
         kappa_ef=opts["kappa_ef"],
         delta0=opts["delta0"],
         kappa_eg=opts["kappa_eg"],
         delta1=opts["delta1"],
         sigma_f=noise.sigma_f,
-        sigma_g=sigma_g,
+        sigma_g=math.sqrt(noise.m_c),
     )
 
 
 def _sass_spec(opts: dict) -> SassOracleSpec:
-    return SassOracleSpec(kappa=opts["kappa"], tau=opts["tau"], delta1=opts["delta1"])
+    return SassOracleSpec(kappa=opts["kappa"], tau=opts["tau"])
 
 
 def _case(opts: dict) -> str:
@@ -380,6 +373,7 @@ OPTIMIZE_OPTIONS = {
     **_PROBLEM_OPTIONS,
     **_ORACLE_OPTIONS,
     **_ALGO_OPTIONS,
+    "epsilon": (float, 0.1),
     "x0": (_floats, None),
     "out": (str, None),
 }
@@ -445,7 +439,8 @@ def run_sweep(opts: dict) -> int:
         p = spec.p
     else:
         spec = _sass_spec(opts)
-        p = _check_reliability(opts["reliability_p"])
+        p = opts["reliability_p"]
+        _check_reliability(p)
     policy = opts["gamma_policy"]
     if policy not in ("fixed", "corollary"):
         raise CliValidationError(f"unknown gamma policy {policy!r}")
@@ -500,7 +495,11 @@ def run_sweep(opts: dict) -> int:
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="adastoc", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    # allow_abbrev=False: a prefix of a flag is an unknown flag, not an alias
+    parser = _Parser(
+        prog="adastoc", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter,
+        allow_abbrev=False,
+    )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, table in (
         ("walk", WALK_OPTIONS),
@@ -508,7 +507,7 @@ def build_parser() -> _Parser:
         ("optimize", OPTIMIZE_OPTIONS),
         ("sweep", SWEEP_OPTIONS),
     ):
-        _add_options(sub.add_parser(name), table)
+        _add_options(sub.add_parser(name, allow_abbrev=False), table)
     return parser
 
 

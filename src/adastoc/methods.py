@@ -1,9 +1,8 @@
 """Step computation and acceptance tests for the two concrete methods.
 
-Step search: the model is phi + g.s + (1/(2 alpha)) s.H.s with H positive
-definite (identity by default), minimized by s = -alpha * H^{-1} g; a step
-is accepted when the estimated decrease beats -theta * g.s minus the noise
-compensation r.
+Step search: the model is phi + g.s + (1/(2 alpha)) ||s||**2, minimized by
+the plain gradient step s = -alpha * g; a step is accepted when the
+estimated decrease beats -theta * g.s minus the noise compensation r.
 
 Trust region (first order): the model is linear on the ball of radius
 alpha, minimized exactly by s = -alpha * g / ||g||; acceptance requires the
@@ -37,15 +36,12 @@ class StepProposal:
 # Every formula is written once, for a stack of R gradient estimates g
 # (R, dim) at step sizes alpha (R,); the one-point propose/accepts call it
 # with R = 1.  Row r of a result is bit-identical to the one-point result
-# for row r alone: dot products go through `row_dot`, and a non-identity h
-# is solved row by row (a multi-right-hand-side solve may round
-# differently).
+# for row r alone: dot products go through `row_dot`.
 
 
-def _sass_rows(g: np.ndarray, h: np.ndarray | None, alpha: np.ndarray):
-    """(H^{-1} g, -alpha * H^{-1} g) per row."""
-    hinv_g = g if h is None else np.stack([np.linalg.solve(h, row) for row in g])
-    return hinv_g, (-alpha)[:, None] * hinv_g
+def _sass_rows(g: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """The step -alpha * g per row."""
+    return (-alpha)[:, None] * g
 
 
 def _sass_accept_rows(f0, f_plus, g, step, theta: float, r: float) -> np.ndarray:
@@ -92,27 +88,20 @@ def _check_values(f0, f_plus) -> None:
 
 
 class SassMethod:
-    """Step-search plug-in: scaled negative gradient steps, decrease test with offset r.
-
-    h = None means the identity.  A singular h propagates the linear-solve
-    error from the factorization.
-    """
+    """Step-search plug-in: negative gradient steps, decrease test with offset r."""
 
     family = "sass"
     stopping_modes = ("nonconvex", "strongly_convex")
 
-    def __init__(self, h: np.ndarray | None = None):
-        self.h = None if h is None else np.asarray(h, dtype=float)
-
     def propose(self, g: np.ndarray, alpha: float) -> StepProposal:
-        """Step -alpha * H^{-1} g with model reduction (alpha/2) * g.H^{-1}.g."""
+        """Step -alpha * g with model reduction (alpha/2) * g.g."""
         if alpha <= 0.0:
             raise InvalidParameterError("alpha must be positive")
         g = np.asarray(g, dtype=float)
-        hinv_g, step = _sass_rows(g[None], self.h, np.array([alpha], dtype=float))
+        step = _sass_rows(g[None], np.array([alpha], dtype=float))
         return StepProposal(
             step=step[0],
-            model_reduction=0.5 * alpha * float(np.dot(g, hinv_g[0])),
+            model_reduction=0.5 * alpha * float(np.dot(g, g)),
             grad_estimate_norm=float(np.linalg.norm(g)),
         )
 
@@ -123,7 +112,7 @@ class SassMethod:
         return bool(_sass_accept_rows(f0, f_plus, g[None], step[None], config.theta, config.r)[0])
 
     def propose_rows(self, g: np.ndarray, alpha: np.ndarray):
-        return _sass_rows(g, self.h, alpha)[1], None
+        return _sass_rows(g, alpha), None
 
     def accepts_rows(self, f0, f_plus, g, steps, aux, alpha, config) -> np.ndarray:
         return _sass_accept_rows(f0, f_plus, g, steps, config.theta, config.r)

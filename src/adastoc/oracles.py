@@ -8,9 +8,11 @@ families are implemented:
 
 * trust-region style: |f - phi| <= kappa_ef * alpha**2 and
   ||g - grad|| <= kappa_eg * alpha, Chebyshev-sized batches;
-* step-search style: |f - phi| < eps_f + t with subexponential tail, and
-  ||g - grad|| <= max(eps_g, min(tau, kappa * alpha) * ||g||), batches sized
-  by the target tolerance epsilon with an explicit constant multiplier.
+* step-search style: value estimates with a subexponential error tail, and
+  ||g - grad|| <= min(tau, kappa * alpha) * ||g||, batches sized by the
+  target tolerance epsilon with an explicit constant multiplier (the CLI's
+  --batch-c); the reliability p the step-search bounds assume is an input
+  of the reports (the CLI's --reliability-p), not a field of the spec.
 
 Each algorithm iteration makes two value estimates (current and trial
 point) and one gradient estimate, so the per-iteration value cost is twice
@@ -51,28 +53,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SassOracleSpec:
-    """Accuracy/reliability parameters of the step-search oracle pair.
+    """Accuracy parameters of the step-search gradient oracle.
 
-    eps_f and lam describe the value estimate: errors beyond eps_f have a
-    subexponential tail exp(-lam * t).  The gradient contract is
-    ||g - grad|| <= max(eps_g, min(tau, kappa * alpha) * ||g||) with failure
-    probability at most delta1.  Cost formulas assume tau >= kappa * alpha_bar.
+    The gradient contract is ||g - grad|| <= min(tau, kappa * alpha) * ||g||.
+    Cost formulas assume tau >= kappa * alpha_bar.
     """
 
-    eps_f: float = 0.0
-    lam: float = 1.0
-    eps_g: float = 0.0
     kappa: float = 1.0
     tau: float = math.inf
-    delta1: float = 0.1
 
     def __post_init__(self):
-        if self.eps_f < 0.0 or self.eps_g < 0.0:
-            raise InvalidParameterError("eps_f and eps_g must be nonnegative")
-        if self.lam <= 0.0 or self.kappa <= 0.0 or self.tau <= 0.0:
-            raise InvalidParameterError("lam, kappa and tau must be positive")
-        if not (0.0 <= self.delta1 < 1.0):
-            raise InvalidParameterError("delta1 must lie in [0,1)")
+        if self.kappa <= 0.0 or self.tau <= 0.0:
+            raise InvalidParameterError("kappa and tau must be positive")
 
 
 @dataclass(frozen=True)
@@ -487,9 +479,10 @@ class StormMinibatchOracles:
 class SassMinibatchOracles:
     """Tolerance-sized minibatch oracles for the step-search method.
 
-    Gradient contract: ||g - grad|| <= max(eps_g, min(tau, kappa * alpha) * ||g||).
+    Gradient contract: ||g - grad|| <= min(tau, kappa * alpha) * ||g||.
     The value oracle has a tail condition rather than a pass/fail contract,
-    so its side never reports a violation.
+    so its side never reports a violation.  batch_scale is the batch
+    constant c of `sass_cost_models` (the CLI's --batch-c).
     """
 
     spec: SassOracleSpec
@@ -522,8 +515,8 @@ class SassMinibatchOracles:
         return _one_values(self, problem, x, x_plus, alpha, rng)
 
     def violated(self, problem, x, x_plus, alpha, g, f0, f_plus):
-        rel = np.minimum(self.spec.tau, self.spec.kappa * alpha) * _norms(g)
-        grad_failed = _norms(g - problem.grad(x)) > np.maximum(self.spec.eps_g, rel)
+        tol = np.minimum(self.spec.tau, self.spec.kappa * alpha) * _norms(g)
+        grad_failed = _norms(g - problem.grad(x)) > tol
         return np.zeros(len(x), dtype=bool), grad_failed
 
 

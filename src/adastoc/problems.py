@@ -41,28 +41,20 @@ __all__ = ["NoiseSpec", "Problem", "make_problem"]
 class NoiseSpec:
     """Noise scales for sampled values and gradients.
 
-    sigma_f bounds the standard deviation of value samples; the gradient
-    noise second moment is m_c + m_v * ||grad||**2.  sigma_g, when set,
-    declares a uniform gradient bound (requires m_v = 0) for methods that
-    need one.
+    sigma_f is the standard deviation of value samples; the gradient noise
+    second moment is m_c + m_v * ||grad||**2.  With m_v = 0 the gradient
+    noise is uniformly bounded by sqrt(m_c), the sigma_g a trust-region
+    oracle spec takes.
     """
 
     sigma_f: float = 0.0
     m_c: float = 0.0
     m_v: float = 0.0
-    sigma_g: float | None = None
 
     def __post_init__(self):
         for name in ("sigma_f", "m_c", "m_v"):
             if getattr(self, name) < 0.0:
                 raise InvalidParameterError(f"{name} must be nonnegative")
-        if self.sigma_g is not None:
-            if self.m_v != 0.0:
-                raise InvalidParameterError(
-                    "a uniform gradient bound sigma_g requires m_v = 0"
-                )
-            if self.sigma_g**2 < self.m_c - 1e-15:
-                raise InvalidParameterError("sigma_g**2 must dominate m_c")
 
     @classmethod
     def none(cls) -> "NoiseSpec":
@@ -70,8 +62,7 @@ class NoiseSpec:
 
     @classmethod
     def gaussian(cls, sigma_f: float = 0.0, m_c: float = 0.0, m_v: float = 0.0) -> "NoiseSpec":
-        sigma_g = math.sqrt(m_c) if m_v == 0.0 else None
-        return cls(sigma_f=sigma_f, m_c=m_c, m_v=m_v, sigma_g=sigma_g)
+        return cls(sigma_f=sigma_f, m_c=m_c, m_v=m_v)
 
 
 @dataclass(frozen=True)

@@ -59,11 +59,14 @@ def _check_reliability(p: float) -> None:
 
 
 def overshoot_constant(p: float) -> float:
-    """The constant c = 2 sqrt(pq) / (1 - 2 sqrt(pq))**2 entering the tail bounds."""
+    """The constant c = 2 sqrt(pq) / (1 - 2 sqrt(pq))**2 entering the tail bounds.
+
+    c grows without bound as p -> 1/2; it is inf where 2 sqrt(pq) rounds to 1.
+    """
     _check_reliability(p)
     q = 1.0 - p
     s = 2.0 * math.sqrt(p * q)
-    return s / (1.0 - s) ** 2
+    return math.inf if s == 1.0 else s / (1.0 - s) ** 2
 
 
 @dataclass(frozen=True)

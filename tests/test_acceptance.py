@@ -254,7 +254,7 @@ def test_criterion_09_scaling_exponents():
     prob_sc = make_problem("quadratic", 2, 1.0, noise, seed=0)
     theta, batch_c = 0.5, 100.0
     alpha_bar = (1.0 - theta) / prob_sc.lipschitz
-    sspec = SassOracleSpec(kappa=1.0, tau=math.inf, delta1=0.1)
+    sspec = SassOracleSpec(kappa=1.0, tau=math.inf)
     mean_t = []
     for i, epsilon in enumerate(sc_eps):
         value, _ = sass_cost_models(sspec, noise, epsilon, "strongly_convex", batch_c)

@@ -325,7 +325,7 @@ def _sweep_rows_from_the_library(case, seed, epsilons, reps):
             )
             # today's step-search semantics: alpha_bar = alpha_max, P(T > n) from the same sample
             report = complexity.sass_complexity_report(
-                SassOracleSpec(delta1=0.1), NoiseSpec.none(), epsilon, n, 0.6, 1.0, "nonconvex",
+                SassOracleSpec(), NoiseSpec.none(), epsilon, n, 0.6, 1.0, "nonconvex",
                 p=0.8, alpha_bar=alpha_max, prob_t_exceeds_n=1.0 - summary.stopped_fraction,
             )
         tocs = [rec.toc for rec in summary.records]
@@ -501,3 +501,87 @@ def test_sweep_reports_inf_when_the_step_size_floor_underflows(tmp_path):
     values = dict(zip(header.split(","), row.split(",")))
     assert (values["bound_expected"], values["bound_highprob"]) == ("inf", "inf")
     assert float(values["exceed_frac"]) == 0.0
+
+
+def test_hitting_near_one_half_reports_an_infinite_bound(tmp_path):
+    # at p = 1/2 + 1e-10 the overshoot constant c is inf: every bound with l >= 1 is inf
+    out = tmp_path / "h.csv"
+    assert _run([
+        "hitting", "--p=0.5000000001", "--l-max=3", "--n=10", "--reps=10", "--seed=0", f"--out={out}",
+    ]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [row[2] for row in rows] == ["1.00000000000000000e+00", "inf", "inf", "inf"]
+
+
+def test_walk_and_sass_sweep_near_one_half_run(tmp_path):
+    assert _run(_walk_args(tmp_path, p="0.5000000001", gamma="0.5", n="10", reps="10")) == 0
+    summary = (tmp_path / "walk_summary.csv").read_text().splitlines()[1].split(",")
+    assert float(summary[3]) == 1.0  # failure_bound
+    out = tmp_path / "s.csv"
+    assert _run([
+        "sweep", "--method=sass", "--reliability-p=0.5000000001", "--epsilons=0.2", "--reps=2",
+        "--seed=0", f"--out={out}",
+    ]) == 0
+    assert len(out.read_text().splitlines()) == 2
+
+
+class _ReadKeys(dict):
+    """The options of one run, recording every key the runner reads."""
+
+    def __init__(self, opts, seen):
+        super().__init__(opts)
+        self.seen = seen
+
+    def __getitem__(self, key):
+        self.seen.add(key)
+        return super().__getitem__(key)
+
+
+def test_every_option_is_read_by_some_run(tmp_path, monkeypatch):
+    # an option no run reads changes no output: it should not be settable
+    seen = {command: set() for command in cli._RUNNERS}
+    merge = cli._merge
+
+    def recording_merge(args, table):
+        return _ReadKeys(merge(args, table), seen[args.command])
+
+    monkeypatch.setattr(cli, "_merge", recording_merge)
+    small = ["--max-iterations=30", "--seed=0", f"--out={tmp_path / 'o.csv'}"]
+    optimize = ["optimize", "--epsilon=0.1", *small]
+    sweep = ["sweep", "--epsilons=0.2", "--reps=2", *small]
+    runs = [
+        [*optimize, "--method=storm", "--oracle=minibatch"],
+        [*optimize, "--method=sass", "--oracle=minibatch"],
+        [*optimize, "--method=sass", "--oracle=corruption"],
+        [*sweep, "--method=storm", "--oracle=minibatch", "--gamma-policy=corollary"],
+        [*sweep, "--method=sass", "--oracle=minibatch", "--mode=strongly_convex"],
+        [*sweep, "--method=sass", "--oracle=corruption"],
+        _walk_args(tmp_path, n="10", reps="10"),
+        ["hitting", "--l-max=2", "--n=10", "--reps=10", f"--out={tmp_path / 'h.csv'}"],
+    ]
+    for argv in runs:
+        assert _run(argv) == 0, argv
+    for command, (table, _) in cli._RUNNERS.items():
+        assert set(table) - seen[command] == set(), command
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--epsilon", "0.3"],  # sweep takes --epsilons only
+        ["optimize", "--eps", "0.1"],  # a prefix of --epsilon is not an alias
+        ["optimize", "--max-iter", "3"],
+    ],
+)
+def test_undeclared_flags_are_refused(tmp_path, capsys, argv):
+    assert _run([*argv, f"--out={tmp_path / 'o.csv'}"]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_sweep_config_refuses_epsilon(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"epsilon": 0.3}))
+    assert _run(["sweep", f"--config={cfg}", f"--out={tmp_path / 's.csv'}"]) == 1
+    assert "unknown config keys: ['epsilon']" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()

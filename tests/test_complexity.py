@@ -270,7 +270,7 @@ def test_reports_accept_a_perfectly_reliable_walk():
 
 def test_sass_report_interpolation_case():
     # m_c = 0 leaves only the m_v / min(tau, kappa*alpha)^2 gradient cost
-    spec = SassOracleSpec(kappa=1.0, tau=10.0, delta1=0.1)
+    spec = SassOracleSpec(kappa=1.0, tau=10.0)
     noise = NoiseSpec.gaussian(sigma_f=0.0, m_c=0.0, m_v=1.0)
     report = sass_complexity_report(
         spec, noise, 0.1, 100, 0.8, 1.0, "nonconvex", p=0.8, alpha_bar=0.5

@@ -30,7 +30,7 @@ def _storm_accepts(f0, f_plus, model_reduction, theta, grad_norm, theta2, alpha,
 def test_sass_step_identity_scaling():
     prop = SassMethod().propose(np.array([2.0, 0.0]), 0.5)
     assert np.allclose(prop.step, [-1.0, 0.0])
-    # (alpha/2) * g.H^{-1}.g = (0.5/2) * 4
+    # (alpha/2) * g.g = (0.5/2) * 4
     assert prop.model_reduction == pytest.approx(1.0)
     assert prop.grad_estimate_norm == pytest.approx(2.0)
 
@@ -39,16 +39,6 @@ def test_sass_step_zero_gradient():
     prop = SassMethod().propose(np.zeros(3), 1.0)
     assert np.all(prop.step == 0.0)
     assert prop.model_reduction == 0.0
-
-
-def test_sass_step_diagonal_system():
-    prop = SassMethod(np.diag([2.0, 1.0])).propose(np.array([2.0, 2.0]), 1.0)
-    assert np.allclose(prop.step, [-1.0, -2.0])
-
-
-def test_sass_step_singular_matrix():
-    with pytest.raises(np.linalg.LinAlgError):
-        SassMethod(np.zeros((2, 2))).propose(np.array([1.0, 1.0]), 1.0)
 
 
 def test_sass_accept_worked_values():

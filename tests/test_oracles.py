@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -457,13 +457,13 @@ def test_sass_grad_oracle_relative_contract():
     # error below min(tau, kappa*alpha) with failure rate well under delta1
     noise = NoiseSpec.gaussian(m_c=0.0, m_v=1.0)
     prob = make_problem("quadratic", 2, 1.0, noise, seed=0)
-    spec = SassOracleSpec(kappa=1.0, tau=10.0, delta1=0.1)
+    spec = SassOracleSpec(kappa=1.0, tau=10.0)
     suite = SassMinibatchOracles(spec, epsilon=0.1, case="nonconvex", batch_scale=9.0)
     x = np.array([1.0, -0.5])
     for alpha in (0.3, 1.0):
         rate_v, rate_g = empirical_oracle_failure_rate(suite, prob, x, alpha, 2000, 44)
         assert rate_v == 0.0  # a tail condition, not a pass/fail contract
-        assert rate_g <= spec.delta1 + 2.5758 * math.sqrt(0.1 * 0.9 / 2000)
+        assert rate_g <= 0.1 + 2.5758 * math.sqrt(0.1 * 0.9 / 2000)
 
 
 def test_zero_noise_oracle_never_fails():
@@ -521,3 +521,47 @@ def test_minibatch_suite_rejects_unbounded_gradient_noise():
     suite = StormMinibatchOracles(StormOracleSpec(sigma_f=1.0, sigma_g=1.0))
     with pytest.raises(ConfigurationError):
         suite.validate(prob)
+
+
+_ALPHAS = np.geomspace(1e-3, 10.0, 9)
+_NOISE = NoiseSpec(sigma_f=0.1, m_c=0.01, m_v=0.01)
+
+
+def _violations(suite):
+    """The suite's (value, gradient) verdicts over a grid of step sizes and estimate errors.
+
+    Errors are spaced by less than a factor 2, so halving or doubling a
+    tolerance anywhere in their range flips some verdict.
+    """
+    prob = make_problem("quadratic", 2, 1.0, NoiseSpec.none(), seed=0)
+    alpha, err = (a.ravel() for a in np.meshgrid(_ALPHAS, np.geomspace(1e-8, 1e3, 45)))
+    x = np.repeat(prob.x0[None], len(alpha), axis=0)
+    f = prob.value(x) + err
+    return suite.violated(prob, x, x, alpha, prob.grad(x) + err[:, None], f, f)
+
+
+def _storm_outputs(spec):
+    return [m.raw(_ALPHAS) for m in storm_cost_models(spec)] + list(_violations(StormMinibatchOracles(spec)))
+
+
+def _sass_outputs(spec, noise=_NOISE):
+    models = sass_cost_models(spec, noise, 0.1, "nonconvex")
+    return [m.raw(_ALPHAS) for m in models] + list(_violations(SassMinibatchOracles(spec, epsilon=0.1)))
+
+
+@pytest.mark.parametrize(
+    "spec, outputs",
+    [
+        (StormOracleSpec(sigma_f=0.1, sigma_g=0.1), _storm_outputs),
+        (SassOracleSpec(), _sass_outputs),
+        (_NOISE, lambda noise: _sass_outputs(SassOracleSpec(), noise)),
+    ],
+    ids=["storm", "sass", "noise"],
+)
+def test_every_spec_field_changes_a_cost_or_a_verdict(spec, outputs):
+    # a contract field that changes no batch and no verdict states nothing
+    base = outputs(spec)
+    for field in fields(spec):
+        value = getattr(spec, field.name)
+        moved = replace(spec, **{field.name: value / 2 if value and math.isfinite(value) else 1.0})
+        assert any(not np.array_equal(a, b) for a, b in zip(base, outputs(moved))), field.name

@@ -40,10 +40,6 @@ def test_noise_spec_validation():
     with pytest.raises(InvalidParameterError):
         NoiseSpec(sigma_f=-1.0)
     with pytest.raises(InvalidParameterError):
-        NoiseSpec(sigma_g=0.1, m_c=0.2)  # uniform bound must dominate m_c
-    with pytest.raises(InvalidParameterError):
-        NoiseSpec(sigma_g=0.1, m_v=1.0)
-    with pytest.raises(InvalidParameterError):
         NoiseSpec(m_v=-1.0)
 
 

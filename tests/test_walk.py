@@ -57,6 +57,17 @@ def test_overshoot_constant_figure_value():
     assert overshoot_constant(0.8) == pytest.approx(20.0, rel=1e-12)
 
 
+def test_overshoot_constant_is_inf_where_its_denominator_rounds_to_zero():
+    # c -> inf as p -> 1/2; at p = 1/2 + 1e-10, 2 sqrt(pq) rounds to 1
+    assert overshoot_constant(0.5000000001) == math.inf
+    assert hitting_prob_bound(0.5000000001, 1, 10) == math.inf
+    _, success_prob, _ = stepsize_lower_bound(WalkParams(p=0.5000000001, gamma=0.5, alpha_bar=1.0), 10)
+    assert success_prob == 0.0
+    # just above that, c is finite and grows as p falls toward 1/2
+    assert math.isfinite(overshoot_constant(0.50000001))
+    assert overshoot_constant(0.50000001) > overshoot_constant(0.5000001) > overshoot_constant(0.8)
+
+
 def test_simulate_walk_degenerate_p():
     rng = np.random.default_rng(0)
     allzero = simulate_walk(WalkParams(p=1.0, gamma=0.5, alpha_bar=1.0), 50, rng)
