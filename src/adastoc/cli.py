@@ -3,7 +3,9 @@
 Four subcommands:
 
 * walk     - simulate step sizes induced by the one-sided walk against the
-             theoretical floor alpha_star(n), per contraction factor gamma;
+             theoretical floor alpha_star(n), per contraction factor gamma:
+             one representative path per gamma, and the dip fraction of one
+             walk ensemble shared by every gamma next to its exact value;
 * hitting  - exact hitting probabilities versus the closed-form bound and a
              Monte Carlo estimate, per level;
 * optimize - one adaptive run, trace CSV plus a one-line cost summary;
@@ -53,7 +55,7 @@ from .oracles import (
     sass_cost_models,
 )
 from .problems import NoiseSpec, make_problem
-from .tableio import write_csv, write_formatted_csv
+from .tableio import format_cell, write_csv, write_formatted_csv
 from .walk import (
     WalkParams,
     _check_reliability,
@@ -70,8 +72,10 @@ Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 DEFAULT_GAMMA_GRID = "0.5,0.6,0.7,0.8,0.9"
 
 WALK_CSV_HEADER = ("gamma", "k", "alpha_walk_min_so_far", "alpha_star")
-_WALK_CSV_FORMAT = "%.17e,%d,%.17e,%.17e"
-WALK_SUMMARY_HEADER = ("gamma", "alpha_star", "dip_fraction", "failure_bound", "n", "reps")
+_WALK_CSV_FORMAT = "%s,%d,%s,%s"  # the float cells arrive formatted by format_cell
+WALK_SUMMARY_HEADER = (
+    "gamma", "alpha_star", "dip_fraction", "dip_exact", "failure_bound", "n", "reps"
+)
 HITTING_CSV_HEADER = ("l", "exact", "bound", "mc_estimate", "mc_ci_halfwidth")
 SWEEP_CSV_HEADER = (
     "epsilon",
@@ -165,33 +169,63 @@ WALK_OPTIONS = {
 
 
 def run_walk(opts: dict) -> int:
+    """One representative path per gamma, and every gamma's dip fraction from one ensemble.
+
+    The deepest level M = max_k Z_k of an n-step walk has a law that depends
+    on p and n only, so one ensemble of `reps` walks serves every gamma: a
+    path dips below alpha_star when alpha_bar * gamma**M < alpha_star, which
+    is the event M >= level + 1 for the level of `stepsize_lower_bound`, and
+    `dip_exact` is its exact probability.  Every input is checked, and the
+    run exits 2 if some dip_exact exceeds its failure_bound, before any
+    random draw.  Gamma i's path draws from the first child of the i-th of
+    root.spawn(len(gammas) + 1); the ensemble draws from the last one.
+    """
     gammas = opts["gamma"]
     if not gammas:
         raise CliValidationError("at least one gamma is required")
-    n, reps = opts["n"], opts["reps"]
+    p, n, reps = opts["p"], opts["n"], opts["reps"]
+    if reps < 1:
+        raise CliValidationError(f"reps must be positive, got {reps}")
+    params = [
+        WalkParams(p=p, gamma=gamma, alpha_bar=opts["alpha_bar"], omega=opts["omega"])
+        for gamma in gammas
+    ]
+    floors = [stepsize_lower_bound(walk_params, n) for walk_params in params]
+    dip_exacts = hitting_prob_exact(p, [level + 1 for _, _, level in floors], n).tolist()
+    for gamma, (_, success_prob, _), dip_exact in zip(gammas, floors, dip_exacts):
+        if dip_exact > 1.0 - success_prob + 1e-12:
+            raise TheoryViolationError(
+                f"exact dip probability {dip_exact} exceeds the failure bound "
+                f"{1.0 - success_prob} at (p={p}, gamma={gamma}, n={n})"
+            )
     out = _resolve_out(opts["out"], "walk.csv")
     if opts["summary_out"]:
         summary_out = _resolve_out(opts["summary_out"], "")
     else:
         summary_out = out.with_name(out.stem + "_summary.csv")
-    root = np.random.SeedSequence(opts["seed"])
-    children = root.spawn(len(gammas))
+    *children, ensemble_stream = np.random.SeedSequence(opts["seed"]).spawn(len(gammas) + 1)
+    max_levels, _ = walk_ensemble_stats(p, n, reps, np.random.default_rng(ensemble_stream))
+    depths = max_levels.astype(float)
 
     rows = []
     summary_rows = []
-    for gamma, child in zip(gammas, children):
-        params = WalkParams(p=opts["p"], gamma=gamma, alpha_bar=opts["alpha_bar"], omega=opts["omega"])
-        alpha_star, success_prob, _ = stepsize_lower_bound(params, n)
-        path_stream, ensemble_stream = child.spawn(2)
-        path = simulate_walk(params, n, np.random.default_rng(path_stream))
+    for walk_params, (alpha_star, success_prob, _), dip_exact, child in zip(
+        params, floors, dip_exacts, children
+    ):
+        gamma, alpha_bar = walk_params.gamma, walk_params.alpha_bar
+        path = simulate_walk(walk_params, n, np.random.default_rng(child.spawn(1)[0]))
         running_max = np.maximum.accumulate(path.states)
-        min_so_far = params.alpha_bar * gamma ** running_max.astype(float)
-        rows.extend(zip(repeat(gamma), range(n + 1), min_so_far.tolist(), repeat(alpha_star)))
-        max_levels, _ = walk_ensemble_stats(opts["p"], n, reps, np.random.default_rng(ensemble_stream))
-        induced_min = params.alpha_bar * gamma ** max_levels.astype(float)
-        dip_fraction = float(np.mean(induced_min < alpha_star))
+        min_so_far = alpha_bar * gamma ** running_max.astype(float)
+        # a running minimum takes few distinct values: format each once
+        values, which = np.unique(min_so_far, return_inverse=True)
+        cells = [format_cell(value) for value in values.tolist()]
+        rows.extend(zip(
+            repeat(format_cell(gamma)), range(n + 1), map(cells.__getitem__, which.tolist()),
+            repeat(format_cell(alpha_star)),
+        ))
+        dip_fraction = float(np.mean(alpha_bar * gamma ** depths < alpha_star))
         summary_rows.append(
-            (gamma, alpha_star, dip_fraction, 1.0 - success_prob, n, reps)
+            (gamma, alpha_star, dip_fraction, dip_exact, 1.0 - success_prob, n, reps)
         )
     write_formatted_csv(out, WALK_CSV_HEADER, _WALK_CSV_FORMAT, rows)
     write_csv(summary_out, WALK_SUMMARY_HEADER, summary_rows)

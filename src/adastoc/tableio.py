@@ -41,10 +41,11 @@ def write_formatted_csv(
 ) -> None:
     """write_csv for rows of fixed cell types, each row formatted by one `%` format string.
 
-    row_format holds one %d or %.17e per cell, which print as format_cell
-    does: %d prints ints of any size and bools as 1/0, and %.17e prints
-    floats including nan, inf, -inf, -0.0 and subnormals.  A row must be a
-    tuple.
+    row_format holds one %d, %.17e or %s per cell, which print as format_cell
+    does: %d prints ints of any size and bools as 1/0, %.17e prints floats
+    including nan, inf, -inf, -0.0 and subnormals, and %s takes a cell the
+    caller formatted already with format_cell, so a value that repeats
+    down a column is formatted once.  A row must be a tuple.
     """
     _write_lines(path, header, map(row_format.__mod__, rows))
 

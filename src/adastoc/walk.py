@@ -326,7 +326,9 @@ def hitting_prob_exact(p: float, l: int | Sequence[int], n: int) -> float | np.n
     the first-passage probability.  l may be one level (a float is
     returned) or a sequence of levels (an array in the same order): the
     chains of all distinct levels lie end to end in one vector and advance
-    together, so one O(n * sum(l)) recursion serves every level.
+    together, so one O(n * sum(l)) recursion serves every level.  The walk
+    moves one level per step, so a level above n has probability 0.0 and
+    builds no chain: the sum runs over the levels 1..n only.
     """
     levels = np.asarray(l)
     if levels.ndim > 1 or (levels.size and levels.dtype.kind not in "iu"):
@@ -340,7 +342,8 @@ def hitting_prob_exact(p: float, l: int | Sequence[int], n: int) -> float | np.n
         raise InvalidParameterError("p must lie in (0,1]")
     q = 1.0 - p
     distinct, where = np.unique(levels, return_inverse=True)
-    chains = distinct[distinct > 0]
+    reachable = (distinct > 0) & (distinct <= n)
+    chains = distinct[reachable]
     ends = np.cumsum(chains)  # chain j holds states ends[j] - chains[j] .. ends[j] - 1
     size = int(chains.sum())
     first, last = ends - chains, ends - 1
@@ -363,8 +366,8 @@ def hitting_prob_exact(p: float, l: int | Sequence[int], n: int) -> float | np.n
         np.multiply(p, v[above], out=step)
         nxt[:size] += step
         v, nxt = nxt, v
-    probs = np.ones(len(distinct))
-    probs[distinct > 0] = absorbed
+    probs = (distinct == 0).astype(float)
+    probs[reachable] = absorbed
     out = probs[where].reshape(levels.shape)
     return float(out) if levels.ndim == 0 else out
 

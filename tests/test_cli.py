@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -14,6 +15,7 @@ from adastoc.methods import SassMethod, StormMethod
 from adastoc.oracles import PairCorruptionOracles, SassOracleSpec, StormMinibatchOracles, StormOracleSpec
 from adastoc.problems import NoiseSpec, make_problem
 from adastoc.tableio import write_csv
+from adastoc.walk import WalkParams, hitting_prob_exact, simulate_walk, stepsize_lower_bound
 
 
 def _run(argv):
@@ -30,6 +32,12 @@ def _walk_args(tmp_path, **over):
     return ["walk"] + [f"--{k}={v}" for k, v in args.items()]
 
 
+def _walk_summary(tmp_path):
+    """The walk summary's rows as {column: float}."""
+    with open(tmp_path / "walk_summary.csv", newline="") as fh:
+        return [{k: float(v) for k, v in row.items()} for row in csv.DictReader(fh)]
+
+
 def test_walk_schema_and_row_count(tmp_path):
     assert _run(_walk_args(tmp_path)) == 0
     lines = (tmp_path / "walk.csv").read_text().splitlines()
@@ -40,7 +48,7 @@ def test_walk_schema_and_row_count(tmp_path):
     write_csv(tmp_path / "again.csv", lines[0].split(","), rows)
     assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "walk.csv").read_bytes()
     summary = (tmp_path / "walk_summary.csv").read_text().splitlines()
-    assert summary[0] == "gamma,alpha_star,dip_fraction,failure_bound,n,reps"
+    assert summary[0] == "gamma,alpha_star,dip_fraction,dip_exact,failure_bound,n,reps"
     assert len(summary) == 3
 
 
@@ -49,8 +57,8 @@ def test_walk_perfectly_reliable_never_dips(tmp_path):
     rows = (tmp_path / "walk.csv").read_text().splitlines()[1:]
     mins = {row.split(",")[2] for row in rows}
     assert len(mins) == 1  # min-so-far stays at alpha_bar
-    summary = (tmp_path / "walk_summary.csv").read_text().splitlines()[1]
-    assert float(summary.split(",")[2]) == 0.0
+    summary = _walk_summary(tmp_path)[0]
+    assert summary["dip_fraction"] == 0.0 and summary["dip_exact"] == 0.0
 
 
 def test_hitting_schema_and_edge_rows(tmp_path):
@@ -203,10 +211,94 @@ def test_walk_reference_parameters_dip_within_budget(tmp_path):
     assert _run(_walk_args(
         tmp_path, p="0.8", gamma="0.5", n="100", reps="10000", seed="12",
     )) == 0
-    row = (tmp_path / "walk_summary.csv").read_text().splitlines()[1].split(",")
-    dip, budget = float(row[2]), float(row[3])
+    row = _walk_summary(tmp_path)[0]
+    dip, budget = row["dip_fraction"], row["failure_bound"]
     assert budget == pytest.approx(0.012, rel=1e-9)
     assert dip <= budget + 2.5758 * np.sqrt(budget * (1 - budget) / 10_000)
+
+
+def test_walk_draws_one_ensemble_and_keeps_each_gammas_path_stream(tmp_path, monkeypatch):
+    # every gamma's dip fraction comes from one ensemble; gamma i's path
+    # still draws from SeedSequence(seed).spawn(len(gammas))[i].spawn(2)[0]
+    calls = []
+    ensemble = cli.walk_ensemble_stats
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return ensemble(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "walk_ensemble_stats", counting)
+    gammas, n, seed = (0.5, 0.7, 0.9), 40, 5
+    assert _run(_walk_args(
+        tmp_path, gamma=",".join(map(str, gammas)), n=str(n), reps="300", seed=str(seed),
+    )) == 0
+    assert len(calls) == 1
+    lines = (tmp_path / "walk.csv").read_text().splitlines()[1:]
+    for i, gamma in enumerate(gammas):
+        params = WalkParams(p=0.8, gamma=gamma, alpha_bar=1.0, omega=1.0)
+        alpha_star = stepsize_lower_bound(params, n)[0]
+        stream = np.random.SeedSequence(seed).spawn(len(gammas))[i].spawn(2)[0]
+        states = simulate_walk(params, n, np.random.default_rng(stream)).states
+        min_so_far = gamma ** np.maximum.accumulate(states).astype(float)
+        expected = [
+            "%.17e,%d,%.17e,%.17e" % (gamma, k, alpha, alpha_star)
+            for k, alpha in enumerate(min_so_far.tolist())
+        ]
+        assert lines[i * (n + 1):(i + 1) * (n + 1)] == expected
+
+
+def test_walk_dip_exact_is_the_probability_of_passing_the_floor_level(tmp_path):
+    # dip_exact = P(M >= level + 1), one hitting probability for every gamma
+    # (the level depends on p, omega and n only), and the simulated
+    # dip_fraction agrees with it in a two-sided exact binomial test
+    from scipy.stats import binomtest
+
+    p, omega, n, reps = 0.9, 0.01, 20, 20_000
+    assert _run(_walk_args(
+        tmp_path, p=str(p), omega=str(omega), gamma="0.5,0.8", n=str(n), reps=str(reps), seed="4",
+    )) == 0
+    rows = _walk_summary(tmp_path)
+    for row in rows:
+        params = WalkParams(p=p, gamma=row["gamma"], alpha_bar=1.0, omega=omega)
+        level = stepsize_lower_bound(params, n)[2]
+        assert row["dip_exact"] == hitting_prob_exact(p, level + 1, n)
+        assert row["dip_exact"] >= 0.01
+        dips = round(row["dip_fraction"] * reps)
+        assert binomtest(dips, reps, row["dip_exact"]).pvalue > 1e-3
+    assert rows[0]["dip_fraction"] == rows[1]["dip_fraction"]  # both gammas read the same paths
+
+
+def test_walk_dip_exact_above_the_failure_bound_exits_2(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "hitting_prob_exact", lambda p, l, n: np.ones(len(l)))
+    assert _run(_walk_args(tmp_path)) == 2
+    assert not (tmp_path / "walk.csv").exists()
+    assert not (tmp_path / "walk_summary.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, expected",
+    [
+        ("--gamma=0.5,1.5", "gamma must lie in (0,1)"),
+        ("--p=0.5", "reliability p must lie in (1/2, 1]"),
+        ("--p=0.3", "reliability p must lie in (1/2, 1]"),
+        ("--p=1.5", "p must be a probability"),
+        ("--n=1", "n must be at least 2"),
+        ("--reps=0", "reps must be positive"),
+    ],
+)
+def test_walk_refuses_bad_inputs_before_simulating(tmp_path, capsys, monkeypatch, flag, expected):
+    # every gamma's parameters and floor, and reps, are checked before the
+    # shared ensemble or any representative path is drawn, and before a CSV
+    # is written
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("walk simulated walks before validating its options")
+
+    monkeypatch.setattr(cli, "walk_ensemble_stats", no_simulation)
+    monkeypatch.setattr(cli, "simulate_walk", no_simulation)
+    assert _run([*_walk_args(tmp_path), flag]) == 1
+    assert expected in capsys.readouterr().err
+    assert not (tmp_path / "walk.csv").exists()
+    assert not (tmp_path / "walk_summary.csv").exists()
 
 
 def test_optimize_logistic_problem(tmp_path, capsys):
@@ -515,8 +607,9 @@ def test_hitting_near_one_half_reports_an_infinite_bound(tmp_path):
 
 def test_walk_and_sass_sweep_near_one_half_run(tmp_path):
     assert _run(_walk_args(tmp_path, p="0.5000000001", gamma="0.5", n="10", reps="10")) == 0
-    summary = (tmp_path / "walk_summary.csv").read_text().splitlines()[1].split(",")
-    assert float(summary[3]) == 1.0  # failure_bound
+    summary = _walk_summary(tmp_path)[0]
+    assert summary["failure_bound"] == 1.0
+    assert summary["dip_exact"] == 0.0  # the dip level lies far above n
     out = tmp_path / "s.csv"
     assert _run([
         "sweep", "--method=sass", "--reliability-p=0.5000000001", "--epsilons=0.2", "--reps=2",

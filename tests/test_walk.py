@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from adastoc import walk
@@ -439,6 +439,48 @@ def test_hitting_exact_levels_equal_the_per_level_loop(p, n, top, data):
     level = data.draw(st.integers(0, top))
     single = hitting_prob_exact(p, level, n)
     assert type(single) is float and single == reference[level]
+
+
+@pytest.mark.parametrize("p, n", [(0.8, 1), (0.6, 7), (1.0, 4), (0.5 + 1e-9, 30)])
+def test_hitting_exact_levels_above_n_are_zero_without_a_chain(p, n):
+    # the walk moves one level per step: levels n+1..n+3 are 0.0, as the
+    # per-level recursion gives them, and level n keeps its recursion value
+    above = list(range(n + 1, n + 4))
+    assert [hitting_prob_exact(p, l, n) for l in above] == [0.0] * 3
+    assert [_loop_hitting_prob_exact(p, l, n) for l in above] == [0.0] * 3
+    got = hitting_prob_exact(p, [n, *above], n)
+    assert got.tolist() == [_loop_hitting_prob_exact(p, n, n), 0.0, 0.0, 0.0]
+
+
+def test_hitting_exact_unreachable_level_costs_nothing():
+    # a chain of 10**12 states would never be allocated, let alone iterated
+    got = hitting_prob_exact(0.6, [0, 3, 10**12], 5)
+    assert got.tolist() == [1.0, _loop_hitting_prob_exact(0.6, 3, 5), 0.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.floats(0.55, 0.99),
+    gamma=st.floats(0.05, 0.95),
+    omega=st.floats(0.05, 3.0),
+    n=st.integers(2, 300),
+    alpha_bar=st.floats(1e-3, 1e3),
+)
+def test_dip_is_passing_one_level_above_the_floor_level(p, gamma, omega, n, alpha_bar):
+    # alpha_bar * gamma**M < alpha_star exactly when M >= level + 1: with
+    # x = (1+omega) log n / log(1/2q), alpha_star = alpha_bar * gamma**(1+x)
+    # and level = ceil(x).  Where x lies within 1e-9 of an integer the two
+    # sides sit a rounding error apart (a dip needs M >= x + 2 at integer
+    # x), so those parameters are skipped.  alpha_star must stay a normal
+    # double, or the float comparison underflows to 0 < 0.
+    params = WalkParams(p=p, gamma=gamma, alpha_bar=alpha_bar, omega=omega)
+    alpha_star, _, level = stepsize_lower_bound(params, n)
+    x = (1.0 + omega) * math.log(n) / math.log(1.0 / (2.0 * (1.0 - p)))
+    assume(abs(x - round(x)) > 1e-9)
+    assume(alpha_star > 1e-300)
+    depths = np.arange(n + 2)
+    dips = alpha_bar * gamma ** depths.astype(float) < alpha_star
+    assert np.array_equal(dips, depths >= level + 1)
 
 
 def test_hitting_exact_rejects_bad_levels():
