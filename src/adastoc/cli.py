@@ -31,13 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .complexity import (
-    _exceed_fraction,
-    accumulate_toc,
-    monte_carlo_toc,
-    sass_complexity_report,
-    storm_complexity_report,
-)
+from .complexity import accumulate_toc, expected_toc_bound, highprob_toc_bound, monte_carlo_toc
 from .errors import (
     AdastocError,
     AssumptionViolationError,
@@ -52,7 +46,6 @@ from .oracles import (
     SassOracleSpec,
     StormMinibatchOracles,
     StormOracleSpec,
-    sass_cost_models,
 )
 from .problems import NoiseSpec, make_problem
 from .tableio import format_cell, write_csv, write_formatted_csv
@@ -341,14 +334,6 @@ def _storm_spec(opts: dict, noise: NoiseSpec) -> StormOracleSpec:
     )
 
 
-def _sass_spec(opts: dict) -> SassOracleSpec:
-    return SassOracleSpec(kappa=opts["kappa"], tau=opts["tau"])
-
-
-def _case(opts: dict) -> str:
-    return "strongly_convex" if opts["mode"] == "strongly_convex" else "nonconvex"
-
-
 def _build_suite(opts: dict, problem, epsilon: float):
     oracle = opts["oracle"]
     if oracle == "exact":
@@ -360,20 +345,20 @@ def _build_suite(opts: dict, problem, epsilon: float):
     if oracle == "minibatch":
         if opts["method"] == "storm":
             return StormMinibatchOracles(_storm_spec(opts, problem.noise))
-        return SassMinibatchOracles(
-            _sass_spec(opts), epsilon=epsilon, case=_case(opts), batch_scale=opts["batch_c"]
-        )
+        case = "strongly_convex" if opts["mode"] == "strongly_convex" else "nonconvex"
+        spec = SassOracleSpec(kappa=opts["kappa"], tau=opts["tau"])
+        return SassMinibatchOracles(spec, epsilon=epsilon, case=case, batch_scale=opts["batch_c"])
     raise CliValidationError(f"unknown oracle kind {oracle!r}")
 
 
-def _run_config(opts: dict, problem, epsilon: float, gamma: float) -> AlgoConfig:
-    """The loop's parameters for one run at tolerance epsilon.
+def _run_config(opts: dict, problem, suite, epsilon: float, gamma: float) -> AlgoConfig:
+    """The loop's parameters for one run of the suite at tolerance epsilon.
 
     An unset alpha_max is epsilon/zeta for the trust region and the
     deterministic success threshold (1-theta)/L for step search; an unset
     alpha0 is alpha_max.  An unset r (noise compensation) is zero for the
-    trust region and the exact oracles, and twice the minibatch
-    value-estimate deviation for step search.
+    trust region and the exact oracles, and twice the value-estimate
+    deviation of the suite's minibatch for step search.
     """
     if opts["method"] == "storm":
         if not opts["zeta"] > 0.0:
@@ -386,9 +371,7 @@ def _run_config(opts: dict, problem, epsilon: float, gamma: float) -> AlgoConfig
     if r is None:
         r = 0.0
         if opts["method"] == "sass" and opts["oracle"] == "minibatch":
-            value, _ = sass_cost_models(
-                _sass_spec(opts), problem.noise, epsilon, _case(opts), opts["batch_c"]
-            )
+            value, _ = suite.cost_models(problem)
             r = 2.0 * problem.noise.sigma_f / math.sqrt(value.batch(1.0))
     return AlgoConfig(
         theta=opts["theta"],
@@ -420,7 +403,7 @@ def run_optimize(opts: dict) -> int:
     problem = _build_problem(opts)
     method = _build_method(opts)
     suite = _build_suite(opts, problem, epsilon)
-    config = _run_config(opts, problem, epsilon, opts["gamma"])
+    config = _run_config(opts, problem, suite, epsilon, opts["gamma"])
     x0 = np.array(opts["x0"]) if opts["x0"] else None
     trace = run_adaptive(
         problem, method, suite, config, epsilon, mode=opts["mode"], x0=x0, seed=opts["seed"]
@@ -457,22 +440,21 @@ SWEEP_OPTIONS = {
 
 
 def run_sweep(opts: dict) -> int:
+    """One row per tolerance: Monte Carlo means and bounds on the cost models the runs pay."""
     epsilons = opts["epsilons"]
     if not epsilons:
         raise CliValidationError("at least one epsilon is required")
     if not all(epsilon > 0.0 for epsilon in epsilons):
         raise CliValidationError("every epsilon must be positive")
+    for key in ("horizon_c1", "horizon_c2"):
+        if not opts[key] > 0.0:  # a horizon clamped to 2 would bound runs it does not cover
+            raise CliValidationError(f"{key} must be positive")
     storm = opts["method"] == "storm"
-    if storm and not opts["horizon_c2"] > 0.0:
-        # the trust-region report bounds P(T > n) by 1/horizon_c2
-        raise CliValidationError("horizon_c2 must be positive")
     problem = _build_problem(opts)
     method = _build_method(opts)
     if storm:
-        spec = _storm_spec(opts, problem.noise)  # an inadmissible spec fails before any run
-        p = spec.p
+        p = _storm_spec(opts, problem.noise).p  # an inadmissible spec fails before any run
     else:
-        spec = _sass_spec(opts)
         p = opts["reliability_p"]
         _check_reliability(p)
     policy = opts["gamma_policy"]
@@ -491,33 +473,27 @@ def run_sweep(opts: dict) -> int:
         gamma = opts["gamma"]
         if policy == "corollary":
             gamma = gamma_threshold(p, n, opts["omega"], opts["beta"])
-        config = _run_config(opts, problem, epsilon, gamma)
         suite = _build_suite(opts, problem, epsilon)
+        config = _run_config(opts, problem, suite, epsilon, gamma)
+        alpha_bar = epsilon / opts["zeta"] if storm else config.alpha_max
+        params = WalkParams(p=p, gamma=gamma, alpha_bar=alpha_bar, omega=opts["omega"])
         summary = monte_carlo_toc(
             problem, method, suite, config, epsilon, opts["reps"], master_seed,
             mode=opts["mode"], x0=x0,
         )
-        if storm:
-            report = storm_complexity_report(
-                spec, epsilon, opts["zeta"], n, gamma, opts["omega"],
-                prob_t_exceeds_n=min(1.0, 1.0 / opts["horizon_c2"]),
-            )
-        else:
-            # plug-in exceedance probability from the observed quantile
-            report = sass_complexity_report(
-                spec, problem.noise, epsilon, n, gamma, opts["omega"], _case(opts),
-                p=p, alpha_bar=config.alpha_max, batch_scale=opts["batch_c"],
-                prob_t_exceeds_n=1.0 - summary.stopped_fraction,
-            )
+        # the trust region bounds P(T > n) by Markov; step search plugs in the observed fraction
+        prob_t_exceeds_n = min(1.0, 1.0 / opts["horizon_c2"]) if storm else 1.0 - summary.stopped_fraction
+        models = suite.cost_models(problem)
+        high = highprob_toc_bound(models, params, n, prob_t_exceeds_n)
         rows.append(
             (
                 epsilon,
                 summary.mean_iterations,
                 summary.mean_toc0,
                 summary.mean_toc1,
-                report.expected.bound_value,
-                report.high_probability.bound_value,
-                _exceed_fraction(summary.records, report.high_probability),
+                expected_toc_bound(models, params, n).bound_value,
+                high.bound_value,
+                summary.exceed_fraction(high),
             )
         )
     write_csv(out, SWEEP_CSV_HEADER, rows)

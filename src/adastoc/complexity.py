@@ -265,21 +265,50 @@ def sass_complexity_report(
     return _report(models, params, n, prob_t_exceeds_n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class McTocSummary:
-    """Empirical distribution of total oracle cost over replications."""
+    """Empirical distribution of total oracle cost over replications.
 
-    records: tuple[TocRecord, ...]
-    mean_toc: float
-    mean_toc0: float
-    mean_toc1: float
-    mean_iterations: float
-    stopped_fraction: float
-    exceed_fraction: float
+    One entry per replication in each column: toc0 and toc1 (object arrays
+    of Python ints) are its value and gradient sample totals, iterations
+    the iterations it ran and stopped whether it met the tolerance.
+    """
+
+    toc0: np.ndarray
+    toc1: np.ndarray
+    iterations: np.ndarray
+    stopped: np.ndarray
 
     @property
     def replications(self) -> int:
-        return len(self.records)
+        return len(self.toc0)
+
+    @property
+    def mean_toc(self) -> float:
+        return float(np.mean(self._totals()))
+
+    @property
+    def mean_toc0(self) -> float:
+        return float(np.mean(self.toc0.tolist()))
+
+    @property
+    def mean_toc1(self) -> float:
+        return float(np.mean(self.toc1.tolist()))
+
+    @property
+    def mean_iterations(self) -> float:
+        return float(np.mean(self.iterations))
+
+    @property
+    def stopped_fraction(self) -> float:
+        return float(np.mean(self.stopped))
+
+    def exceed_fraction(self, bound: BoundReport) -> float:
+        """Fraction of the replications whose total cost exceeds the bound."""
+        return float(np.mean(self._totals() > bound.bound_value))
+
+    def _totals(self) -> np.ndarray:
+        return np.array((self.toc0 + self.toc1).tolist(), dtype=float)
 
 
 def monte_carlo_toc(
@@ -292,18 +321,15 @@ def monte_carlo_toc(
     master_seed: int,
     mode: str = "nonconvex",
     x0: np.ndarray | None = None,
-    bound: BoundReport | None = None,
 ) -> McTocSummary:
-    """Independent replications of the adaptive loop with per-replication TOC records.
+    """Independent replications of the adaptive loop, summarized as per-replication columns.
 
     Replication seeds are derive_seeds(master_seed, replications), and the
     replications advance in lockstep keeping only their sample totals;
-    each one's record equals accumulate_toc of run_adaptive at its seed.
-    exceed_fraction is the fraction of replications whose total cost
-    exceeds the supplied bound (nan when no bound is given).  A bad start
-    point or configuration is refused before any replication runs; an
-    error during the runs names the lowest replication that fails, with
-    its iteration, as one-at-a-time runs would.
+    entry i of each column equals the matching field of accumulate_toc of
+    run_adaptive at seed i.  A bad start point or configuration is refused
+    before any replication runs; an error during the runs names the lowest
+    replication that fails, with its iteration, as one-at-a-time runs would.
     """
     seeds = derive_seeds(master_seed, replications)
     x = _start(problem, method, oracle_suite, epsilon, mode, x0)
@@ -316,32 +342,4 @@ def monte_carlo_toc(
             except Exception as exc:
                 raise type(exc)(f"replication {i}: {exc}") from exc
         raise
-    records = [
-        TocRecord(
-            toc0=end.toc0,
-            toc1=end.toc1,
-            iterations_used=end.iterations,
-            stopped=end.stopping_iteration is not None,
-        )
-        for end in ends
-    ]
-    return McTocSummary(
-        records=tuple(records),
-        mean_toc=float(_tocs(records).mean()),
-        mean_toc0=float(np.mean([rec.toc0 for rec in records])),
-        mean_toc1=float(np.mean([rec.toc1 for rec in records])),
-        mean_iterations=float(np.mean([rec.iterations_used for rec in records])),
-        stopped_fraction=float(np.mean([rec.stopped for rec in records])),
-        exceed_fraction=_exceed_fraction(records, bound),
-    )
-
-
-def _tocs(records) -> np.ndarray:
-    return np.array([rec.toc for rec in records], dtype=float)
-
-
-def _exceed_fraction(records, bound: BoundReport | None) -> float:
-    """Fraction of the records whose total cost exceeds the bound; nan without a bound."""
-    if bound is None:
-        return math.nan
-    return float(np.mean(_tocs(records) > bound.bound_value))
+    return McTocSummary(ends.toc0, ends.toc1, ends.iterations, ends.stopped_at >= 0)

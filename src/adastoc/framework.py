@@ -44,9 +44,10 @@ and stopping-time detection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -251,22 +252,22 @@ def stopping_time(trace: RunTrace, epsilon: float, mode: str) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
-class RowResult:
-    """Where one row of a lockstep run ended.
+class RunEnds(NamedTuple):
+    """Where each row of a lockstep run ended: one array per column, indexed by seed.
 
-    stopping_iteration is None when the row reached max_iterations;
-    iterations counts the iterations it ran, toc0/toc1 its value and
-    gradient sample totals (kept only when the trace is not).
+    stopped_at is the stopping iteration, -1 for a row that reached
+    max_iterations; iterations counts the iterations each row ran, and
+    toc0/toc1 (object arrays of Python ints) its value and gradient sample
+    totals, kept only when the trace is not.
     """
 
-    stopping_iteration: int | None
-    iterations: int
-    toc0: int
-    toc1: int
-    final_x: np.ndarray = field(repr=False)
-    final_grad_norm: float
-    final_gap: float
+    stopped_at: np.ndarray
+    iterations: np.ndarray
+    toc0: np.ndarray
+    toc1: np.ndarray
+    final_x: np.ndarray
+    final_grad_norm: np.ndarray
+    final_gap: np.ndarray
 
 
 def run_adaptive(
@@ -312,8 +313,8 @@ _CHUNK = 1024  # trace entries (rows x iterations) kept as per-iteration arrays 
 def _lockstep(problem, method, suite, config, epsilon, mode, x, seeds, record):
     """The adaptive loop over one row per seed, from the start point x (see `_start`).
 
-    With record, returns one RunTrace per seed.  Without, returns one
-    RowResult per seed: the trace is not kept, only the sample totals.
+    With record, returns one RunTrace per seed.  Without, returns the
+    RunEnds of all seeds: the trace is not kept, only the sample totals.
     """
     if len(seeds) < 1:
         raise InvalidParameterError("at least one seed is needed")
@@ -334,7 +335,10 @@ def _lockstep(problem, method, suite, config, epsilon, mode, x, seeds, record):
     sizes = _StepSizes(config)
     state = np.zeros(n, dtype=np.intp)  # _StepSizes.slot(0, 0): alpha = alpha0
     toc0 = toc1 = np.zeros(n, dtype=object)
-    results: list[RowResult | None] = [None] * n
+    ends = RunEnds(
+        np.full(n, -1), np.zeros(n, dtype=int), np.zeros(n, dtype=object), np.zeros(n, dtype=object),
+        np.empty_like(X), np.empty(n), np.empty(n),
+    )
     chunks, columns, pending = [], [], 0  # the trace of every row, packed every _CHUNK entries
     retire = np.count_nonzero(met) > 0
     max_iterations = config.max_iterations
@@ -347,16 +351,14 @@ def _lockstep(problem, method, suite, config, epsilon, mode, x, seeds, record):
     while True:
         if retire or k >= max_iterations:
             out = met if k < max_iterations else np.ones(len(ids), dtype=bool)
-            for j in np.flatnonzero(out).tolist():
-                results[ids[j]] = RowResult(
-                    stopping_iteration=k if met[j] else None,
-                    iterations=k,
-                    toc0=toc0[j],
-                    toc1=toc1[j],
-                    final_x=X[j].copy(),
-                    final_grad_norm=float(grad_norm[j]),
-                    final_gap=float(F[j] - min_value),
-                )
+            rows = ids[out]
+            ends.stopped_at[rows] = np.where(met[out], k, -1)
+            ends.iterations[rows] = k
+            ends.toc0[rows] = toc0[out]
+            ends.toc1[rows] = toc1[out]
+            ends.final_x[rows] = X[out]
+            ends.final_grad_norm[rows] = grad_norm[out]
+            ends.final_gap[rows] = F[out] - min_value
             keep = ~out
             if not count(keep):
                 break
@@ -409,11 +411,11 @@ def _lockstep(problem, method, suite, config, epsilon, mode, x, seeds, record):
         state = sizes.next[state + success]
         k += 1
     if not record:
-        return results
+        return ends
     del streams  # the generators and their read-ahead buffers, before the trace is sorted
     if columns:
         chunks.append(_pack(columns))
-    return _traces(chunks, results, sizes, min_value, config, epsilon, mode)
+    return _traces(chunks, ends, sizes, min_value, config, epsilon, mode)
 
 
 def _pack(columns) -> tuple:
@@ -451,13 +453,16 @@ def _traces(chunks, ends, sizes, min_value, config, epsilon, mode) -> list[RunTr
             sizes.alpha[state], success, cost0, cost1, grad_norm, gap,
             sizes.base[state], sizes.exp[state],
         )))
-    bounds = np.cumsum([end.iterations for end in ends]).tolist()
+    bounds = np.cumsum(ends.iterations).tolist()
     traces = []
-    for end, lo, hi in zip(ends, [0] + bounds, bounds):
+    for lo, hi, stopped_at, final_x, final_grad_norm, final_gap in zip(
+        [0] + bounds, bounds, ends.stopped_at.tolist(), ends.final_x,
+        ends.final_grad_norm.tolist(), ends.final_gap.tolist(),
+    ):
         traces.append(RunTrace._from_columns(
             {name: col[lo:hi] for name, col in columns.items()},
-            stopping_iteration=end.stopping_iteration, config=config, epsilon=epsilon, mode=mode,
-            final_grad_norm=end.final_grad_norm, final_gap=end.final_gap, final_x=end.final_x,
+            stopping_iteration=None if stopped_at < 0 else stopped_at, config=config, epsilon=epsilon,
+            mode=mode, final_grad_norm=final_grad_norm, final_gap=final_gap, final_x=final_x,
         ))
     return traces
 

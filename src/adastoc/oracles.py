@@ -16,11 +16,14 @@ families are implemented:
 
 Each algorithm iteration makes two value estimates (current and trial
 point) and one gradient estimate, so the per-iteration value cost is twice
-the per-call batch.  The runtime suites take their batch sizes from the same
-CostModel objects the complexity bounds evaluate, so the samples a run is
-charged and the samples a bound counts agree by construction.  A call is
-charged its b samples, but the b-sample mean is drawn once from its exact
-law (`minibatch_value`, `minibatch_grad`).
+the per-call batch.  Every suite names what an iteration pays in
+`cost_models(problem) -> (value, grad)`: the minibatch suites take their
+batch sizes from those CostModel objects, the exact and corruption suites
+charge the one sample per call that their constant models count, and the
+bounds of a sweep evaluate the same models, so for every suite the samples
+a run is charged and the samples a bound counts agree by construction.  A
+call is charged its b samples, but the b-sample mean is drawn once from its
+exact law (`minibatch_value`, `minibatch_grad`).
 """
 
 from __future__ import annotations
@@ -366,9 +369,11 @@ def empirical_oracle_failure_rate(
 #       -> (value_failed, grad_failed)
 #
 # checks R rows of estimates against the suite's accuracy contract and
-# returns two (R,) bool arrays.  gradient() and values() are the one-point
-# calls: R = 1 row calls that evaluate the truth and draw from rng through
-# a RowStreams with no read-ahead, so rng ends where scalar draws leave it.
+# returns two (R,) bool arrays.  cost_models(problem) -> (value, grad) are
+# the CostModels whose costs the row methods charge.  gradient() and
+# values() are the one-point calls: R = 1 row calls that evaluate the truth
+# and draw from rng through a RowStreams with no read-ahead, so rng ends
+# where scalar draws leave it.
 # Each suite defines its own methods (no shared base) so each can be
 # instrumented separately.
 # Minibatch suites look their cost models up on every call (the step-search
@@ -376,6 +381,8 @@ def empirical_oracle_failure_rate(
 
 _storm_models = functools.lru_cache(maxsize=16)(storm_cost_models)
 _sass_models = functools.lru_cache(maxsize=16)(sass_cost_models)
+# one sample per call: what the exact and corruption suites charge
+_UNIT_MODELS = (CostModel((), 2, "value"), CostModel((), 1, "grad"))
 
 
 def _one_gradient(suite, problem: Problem, x, alpha: float, rng):
@@ -413,6 +420,9 @@ class ExactOracles:
 
     def validate(self, problem: Problem) -> None:
         pass
+
+    def cost_models(self, problem: Problem) -> tuple[CostModel, CostModel]:
+        return _UNIT_MODELS
 
     def gradient_rows(self, problem, x, g, alpha, streams):
         return g, 1
@@ -453,12 +463,15 @@ class StormMinibatchOracles:
                 "trust-region oracles need a uniform gradient noise bound (m_v = 0)"
             )
 
+    def cost_models(self, problem: Problem) -> tuple[CostModel, CostModel]:
+        return _storm_models(self.spec)
+
     def gradient_rows(self, problem, x, g, alpha, streams):
-        batch = _storm_models(self.spec)[1].batch(alpha)
+        batch = self.cost_models(problem)[1].batch(alpha)
         return _minibatch_grad_rows(problem, g, batch, streams), batch
 
     def values_rows(self, problem, x, x_plus, f, f_plus, alpha, streams):
-        batch = _storm_models(self.spec)[0].batch(alpha)
+        batch = self.cost_models(problem)[0].batch(alpha)
         f0, f_plus = _minibatch_value_rows(problem, (f, f_plus), batch, streams)
         return f0, f_plus, 2 * batch
 
@@ -496,15 +509,15 @@ class SassMinibatchOracles:
     def validate(self, problem: Problem) -> None:
         pass
 
-    def _models(self, problem: Problem) -> tuple[CostModel, CostModel]:
+    def cost_models(self, problem: Problem) -> tuple[CostModel, CostModel]:
         return _sass_models(self.spec, problem.noise, self.epsilon, self.case, self.batch_scale)
 
     def gradient_rows(self, problem, x, g, alpha, streams):
-        batch = self._models(problem)[1].batch(alpha)
+        batch = self.cost_models(problem)[1].batch(alpha)
         return _minibatch_grad_rows(problem, g, batch, streams), batch
 
     def values_rows(self, problem, x, x_plus, f, f_plus, alpha, streams):
-        batch = self._models(problem)[0].batch(alpha)
+        batch = self.cost_models(problem)[0].batch(alpha)
         f0, f_plus = _minibatch_value_rows(problem, (f, f_plus), batch, streams)
         return f0, f_plus, 2 * batch
 
@@ -547,6 +560,9 @@ class PairCorruptionOracles:
 
     def validate(self, problem: Problem) -> None:
         pass
+
+    def cost_models(self, problem: Problem) -> tuple[CostModel, CostModel]:
+        return _UNIT_MODELS
 
     def gradient_rows(self, problem, x, g, alpha, streams):
         flip = streams.take(1)[:, 0] < self.delta1

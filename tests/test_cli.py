@@ -379,6 +379,41 @@ def test_sass_sweep_refuses_an_unreliable_p_before_running(tmp_path, capsys, mon
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--method=storm", "--horizon-c1=0"], "horizon_c1 must be positive"),
+        (["--method=sass", "--horizon-c2=-3"], "horizon_c2 must be positive"),
+        (["--method=sass", "--mode=strongly_convex", "--horizon-c1=-1"], "horizon_c1 must be positive"),
+        (["--method=storm", "--mode=strongly_convex", "--horizon-c2=0"], "horizon_c2 must be positive"),
+    ],
+)
+def test_sweep_refuses_a_nonpositive_horizon_constant_before_running(tmp_path, capsys, monkeypatch, argv, message):
+    # a horizon clamped to n = 2 would bound runs it does not cover
+    def no_runs(*args, **kwargs):
+        raise AssertionError("a replication ran before the horizon constants were checked")
+
+    monkeypatch.setattr(cli, "monte_carlo_toc", no_runs)
+    out = tmp_path / "s.csv"
+    assert _run(["sweep", *argv, "--epsilons=0.1", "--reps=2", "--seed=0", f"--out={out}"]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_corruption_sweep_bounds_ignore_the_noise_flags(tmp_path):
+    # the corruption suite draws one sample per call whatever the noise, and the bounds count those
+    argv = ["sweep", "--method=storm", "--oracle=corruption", "--epsilons=0.2,0.1", "--reps=5",
+            "--gamma=0.8", "--seed=0"]
+    noisy, quiet = tmp_path / "noisy.csv", tmp_path / "quiet.csv"
+    assert _run([*argv, f"--out={noisy}"]) == 0
+    assert _run([*argv, "--noise=none", f"--out={quiet}"]) == 0
+    assert noisy.read_bytes() == quiet.read_bytes()
+    with open(noisy, newline="") as fh:
+        first = next(csv.DictReader(fh))
+    n = math.ceil(10.0 * 2.0 / 0.2**2)
+    assert float(first["bound_highprob"]) == 3 * n == 1500
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["--method=storm", "--oracle=exact", "--noise=none", "--delta0=0", "--delta1=0"],
@@ -420,7 +455,7 @@ def _sweep_rows_from_the_library(case, seed, epsilons, reps):
                 SassOracleSpec(), NoiseSpec.none(), epsilon, n, 0.6, 1.0, "nonconvex",
                 p=0.8, alpha_bar=alpha_max, prob_t_exceeds_n=1.0 - summary.stopped_fraction,
             )
-        tocs = [rec.toc for rec in summary.records]
+        tocs = (summary.toc0 + summary.toc1).tolist()
         bound = report.high_probability.bound_value
         rows.append([
             epsilon, summary.mean_iterations, summary.mean_toc0, summary.mean_toc1,

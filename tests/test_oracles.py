@@ -276,6 +276,31 @@ def test_sass_suite_charges_the_bound_models_batches(alpha, epsilon, batch_c, m_
     assert _charged(suite, noise, alpha) == (value.batch(alpha), grad.batch(alpha))
 
 
+@pytest.mark.parametrize(
+    "suite",
+    [
+        ExactOracles(),
+        PairCorruptionOracles(0.1, 0.1),
+        StormMinibatchOracles(StormOracleSpec(sigma_f=0.01, sigma_g=0.1)),
+        SassMinibatchOracles(SassOracleSpec(), epsilon=0.1),
+    ],
+    ids=type,
+)
+def test_each_suite_charges_exactly_its_cost_models(suite):
+    # the models a sweep bounds are the models the row methods charge, row by row
+    problem = make_problem("quadratic", 2, 1.0, NoiseSpec.gaussian(sigma_f=0.01, m_c=0.01), seed=0)
+    alpha = np.array([1.0, 0.1, 1e-3])
+    x = np.repeat(problem.x0[None], len(alpha), axis=0)
+    f = problem.value(x)
+    streams = RowStreams([np.random.default_rng(i) for i in range(len(alpha))], suite.draws, 0)
+    value, grad = suite.cost_models(problem)
+    _, cost1 = suite.gradient_rows(problem, x, problem.grad(x), alpha, streams)
+    _, _, cost0 = suite.values_rows(problem, x, x, f, f, alpha, streams)
+    for cost, model in ((cost1, grad), (cost0, value)):
+        charged = np.broadcast_to(np.asarray(cost, dtype=object), alpha.shape).tolist()
+        assert charged == model.cost(alpha).tolist(), model.label
+
+
 def test_cost_model_powers():
     value, grad = storm_cost_models(StormOracleSpec(sigma_f=1.0, sigma_g=1.0))
     assert (value.power, grad.power) == (4.0, 2.0)

@@ -78,3 +78,19 @@ def test_trace_builds_from_records_by_keyword():
         mode="nonconvex", final_grad_norm=1.0, final_gap=math.nan, final_x=np.zeros(1),
     )
     assert len(trace.records) == 1 and trace.stopping_iteration is None
+
+
+def test_hooked_results_keep_their_attributes():
+    # the tracer's counting hooks read these attributes of monte_carlo_toc and run_adaptive results
+    from adastoc import complexity
+    from adastoc.methods import SassMethod
+    from adastoc.oracles import ExactOracles
+    from adastoc.problems import NoiseSpec, make_problem
+
+    problem = make_problem("quadratic", 2, 1.0, NoiseSpec.none(), seed=0)
+    config = framework.AlgoConfig(theta=0.1, gamma=0.5, alpha0=0.5, alpha_max=0.5, max_iterations=20)
+    summary = complexity.monte_carlo_toc(problem, SassMethod(), ExactOracles(), config, 1e-3, 3, 0)
+    assert summary.replications == 3
+    trace = framework.run_adaptive(problem, SassMethod(), ExactOracles(), config, 1e-3, seed=0)
+    assert len(trace.records) == len(trace.alpha)
+    assert trace.stopping_iteration is None or trace.stopping_iteration == len(trace.alpha)
