@@ -166,11 +166,11 @@ def run_walk(opts: dict) -> int:
 
     The deepest level M = max_k Z_k of an n-step walk has a law that depends
     on p and n only, so one ensemble of `reps` walks serves every gamma: a
-    path dips below alpha_star when alpha_bar * gamma**M < alpha_star, which
-    is the event M >= level + 1 for the level of `stepsize_lower_bound`, and
-    `dip_exact` is its exact probability.  Every input is checked, and the
-    run exits 2 if some dip_exact exceeds its failure_bound, before any
-    random draw.  Gamma i's path draws from the first child of the i-th of
+    path dips below alpha_star when M >= m, m the first depth in 0..n with
+    alpha_bar * gamma**m < alpha_star (n + 1 if there is none), and
+    `dip_exact` = P(M >= m) is its exact probability.  Every input is
+    checked, and the run exits 2 if some dip_exact exceeds its
+    failure_bound, before any random draw.  Gamma i's path draws from the first child of the i-th of
     root.spawn(len(gammas) + 1); the ensemble draws from the last one.
     """
     gammas = opts["gamma"]
@@ -184,7 +184,12 @@ def run_walk(opts: dict) -> int:
         for gamma in gammas
     ]
     floors = [stepsize_lower_bound(walk_params, n) for walk_params in params]
-    dip_exacts = hitting_prob_exact(p, [level + 1 for _, _, level in floors], n).tolist()
+    depths = np.arange(n + 1, dtype=float)
+    dip_depths = [  # the first depth whose step size falls below alpha_star, n + 1 if none
+        int(np.append(np.flatnonzero(w.alpha_bar * w.gamma ** depths < alpha_star), n + 1)[0])
+        for w, (alpha_star, _, _) in zip(params, floors)
+    ]
+    dip_exacts = hitting_prob_exact(p, dip_depths, n).tolist()
     for gamma, (_, success_prob, _), dip_exact in zip(gammas, floors, dip_exacts):
         if dip_exact > 1.0 - success_prob + 1e-12:
             raise TheoryViolationError(
@@ -198,12 +203,11 @@ def run_walk(opts: dict) -> int:
         summary_out = out.with_name(out.stem + "_summary.csv")
     *children, ensemble_stream = np.random.SeedSequence(opts["seed"]).spawn(len(gammas) + 1)
     max_levels, _ = walk_ensemble_stats(p, n, reps, np.random.default_rng(ensemble_stream))
-    depths = max_levels.astype(float)
 
     rows = []
     summary_rows = []
-    for walk_params, (alpha_star, success_prob, _), dip_exact, child in zip(
-        params, floors, dip_exacts, children
+    for walk_params, (alpha_star, success_prob, _), dip_depth, dip_exact, child in zip(
+        params, floors, dip_depths, dip_exacts, children
     ):
         gamma, alpha_bar = walk_params.gamma, walk_params.alpha_bar
         path = simulate_walk(walk_params, n, np.random.default_rng(child.spawn(1)[0]))
@@ -216,7 +220,7 @@ def run_walk(opts: dict) -> int:
             repeat(format_cell(gamma)), range(n + 1), map(cells.__getitem__, which.tolist()),
             repeat(format_cell(alpha_star)),
         ))
-        dip_fraction = float(np.mean(alpha_bar * gamma ** depths < alpha_star))
+        dip_fraction = float(np.mean(max_levels >= dip_depth))
         summary_rows.append(
             (gamma, alpha_star, dip_fraction, dip_exact, 1.0 - success_prob, n, reps)
         )

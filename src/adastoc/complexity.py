@@ -29,7 +29,7 @@ from .errors import AssumptionViolationError, InvalidParameterError
 from .framework import AlgoConfig, RunTrace, _lockstep, _start, derive_seeds
 from .oracles import SassOracleSpec, StormOracleSpec, sass_cost_models, storm_cost_models
 from .problems import NoiseSpec, Problem
-from .walk import WalkParams, stepsize_lower_bound
+from .walk import WalkParams, _walk_failure, stepsize_lower_bound
 
 __all__ = [
     "TocRecord",
@@ -180,8 +180,7 @@ def highprob_toc_bound(
     if not (0.0 <= prob_t_exceeds_n <= 1.0):
         raise InvalidParameterError("prob_t_exceeds_n must lie in [0,1]")
     alpha_star, _, level = stepsize_lower_bound(params, n)
-    walk_failure = n ** (-params.omega) + params.c * n ** (-(1.0 + params.omega))
-    failure = min(1.0, prob_t_exceeds_n + walk_failure)
+    failure = min(1.0, prob_t_exceeds_n + _walk_failure(params, n))
     return BoundReport(
         bound_value=float(n) * float(sum(m.cost(alpha_star) for m in models)),
         failure_prob=failure,

@@ -210,7 +210,8 @@ def update_step_size(
     a success lowers it by one (alpha -> alpha / gamma) unless that would
     overshoot alpha_max, in which case the step size is re-anchored at
     (alpha_max, 0).  alpha is recomputed from the pair on every read, so a
-    million updates introduce no cumulative rounding.
+    million updates introduce no cumulative rounding.  This is the one-state
+    call of `_step_law`, which also fills the loop's step-size table.
     """
     if not (0.0 < gamma < 1.0):
         raise InvalidParameterError(f"gamma must lie in (0,1), got {gamma}")
@@ -219,11 +220,20 @@ def update_step_size(
         raise InvalidParameterError("alpha must be positive")
     if alpha > alpha_max:
         raise InvalidParameterError("alpha must not exceed alpha_max")
-    if not success:
-        return base, exp + 1
-    if base * gamma ** (exp - 1) > alpha_max:
-        return alpha_max, 0
-    return base, exp - 1
+    new_base, new_exp = _step_law(base, exp, success, gamma, alpha_max)
+    return float(new_base), int(new_exp)
+
+
+def _step_law(base, exp, success, gamma: float, alpha_max: float):
+    """The two-outcome law on arrays of states alpha = base * gamma**exp: (base, exp) after it.
+
+    gamma**e is np.float_power, the C library's pow, as Python's float ** is
+    (numpy's array ** differs in the last bit for some exponents); beyond
+    the float range it is inf.
+    """
+    with np.errstate(over="ignore"):
+        capped = success & (base * np.float_power(gamma, exp - 1) > alpha_max)
+    return np.where(capped, alpha_max, base), np.where(capped, 0, exp + 1 - 2 * success)
 
 
 def stopping_time(trace: RunTrace, epsilon: float, mode: str) -> int | None:
@@ -468,17 +478,19 @@ def _traces(chunks, ends, sizes, min_value, config, epsilon, mode) -> list[RunTr
 
 
 class _StepSizes:
-    """update_step_size as a transition table over step-size states.
+    """The step-size law (`_step_law`) as a transition table over step-size states.
 
     A state is (anchor, exp): alpha = base * gamma**exp with base alpha0
     (anchor 0) or alpha_max (anchor 1, after a re-anchoring).  Rows hold
     the state's slot 4 * z(exp) + 2 * anchor, z the zigzag map 0, -1, 1,
     -2, ... -> 0, 1, 2, 3, ..., so slots stay valid as the table grows in
-    either direction.  alpha[slot] is base * gamma**exp as Python computes
-    it (numpy's power differs in the last bit for some exponents), and
+    either direction.  alpha[slot] is base * gamma**exp, and
     next[slot + success] is the slot after one update: a row's update is
-    one addition and two lookups.  The table is filled for exponents
-    lo..hi; other entries hold alpha = nan.
+    one addition and two lookups.  The table is filled, a block of
+    exponents at a time, for exponents lo..hi, which follow the live rows
+    only: there is no floor.  A state whose alpha is 0 or above alpha_max
+    is filled too, with next = -1; no row reaches it.  Other entries hold
+    alpha = nan.
     """
 
     SLACK = 16  # exponents kept filled beyond the live ones, on each side
@@ -486,11 +498,10 @@ class _StepSizes:
     def __init__(self, config: AlgoConfig):
         self.gamma = config.gamma
         self.alpha_max = config.alpha_max
-        self.bases = (float(config.alpha0), float(config.alpha_max))
+        self.bases = np.array([config.alpha0, config.alpha_max], dtype=float)
         # anchor 1 is reached by a re-anchoring that changes the base
         changes = math.isfinite(config.alpha_max) and config.alpha0 != config.alpha_max
-        self.anchors = (0, 1) if changes else (0,)
-        self.floor = self._lowest_exp(config)
+        self.anchors = np.array([0, 1] if changes else [0])
         self.lo, self.hi = 0, -1
         self.alpha = np.empty(0)
         self.next = np.empty(0, dtype=np.intp)
@@ -500,8 +511,8 @@ class _StepSizes:
         self.valid_until = 0  # the first iteration that needs cover() again
 
     @staticmethod
-    def slot(anchor: int, exp: int) -> int:
-        return 4 * (2 * exp if exp >= 0 else -2 * exp - 1) + 2 * anchor
+    def slot(anchor, exp):
+        return 4 * np.where(exp >= 0, 2 * exp, -2 * exp - 1) + 2 * anchor
 
     def cover(self, state: np.ndarray, k: int) -> None:
         """Fill the states the rows can reach from iteration k on, and say until when.
@@ -512,21 +523,10 @@ class _StepSizes:
         """
         exps = self.exp[state] if self.hi >= self.lo else np.zeros(1, dtype=np.int64)
         lo, hi = int(exps.min()), int(exps.max())
-        if max(lo - self.SLACK, self.floor) < self.lo or hi + self.SLACK > self.hi:
+        if lo - self.SLACK < self.lo or hi + self.SLACK > self.hi:
             margin = max(2 * self.SLACK, self.hi - self.lo)
-            self._fill(max(min(lo - margin, self.lo), self.floor), max(hi + margin, self.hi))
-        below = lo - self.lo if self.lo > self.floor else math.inf
-        self.valid_until = k + min(self.hi - hi, below)
-
-    @staticmethod
-    def _lowest_exp(config: AlgoConfig):
-        """The lowest exponent a row can reach: alpha0 * gamma**exp stays <= alpha_max."""
-        if math.isinf(config.alpha_max):
-            return -math.inf
-        exp = 0
-        while config.alpha0 * _power(config.gamma, exp - 1) <= config.alpha_max:
-            exp -= 1
-        return exp
+            self._fill(min(lo - margin, self.lo), max(hi + margin, self.hi))
+        self.valid_until = k + min(self.hi - hi, lo - self.lo)
 
     def _fill(self, lo: int, hi: int) -> None:
         size = 4 * (max(2 * hi, -2 * lo - 1) + 1)
@@ -535,31 +535,19 @@ class _StepSizes:
         self.next = np.concatenate([self.next, np.full(grow, -1, dtype=np.intp)])
         self.base = np.concatenate([self.base, np.full(grow, np.nan)])
         self.exp = np.concatenate([self.exp, np.zeros(grow, dtype=np.int64)])
-        new = [(a, e) for e in range(lo, hi + 1) if not self.lo <= e <= self.hi for a in self.anchors]
-        slots = np.array([self.slot(a, e) for a, e in new], dtype=np.intp)
-        self.alpha[slots] = [self.bases[a] * _power(self.gamma, e) for a, e in new]
-        self.base[slots] = [self.bases[a] for a, _ in new]
-        self.exp[slots] = [e for _, e in new]
-        self.next[slots] = [self._after(a, e, False) for a, e in new]
-        self.next[slots + 1] = [self._after(a, e, True) for a, e in new]
+        exps = np.concatenate([np.arange(lo, self.lo), np.arange(self.hi + 1, hi + 1)])
+        anchor, exp = np.repeat(self.anchors, len(exps)), np.tile(exps, len(self.anchors))
+        slots, base = self.slot(anchor, exp), self.bases[anchor]
+        with np.errstate(over="ignore"):
+            alpha = base * np.float_power(self.gamma, exp)
+        self.alpha[slots], self.base[slots], self.exp[slots] = alpha, base, exp
+        success = np.array([[False], [True]])
+        new_base, new_exp = _step_law(base, exp, success, self.gamma, self.alpha_max)
+        after = self.slot(np.where(new_base == base, anchor, 1), new_exp)
+        self.next[slots + success] = np.where((alpha == 0.0) | (alpha > self.alpha_max), -1, after)
         self.lo, self.hi = lo, hi
         # bases are at least alpha0 > 0, so only an underflowed gamma**exp gives alpha = 0
-        self.may_vanish = self.bases[0] * _power(self.gamma, hi) == 0.0
-
-    def _after(self, anchor: int, exp: int, success: bool) -> int:
-        base = self.bases[anchor]
-        try:
-            new_base, new_exp = update_step_size(base, exp, success, self.gamma, self.alpha_max)
-        except (InvalidParameterError, OverflowError):
-            return -1  # a state no run updates from: alpha is 0 there, or above alpha_max
-        return self.slot(anchor if new_base == base else 1, new_exp)
-
-
-def _power(gamma: float, e: int) -> float:
-    try:
-        return gamma**e
-    except OverflowError:  # gamma**e beyond the float range: alpha = inf, which no run survives
-        return math.inf
+        self.may_vanish = self.alpha[self.slot(0, hi)] == 0.0
 
 
 def _start(problem: Problem, method, oracle_suite, epsilon: float, mode: str, x0) -> np.ndarray:

@@ -419,16 +419,19 @@ def stepsize_lower_bound(params: WalkParams, n: int) -> tuple[float, float, int]
         raise InvalidParameterError("n must be at least 2")
     _check_reliability(params.p)
     q = params.q
-    if q == 0.0:
-        # perfectly reliable oracles: the walk never leaves 0
-        return params.alpha_bar * params.gamma, min(1.0, max(0.0, 1.0 - n**-params.omega)), 0
+    success_prob = min(1.0, max(0.0, 1.0 - _walk_failure(params, n)))
+    if q == 0.0:  # perfectly reliable oracles: the walk never leaves 0
+        return params.alpha_bar * params.gamma, success_prob, 0
     log_base = math.log(1.0 / (2.0 * q))
     exponent = (1.0 + params.omega) * math.log(1.0 / params.gamma) / log_base
     alpha_star = params.alpha_bar * params.gamma * math.exp(-exponent * math.log(n))
-    failure = n ** (-params.omega) + params.c * n ** (-(1.0 + params.omega))
-    success_prob = min(1.0, max(0.0, 1.0 - failure))
     level = math.ceil((1.0 + params.omega) * math.log(n) / log_base)
     return alpha_star, success_prob, level
+
+
+def _walk_failure(params: WalkParams, n: int) -> float:
+    """n^-omega + c n^-(1+omega): the chance the step-size floor fails over n iterations (c = 0 at q = 0)."""
+    return n ** (-params.omega) + params.c * n ** (-(1.0 + params.omega))
 
 
 def gamma_threshold(p: float, n: int, omega: float, beta: float) -> float:

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,13 @@ from adastoc.methods import SassMethod, StormMethod
 from adastoc.oracles import PairCorruptionOracles, SassOracleSpec, StormMinibatchOracles, StormOracleSpec
 from adastoc.problems import NoiseSpec, make_problem
 from adastoc.tableio import write_csv
-from adastoc.walk import WalkParams, hitting_prob_exact, simulate_walk, stepsize_lower_bound
+from adastoc.walk import (
+    WalkParams,
+    hitting_prob_exact,
+    simulate_walk,
+    stepsize_lower_bound,
+    walk_ensemble_stats,
+)
 
 
 def _run(argv):
@@ -113,6 +120,18 @@ def test_optimize_hand_example_summary(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "k,alpha,success,cost0,cost1,true_grad_norm,true_gap"
     assert len(lines) == 2
+
+
+def test_optimize_with_a_wide_step_size_range_starts_at_once(tmp_path):
+    # 1e20 between alpha0 and alpha_max at gamma = 1 - 1e-7: about 4.6e8 exponents
+    start = time.perf_counter()
+    assert _run([
+        "optimize", "--method=sass", "--oracle=exact", "--noise=none", "--epsilon=1e-3",
+        "--gamma=0.9999999", "--alpha0=1e-10", "--alpha-max=1e10", "--max-iterations=3",
+        f"--out={tmp_path / 'trace.csv'}",
+    ]) == 0
+    assert time.perf_counter() - start < 5.0
+    assert len((tmp_path / "trace.csv").read_text().splitlines()) == 4
 
 
 def test_optimize_unreached_stop_prints_empty_field(tmp_path, capsys):
@@ -266,6 +285,25 @@ def test_walk_dip_exact_is_the_probability_of_passing_the_floor_level(tmp_path):
         dips = round(row["dip_fraction"] * reps)
         assert binomtest(dips, reps, row["dip_exact"]).pvalue > 1e-3
     assert rows[0]["dip_fraction"] == rows[1]["dip_fraction"]  # both gammas read the same paths
+
+
+def test_walk_dip_counts_the_first_depth_below_the_floor(tmp_path):
+    # at p = 0.75, n = 16, omega = 1 the floor's level is 8, but at gamma = 0.8
+    # the first depth m whose step size falls below alpha_star is 10: both
+    # dip_fraction and dip_exact count M >= m, on the ensemble drawn from
+    # the last child of SeedSequence(seed).spawn(len(gammas) + 1)
+    p, gamma, n, reps, seed = 0.75, 0.8, 16, 20_000, 5
+    assert _run(_walk_args(
+        tmp_path, p=str(p), omega="1", gamma=str(gamma), n=str(n), reps=str(reps), seed=str(seed),
+    )) == 0
+    row = _walk_summary(tmp_path)[0]
+    alpha_star, _, level = stepsize_lower_bound(WalkParams(p=p, gamma=gamma, alpha_bar=1.0), n)
+    assert level == 8
+    assert gamma**9.0 >= alpha_star > gamma**10.0
+    assert row["dip_exact"] == hitting_prob_exact(p, 10, n) != hitting_prob_exact(p, level + 1, n)
+    stream = np.random.SeedSequence(seed).spawn(2)[-1]
+    max_levels, _ = walk_ensemble_stats(p, n, reps, np.random.default_rng(stream))
+    assert row["dip_fraction"] == np.mean(max_levels >= 10) < np.mean(max_levels >= 9)
 
 
 def test_walk_dip_exact_above_the_failure_bound_exits_2(tmp_path, monkeypatch):

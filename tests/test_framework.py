@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adastoc.complexity import accumulate_toc, monte_carlo_toc
@@ -16,6 +16,7 @@ from adastoc.errors import (
 )
 from adastoc.framework import (
     TRACE_CSV_HEADER,
+    _StepSizes,
     AlgoConfig,
     IterationRecord,
     RunTrace,
@@ -104,6 +105,80 @@ def test_update_step_size_two_outcome_law(base, exp, success, gamma, headroom):
     else:
         assert (new_base, new_exp) == (base, exp - 1)
     assert new_base * gamma**new_exp <= alpha_max
+
+
+def _python_law(base, exp, success, gamma, alpha_max):
+    """The two-outcome law in Python floats alone: a reference independent of the array form."""
+    if not (0.0 < gamma < 1.0):
+        raise InvalidParameterError(f"gamma must lie in (0,1), got {gamma}")
+    alpha = base * gamma**exp
+    if alpha <= 0.0:
+        raise InvalidParameterError("alpha must be positive")
+    if alpha > alpha_max:
+        raise InvalidParameterError("alpha must not exceed alpha_max")
+    if not success:
+        return base, exp + 1
+    if base * gamma ** (exp - 1) > alpha_max:
+        return alpha_max, 0
+    return base, exp - 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    base=st.floats(1e-12, 1e12),
+    exp=st.integers(-200, 200),  # gamma**(exp - 1) stays finite for gamma >= 0.05
+    success=st.booleans(),
+    gamma=st.floats(0.05, 0.9999),
+    alpha_max=st.sampled_from([1.0, 3.7, 1e3, math.inf]),
+)
+def test_update_step_size_is_the_python_float_law(base, exp, success, gamma, alpha_max):
+    try:
+        expected = _python_law(base, exp, success, gamma, alpha_max)
+    except InvalidParameterError:
+        with pytest.raises(InvalidParameterError):
+            update_step_size(base, exp, success, gamma, alpha_max)
+        return
+    new_base, new_exp = update_step_size(base, exp, success, gamma, alpha_max)
+    assert (new_base, new_exp) == expected
+    assert (type(new_base), type(new_exp)) == (float, int)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    gamma=st.floats(0.05, 0.9999),
+    alpha_max=st.sampled_from([1.0, 3.7, 1e3, math.inf]),
+    ratio=st.floats(1.0, 1e20),
+    on_grid=st.booleans(),
+    outcomes=st.lists(st.booleans(), max_size=200),  # 200 successes from 1e-20 stay finite
+)
+@example(gamma=0.5, alpha_max=1e3, ratio=1e20, on_grid=False, outcomes=[True] * 80 + [False, True] * 3)
+def test_step_size_table_walks_the_python_float_law(gamma, alpha_max, ratio, on_grid, outcomes):
+    # alpha_max / alpha0 = ratio off alpha_max's grid, or the nearest grid
+    # point below it; every slot a row visits holds the reference's state
+    top = alpha_max if math.isfinite(alpha_max) else 1.0
+    alpha0 = top * gamma ** math.floor(math.log(ratio) / -math.log(gamma)) if on_grid else top / ratio
+    sizes = _StepSizes(_config(gamma=gamma, alpha0=alpha0, alpha_max=alpha_max))
+    state = np.zeros(1, dtype=np.intp)
+    base, exp = alpha0, 0
+    for k, success in enumerate([*outcomes, None]):
+        if k >= sizes.valid_until:
+            sizes.cover(state, k)
+        slot = state[0]
+        assert (sizes.alpha[slot], sizes.base[slot], sizes.exp[slot]) == (base * gamma**exp, base, exp)
+        if success is not None:
+            base, exp = _python_law(base, exp, success, gamma, alpha_max)
+            state = sizes.next[state + success]
+
+
+def test_a_wide_step_size_range_costs_nothing_up_front():
+    # about 4.6e7 exponents lie between alpha0 and alpha_max here; the table
+    # fills only those near the live rows
+    prob = make_problem("quadratic", 2, 1.0, NoiseSpec.none(), seed=0)
+    cfg = AlgoConfig(theta=0.1, gamma=1 - 1e-6, alpha0=1e-10, alpha_max=1e10, max_iterations=3)
+    start = time.perf_counter()
+    trace = run_adaptive(prob, SassMethod(), ExactOracles(), cfg, 1e-3)
+    assert time.perf_counter() - start < 2.0
+    assert len(trace.alpha) == 3
 
 
 def test_hand_run_lands_on_minimizer():
