@@ -30,6 +30,13 @@ for use outside the loop.  A plug-in that lacks a row method, or
 overrides a one-point method below its row method, is refused with
 ConfigurationError.
 
+The loop, not the suite, decides what an iteration costs: it reads the
+suite's `cost_models(problem)` once per run, and its step-size table holds,
+next to each state's alpha, each model's per-call batch (handed to the
+row methods) and per-iteration charge (added to the totals, or recorded as
+the trace's cost0 and cost1).  So an iteration's cost depends only on its
+step size, and a row is charged exactly what the bounds count.
+
 Ground truth is evaluated once per distinct iterate: f at an accepted
 trial point becomes f at the next iterate, and grad f is computed only
 for rows that moved.  A·x is computed once per point: evaluating f at the
@@ -342,7 +349,7 @@ def _lockstep(problem, method, suite, config, epsilon, mode, x, seeds, record):
     G = grad_rows(X, partial)
     grad_norm = np.sqrt(row_dot(G, G))
     met = (F - min_value if gap_mode else grad_norm) <= epsilon
-    sizes = _StepSizes(config)
+    sizes = _StepSizes(config, suite.cost_models(problem))
     state = np.zeros(n, dtype=np.intp)  # _StepSizes.slot(0, 0): alpha = alpha0
     toc0 = toc1 = np.zeros(n, dtype=object)
     ends = RunEnds(
@@ -380,16 +387,16 @@ def _lockstep(problem, method, suite, config, epsilon, mode, x, seeds, record):
         if k >= sizes.valid_until:
             sizes.cover(state, k)
         alpha = sizes.alpha[state]
-        if sizes.may_vanish and count(alpha > 0.0) < len(alpha):
-            raise InvalidParameterError("alpha must be positive")
+        if sizes.may_fail:
+            sizes.check(state)
 
-        g_hat, cost1 = gradient_rows(problem, X, G, alpha, streams)
+        g_hat = gradient_rows(problem, X, G, sizes.batch[1][state], streams)
         if count(isfinite(g_hat)) < g_hat.size:
             raise NumericError(f"non-finite gradient estimate at iteration {k}")
         steps, aux = propose_rows(g_hat, alpha)
         X_plus = X + steps
         F_plus, partial = value_rows(X_plus)  # kept to build grad f at X_plus if a row accepts
-        f0, f_plus, cost0 = values_rows(problem, X, X_plus, F, F_plus, alpha, streams)
+        f0, f_plus = values_rows(problem, X, X_plus, F, F_plus, sizes.batch[0][state], streams)
         # a finite difference means both are finite; only an overflow needs the full check
         if count(isfinite(f0 - f_plus)) < len(f0) and not (
             np.all(isfinite(f0)) and np.all(isfinite(f_plus))
@@ -397,14 +404,14 @@ def _lockstep(problem, method, suite, config, epsilon, mode, x, seeds, record):
             raise NumericError(f"non-finite value estimate at iteration {k}")
         success = accepts_rows(f0, f_plus, g_hat, steps, aux, alpha, config)
         if record:
-            columns.append((ids, state, success, cost0, cost1, grad_norm, F))
+            columns.append((ids, state, success, grad_norm, F))
             pending += len(ids)
             if pending >= _CHUNK:
                 chunks.append(_pack(columns))
                 columns, pending = [], 0
         else:
-            toc0 = toc0 + cost0
-            toc1 = toc1 + cost1
+            toc0 = toc0 + sizes.charge[0][state]
+            toc1 = toc1 + sizes.charge[1][state]
 
         moved = count(success)
         if moved:
@@ -429,19 +436,8 @@ def _lockstep(problem, method, suite, config, epsilon, mode, x, seeds, record):
 
 
 def _pack(columns) -> tuple:
-    """Several iterations' entries as one array per column: ids, state, success, cost0, cost1, grad_norm, f."""
-    ids, state, success, cost0, cost1, grad_norm, f = zip(*columns)
-    lengths = [len(i) for i in ids]
-
-    def samples(costs):  # a suite returns one sample count for all rows or one per row
-        if all(isinstance(c, int) for c in costs):
-            return np.repeat(np.array(costs, dtype=object), lengths)
-        return np.concatenate(
-            [np.full(m, c, dtype=object) if isinstance(c, int) else c for c, m in zip(costs, lengths)]
-        )
-
-    flat = np.concatenate
-    return flat(ids), flat(state), flat(success), samples(cost0), samples(cost1), flat(grad_norm), flat(f)
+    """Several iterations' entries as one array per column: ids, state, success, grad_norm, f."""
+    return tuple(np.concatenate(column) for column in zip(*columns))
 
 
 def _traces(chunks, ends, sizes, min_value, config, epsilon, mode) -> list[RunTrace]:
@@ -452,15 +448,13 @@ def _traces(chunks, ends, sizes, min_value, config, epsilon, mode) -> list[RunTr
     """
     columns = {name: np.empty(0, dtype=dtype) for name, dtype in _COLUMN_DTYPES.items()}
     if chunks:
-        parts = list(zip(*chunks))  # ids, state, success, cost0, cost1, grad_norm, f
+        parts = list(zip(*chunks))  # ids, state, success, grad_norm, f
         chunks.clear()
         order = np.argsort(np.concatenate(parts.pop(0)), kind="stable")
-        state, success, cost0, cost1, grad_norm, gap = (
-            np.concatenate(parts.pop(0))[order] for _ in range(6)
-        )
+        state, success, grad_norm, gap = (np.concatenate(parts.pop(0))[order] for _ in range(4))
         gap -= min_value
         columns = dict(zip(TRACE_COLUMNS, (
-            sizes.alpha[state], success, cost0, cost1, grad_norm, gap,
+            sizes.alpha[state], success, *(charge[state] for charge in sizes.charge), grad_norm, gap,
             sizes.base[state], sizes.exp[state],
         )))
     bounds = np.cumsum(ends.iterations).tolist()
@@ -478,7 +472,7 @@ def _traces(chunks, ends, sizes, min_value, config, epsilon, mode) -> list[RunTr
 
 
 class _StepSizes:
-    """The step-size law (`_step_law`) as a transition table over step-size states.
+    """The step-size law (`_step_law`) and the oracle costs as a table over step-size states.
 
     A state is (anchor, exp): alpha = base * gamma**exp with base alpha0
     (anchor 0) or alpha_max (anchor 1, after a re-anchoring).  Rows hold
@@ -486,16 +480,21 @@ class _StepSizes:
     -2, ... -> 0, 1, 2, 3, ..., so slots stay valid as the table grows in
     either direction.  alpha[slot] is base * gamma**exp, and
     next[slot + success] is the slot after one update: a row's update is
-    one addition and two lookups.  The table is filled, a block of
-    exponents at a time, for exponents lo..hi, which follow the live rows
-    only: there is no floor.  A state whose alpha is 0 or above alpha_max
-    is filled too, with next = -1; no row reaches it.  Other entries hold
-    alpha = nan.
+    one addition and two lookups.  For the value model (i = 0) and the
+    gradient model (i = 1) of `models`, batch[i][slot] is the per-call
+    batch at alpha as a float, and charge[i][slot] the per-iteration charge
+    calls_per_iteration * batch as a Python int.  The table is filled, a
+    block of exponents at a time, for exponents lo..hi, which follow the
+    live rows only: there is no floor.  A state whose alpha is 0 or above
+    alpha_max is filled too, with next = -1; no row reaches it.  A batch
+    beyond the float range is filled as inf with charge 0; `check` refuses
+    a row that reaches it, or alpha = 0.  Other entries hold alpha = nan.
     """
 
     SLACK = 16  # exponents kept filled beyond the live ones, on each side
 
-    def __init__(self, config: AlgoConfig):
+    def __init__(self, config: AlgoConfig, models):
+        self.models = models
         self.gamma = config.gamma
         self.alpha_max = config.alpha_max
         self.bases = np.array([config.alpha0, config.alpha_max], dtype=float)
@@ -507,7 +506,9 @@ class _StepSizes:
         self.next = np.empty(0, dtype=np.intp)
         self.base = np.empty(0)
         self.exp = np.empty(0, dtype=np.int64)
-        self.may_vanish = False
+        self.batch = [np.empty(0), np.empty(0)]
+        self.charge = [np.empty(0, dtype=object), np.empty(0, dtype=object)]
+        self.may_fail = False  # whether a filled state fails `check`
         self.valid_until = 0  # the first iteration that needs cover() again
 
     @staticmethod
@@ -535,6 +536,8 @@ class _StepSizes:
         self.next = np.concatenate([self.next, np.full(grow, -1, dtype=np.intp)])
         self.base = np.concatenate([self.base, np.full(grow, np.nan)])
         self.exp = np.concatenate([self.exp, np.zeros(grow, dtype=np.int64)])
+        self.batch = [np.concatenate([b, np.full(grow, np.nan)]) for b in self.batch]
+        self.charge = [np.concatenate([c, np.zeros(grow, dtype=object)]) for c in self.charge]
         exps = np.concatenate([np.arange(lo, self.lo), np.arange(self.hi + 1, hi + 1)])
         anchor, exp = np.repeat(self.anchors, len(exps)), np.tile(exps, len(self.anchors))
         slots, base = self.slot(anchor, exp), self.bases[anchor]
@@ -545,9 +548,25 @@ class _StepSizes:
         new_base, new_exp = _step_law(base, exp, success, self.gamma, self.alpha_max)
         after = self.slot(np.where(new_base == base, anchor, 1), new_exp)
         self.next[slots + success] = np.where((alpha == 0.0) | (alpha > self.alpha_max), -1, after)
+        fails = alpha == 0.0
+        for i, model in enumerate(self.models):
+            batch = model.per_call(alpha)
+            over = np.isinf(batch)
+            fails |= over
+            self.batch[i][slots] = batch
+            calls = model.calls_per_iteration
+            self.charge[i][slots] = [calls * int(b) for b in np.where(over, 0.0, batch).tolist()]
         self.lo, self.hi = lo, hi
-        # bases are at least alpha0 > 0, so only an underflowed gamma**exp gives alpha = 0
-        self.may_vanish = self.alpha[self.slot(0, hi)] == 0.0
+        self.may_fail = self.may_fail or bool(fails.any())
+
+    def check(self, state: np.ndarray) -> None:
+        """Refuse a row whose alpha underflowed to 0, then one whose gradient or value cost overflows."""
+        alpha = self.alpha[state]
+        if np.count_nonzero(alpha > 0.0) < len(alpha):
+            raise InvalidParameterError("alpha must be positive")
+        for i in (1, 0):
+            if np.isinf(self.batch[i][state]).any():
+                self.models[i].batch(alpha)  # raises at the first row whose cost overflows
 
 
 def _start(problem: Problem, method, oracle_suite, epsilon: float, mode: str, x0) -> np.ndarray:

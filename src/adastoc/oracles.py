@@ -17,20 +17,19 @@ families are implemented:
 Each algorithm iteration makes two value estimates (current and trial
 point) and one gradient estimate, so the per-iteration value cost is twice
 the per-call batch.  Every suite names what an iteration pays in
-`cost_models(problem) -> (value, grad)`: the minibatch suites take their
-batch sizes from those CostModel objects, the exact and corruption suites
-charge the one sample per call that their constant models count, and the
-bounds of a sweep evaluate the same models, so for every suite the samples
-a run is charged and the samples a bound counts agree by construction.  A
-call is charged its b samples, but the b-sample mean is drawn once from its
-exact law (`minibatch_value`, `minibatch_grad`).
+`cost_models(problem) -> (value, grad)`, and only there: the adaptive loop
+charges each iteration from those CostModel objects and hands the suite the
+per-call batches, the exact and corruption suites' constant models count
+one sample per call, and the bounds of a sweep evaluate the same models, so
+for every suite the samples a run is charged and the samples a bound counts
+agree by construction.  A call is charged its b samples, but the b-sample
+mean is drawn once from its exact law (`minibatch_value`, `minibatch_grad`).
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,9 +115,6 @@ class CostModel:
     terms: tuple[tuple[float, float, float], ...] = ()
     calls_per_iteration: int = 1
     label: str = ""
-    # batch sizes already computed, by alpha: a run revisits the few step
-    # sizes of its walk, so most lookups skip the formula
-    _batches: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for c, a, power in self.terms:
@@ -155,33 +151,19 @@ class CostModel:
     def batch(self, alpha):
         """Samples per call: an int for one alpha, an object array of ints for an array of alphas.
 
-        Counts are exact Python ints, above 2**63 too.  Each element equals
-        the batch of that alpha alone; the first alpha that is not positive,
-        or whose cost overflows, raises InvalidParameterError.
+        Counts are exact Python ints, above 2**63 too, from one evaluation
+        of `per_call`.  The first alpha that is not positive, or whose cost
+        overflows, raises InvalidParameterError.
         """
-        scalar = np.ndim(alpha) == 0
-        alphas = [alpha] if scalar else np.asarray(alpha).tolist()
-        batches = [self._batches.get(a) for a in alphas]
-        if None in batches:
-            new = self._new_batches([a for a in dict.fromkeys(alphas) if a not in self._batches])
-            batches = [new[a] if b is None else b for a, b in zip(alphas, batches)]
-        return batches[0] if scalar else np.array(batches, dtype=object)
-
-    def _new_batches(self, alphas: list) -> dict:
-        """Batches of step sizes not remembered yet, from one array evaluation; remembered if room."""
-        new = {}
-        for a, b in zip(alphas, self.per_call(np.array(alphas, dtype=float)).tolist()):
+        alphas = np.asarray(alpha, dtype=float)
+        batches = []
+        for a, b in zip(alphas.ravel().tolist(), np.ravel(self.per_call(alphas)).tolist()):
             if not a > 0.0:
                 raise InvalidParameterError("alpha must be positive")
             if math.isinf(b):
                 raise InvalidParameterError(f"cost model {self.label!r} overflows at alpha={a}")
-            new[a] = int(b)
-        if len(self._batches) < _BATCH_CACHE:
-            self._batches.update(new)
-        return new
-
-
-_BATCH_CACHE = 4096  # step sizes remembered per cost model
+            batches.append(int(b))
+        return batches[0] if alphas.ndim == 0 else np.array(batches, dtype=object)
 
 
 # -- minibatch averaging ----------------------------------------------------
@@ -261,10 +243,10 @@ def _minibatch_grad_rows(problem: Problem, g: np.ndarray, batch, streams) -> np.
 
 # -- batch-size formulas ----------------------------------------------------
 #
-# These models are the only batch formulas: the runtime suites draw
-# value.batch(alpha) and grad.batch(alpha) samples per call, and the
-# complexity reports bound the same per-iteration costs.  A noise source
-# that is 0 adds no term.
+# These models are the only batch formulas: the adaptive loop charges
+# value.batch(alpha) and grad.batch(alpha) samples per call and hands the
+# runtime suites those batches, and the complexity reports bound the same
+# per-iteration costs.  A noise source that is 0 adds no term.
 
 
 def _model(terms, calls_per_iteration: int, label: str) -> CostModel:
@@ -339,73 +321,72 @@ def empirical_oracle_failure_rate(
     children = np.random.SeedSequence(master_seed).spawn(trials)
     streams = RowStreams([np.random.default_rng(c) for c in children], suite.draws, 0)
     x = np.repeat(np.asarray(x, dtype=float)[None], trials, axis=0)
+    value, grad = suite.cost_models(problem)
+    grad_batch = np.full(trials, float(grad.batch(alpha)))
+    value_batch = np.full(trials, float(value.batch(alpha)))
     alpha = np.full(trials, float(alpha))
     f = problem.value(x)
-    g, _ = suite.gradient_rows(problem, x, problem.grad(x), alpha, streams)
-    f0, f_plus, _ = suite.values_rows(problem, x, x, f, f, alpha, streams)
+    g = suite.gradient_rows(problem, x, problem.grad(x), grad_batch, streams)
+    f0, f_plus = suite.values_rows(problem, x, x, f, f, value_batch, streams)
     value_failed, grad_failed = suite.violated(problem, x, x, alpha, g, f0, f_plus)
     return int(np.count_nonzero(value_failed)) / trials, int(np.count_nonzero(grad_failed)) / trials
 
 
 # -- runtime oracle suites ---------------------------------------------------
 #
-# A suite turns ground truth into the three estimates an iteration needs and
-# reports how many samples they cost.  The adaptive loop evaluates f and
-# grad f once per distinct iterate and calls only the row methods, for a
-# stack of R rows at a time:
+# A suite turns ground truth into the three estimates an iteration needs.
+# What they cost is not the suite's to say: cost_models(problem) -> (value,
+# grad) are the CostModels the adaptive loop charges every iteration from,
+# once per run.  The loop evaluates f and grad f once per distinct iterate
+# and calls only the row methods, for a stack of R rows at a time:
 #
-#   gradient_rows(problem, x, g, alpha, streams) -> (g_hat, cost1)
-#   values_rows(problem, x, x_plus, f, f_plus, alpha, streams)
-#       -> (f0_hat, f_plus_hat, cost0)
+#   gradient_rows(problem, x, g, batch, streams) -> g_hat
+#   values_rows(problem, x, x_plus, f, f_plus, batch, streams)
+#       -> (f0_hat, f_plus_hat)
 #
 # x and x_plus are the (R, dim) iterates and trial points, g, f and f_plus
-# the truth there, alpha the (R,) step sizes, and streams a RowStreams of
-# the suite's `draws` kind (None: the suite draws nothing); a call takes the
-# same block of draws for every row.  A cost is an int shared by every row
-# or an object array of ints.  gradient is drawn first (the step depends on
-# it), then the values of x and x_plus.
+# the truth there, batch the (R,) per-call batches of the gradient or value
+# model at each row's step size, as floats, and streams a RowStreams of the
+# suite's `draws` kind (None: the suite draws nothing); a call takes the
+# same block of draws for every row.  gradient is drawn first (the step
+# depends on it), then the values of x and x_plus.
 #
 #   violated(problem, x, x_plus, alpha, g, f0, f_plus)
 #       -> (value_failed, grad_failed)
 #
-# checks R rows of estimates against the suite's accuracy contract and
-# returns two (R,) bool arrays.  cost_models(problem) -> (value, grad) are
-# the CostModels whose costs the row methods charge.  gradient() and
-# values() are the one-point calls: R = 1 row calls that evaluate the truth
-# and draw from rng through a RowStreams with no read-ahead, so rng ends
-# where scalar draws leave it.
-# Each suite defines its own methods (no shared base) so each can be
+# checks R rows of estimates against the suite's accuracy contract at the
+# (R,) step sizes alpha and returns two (R,) bool arrays.  gradient() and
+# values() are the one-point calls: R = 1 row calls that evaluate the truth,
+# charge the models' batches at alpha and draw from rng through a
+# RowStreams with no read-ahead, so rng ends where scalar draws leave it.
+# Each suite binds them in its own class (no shared base) so each can be
 # instrumented separately.
-# Minibatch suites look their cost models up on every call (the step-search
-# models depend on the problem's noise); the caches make that a dict lookup.
 
-_storm_models = functools.lru_cache(maxsize=16)(storm_cost_models)
-_sass_models = functools.lru_cache(maxsize=16)(sass_cost_models)
 # one sample per call: what the exact and corruption suites charge
 _UNIT_MODELS = (CostModel((), 2, "value"), CostModel((), 1, "grad"))
 
 
-def _one_gradient(suite, problem: Problem, x, alpha: float, rng):
+def _one_gradient(self, problem: Problem, x, alpha: float, rng) -> tuple[np.ndarray, int]:
+    """One gradient estimate at x and the samples it is charged."""
+    grad = self.cost_models(problem)[1]
+    batch = grad.batch(alpha)
     x = np.asarray(x, dtype=float)[None]
-    streams = RowStreams([rng], suite.draws, 0)
-    g, cost = suite.gradient_rows(
-        problem, x, problem.grad(x), np.array([alpha], dtype=float), streams
-    )
-    return g[0], _first(cost)
+    streams = RowStreams([rng], self.draws, 0)
+    g = self.gradient_rows(problem, x, problem.grad(x), np.array([float(batch)]), streams)
+    return g[0], grad.calls_per_iteration * batch
 
 
-def _one_values(suite, problem: Problem, x, x_plus, alpha: float, rng):
+def _one_values(self, problem: Problem, x, x_plus, alpha: float, rng) -> tuple[float, float, int]:
+    """Value estimates at x and x_plus and the samples the pair is charged."""
+    value = self.cost_models(problem)[0]
+    batch = value.batch(alpha)
     x = np.asarray(x, dtype=float)[None]
     x_plus = np.asarray(x_plus, dtype=float)[None]
-    f0, f_plus, cost = suite.values_rows(
+    f0, f_plus = self.values_rows(
         problem, x, x_plus, problem.value(x), problem.value(x_plus),
-        np.array([alpha], dtype=float), RowStreams([rng], suite.draws, 0),
+        np.array([float(batch)]), RowStreams([rng], self.draws, 0),
     )
-    return float(f0[0]), float(f_plus[0]), _first(cost)
-
-
-def _first(cost):
-    return cost if isinstance(cost, int) else cost[0]
+    return float(f0[0]), float(f_plus[0]), value.calls_per_iteration * batch
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
@@ -424,17 +405,14 @@ class ExactOracles:
     def cost_models(self, problem: Problem) -> tuple[CostModel, CostModel]:
         return _UNIT_MODELS
 
-    def gradient_rows(self, problem, x, g, alpha, streams):
-        return g, 1
+    def gradient_rows(self, problem, x, g, batch, streams):
+        return g
 
-    def values_rows(self, problem, x, x_plus, f, f_plus, alpha, streams):
-        return f, f_plus, 2
+    def values_rows(self, problem, x, x_plus, f, f_plus, batch, streams):
+        return f, f_plus
 
-    def gradient(self, problem: Problem, x, alpha: float, rng) -> tuple[np.ndarray, int]:
-        return _one_gradient(self, problem, x, alpha, rng)
-
-    def values(self, problem: Problem, x, x_plus, alpha: float, rng) -> tuple[float, float, int]:
-        return _one_values(self, problem, x, x_plus, alpha, rng)
+    gradient = _one_gradient
+    values = _one_values
 
     def violated(self, problem, x, x_plus, alpha, g, f0, f_plus):
         none = np.zeros(len(x), dtype=bool)
@@ -455,7 +433,7 @@ class StormMinibatchOracles:
     draws = "standard_normal"
 
     def __post_init__(self):
-        _storm_models(self.spec)  # a degenerate spec fails here, not mid-run
+        storm_cost_models(self.spec)  # a degenerate spec fails here, not mid-run
 
     def validate(self, problem: Problem) -> None:
         if problem.noise.m_v != 0.0:
@@ -464,22 +442,16 @@ class StormMinibatchOracles:
             )
 
     def cost_models(self, problem: Problem) -> tuple[CostModel, CostModel]:
-        return _storm_models(self.spec)
+        return storm_cost_models(self.spec)
 
-    def gradient_rows(self, problem, x, g, alpha, streams):
-        batch = self.cost_models(problem)[1].batch(alpha)
-        return _minibatch_grad_rows(problem, g, batch, streams), batch
+    def gradient_rows(self, problem, x, g, batch, streams):
+        return _minibatch_grad_rows(problem, g, batch, streams)
 
-    def values_rows(self, problem, x, x_plus, f, f_plus, alpha, streams):
-        batch = self.cost_models(problem)[0].batch(alpha)
-        f0, f_plus = _minibatch_value_rows(problem, (f, f_plus), batch, streams)
-        return f0, f_plus, 2 * batch
+    def values_rows(self, problem, x, x_plus, f, f_plus, batch, streams):
+        return _minibatch_value_rows(problem, (f, f_plus), batch, streams)
 
-    def gradient(self, problem, x, alpha, rng):
-        return _one_gradient(self, problem, x, alpha, rng)
-
-    def values(self, problem, x, x_plus, alpha, rng):
-        return _one_values(self, problem, x, x_plus, alpha, rng)
+    gradient = _one_gradient
+    values = _one_values
 
     def violated(self, problem, x, x_plus, alpha, g, f0, f_plus):
         tol = self.spec.kappa_ef * alpha**2
@@ -510,22 +482,16 @@ class SassMinibatchOracles:
         pass
 
     def cost_models(self, problem: Problem) -> tuple[CostModel, CostModel]:
-        return _sass_models(self.spec, problem.noise, self.epsilon, self.case, self.batch_scale)
+        return sass_cost_models(self.spec, problem.noise, self.epsilon, self.case, self.batch_scale)
 
-    def gradient_rows(self, problem, x, g, alpha, streams):
-        batch = self.cost_models(problem)[1].batch(alpha)
-        return _minibatch_grad_rows(problem, g, batch, streams), batch
+    def gradient_rows(self, problem, x, g, batch, streams):
+        return _minibatch_grad_rows(problem, g, batch, streams)
 
-    def values_rows(self, problem, x, x_plus, f, f_plus, alpha, streams):
-        batch = self.cost_models(problem)[0].batch(alpha)
-        f0, f_plus = _minibatch_value_rows(problem, (f, f_plus), batch, streams)
-        return f0, f_plus, 2 * batch
+    def values_rows(self, problem, x, x_plus, f, f_plus, batch, streams):
+        return _minibatch_value_rows(problem, (f, f_plus), batch, streams)
 
-    def gradient(self, problem, x, alpha, rng):
-        return _one_gradient(self, problem, x, alpha, rng)
-
-    def values(self, problem, x, x_plus, alpha, rng):
-        return _one_values(self, problem, x, x_plus, alpha, rng)
+    gradient = _one_gradient
+    values = _one_values
 
     def violated(self, problem, x, x_plus, alpha, g, f0, f_plus):
         tol = np.minimum(self.spec.tau, self.spec.kappa * alpha) * _norms(g)
@@ -564,21 +530,18 @@ class PairCorruptionOracles:
     def cost_models(self, problem: Problem) -> tuple[CostModel, CostModel]:
         return _UNIT_MODELS
 
-    def gradient_rows(self, problem, x, g, alpha, streams):
+    def gradient_rows(self, problem, x, g, batch, streams):
         flip = streams.take(1)[:, 0] < self.delta1
-        return (np.where(flip[:, None], -g, g) if np.count_nonzero(flip) else g), 1
+        return np.where(flip[:, None], -g, g) if np.count_nonzero(flip) else g
 
-    def values_rows(self, problem, x, x_plus, f, f_plus, alpha, streams):
+    def values_rows(self, problem, x, x_plus, f, f_plus, batch, streams):
         shift = streams.take(1)[:, 0] < self.delta0
         if np.count_nonzero(shift):
             f_plus = np.where(shift, f_plus + self.value_shift, f_plus)
-        return f, f_plus, 2
+        return f, f_plus
 
-    def gradient(self, problem, x, alpha, rng):
-        return _one_gradient(self, problem, x, alpha, rng)
-
-    def values(self, problem, x, x_plus, alpha, rng):
-        return _one_values(self, problem, x, x_plus, alpha, rng)
+    gradient = _one_gradient
+    values = _one_values
 
     def violated(self, problem, x, x_plus, alpha, g, f0, f_plus):
         return f_plus != problem.value(x_plus), np.any(g != problem.grad(x), axis=1)

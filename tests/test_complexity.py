@@ -421,9 +421,9 @@ def test_lockstep_replications_equal_separate_runs(name, alpha0, mode, k, j, mas
 class _FlakyValues(PairCorruptionOracles):
     """Pair corruption whose trial value is nan on a rare coin, drawn row by row."""
 
-    def values_rows(self, problem, x, x_plus, f, f_plus, alpha, streams):
-        f0, fp, cost = super().values_rows(problem, x, x_plus, f, f_plus, alpha, streams)
-        return f0, np.where(streams.take(1)[:, 0] < 0.004, np.nan, fp), cost
+    def values_rows(self, problem, x, x_plus, f, f_plus, batch, streams):
+        f0, fp = super().values_rows(problem, x, x_plus, f, f_plus, batch, streams)
+        return f0, np.where(streams.take(1)[:, 0] < 0.004, np.nan, fp)
 
 
 def test_monte_carlo_names_the_first_failing_replication_as_one_at_a_time_runs_do():
@@ -455,8 +455,8 @@ def test_monte_carlo_propagates_errors_with_replication_index():
     from adastoc.oracles import ExactOracles as _Exact
 
     class Broken(_Exact):
-        def values_rows(self, problem, x, x_plus, f, f_plus, alpha, streams):
-            return np.full_like(f, math.nan), np.ones_like(f_plus), 2
+        def values_rows(self, problem, x, x_plus, f, f_plus, batch, streams):
+            return np.full_like(f, math.nan), np.ones_like(f_plus)
 
     prob = make_problem("quadratic", 2, 1.0, NoiseSpec.none(), seed=0)
     with pytest.raises(NumericError, match="replication 0"):

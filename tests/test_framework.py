@@ -157,7 +157,8 @@ def test_step_size_table_walks_the_python_float_law(gamma, alpha_max, ratio, on_
     # point below it; every slot a row visits holds the reference's state
     top = alpha_max if math.isfinite(alpha_max) else 1.0
     alpha0 = top * gamma ** math.floor(math.log(ratio) / -math.log(gamma)) if on_grid else top / ratio
-    sizes = _StepSizes(_config(gamma=gamma, alpha0=alpha0, alpha_max=alpha_max))
+    config = _config(gamma=gamma, alpha0=alpha0, alpha_max=alpha_max)
+    sizes = _StepSizes(config, ExactOracles().cost_models(None))
     state = np.zeros(1, dtype=np.intp)
     base, exp = alpha0, 0
     for k, success in enumerate([*outcomes, None]):
@@ -354,12 +355,43 @@ def test_sample_counts_beyond_int64_stay_exact():
     assert toc0 == sum(2 * value.batch(rec.alpha) for rec in trace.records)
 
 
+def test_an_overflowing_cost_raises_only_when_a_row_reaches_it():
+    # theta2 = 1e9 fails every trust-region iteration, so alpha = 0.1**k; the
+    # value batch overflows a double from alpha = 1e-7 on, a state the
+    # step-size table holds from the start
+    prob = make_problem("quadratic", 2, 1.0, NoiseSpec.gaussian(sigma_f=1e140), seed=0)
+    suite = StormMinibatchOracles(StormOracleSpec(sigma_f=1e140))
+    cfg = _config(gamma=0.1, alpha0=1.0, alpha_max=1.0, theta2=1e9, max_iterations=3)
+    traces = run_lockstep(prob, StormMethod(), suite, cfg, 1e-6, [0, 1, 2, 3])
+    assert [len(t.alpha) for t in traces] == [3] * 4
+    message = r"^cost model 'tr_value' overflows at alpha=1.0000000000000004e-07$"
+    with pytest.raises(InvalidParameterError, match=message):
+        run_lockstep(prob, StormMethod(), suite, replace(cfg, max_iterations=60), 1e-6, [0, 1, 2, 3])
+
+
+def test_the_loop_asks_for_the_cost_models_once_per_run():
+    class Counting(StormMinibatchOracles):
+        calls = 0
+
+        def cost_models(self, problem):
+            type(self).calls += 1
+            return super().cost_models(problem)
+
+    noise = NoiseSpec.gaussian(sigma_f=0.01, m_c=0.01)
+    prob = make_problem("quadratic", 2, 1.0, noise, seed=0)
+    suite = Counting(StormOracleSpec(sigma_f=0.01, sigma_g=0.1))
+    cfg = _config(alpha0=0.5, alpha_max=0.5, max_iterations=60)
+    traces = run_lockstep(prob, StormMethod(), suite, cfg, 1e-9, [0, 1, 2, 3])
+    assert min(len(t.alpha) for t in traces) >= 50
+    assert Counting.calls == 1
+
+
 def test_zero_gradient_iteration_is_recorded_literally():
     # a zero gradient estimate yields a zero step; the decrease test is then
     # applied verbatim (0 >= -r accepts) and the iteration is recorded
     class ZeroGradOracles(ExactOracles):
-        def gradient_rows(self, problem, x, g, alpha, streams):
-            return np.zeros_like(g), 1
+        def gradient_rows(self, problem, x, g, batch, streams):
+            return np.zeros_like(g)
 
     prob = make_problem("quadratic", 2, 1.0, NoiseSpec.none(), seed=0)
     cfg = _config(max_iterations=3)
@@ -390,8 +422,8 @@ def test_storm_method_rejects_gap_stopping():
 
 def test_non_finite_oracle_output_raises_with_context():
     class BrokenOracles(ExactOracles):
-        def values_rows(self, problem, x, x_plus, f, f_plus, alpha, streams):
-            return np.full_like(f, math.nan), np.ones_like(f_plus), 2
+        def values_rows(self, problem, x, x_plus, f, f_plus, batch, streams):
+            return np.full_like(f, math.nan), np.ones_like(f_plus)
 
     prob = make_problem("quadratic", 2, 1.0)
     with pytest.raises(NumericError, match="iteration 0"):
@@ -456,8 +488,8 @@ def test_row_override_reaches_the_one_point_call():
     # overriding only a row method is accepted, and the inherited one-point
     # call goes through it
     class HalfGradient(ExactOracles):
-        def gradient_rows(self, problem, x, g, alpha, streams):
-            return 0.5 * g, 1
+        def gradient_rows(self, problem, x, g, batch, streams):
+            return 0.5 * g
 
     prob = make_problem("quadratic", 2, 1.0)
     x = np.array([1.0, -2.0])

@@ -9,8 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from adastoc.complexity import _level_costs
+from adastoc.complexity import _level_costs, monte_carlo_toc
 from adastoc.errors import ConfigurationError, InvalidParameterError
+from adastoc.framework import AlgoConfig, derive_seeds, run_lockstep
+from adastoc.methods import SassMethod, StormMethod
 from adastoc.oracles import (
     CostModel,
     ExactOracles,
@@ -134,7 +136,7 @@ def test_minibatch_grad_takes_dim_normals_whatever_the_gradient(m_c):
     X = np.stack([zero, x, zero])
     seeds = [7, 8, 9]
     streams = RowStreams([np.random.default_rng(s) for s in seeds], suite.draws, 1)
-    suite.gradient_rows(prob, X, prob.grad(X), np.full(3, 0.5), streams)
+    suite.gradient_rows(prob, X, prob.grad(X), np.full(3, 4.0), streams)
     after = streams.take(1)[:, 0].tolist()
     refs = [np.random.default_rng(s) for s in seeds]
     assert after == [r.standard_normal(4)[3] for r in refs]
@@ -287,18 +289,20 @@ def test_sass_suite_charges_the_bound_models_batches(alpha, epsilon, batch_c, m_
     ids=type,
 )
 def test_each_suite_charges_exactly_its_cost_models(suite):
-    # the models a sweep bounds are the models the row methods charge, row by row
+    # the loop charges every iteration from the models a sweep bounds, in the
+    # trace and in the Monte Carlo totals alike
     problem = make_problem("quadratic", 2, 1.0, NoiseSpec.gaussian(sigma_f=0.01, m_c=0.01), seed=0)
-    alpha = np.array([1.0, 0.1, 1e-3])
-    x = np.repeat(problem.x0[None], len(alpha), axis=0)
-    f = problem.value(x)
-    streams = RowStreams([np.random.default_rng(i) for i in range(len(alpha))], suite.draws, 0)
+    method = StormMethod() if suite.family == "storm" else SassMethod()
+    config = AlgoConfig(theta=0.1, gamma=0.5, alpha0=0.5, alpha_max=0.5, max_iterations=40)
     value, grad = suite.cost_models(problem)
-    _, cost1 = suite.gradient_rows(problem, x, problem.grad(x), alpha, streams)
-    _, _, cost0 = suite.values_rows(problem, x, x, f, f, alpha, streams)
-    for cost, model in ((cost1, grad), (cost0, value)):
-        charged = np.broadcast_to(np.asarray(cost, dtype=object), alpha.shape).tolist()
-        assert charged == model.cost(alpha).tolist(), model.label
+    traces = run_lockstep(problem, method, suite, config, 1e-6, derive_seeds(0, 3))
+    for trace in traces:
+        for charged, model in ((trace.cost0.tolist(), value), (trace.cost1.tolist(), grad)):
+            assert all(type(c) is int for c in charged)
+            assert charged == (model.calls_per_iteration * model.batch(trace.alpha)).tolist(), model.label
+    summary = monte_carlo_toc(problem, method, suite, config, 1e-6, 3, 0)
+    assert summary.toc0.tolist() == [sum(t.cost0.tolist()) for t in traces]
+    assert summary.toc1.tolist() == [sum(t.cost1.tolist()) for t in traces]
 
 
 def test_cost_model_powers():
@@ -401,7 +405,6 @@ _ALPHAS = st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 9.99), st.integers(
 @given(alphas=st.lists(_ALPHAS, min_size=1, max_size=8), model=st.integers(0, 3))
 @example(alphas=[0.5, 1e-5, 2e-77, 1e-78], model=0)  # 2**63 < batch, then the overflow edge
 def test_cost_model_batch_of_an_array_equals_scalar_batches(alphas, model):
-    # fresh models each side, so neither call reads what the other cached
     def models():
         noise = NoiseSpec.gaussian(sigma_f=0.3, m_c=0.2, m_v=0.5)
         return storm_cost_models(StormOracleSpec(sigma_f=0.3, sigma_g=0.2)) + sass_cost_models(
@@ -423,7 +426,7 @@ def test_cost_model_batch_of_an_array_equals_scalar_batches(alphas, model):
     got = array_model.batch(np.array(alphas))
     assert got.dtype == object and all(type(b) is int for b in got)
     assert list(got) == expected
-    assert [array_model.batch(a) for a in alphas] == expected  # cached ints are the same
+    assert [array_model.batch(a) for a in alphas] == expected
 
 
 def test_cost_model_batch_counts_above_int64_stay_exact():

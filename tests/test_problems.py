@@ -6,7 +6,7 @@ import pytest
 from adastoc.errors import InvalidParameterError, MissingGroundTruthError
 from adastoc.oracles import PairCorruptionOracles
 from adastoc.problems import NoiseSpec, make_problem
-from adastoc.rows import row_dot
+from adastoc.rows import RowStreams, row_dot
 
 
 def test_identity_quadratic():
@@ -93,13 +93,17 @@ def test_bernoulli_corruption_rates_and_shift():
     # trial value by value_shift, delta1 negates the gradient
     suite = PairCorruptionOracles(delta0=0.2, delta1=0.1, value_shift=50.0)
     prob = make_problem("quadratic", 2, 1.0, NoiseSpec.none(), seed=0)
-    rng = np.random.default_rng(8)
-    x = np.array([1.0, 1.0])
-    vals = np.array([suite.values(prob, x, x, 1.0, rng)[1] for _ in range(50_000)])
-    corrupted = vals != prob.value(x)
-    assert np.unique(vals[corrupted]) == pytest.approx(prob.value(x) + 50.0)
+    # two row calls of 50,000 rows sharing one generator draw its coins in
+    # the order 100,000 one-point calls would
+    rows = 50_000
+    streams = RowStreams([np.random.default_rng(8)] * rows, suite.draws, 0)
+    x = np.ones((rows, 2))
+    f, batch = prob.value(x), np.ones(rows)
+    _, vals = suite.values_rows(prob, x, x, f, f, batch, streams)
+    corrupted = vals != f
+    assert np.unique(vals[corrupted]) == pytest.approx(prob.value(x[0]) + 50.0)
     assert abs(corrupted.mean() - 0.2) <= 0.01
-    grads = np.array([suite.gradient(prob, x, 1.0, rng)[0] for _ in range(50_000)])
+    grads = suite.gradient_rows(prob, x, prob.grad(x), batch, streams)
     flipped = (grads == -prob.grad(x)).all(axis=1)
     assert abs(flipped.mean() - 0.1) <= 0.01
 
