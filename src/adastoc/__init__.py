@@ -18,8 +18,6 @@ from .complexity import (
     BoundReport,
     McTocSummary,
     MethodComplexityReport,
-    TocRecord,
-    accumulate_toc,
     expected_toc_bound,
     highprob_toc_bound,
     monte_carlo_toc,
@@ -45,7 +43,7 @@ from .framework import (
     stopping_time,
     update_step_size,
 )
-from .methods import SassMethod, StepProposal, StormMethod
+from .methods import SassMethod, StormMethod
 from .oracles import (
     CostModel,
     ExactOracles,

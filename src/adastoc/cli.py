@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .complexity import accumulate_toc, expected_toc_bound, highprob_toc_bound, monte_carlo_toc
+from .complexity import expected_toc_bound, highprob_toc_bound, monte_carlo_toc
 from .errors import (
     AdastocError,
     AssumptionViolationError,
@@ -417,9 +417,9 @@ def run_optimize(opts: dict) -> int:
     for line in problem.descriptor().splitlines():
         print(f"# {line}")
     t_eps = "" if trace.stopping_iteration is None else str(trace.stopping_iteration)
-    toc = accumulate_toc(trace)
+    toc0, toc1 = sum(trace.cost0.tolist()), sum(trace.cost1.tolist())
     print("T_eps,toc0,toc1,toc")
-    print(f"{t_eps},{toc.toc0},{toc.toc1},{toc.toc}")
+    print(f"{t_eps},{toc0},{toc1},{toc0 + toc1}")
     print(f"wrote {out}")
     return 0
 

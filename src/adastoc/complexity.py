@@ -26,37 +26,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AssumptionViolationError, InvalidParameterError
-from .framework import AlgoConfig, RunTrace, _lockstep, _start, derive_seeds
+from .framework import AlgoConfig, _lockstep, _start, derive_seeds
 from .oracles import SassOracleSpec, StormOracleSpec, sass_cost_models, storm_cost_models
 from .problems import NoiseSpec, Problem
 from .walk import WalkParams, _walk_failure, stepsize_lower_bound
 
 __all__ = [
-    "TocRecord",
     "BoundReport",
     "MethodComplexityReport",
     "McTocSummary",
-    "accumulate_toc",
     "expected_toc_bound",
     "highprob_toc_bound",
     "storm_complexity_report",
     "sass_complexity_report",
     "monte_carlo_toc",
 ]
-
-
-@dataclass(frozen=True)
-class TocRecord:
-    """Sample counts of one run: value samples, gradient samples, their sum."""
-
-    toc0: int
-    toc1: int
-    iterations_used: int
-    stopped: bool
-
-    @property
-    def toc(self) -> int:
-        return self.toc0 + self.toc1
 
 
 @dataclass(frozen=True)
@@ -85,19 +69,6 @@ class MethodComplexityReport:
     toc1_exponent: float
     p: float
     alpha_bar: float
-
-
-def accumulate_toc(trace: RunTrace, horizon: int | None = None) -> TocRecord:
-    """Sum per-iteration costs over the trace, optionally capped at a horizon."""
-    if horizon is not None and horizon < 0:
-        raise InvalidParameterError("horizon must be nonnegative")
-    cost0, cost1 = trace.cost0[:horizon], trace.cost1[:horizon]
-    stopped = trace.stopping_iteration is not None and (
-        horizon is None or trace.stopping_iteration <= horizon
-    )
-    return TocRecord(
-        toc0=sum(cost0.tolist()), toc1=sum(cost1.tolist()), iterations_used=len(cost0), stopped=stopped
-    )
 
 
 _LEVEL_BLOCK = 4096  # levels per array pass: memory does not grow with n
@@ -325,10 +296,12 @@ def monte_carlo_toc(
 
     Replication seeds are derive_seeds(master_seed, replications), and the
     replications advance in lockstep keeping only their sample totals;
-    entry i of each column equals the matching field of accumulate_toc of
-    run_adaptive at seed i.  A bad start point or configuration is refused
-    before any replication runs; an error during the runs names the lowest
-    replication that fails, with its iteration, as one-at-a-time runs would.
+    for run_adaptive at seed i, entry i of toc0/toc1 is the sum of its
+    cost0/cost1 column, of iterations that column's length and of stopped
+    whether the run has a stopping_iteration.  A bad start point or
+    configuration is refused before any replication runs; an error during
+    the runs names the lowest replication that fails, with its iteration,
+    as one-at-a-time runs would.
     """
     seeds = derive_seeds(master_seed, replications)
     x = _start(problem, method, oracle_suite, epsilon, mode, x0)

@@ -14,23 +14,12 @@ All acceptance inequalities are non-strict: ties accept.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import InvalidParameterError, NumericError
 from .rows import row_dot
 
-__all__ = ["StepProposal", "SassMethod", "StormMethod"]
-
-
-@dataclass(frozen=True)
-class StepProposal:
-    """A candidate step with its model reduction and gradient-estimate norm."""
-
-    step: np.ndarray = field(repr=False)
-    model_reduction: float
-    grad_estimate_norm: float
+__all__ = ["SassMethod", "StormMethod"]
 
 
 # Every formula is written once, for a stack of R gradient estimates g
@@ -50,7 +39,11 @@ def _sass_accept_rows(f0, f_plus, g, step, theta: float, r: float) -> np.ndarray
 
 
 def _storm_rows(g: np.ndarray, alpha: np.ndarray):
-    """(step, ||g||) per row; a zero row gets the zero step."""
+    """(step, ||g||) per row; a zero row gets the zero step.
+
+    The normalization is done at unit scale, so the step stays on the ball
+    even for subnormal gradient magnitudes.
+    """
     scale = np.maximum.reduce(np.abs(g), axis=1)
     zero = scale == 0.0
     if np.count_nonzero(zero):
@@ -72,19 +65,35 @@ def _storm_accept_rows(f0, f_plus, model_reduction, theta, grad_norm, theta2, al
     )
 
 
-def _check_values(f0, f_plus) -> None:
-    if not (np.isfinite(f0) and np.isfinite(f_plus)):
-        raise NumericError("non-finite function estimates in acceptance test")
-
-
-# Each method has one-point propose/accepts and the row protocol the
-# adaptive loop drives:
+# Each method has the row protocol the adaptive loop drives:
 #
 #   propose_rows(g, alpha) -> (steps, aux)
 #   accepts_rows(f0, f_plus, g, steps, aux, alpha, config) -> bool array
 #
-# where aux is whatever the method's acceptance test reuses from its step.
-# The one-point calls take a positive alpha and finite value estimates.
+# where aux is whatever the method's acceptance test reuses from its step
+# (None, or one entry per row).  Both classes bind the one-point
+# propose/accepts below, row 0 of an R = 1 row call; they take a positive
+# alpha and finite value estimates.
+
+
+def _one_propose(self, g: np.ndarray, alpha: float):
+    """(step, aux) for one gradient estimate: row 0 of propose_rows."""
+    if alpha <= 0.0:
+        raise InvalidParameterError("alpha must be positive")
+    steps, aux = self.propose_rows(np.asarray(g, dtype=float)[None], np.array([alpha], dtype=float))
+    return steps[0], None if aux is None else aux[0]
+
+
+def _one_accepts(self, f0, f_plus, g, step, aux, alpha: float, config) -> bool:
+    """The acceptance test for one step: row 0 of accepts_rows."""
+    if not (np.isfinite(f0) and np.isfinite(f_plus)):
+        raise NumericError("non-finite function estimates in acceptance test")
+    ok = self.accepts_rows(
+        np.array([f0], dtype=float), np.array([f_plus], dtype=float),
+        np.asarray(g, dtype=float)[None], np.asarray(step, dtype=float)[None],
+        None if aux is None else np.array([aux], dtype=float), np.array([alpha], dtype=float), config,
+    )
+    return bool(ok[0])
 
 
 class SassMethod:
@@ -93,29 +102,14 @@ class SassMethod:
     family = "sass"
     stopping_modes = ("nonconvex", "strongly_convex")
 
-    def propose(self, g: np.ndarray, alpha: float) -> StepProposal:
-        """Step -alpha * g with model reduction (alpha/2) * g.g."""
-        if alpha <= 0.0:
-            raise InvalidParameterError("alpha must be positive")
-        g = np.asarray(g, dtype=float)
-        step = _sass_rows(g[None], np.array([alpha], dtype=float))
-        return StepProposal(
-            step=step[0],
-            model_reduction=0.5 * alpha * float(np.dot(g, g)),
-            grad_estimate_norm=float(np.linalg.norm(g)),
-        )
-
-    def accepts(self, f0, f_plus, g, proposal: StepProposal, alpha: float, config) -> bool:
-        """Sufficient-reduction test f0 - f_plus >= -theta * g.step - r (ties accept)."""
-        _check_values(f0, f_plus)
-        g, step = np.asarray(g, dtype=float), np.asarray(proposal.step, dtype=float)
-        return bool(_sass_accept_rows(f0, f_plus, g[None], step[None], config.theta, config.r)[0])
-
     def propose_rows(self, g: np.ndarray, alpha: np.ndarray):
         return _sass_rows(g, alpha), None
 
     def accepts_rows(self, f0, f_plus, g, steps, aux, alpha, config) -> np.ndarray:
         return _sass_accept_rows(f0, f_plus, g, steps, config.theta, config.r)
+
+    propose = _one_propose
+    accepts = _one_accepts
 
 
 class StormMethod:
@@ -124,41 +118,6 @@ class StormMethod:
     family = "storm"
     stopping_modes = ("nonconvex",)
 
-    def propose(self, g: np.ndarray, alpha: float) -> StepProposal:
-        """Exact minimizer of the linear model over the ball of radius alpha.
-
-        Returns -alpha * g / ||g|| with model reduction alpha * ||g||, or the
-        zero step when g = 0.  The normalization is done at unit scale so the
-        step stays on the ball even for subnormal gradient magnitudes.
-        """
-        if alpha <= 0.0:
-            raise InvalidParameterError("alpha must be positive")
-        g = np.asarray(g, dtype=float)
-        if not g.size:
-            return StepProposal(step=np.zeros_like(g), model_reduction=0.0, grad_estimate_norm=0.0)
-        step, norm = _storm_rows(g[None], np.array([alpha], dtype=float))
-        norm = float(norm[0])
-        return StepProposal(step=step[0], model_reduction=alpha * norm, grad_estimate_norm=norm)
-
-    def accepts(self, f0, f_plus, g, proposal: StepProposal, alpha: float, config) -> bool:
-        """Ratio test (f0 - f_plus + r) / reduction >= theta plus ||g|| >= theta2 * alpha.
-
-        A zero model reduction rejects outright; no division is performed.
-        """
-        _check_values(f0, f_plus)
-        return bool(
-            _storm_accept_rows(
-                f0,
-                f_plus,
-                proposal.model_reduction,
-                config.theta,
-                proposal.grad_estimate_norm,
-                config.theta2,
-                alpha,
-                config.r,
-            )
-        )
-
     def propose_rows(self, g: np.ndarray, alpha: np.ndarray):
         return _storm_rows(g, alpha)
 
@@ -166,3 +125,6 @@ class StormMethod:
         return _storm_accept_rows(
             f0, f_plus, alpha * norm, config.theta, norm, config.theta2, alpha, config.r
         )
+
+    propose = _one_propose
+    accepts = _one_accepts

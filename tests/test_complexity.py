@@ -12,8 +12,6 @@ from hypothesis import strategies as st
 
 from adastoc import framework
 from adastoc.complexity import (
-    TocRecord,
-    accumulate_toc,
     expected_toc_bound,
     highprob_toc_bound,
     monte_carlo_toc,
@@ -67,36 +65,21 @@ def _trace_with_costs(costs):
     )
 
 
-def test_accumulate_toc_hand_values():
-    rec = accumulate_toc(_trace_with_costs([(2, 3), (5, 7), (11, 13)]))
-    assert (rec.toc0, rec.toc1, rec.toc) == (18, 23, 41)
-    assert rec.iterations_used == 3 and rec.stopped
+def _totals(trace):
+    """A run's (toc0, toc1, iterations, stopped): its cost column sums, length and stop."""
+    return (
+        sum(trace.cost0.tolist()), sum(trace.cost1.tolist()), len(trace.cost0),
+        trace.stopping_iteration is not None,
+    )
 
 
-def test_accumulate_toc_constant_costs_and_empty():
-    rec = accumulate_toc(_trace_with_costs([(4, 9)] * 10))
-    assert (rec.toc0, rec.toc1) == (40, 90)
-    empty = accumulate_toc(_trace_with_costs([]))
-    assert (empty.toc0, empty.toc1, empty.toc) == (0, 0, 0)
+def test_cost_columns_sum_to_hand_values():
+    assert _totals(_trace_with_costs([(2, 3), (5, 7), (11, 13)])) == (18, 23, 3, True)
 
 
-def test_accumulate_toc_horizon_cap():
-    rec = accumulate_toc(_trace_with_costs([(1, 1)] * 8), horizon=3)
-    assert rec.toc == 6 and rec.iterations_used == 3
-
-
-@pytest.mark.parametrize("horizon", [-1, -11])
-def test_accumulate_toc_refuses_a_negative_horizon(horizon):
-    # a negative slice bound would count from the end of the trace
-    with pytest.raises(InvalidParameterError, match="horizon"):
-        accumulate_toc(_trace_with_costs([(1, 1)] * 11), horizon=horizon)
-
-
-def test_toc_record_sum_invariant():
-    # the total is toc0 + toc1 by construction; it cannot be given separately
-    assert TocRecord(toc0=1, toc1=2, iterations_used=1, stopped=True).toc == 3
-    with pytest.raises(TypeError):
-        TocRecord(toc0=1, toc1=1, toc=3, iterations_used=1, stopped=True)
+def test_cost_columns_constant_costs_and_empty():
+    assert _totals(_trace_with_costs([(4, 9)] * 10)) == (40, 90, 10, True)
+    assert _totals(_trace_with_costs([])) == (0, 0, 0, True)
 
 
 def _total_cost(models, alpha):
@@ -295,9 +278,9 @@ def _tocs(summary):
 
 
 def _records(summary):
-    """The summary's columns as one TocRecord per replication."""
+    """The summary's columns as one (toc0, toc1, iterations, stopped) row per replication."""
     columns = (summary.toc0, summary.toc1, summary.iterations, summary.stopped)
-    return [TocRecord(*row) for row in zip(*(c.tolist() for c in columns))]
+    return list(zip(*(c.tolist() for c in columns)))
 
 
 def test_monte_carlo_zero_noise_has_zero_variance():
@@ -413,7 +396,7 @@ def test_lockstep_replications_equal_separate_runs(name, alpha0, mode, k, j, mas
             b.write_csv(paths[1])
             assert paths[0].read_bytes() == paths[1].read_bytes()
     summary = monte_carlo_toc(prob, method, suite, cfg, eps, k, master, mode=mode)
-    assert _records(summary) == [accumulate_toc(t) for t in separate]
+    assert _records(summary) == [_totals(t) for t in separate]
     j = min(j, k)
     assert _records(monte_carlo_toc(prob, method, suite, cfg, eps, j, master, mode=mode)) == _records(summary)[:j]
 

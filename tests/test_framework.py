@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from adastoc.complexity import accumulate_toc, monte_carlo_toc
+from adastoc.complexity import monte_carlo_toc
 from adastoc.errors import (
     ConfigurationError,
     InvalidParameterError,
@@ -329,9 +329,8 @@ def test_cost_accounting_totals():
     spec = StormOracleSpec(sigma_f=0.01, sigma_g=0.1, delta0=0.1, delta1=0.1)
     cfg = _config(alpha0=0.05, alpha_max=0.05, max_iterations=50)
     trace = run_adaptive(prob, StormMethod(), StormMinibatchOracles(spec), cfg, 1e-6, seed=3)
-    toc = accumulate_toc(trace)
-    assert toc.toc0 == sum(r.cost0 for r in trace.records)
-    assert toc.toc1 == sum(r.cost1 for r in trace.records)
+    assert sum(trace.cost0.tolist()) == sum(r.cost0 for r in trace.records)
+    assert sum(trace.cost1.tolist()) == sum(r.cost1 for r in trace.records)
     value, grad = storm_cost_models(spec)
     for rec in trace.records:
         assert rec.cost0 == 2 * value.batch(rec.alpha)
@@ -348,7 +347,7 @@ def test_sample_counts_beyond_int64_stay_exact():
     start = time.perf_counter()
     trace = run_adaptive(prob, StormMethod(), StormMinibatchOracles(spec), cfg, 1e-6, seed=3)
     assert time.perf_counter() - start < 1.0
-    toc0 = accumulate_toc(trace).toc0
+    toc0 = sum(trace.cost0.tolist())
     value, _ = storm_cost_models(spec)
     assert len(trace.records) == 20
     assert type(toc0) is int and toc0 > 2**63
@@ -446,8 +445,8 @@ class _OnlyPropose(SassMethod):
 
 
 class _OnlyAccepts(StormMethod):
-    def accepts(self, f0, f_plus, g, proposal, alpha, config):
-        return super().accepts(f0, f_plus, g, proposal, alpha, config)
+    def accepts(self, f0, f_plus, g, step, aux, alpha, config):
+        return super().accepts(f0, f_plus, g, step, aux, alpha, config)
 
 
 class _OneCallSuite:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from adastoc.errors import InvalidParameterError, NumericError
 from adastoc.framework import AlgoConfig
-from adastoc.methods import SassMethod, StepProposal, StormMethod
+from adastoc.methods import SassMethod, StormMethod
 
 # exactly representable grids keep the accept tests bit-deterministic
 _grid = st.integers(-64, 64).map(lambda k: k / 64.0)
@@ -16,29 +16,30 @@ def _config(theta, r, theta2=1.0):
 
 
 def _sass_accepts(f0, f_plus, g, step, theta, r):
-    proposal = StepProposal(step=step, model_reduction=0.0, grad_estimate_norm=0.0)
-    return SassMethod().accepts(f0, f_plus, g, proposal, 1.0, _config(theta, r))
-
-
-def _storm_accepts(f0, f_plus, model_reduction, theta, grad_norm, theta2, alpha, r):
-    proposal = StepProposal(
-        step=np.zeros(1), model_reduction=model_reduction, grad_estimate_norm=grad_norm
+    ok = SassMethod().accepts_rows(
+        np.array([f0]), np.array([f_plus]), g[None], step[None], None, np.ones(1), _config(theta, r)
     )
-    return StormMethod().accepts(f0, f_plus, np.zeros(1), proposal, alpha, _config(theta, r, theta2))
+    return bool(ok[0])
+
+
+def _storm_accepts(f0, f_plus, grad_norm, alpha, theta, theta2, r):
+    # the row protocol's model reduction is alpha * grad_norm
+    ok = StormMethod().accepts_rows(
+        np.array([f0]), np.array([f_plus]), np.zeros((1, 1)), np.zeros((1, 1)),
+        np.array([grad_norm]), np.array([alpha]), _config(theta, r, theta2),
+    )
+    return bool(ok[0])
 
 
 def test_sass_step_identity_scaling():
-    prop = SassMethod().propose(np.array([2.0, 0.0]), 0.5)
-    assert np.allclose(prop.step, [-1.0, 0.0])
-    # (alpha/2) * g.g = (0.5/2) * 4
-    assert prop.model_reduction == pytest.approx(1.0)
-    assert prop.grad_estimate_norm == pytest.approx(2.0)
+    steps, aux = SassMethod().propose_rows(np.array([[2.0, 0.0]]), np.array([0.5]))
+    assert np.allclose(steps, [[-1.0, 0.0]])
+    assert aux is None
 
 
 def test_sass_step_zero_gradient():
-    prop = SassMethod().propose(np.zeros(3), 1.0)
-    assert np.all(prop.step == 0.0)
-    assert prop.model_reduction == 0.0
+    steps, _ = SassMethod().propose_rows(np.zeros((1, 3)), np.ones(1))
+    assert np.all(steps == 0.0)
 
 
 def test_sass_accept_worked_values():
@@ -51,30 +52,31 @@ def test_sass_accept_worked_values():
 
 def test_sass_accept_rejects_insufficient():
     g, step = np.array([1.0]), np.array([-1.0])
-    assert not _sass_accepts(1.0, 0.999, g, step, theta=0.5, r=0.0) or True
+    assert not _sass_accepts(1.0, 0.999, g, step, theta=0.5, r=0.0)  # decrease 0.001 < 0.5
     assert not _sass_accepts(1.0, 0.9, g, step, theta=0.5, r=0.0)
 
 
 def test_storm_step_unit_ball_minimizer():
-    prop = StormMethod().propose(np.array([3.0, 4.0]), 1.0)
-    assert np.allclose(prop.step, [-0.6, -0.8])
-    assert prop.model_reduction == pytest.approx(5.0)
-    small = StormMethod().propose(np.array([3.0, 4.0]), 0.1)
-    assert small.model_reduction == pytest.approx(0.5)
+    steps, norm = StormMethod().propose_rows(np.array([[3.0, 4.0], [3.0, 4.0]]), np.array([1.0, 0.1]))
+    assert np.allclose(steps, [[-0.6, -0.8], [-0.06, -0.08]])
+    assert norm.tolist() == [5.0, 5.0]
+    # model reduction alpha * ||g||
+    assert np.allclose(np.array([1.0, 0.1]) * norm, [5.0, 0.5])
 
 
 def test_storm_step_zero_gradient():
-    prop = StormMethod().propose(np.zeros(2), 1.0)
-    assert np.all(prop.step == 0.0)
-    assert prop.model_reduction == 0.0
+    steps, norm = StormMethod().propose_rows(np.zeros((1, 2)), np.ones(1))
+    assert np.all(steps == 0.0)
+    assert norm.tolist() == [0.0]
 
 
 def test_storm_accept_worked_values():
-    assert _storm_accepts(0.9, 0.0, 1.0, theta=0.5, grad_norm=5.0, theta2=1.0, alpha=1.0, r=0.0)
+    # model reduction 0.2 * 5 = 1: decrease 0.9 >= 0.5
+    assert _storm_accepts(0.9, 0.0, grad_norm=5.0, alpha=0.2, theta=0.5, theta2=1.0, r=0.0)
     # radius condition fails despite a huge ratio
-    assert not _storm_accepts(100.0, 0.0, 1.0, theta=0.5, grad_norm=0.5, theta2=1.0, alpha=1.0, r=0.0)
-    # zero model reduction rejects without dividing
-    assert not _storm_accepts(1.0, 0.0, 0.0, theta=0.5, grad_norm=5.0, theta2=1.0, alpha=1.0, r=0.0)
+    assert not _storm_accepts(100.0, 0.0, grad_norm=0.5, alpha=1.0, theta=0.5, theta2=1.0, r=0.0)
+    # zero model reduction rejects without dividing, though decrease >= theta * 0 and ||g|| >= 0
+    assert not _storm_accepts(1.0, 0.0, grad_norm=0.0, alpha=1.0, theta=0.5, theta2=0.0, r=0.0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -86,10 +88,10 @@ def test_sass_accept_shift_invariance(f0, fplus, gs, shift):
 
 
 @settings(max_examples=200, deadline=None)
-@given(f0=_grid, fplus=_grid, red=st.integers(1, 64).map(lambda k: k / 16.0), shift=st.integers(-8, 8).map(float))
-def test_storm_accept_shift_invariance(f0, fplus, red, shift):
-    base = _storm_accepts(f0, fplus, red, 0.5, 5.0, 1.0, 1.0, 0.0)
-    assert _storm_accepts(f0 + shift, fplus + shift, red, 0.5, 5.0, 1.0, 1.0, 0.0) == base
+@given(f0=_grid, fplus=_grid, alpha=st.integers(1, 64).map(lambda k: k / 16.0), shift=st.integers(-8, 8).map(float))
+def test_storm_accept_shift_invariance(f0, fplus, alpha, shift):
+    base = _storm_accepts(f0, fplus, 5.0, alpha, 0.5, 1.0, 0.0)
+    assert _storm_accepts(f0 + shift, fplus + shift, 5.0, alpha, 0.5, 1.0, 0.0) == base
 
 
 @settings(max_examples=200, deadline=None)
@@ -98,8 +100,8 @@ def test_storm_accept_shift_invariance(f0, fplus, red, shift):
     alpha=st.floats(1e-6, 1e3),
 )
 def test_storm_step_stays_in_ball(g, alpha):
-    prop = StormMethod().propose(g, alpha)
-    norm = np.linalg.norm(prop.step)
+    steps, _ = StormMethod().propose_rows(g[None], np.array([alpha]))
+    norm = np.linalg.norm(steps[0])
     assert norm <= alpha * (1 + 1e-12)
     if np.linalg.norm(g) > 0:
         assert norm == pytest.approx(alpha, rel=1e-12)
@@ -114,12 +116,12 @@ def test_sass_small_steps_always_succeed_on_smooth_quadratic():
         prob = make_problem("quadratic", 4, conditioning, NoiseSpec.none(), seed=0)
         threshold = (1 - theta) / prob.lipschitz
         rng = np.random.default_rng(13)
-        for alpha in threshold * 0.999 ** np.arange(0, 40, 7):
-            x = rng.standard_normal(4)
-            g = prob.grad(x)
-            prop = SassMethod().propose(g, alpha)
-            f0, fplus = prob.value(x), prob.value(x + prop.step)
-            assert _sass_accepts(f0, fplus, g, prop.step, theta, 0.0)
+        alpha = threshold * 0.999 ** np.arange(0, 40, 7)
+        x = rng.standard_normal((len(alpha), 4))  # one start point per alpha, as rows
+        g = prob.grad(x)
+        steps, aux = SassMethod().propose_rows(g, alpha)
+        f0, fplus = prob.value(x), prob.value(x + steps)
+        assert SassMethod().accepts_rows(f0, fplus, g, steps, aux, alpha, _config(theta, 0.0)).all()
 
 
 def test_step_rejects_bad_alpha():
@@ -130,9 +132,37 @@ def test_step_rejects_bad_alpha():
 
 
 def test_accept_rejects_non_finite_values():
-    g, proposal = np.ones(1), StepProposal(step=-np.ones(1), model_reduction=1.0, grad_estimate_norm=1.0)
+    g = np.ones(1)
     for method in (SassMethod(), StormMethod()):
+        step, aux = method.propose(g, 1.0)
         with pytest.raises(NumericError):
-            method.accepts(np.nan, 0.0, g, proposal, 1.0, _config(0.5, 0.0))
+            method.accepts(np.nan, 0.0, g, step, aux, 1.0, _config(0.5, 0.0))
         with pytest.raises(NumericError):
-            method.accepts(0.0, np.inf, g, proposal, 1.0, _config(0.5, 0.0))
+            method.accepts(0.0, np.inf, g, step, aux, 1.0, _config(0.5, 0.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    dim=st.integers(1, 5),
+    rows=st.integers(1, 3),
+    r=st.sampled_from([0.0, 0.25]),
+    family=st.sampled_from(["sass", "storm"]),
+)
+def test_one_point_calls_are_their_row_in_a_row_call(data, dim, rows, r, family):
+    # propose/accepts of one row equal that row of a stacked call, bit for bit
+    method = SassMethod() if family == "sass" else StormMethod()
+    g = np.array(data.draw(st.lists(st.lists(st.floats(-1e6, 1e6), min_size=dim, max_size=dim),
+                                    min_size=rows, max_size=rows)))
+    alpha = np.array(data.draw(st.lists(st.floats(1e-6, 1e3), min_size=rows, max_size=rows)))
+    f0, f_plus = (np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=rows, max_size=rows)))
+                  for _ in range(2))
+    config = _config(0.5, r, theta2=1e-3)
+    steps, aux = method.propose_rows(g, alpha)
+    accepted = method.accepts_rows(f0, f_plus, g, steps, aux, alpha, config)
+    for i in range(rows):
+        step, one_aux = method.propose(g[i], float(alpha[i]))
+        assert step.tobytes() == steps[i].tobytes()
+        assert one_aux is None if aux is None else one_aux == aux[i]
+        ok = method.accepts(float(f0[i]), float(f_plus[i]), g[i], step, one_aux, float(alpha[i]), config)
+        assert type(ok) is bool and ok == accepted[i]

@@ -234,48 +234,23 @@ def _charged(suite, noise, alpha):
     return cost0 // 2, cost1
 
 
-_alphas = st.builds(
-    lambda a0, gamma, j: a0 * gamma**j,
-    st.floats(1e-3, 1.0), st.floats(0.3, 0.95), st.integers(0, 40),
-)
+def _charges_the_models(suite, noise, models, alpha):
+    value, grad = models
+    assert _charged(suite, noise, alpha) == (value.batch(alpha), grad.batch(alpha))
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    alpha=_alphas,
-    sigma_f=st.floats(1e-4, 10.0),
-    sigma_g=st.floats(1e-4, 10.0),
-    delta=st.floats(0.01, 0.24),
-    kappa=st.floats(0.01, 10.0),
-)
-def test_storm_suite_charges_the_bound_models_batches(alpha, sigma_f, sigma_g, delta, kappa):
-    spec = StormOracleSpec(
-        kappa_ef=kappa, delta0=delta, kappa_eg=kappa, delta1=delta, sigma_f=sigma_f, sigma_g=sigma_g
-    )
-    value, grad = storm_cost_models(spec)
-    noise = NoiseSpec.gaussian(sigma_f=sigma_f, m_c=sigma_g**2)
-    charged = _charged(StormMinibatchOracles(spec), noise, alpha)
-    assert charged == (value.batch(alpha), grad.batch(alpha))
+def test_storm_suite_charges_the_bound_models_batches():
+    spec = StormOracleSpec(sigma_f=0.01, sigma_g=0.1, delta0=0.1, delta1=0.1)  # batches 160 and 40
+    noise = NoiseSpec.gaussian(sigma_f=0.01, m_c=0.01)
+    _charges_the_models(StormMinibatchOracles(spec), noise, storm_cost_models(spec), 0.05)
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    alpha=_alphas,
-    epsilon=st.floats(0.01, 0.5),
-    batch_c=st.one_of(st.integers(1, 100).map(float), st.floats(0.1, 100.0)),
-    m_c=st.floats(1e-5, 1.0),
-    m_v=st.one_of(st.just(0.0), st.floats(1e-4, 1.0)),
-    case=st.sampled_from(["nonconvex", "strongly_convex"]),
-)
-@example(alpha=0.5, epsilon=0.03, batch_c=9.0, m_c=1e-3, m_v=0.0, case="nonconvex")
-def test_sass_suite_charges_the_bound_models_batches(alpha, epsilon, batch_c, m_c, m_v, case):
+def test_sass_suite_charges_the_bound_models_batches():
     # at batch_c=9, m_c=1e-3, epsilon=0.03 two separate formulas once drew 10
     # gradient samples per call and charged 11 in the bound
-    spec = SassOracleSpec(kappa=1.0, tau=10.0)
-    noise = NoiseSpec.gaussian(sigma_f=1e-4, m_c=m_c, m_v=m_v)
-    value, grad = sass_cost_models(spec, noise, epsilon, case, batch_c)
-    suite = SassMinibatchOracles(spec, epsilon=epsilon, case=case, batch_scale=batch_c)
-    assert _charged(suite, noise, alpha) == (value.batch(alpha), grad.batch(alpha))
+    spec, noise = SassOracleSpec(kappa=1.0, tau=10.0), NoiseSpec.gaussian(sigma_f=1e-4, m_c=1e-3)
+    suite = SassMinibatchOracles(spec, epsilon=0.03, batch_scale=9.0)
+    _charges_the_models(suite, noise, sass_cost_models(spec, noise, 0.03, "nonconvex", 9.0), 0.5)
 
 
 @pytest.mark.parametrize(

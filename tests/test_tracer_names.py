@@ -2,12 +2,16 @@
 
 The tracer replaces each target in its owner's own `__dict__`, a module or
 a class, so a method inherited instead of defined there, or a renamed
-function, breaks only a traced benchmark run (`perfbench/run.py --trace 1`),
-which the test suite does not run.
+function, would break only a traced benchmark run
+(`perfbench/run.py --trace 1`); the last test here runs the tracer's own
+install and uninstall.
 """
 
+import importlib.util
 import inspect
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,14 +50,20 @@ _PATCHED = {
 }
 
 
-@pytest.mark.parametrize(
-    "module, path", [(m, p) for m, paths in _PATCHED.items() for p in paths]
-)
-def test_patched_name_is_defined_in_its_owner(module, path):
+def _owner(module, path):
+    """(owner, attribute name) of a patched path: a module, or a class in it."""
     owner = __import__(f"adastoc.{module}", fromlist=["_"])
     *outer, attr = path.split(".")
     for part in outer:
         owner = getattr(owner, part)
+    return owner, attr
+
+
+@pytest.mark.parametrize(
+    "module, path", [(m, p) for m, paths in _PATCHED.items() for p in paths]
+)
+def test_patched_name_is_defined_in_its_owner(module, path):
+    owner, attr = _owner(module, path)
     assert attr in vars(owner), f"{module}.{path} is not defined in its owner's own __dict__"
     assert callable(vars(owner)[attr])
 
@@ -94,3 +104,37 @@ def test_hooked_results_keep_their_attributes():
     trace = framework.run_adaptive(problem, SassMethod(), ExactOracles(), config, 1e-3, seed=0)
     assert len(trace.records) == len(trace.alpha)
     assert trace.stopping_iteration is None or trace.stopping_iteration == len(trace.alpha)
+
+
+def _label(owner) -> str:
+    return f"{owner.__module__}.{owner.__qualname__}" if isinstance(owner, type) else owner.__name__
+
+
+def _namespaces() -> dict:
+    """Every attribute of every adastoc module and of the classes they hold, by (owner, name)."""
+    modules = [m for n, m in sys.modules.items() if n == "adastoc" or n.startswith("adastoc.")]
+    owners = modules + [v for m in modules for v in vars(m).values() if isinstance(v, type)]
+    return {(_label(owner), key): value for owner in owners for key, value in vars(owner).items()}
+
+
+def test_the_tracer_patches_every_name_and_restores_it():
+    import adastoc.cli  # noqa: F401  the tracer looks up every module it patches in sys.modules
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", path)
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    before = _namespaces()
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        patched = {key for key, value in _namespaces().items() if before.get(key) is not value}
+    finally:
+        tracer.uninstall()
+    for module, paths in _PATCHED.items():
+        for p in paths:
+            owner, attr = _owner(module, p)
+            assert (_label(owner), attr) in patched, f"the tracer did not patch {module}.{p}"
+    after = _namespaces()
+    assert after.keys() == before.keys()
+    assert [key for key, value in before.items() if after[key] is not value] == []

@@ -8,7 +8,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from adastoc import walk
-from adastoc.complexity import TocRecord, accumulate_toc
 from adastoc.errors import CouplingInfeasibleError, InvalidParameterError
 from adastoc.framework import (
     TRACE_COLUMNS,
@@ -578,14 +577,9 @@ def test_walk_ensemble_memory_is_bounded_in_n_and_reps():
 # -- trace columns against the per-record definitions they replaced ------------
 
 
-def _record_toc(trace, horizon=None):
-    records = trace.records if horizon is None else trace.records[:horizon]
-    toc0 = sum(rec.cost0 for rec in records)
-    toc1 = sum(rec.cost1 for rec in records)
-    stopped = trace.stopping_iteration is not None and (
-        horizon is None or trace.stopping_iteration <= horizon
-    )
-    return TocRecord(toc0=toc0, toc1=toc1, iterations_used=len(records), stopped=stopped)
+def _record_toc(trace):
+    records = trace.records
+    return sum(rec.cost0 for rec in records), sum(rec.cost1 for rec in records), len(records)
 
 
 def _record_stopping_time(trace, epsilon, mode):
@@ -616,10 +610,9 @@ def _record_success_probability(traces, alpha_bar):
     iterations=st.integers(1, 150),
     epsilon=st.sampled_from([1e-12, 0.3]),
     start=st.sampled_from([(2.0, 0.0), (0.0, 0.0), (0.4, -0.2)]),
-    horizon=st.integers(0, 200),
 )
 def test_trace_columns_round_trip_and_match_the_record_loops(
-    seed, headroom, iterations, epsilon, start, horizon
+    seed, headroom, iterations, epsilon, start
 ):
     # headroom 8 re-anchors on the grid of alpha0 (gamma = 1/2), 3 off it
     prob = make_problem("quadratic", 2, 2.0, NoiseSpec.none(), seed=0)
@@ -639,8 +632,7 @@ def test_trace_columns_round_trip_and_match_the_record_loops(
         assert a.dtype == b.dtype and a.tolist() == b.tolist(), name
     assert all(type(c) is int for c in trace.cost0.tolist() + trace.cost1.tolist())
     for t in (trace, rebuilt):
-        for h in (None, 0, horizon):
-            assert accumulate_toc(t, h) == _record_toc(t, h)
+        assert (sum(t.cost0.tolist()), sum(t.cost1.tolist()), len(t.cost0)) == _record_toc(t)
         for mode in ("nonconvex", "strongly_convex"):
             for eps in {epsilon, 0.05, 1.0, *t.true_grad_norm[:3].tolist()} - {0.0}:
                 assert stopping_time(t, eps, mode) == _record_stopping_time(t, eps, mode)
