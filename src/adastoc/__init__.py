@@ -16,7 +16,6 @@ deterministic CSV output; see the README.
 
 from .complexity import (
     BoundReport,
-    McTocSummary,
     MethodComplexityReport,
     expected_toc_bound,
     highprob_toc_bound,
@@ -37,6 +36,7 @@ from .errors import (
 from .framework import (
     AlgoConfig,
     IterationRecord,
+    McTocSummary,
     RunTrace,
     empirical_success_probability,
     run_adaptive,

@@ -10,23 +10,23 @@ Two abstract bounds are evaluated numerically (no hidden constants):
   P(T > n) + n^-omega + c n^-(1+omega), where alpha_star is the step-size
   floor.
 
-The trust-region and step-search reports instantiate these with the
-matching per-iteration cost models and additionally state the asymptotic
-growth exponents carried by the step-size walk.  Monte Carlo replications
-provide the empirical side of each bound: `monte_carlo_toc` advances all
-of them in lockstep through one adaptive loop and keeps only each one's
-sample totals, iterations used and whether it stopped.
+The trust-region and step-search reports evaluate both bounds on the
+matching per-iteration cost models.  `growth_exponent` states the
+asymptotic growth a cost model's total inherits from the step-size walk.
+Monte Carlo replications provide the empirical side of each bound:
+`monte_carlo_toc` advances all of them in lockstep through one adaptive
+loop and returns the loop's per-seed columns (`framework.McTocSummary`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AssumptionViolationError, InvalidParameterError
-from .framework import AlgoConfig, _lockstep, _start, derive_seeds
+from .framework import AlgoConfig, McTocSummary, _lockstep, _start, derive_seeds
 from .oracles import SassOracleSpec, StormOracleSpec, sass_cost_models, storm_cost_models
 from .problems import NoiseSpec, Problem
 from .walk import WalkParams, _walk_failure, stepsize_lower_bound
@@ -34,23 +34,22 @@ from .walk import WalkParams, _walk_failure, stepsize_lower_bound
 __all__ = [
     "BoundReport",
     "MethodComplexityReport",
-    "McTocSummary",
     "expected_toc_bound",
     "highprob_toc_bound",
     "storm_complexity_report",
     "sass_complexity_report",
+    "growth_exponent",
     "monte_carlo_toc",
 ]
 
 
 @dataclass(frozen=True)
 class BoundReport:
-    """A computed theoretical bound with its failure probability and inputs."""
+    """A computed theoretical bound with its failure probability."""
 
     bound_value: float
     failure_prob: float
     kind: str
-    inputs: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not (0.0 <= self.failure_prob <= 1.0):
@@ -61,14 +60,22 @@ class BoundReport:
 
 @dataclass(frozen=True)
 class MethodComplexityReport:
-    """Expected and high-probability total-cost bounds plus growth exponents."""
+    """A method's expected and high-probability total-cost bounds."""
 
     expected: BoundReport
     high_probability: BoundReport
-    toc0_exponent: float
-    toc1_exponent: float
-    p: float
-    alpha_bar: float
+
+
+def growth_exponent(model, params: WalkParams) -> float:
+    """P log gamma / log(q/p): the growth exponent of a total paying model along the walk.
+
+    P is the model's power (its cost grows as alpha**-P), and the walk's
+    excursions inflate the total at this rate.  A perfectly reliable walk
+    (q = 0) never climbs a level, so the exponent is 0.
+    """
+    if params.q == 0.0:
+        return 0.0
+    return model.power * math.log(params.gamma) / math.log(params.q / params.p)
 
 
 _LEVEL_BLOCK = 4096  # levels per array pass: memory does not grow with n
@@ -132,12 +139,7 @@ def expected_toc_bound(models, params: WalkParams, n: int) -> BoundReport:
             last_log = log_cost[-1]
             if math.isinf(total) or (decay < 0.0 and weight[-1] < 1.0 and log_term[-1] < _LOG_TINY):
                 break
-    return BoundReport(
-        bound_value=total,
-        failure_prob=0.0,
-        kind="expected",
-        inputs={"n": n, "p": params.p, "gamma": params.gamma, "alpha_bar": params.alpha_bar},
-    )
+    return BoundReport(bound_value=total, failure_prob=0.0, kind="expected")
 
 
 def highprob_toc_bound(
@@ -150,38 +152,11 @@ def highprob_toc_bound(
     """
     if not (0.0 <= prob_t_exceeds_n <= 1.0):
         raise InvalidParameterError("prob_t_exceeds_n must lie in [0,1]")
-    alpha_star, _, level = stepsize_lower_bound(params, n)
-    failure = min(1.0, prob_t_exceeds_n + _walk_failure(params, n))
+    alpha_star = stepsize_lower_bound(params, n)[0]
     return BoundReport(
         bound_value=float(n) * float(sum(m.cost(alpha_star) for m in models)),
-        failure_prob=failure,
+        failure_prob=min(1.0, prob_t_exceeds_n + _walk_failure(params, n)),
         kind="high_probability",
-        inputs={
-            "n": n,
-            "p": params.p,
-            "gamma": params.gamma,
-            "alpha_bar": params.alpha_bar,
-            "omega": params.omega,
-            "alpha_star": alpha_star,
-            "level": level,
-            "prob_t_exceeds_n": prob_t_exceeds_n,
-        },
-    )
-
-
-def _report(models, params: WalkParams, n: int, prob_t_exceeds_n: float) -> MethodComplexityReport:
-    """Both bounds on the summed per-iteration cost, plus each model's growth exponent."""
-    value_model, grad_model = models
-    # a perfectly reliable walk (q = 0) never climbs a level: both exponents are 0
-    log_gamma = math.log(params.gamma)
-    log_qp = math.log(params.q / params.p) if params.q > 0.0 else -math.inf
-    return MethodComplexityReport(
-        expected=expected_toc_bound(models, params, n),
-        high_probability=highprob_toc_bound(models, params, n, prob_t_exceeds_n),
-        toc0_exponent=value_model.power * log_gamma / log_qp,
-        toc1_exponent=grad_model.power * log_gamma / log_qp,
-        p=params.p,
-        alpha_bar=params.alpha_bar,
     )
 
 
@@ -194,18 +169,21 @@ def storm_complexity_report(
     omega: float,
     prob_t_exceeds_n: float = 0.0,
 ) -> MethodComplexityReport:
-    """Total-sample bounds for the first-order trust-region method.
+    """Expected and high-probability total-sample bounds for the first-order trust-region method.
 
     The reliability threshold is alpha_bar = epsilon / zeta and the
-    per-iteration reliability is p = 1 - delta0 - delta1.  The growth
-    exponents 4 log_{q/p} gamma (value samples) and 2 log_{q/p} gamma
-    (gradient samples) describe how the walk's excursions inflate the
-    respective totals.
+    per-iteration reliability is p = 1 - delta0 - delta1.  The value and
+    gradient models grow as alpha**-4 and alpha**-2, so their totals carry
+    the growth exponents (`growth_exponent`) 4 log_{q/p} gamma and
+    2 log_{q/p} gamma.
     """
     if epsilon <= 0.0 or zeta <= 0.0:
         raise InvalidParameterError("epsilon and zeta must be positive")
     params = WalkParams(p=spec.p, gamma=gamma, alpha_bar=epsilon / zeta, omega=omega)
-    return _report(storm_cost_models(spec), params, n, prob_t_exceeds_n)
+    models = storm_cost_models(spec)
+    return MethodComplexityReport(
+        expected_toc_bound(models, params, n), highprob_toc_bound(models, params, n, prob_t_exceeds_n)
+    )
 
 
 def sass_complexity_report(
@@ -221,64 +199,21 @@ def sass_complexity_report(
     batch_scale: float = 1.0,
     prob_t_exceeds_n: float = 0.0,
 ) -> MethodComplexityReport:
-    """Total-sample bounds for the step-search method.
+    """Expected and high-probability total-sample bounds for the step-search method.
 
     p and alpha_bar are the reliability constants of the step-size process
     for the configured oracles and problem; they are inputs here because
     they depend on problem constants (smoothness, theta) rather than on the
     cost formulas.  Value-sample cost is alpha-independent, so its growth
-    exponent is zero; the gradient exponent 2 log_{q/p} gamma comes from the
-    m_v / (kappa alpha)^2 part and vanishes with m_v.
+    exponent (`growth_exponent`) is zero; the gradient exponent
+    2 log_{q/p} gamma comes from the m_v / (kappa alpha)^2 part and
+    vanishes with m_v.
     """
     params = WalkParams(p=p, gamma=gamma, alpha_bar=alpha_bar, omega=omega)
     models = sass_cost_models(spec, noise, epsilon, case, batch_scale)
-    return _report(models, params, n, prob_t_exceeds_n)
-
-
-@dataclass(frozen=True, eq=False)
-class McTocSummary:
-    """Empirical distribution of total oracle cost over replications.
-
-    One entry per replication in each column: toc0 and toc1 (object arrays
-    of Python ints) are its value and gradient sample totals, iterations
-    the iterations it ran and stopped whether it met the tolerance.
-    """
-
-    toc0: np.ndarray
-    toc1: np.ndarray
-    iterations: np.ndarray
-    stopped: np.ndarray
-
-    @property
-    def replications(self) -> int:
-        return len(self.toc0)
-
-    @property
-    def mean_toc(self) -> float:
-        return float(np.mean(self._totals()))
-
-    @property
-    def mean_toc0(self) -> float:
-        return float(np.mean(self.toc0.tolist()))
-
-    @property
-    def mean_toc1(self) -> float:
-        return float(np.mean(self.toc1.tolist()))
-
-    @property
-    def mean_iterations(self) -> float:
-        return float(np.mean(self.iterations))
-
-    @property
-    def stopped_fraction(self) -> float:
-        return float(np.mean(self.stopped))
-
-    def exceed_fraction(self, bound: BoundReport) -> float:
-        """Fraction of the replications whose total cost exceeds the bound."""
-        return float(np.mean(self._totals() > bound.bound_value))
-
-    def _totals(self) -> np.ndarray:
-        return np.array((self.toc0 + self.toc1).tolist(), dtype=float)
+    return MethodComplexityReport(
+        expected_toc_bound(models, params, n), highprob_toc_bound(models, params, n, prob_t_exceeds_n)
+    )
 
 
 def monte_carlo_toc(
@@ -295,10 +230,11 @@ def monte_carlo_toc(
     """Independent replications of the adaptive loop, summarized as per-replication columns.
 
     Replication seeds are derive_seeds(master_seed, replications), and the
-    replications advance in lockstep keeping only their sample totals;
-    for run_adaptive at seed i, entry i of toc0/toc1 is the sum of its
-    cost0/cost1 column, of iterations that column's length and of stopped
-    whether the run has a stopping_iteration.  A bad start point or
+    replications advance in lockstep keeping only where each one ended
+    (`McTocSummary`); for run_adaptive at seed i, entry i of toc0/toc1 is
+    the sum of its cost0/cost1 column, of iterations that column's length,
+    of stopped_at its stopping_iteration (-1 for None) and of final_x,
+    final_grad_norm and final_gap the trace's own.  A bad start point or
     configuration is refused before any replication runs; an error during
     the runs names the lowest replication that fails, with its iteration,
     as one-at-a-time runs would.
@@ -306,7 +242,7 @@ def monte_carlo_toc(
     seeds = derive_seeds(master_seed, replications)
     x = _start(problem, method, oracle_suite, epsilon, mode, x0)
     try:
-        ends = _lockstep(problem, method, oracle_suite, config, epsilon, mode, x, seeds, record=False)
+        return _lockstep(problem, method, oracle_suite, config, epsilon, mode, x, seeds, record=False)
     except Exception:
         for i, seed in enumerate(seeds):
             try:
@@ -314,4 +250,3 @@ def monte_carlo_toc(
             except Exception as exc:
                 raise type(exc)(f"replication {i}: {exc}") from exc
         raise
-    return McTocSummary(ends.toc0, ends.toc1, ends.iterations, ends.stopped_at >= 0)

@@ -16,8 +16,9 @@ point), and every row takes the same block of draws per call, so a
 replication's numbers do not depend on how many rows run beside it.
 `run_lockstep` keeps every row's trace and returns one `RunTrace` per
 seed; `run_adaptive` is its one-seed call.  The Monte Carlo harness
-(`complexity.monte_carlo_toc`) runs the same loop keeping only each row's
-sample totals, so its memory does not grow with the iterations.
+(`complexity.monte_carlo_toc`) runs the same loop keeping only where each
+row ended, one `McTocSummary` column per quantity, so its memory does not
+grow with the iterations.
 
 A trace is columns, one array per recorded quantity (`TRACE_COLUMNS`), as
 the loop produces them; `RunTrace.records` is the same trace as one
@@ -54,7 +55,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -72,6 +72,7 @@ __all__ = [
     "AlgoConfig",
     "IterationRecord",
     "RunTrace",
+    "McTocSummary",
     "update_step_size",
     "stopping_time",
     "run_adaptive",
@@ -269,13 +270,15 @@ def stopping_time(trace: RunTrace, epsilon: float, mode: str) -> int | None:
     return None
 
 
-class RunEnds(NamedTuple):
-    """Where each row of a lockstep run ended: one array per column, indexed by seed.
+@dataclass(frozen=True, eq=False)
+class McTocSummary:
+    """Where each replication of a lockstep run ended: one array per column, indexed by seed.
 
-    stopped_at is the stopping iteration, -1 for a row that reached
-    max_iterations; iterations counts the iterations each row ran, and
-    toc0/toc1 (object arrays of Python ints) its value and gradient sample
-    totals, kept only when the trace is not.
+    stopped_at is the stopping iteration, -1 for a replication that reached
+    max_iterations; iterations counts the iterations each one ran, toc0 and
+    toc1 (object arrays of Python ints) are its value and gradient sample
+    totals, and final_x, final_grad_norm and final_gap the last iterate
+    reached and its ground-truth measures.
     """
 
     stopped_at: np.ndarray
@@ -285,6 +288,41 @@ class RunEnds(NamedTuple):
     final_x: np.ndarray
     final_grad_norm: np.ndarray
     final_gap: np.ndarray
+
+    @property
+    def stopped(self) -> np.ndarray:
+        return self.stopped_at >= 0
+
+    @property
+    def replications(self) -> int:
+        return len(self.toc0)
+
+    @property
+    def mean_toc(self) -> float:
+        return float(np.mean(self._totals()))
+
+    @property
+    def mean_toc0(self) -> float:
+        return float(np.mean(self.toc0.tolist()))
+
+    @property
+    def mean_toc1(self) -> float:
+        return float(np.mean(self.toc1.tolist()))
+
+    @property
+    def mean_iterations(self) -> float:
+        return float(np.mean(self.iterations))
+
+    @property
+    def stopped_fraction(self) -> float:
+        return float(np.mean(self.stopped))
+
+    def exceed_fraction(self, bound) -> float:
+        """Fraction of the replications whose total cost exceeds bound.bound_value (a BoundReport)."""
+        return float(np.mean(self._totals() > bound.bound_value))
+
+    def _totals(self) -> np.ndarray:
+        return np.array((self.toc0 + self.toc1).tolist(), dtype=float)
 
 
 def run_adaptive(
@@ -331,7 +369,7 @@ def _lockstep(problem, method, suite, config, epsilon, mode, x, seeds, record):
     """The adaptive loop over one row per seed, from the start point x (see `_start`).
 
     With record, returns one RunTrace per seed.  Without, returns the
-    RunEnds of all seeds: the trace is not kept, only the sample totals.
+    McTocSummary of all seeds: the trace is not kept, only where each row ended.
     """
     if len(seeds) < 1:
         raise InvalidParameterError("at least one seed is needed")
@@ -352,7 +390,7 @@ def _lockstep(problem, method, suite, config, epsilon, mode, x, seeds, record):
     sizes = _StepSizes(config, suite.cost_models(problem))
     state = np.zeros(n, dtype=np.intp)  # _StepSizes.slot(0, 0): alpha = alpha0
     toc0 = toc1 = np.zeros(n, dtype=object)
-    ends = RunEnds(
+    ends = McTocSummary(
         np.full(n, -1), np.zeros(n, dtype=int), np.zeros(n, dtype=object), np.zeros(n, dtype=object),
         np.empty_like(X), np.empty(n), np.empty(n),
     )

@@ -292,6 +292,8 @@ def feller_transition_prob(p: float, l: int, m: int) -> float:
     stationary part is the geometric term and the transient part is a sum
     over the l interior eigenvalues 2 sqrt(pq) cos(pi r / (l+1)).  Powers of
     q/p are taken in log space so levels up to a few hundred stay finite.
+    The walk climbs at most one level per step, so for m < l the value is
+    exactly 0.0 rather than the formula's rounding noise.
     """
     if l < 1:
         raise InvalidParameterError("l must be at least 1")
@@ -300,7 +302,7 @@ def feller_transition_prob(p: float, l: int, m: int) -> float:
     if not (0.0 < p <= 1.0):
         raise InvalidParameterError("p must lie in (0,1]")
     q = 1.0 - p
-    if q == 0.0:
+    if q == 0.0 or m < l:
         return 0.0
     log_r = math.log(q) - math.log(p)
     r_pow_l = math.exp(l * log_r)
@@ -384,9 +386,10 @@ def hitting_prob_union_sum(p: float, l: int, n: int) -> float:
 def hitting_prob_bound(p: float, l: int, n: int) -> float:
     """Closed-form upper bound on the probability of reaching level l in n steps.
 
-    (n-l+1) * (1-(q/p)) / (1-(q/p)^{l+1}) * (q/p)^l + c * (2q)^l with
-    c = 2 sqrt(pq) / (1-2 sqrt(pq))^2.  The value is a bound, not a
-    probability, and may exceed 1.
+    max(0, n-l+1) * (1-(q/p)) / (1-(q/p)^{l+1}) * (q/p)^l + c * (2q)^l with
+    c = 2 sqrt(pq) / (1-2 sqrt(pq))^2; the first factor counts the steps
+    m = l..n of the union sum.  The value is a bound, not a probability,
+    and may exceed 1.
     """
     if l < 1:
         raise InvalidParameterError("l must be at least 1")
@@ -398,7 +401,7 @@ def hitting_prob_bound(p: float, l: int, n: int) -> float:
         return 0.0
     log_r = math.log(q) - math.log(p)
     r_pow_l = math.exp(l * log_r)
-    first = (n - l + 1) * (1.0 - math.exp(log_r)) / (1.0 - math.exp((l + 1) * log_r)) * r_pow_l
+    first = max(0, n - l + 1) * (1.0 - math.exp(log_r)) / (1.0 - math.exp((l + 1) * log_r)) * r_pow_l
     second = overshoot_constant(p) * math.exp(l * math.log(2.0 * q))
     return first + second
 

@@ -81,6 +81,18 @@ def test_hitting_schema_and_edge_rows(tmp_path):
     assert float(beyond[1]) == 0.0 and float(beyond[3]) == 0.0
 
 
+@pytest.mark.parametrize("p, l_max, n", [("0.9999", 6, 2), ("0.999", 3, 1)])
+def test_hitting_bound_past_the_horizon_is_nonnegative(tmp_path, p, l_max, n):
+    # a level l >= n + 2 is unreachable: its bound is the overshoot term alone, never negative
+    out = tmp_path / "hit.csv"
+    assert _run(["hitting", f"--p={p}", f"--l-max={l_max}", f"--n={n}", "--reps=100", "--seed=0", f"--out={out}"]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == l_max + 1
+    for row in rows:
+        assert float(row["bound"]) >= float(row["exact"]) >= 0.0
+
+
 def test_commands_are_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     a.mkdir(); b.mkdir()

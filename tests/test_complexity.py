@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from adastoc import framework
 from adastoc.complexity import (
     expected_toc_bound,
+    growth_exponent,
     highprob_toc_bound,
     monte_carlo_toc,
     sass_complexity_report,
@@ -162,22 +163,27 @@ def test_sass_expected_bound_finite_for_alpha_independent_cost():
     assert report.high_probability.bound_value == 2000 * 3
 
 
+def _exponents(models, p, gamma):
+    """(value, gradient) growth exponents of a report's models on the walk (p, gamma)."""
+    params = WalkParams(p=p, gamma=gamma, alpha_bar=0.5, omega=1.0)
+    return tuple(growth_exponent(model, params) for model in models)
+
+
 def test_report_growth_exponents_on_grid():
     for gamma in _GAMMAS:
         for p in _PS:
             log_qp = math.log((1 - p) / p)
             spec = StormOracleSpec(sigma_f=1.0, sigma_g=1.0, delta0=(1 - p) / 2, delta1=(1 - p) / 2)
-            storm = storm_complexity_report(spec, 0.1, 10.0, 50, gamma, 1.0)
+            toc0_exponent, toc1_exponent = _exponents(storm_cost_models(spec), spec.p, gamma)
             storm_log_qp = math.log((1 - spec.p) / spec.p)
-            assert storm.toc0_exponent == 4.0 * math.log(gamma) / storm_log_qp
-            assert storm.toc1_exponent == 2.0 * math.log(gamma) / storm_log_qp
+            assert toc0_exponent == 4.0 * math.log(gamma) / storm_log_qp
+            assert toc1_exponent == 2.0 * math.log(gamma) / storm_log_qp
             for m_v in (0.0, 1e-3):
                 noise = NoiseSpec.gaussian(sigma_f=1e-3, m_c=1e-2, m_v=m_v)
-                sass = sass_complexity_report(
-                    SassOracleSpec(), noise, 0.1, 50, gamma, 1.0, "nonconvex", p=p, alpha_bar=0.5
-                )
-                assert sass.toc0_exponent == 0.0
-                assert sass.toc1_exponent == (2.0 * math.log(gamma) / log_qp if m_v > 0 else 0.0)
+                models = sass_cost_models(SassOracleSpec(), noise, 0.1, "nonconvex")
+                toc0_exponent, toc1_exponent = _exponents(models, p, gamma)
+                assert toc0_exponent == 0.0
+                assert toc1_exponent == (2.0 * math.log(gamma) / log_qp if m_v > 0 else 0.0)
 
 
 def test_highprob_bound_constant_cost():
@@ -229,11 +235,11 @@ def test_expected_bound_epsilon_scaling():
 
 def test_storm_report_growth_exponents_and_p():
     spec = StormOracleSpec(sigma_f=1.0, sigma_g=1.0, delta0=0.1, delta1=0.1)
-    report = storm_complexity_report(spec, 0.1, 10.0, 100, 0.9, 1.0)
-    assert report.p == pytest.approx(0.8)
-    assert report.toc1_exponent == pytest.approx(2 * math.log(0.9) / math.log(0.25), rel=1e-12)
-    assert report.toc1_exponent == pytest.approx(0.152, abs=2e-3)
-    assert report.toc0_exponent == pytest.approx(2 * report.toc1_exponent, rel=1e-12)
+    assert spec.p == pytest.approx(0.8)
+    toc0_exponent, toc1_exponent = _exponents(storm_cost_models(spec), spec.p, 0.9)
+    assert toc1_exponent == pytest.approx(2 * math.log(0.9) / math.log(0.25), rel=1e-12)
+    assert toc1_exponent == pytest.approx(0.152, abs=2e-3)
+    assert toc0_exponent == pytest.approx(2 * toc1_exponent, rel=1e-12)
 
 
 def test_reports_accept_a_perfectly_reliable_walk():
@@ -244,9 +250,11 @@ def test_reports_accept_a_perfectly_reliable_walk():
     sass = sass_complexity_report(
         SassOracleSpec(), noise, 0.1, 100, 0.9, 1.0, "nonconvex", p=1.0, alpha_bar=0.5
     )
-    for report in (storm, sass):
-        assert report.p == 1.0
-        assert (report.toc0_exponent, report.toc1_exponent) == (0.0, 0.0)
+    storm_models = storm_cost_models(storm_spec)
+    sass_models = sass_cost_models(SassOracleSpec(), noise, 0.1, "nonconvex")
+    assert storm_spec.p == 1.0
+    for report, models in ((storm, storm_models), (sass, sass_models)):
+        assert _exponents(models, 1.0, 0.9) == (0.0, 0.0)
         assert math.isfinite(report.expected.bound_value)
         assert math.isfinite(report.high_probability.bound_value)
 
@@ -258,8 +266,9 @@ def test_sass_report_interpolation_case():
     report = sass_complexity_report(
         spec, noise, 0.1, 100, 0.8, 1.0, "nonconvex", p=0.8, alpha_bar=0.5
     )
-    assert report.toc0_exponent == 0.0
-    assert report.toc1_exponent != 0.0
+    toc0_exponent, toc1_exponent = _exponents(sass_cost_models(spec, noise, 0.1, "nonconvex"), 0.8, 0.8)
+    assert toc0_exponent == 0.0
+    assert toc1_exponent != 0.0
     assert math.isfinite(report.high_probability.bound_value)
 
 
@@ -397,6 +406,12 @@ def test_lockstep_replications_equal_separate_runs(name, alpha0, mode, k, j, mas
             assert paths[0].read_bytes() == paths[1].read_bytes()
     summary = monte_carlo_toc(prob, method, suite, cfg, eps, k, master, mode=mode)
     assert _records(summary) == [_totals(t) for t in separate]
+    # the other per-seed columns are each run's trace ends, bit for bit (nan included)
+    stops = [t.stopping_iteration for t in separate]
+    assert summary.stopped_at.tolist() == [-1 if stop is None else stop for stop in stops]
+    assert summary.final_x.tolist() == [t.final_x.tolist() for t in separate]
+    assert [v.hex() for v in summary.final_grad_norm.tolist()] == [t.final_grad_norm.hex() for t in separate]
+    assert [v.hex() for v in summary.final_gap.tolist()] == [t.final_gap.hex() for t in separate]
     j = min(j, k)
     assert _records(monte_carlo_toc(prob, method, suite, cfg, eps, j, master, mode=mode)) == _records(summary)[:j]
 
@@ -451,8 +466,8 @@ def test_storm_report_is_inf_when_the_step_size_floor_underflows():
     # alpha shrinks is beyond the double range there, not a parameter error
     spec = StormOracleSpec(sigma_f=1e-3, sigma_g=0.1, delta0=0.24, delta1=0.24)
     report = storm_complexity_report(spec, 0.1, 10.0, 10**6, 0.1, 1.0)
-    assert report.high_probability.inputs["alpha_star"] == 0.0
-    assert report.high_probability.inputs["level"] == 677
+    alpha_star, _, level = stepsize_lower_bound(WalkParams(p=spec.p, gamma=0.1, alpha_bar=0.01, omega=1.0), 10**6)
+    assert (alpha_star, level) == (0.0, 677)
     assert report.high_probability.bound_value == math.inf
     assert report.expected.bound_value == math.inf
 
@@ -465,8 +480,12 @@ _GRID_STORM = StormOracleSpec(sigma_f=1e-3, sigma_g=0.1)
 _GRID_NOISE = NoiseSpec.gaussian(sigma_f=1e-3, m_c=1e-2, m_v=1e-3)
 
 
+def _grid_n(eps):
+    return math.ceil(20.0 / eps**2)
+
+
 def _grid_report(kind, gamma, eps):
-    n = math.ceil(20.0 / eps**2)
+    n = _grid_n(eps)
     if kind == "storm":
         return storm_complexity_report(_GRID_STORM, eps, 10.0, n, gamma, 1.0, prob_t_exceeds_n=0.1)
     return sass_complexity_report(
@@ -519,11 +538,12 @@ def _mp_expected_bound(models, params, n):
 )
 def test_expected_bound_matches_mpmath_summation(kind, gamma, eps):
     report = _grid_report(kind, gamma, eps)
-    n = report.expected.inputs["n"]
-    params = WalkParams(p=report.p, gamma=gamma, alpha_bar=report.alpha_bar, omega=1.0)
+    n = _grid_n(eps)
     if kind == "storm":
+        params = WalkParams(p=_GRID_STORM.p, gamma=gamma, alpha_bar=eps / 10.0, omega=1.0)
         models = storm_cost_models(_GRID_STORM)
     else:
+        params = WalkParams(p=0.8, gamma=gamma, alpha_bar=0.45, omega=1.0)
         models = sass_cost_models(SassOracleSpec(), _GRID_NOISE, eps, "nonconvex")
     got = report.expected.bound_value
     assert math.isfinite(got)

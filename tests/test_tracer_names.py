@@ -11,6 +11,7 @@ import importlib.util
 import inspect
 import math
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +105,31 @@ def test_hooked_results_keep_their_attributes():
     trace = framework.run_adaptive(problem, SassMethod(), ExactOracles(), config, 1e-3, seed=0)
     assert len(trace.records) == len(trace.alpha)
     assert trace.stopping_iteration is None or trace.stopping_iteration == len(trace.alpha)
+
+
+def test_bound_reports_keep_the_fields_the_benchmark_reads():
+    # the theory workload reads bound_value, failure_prob and kind of both bounds, and the
+    # benchmark's smoke test blanks a bound with dataclasses.replace
+    from adastoc import complexity
+    from adastoc.oracles import SassOracleSpec, StormOracleSpec
+    from adastoc.problems import NoiseSpec
+
+    storm = complexity.storm_complexity_report(
+        StormOracleSpec(sigma_f=1e-3, sigma_g=0.1), 0.1, 10.0, 2000, 0.8, 1.0, prob_t_exceeds_n=0.1
+    )
+    sass = complexity.sass_complexity_report(
+        SassOracleSpec(), NoiseSpec.gaussian(sigma_f=1e-3, m_c=1e-2, m_v=1e-3), 0.1, 2000, 0.8, 1.0,
+        "nonconvex", p=0.8, alpha_bar=0.45, prob_t_exceeds_n=0.1,
+    )
+    for report in (storm, sass):
+        assert [f.name for f in fields(report)] == ["expected", "high_probability"]
+        for kind in ("expected", "high_probability"):
+            bound = getattr(report, kind)
+            assert isinstance(bound, complexity.BoundReport) and bound.kind == kind
+            assert isinstance(bound.bound_value, float) and isinstance(bound.failure_prob, float)
+        blanked = replace(report, expected=replace(report.expected, bound_value=math.nan))
+        assert math.isnan(blanked.expected.bound_value)
+        assert blanked.high_probability == report.high_probability
 
 
 def _label(owner) -> str:

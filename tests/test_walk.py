@@ -171,7 +171,11 @@ def test_feller_two_state_equals_q():
 
 
 def test_feller_unreachable_level():
-    assert feller_transition_prob(0.8, 3, 2) == pytest.approx(0.0, abs=1e-12)
+    # the walk climbs one level per step: fewer steps than levels give exactly 0
+    for p in (0.6, 0.8, 0.999):
+        for l in range(1, 8):
+            for m in range(l):
+                assert feller_transition_prob(p, l, m) == 0.0
 
 
 def test_feller_matches_matrix_powers_spot():
@@ -219,6 +223,14 @@ def test_hitting_bound_worked_value():
 def test_hitting_bound_dominates_exact_level_one():
     for n in (1, 10, 100):
         assert hitting_prob_bound(0.8, 1, n) >= hitting_prob_exact(0.8, 1, n)
+
+
+def test_hitting_bound_dominates_exact_past_the_horizon():
+    # the union sum has max(0, n - l + 1) steps: no negative bound at l >= n + 2
+    for p in (0.99, 0.999, 0.9999):
+        for n in (1, 2, 5):
+            for l in range(1, n + 6):
+                assert hitting_prob_bound(p, l, n) >= hitting_prob_exact(p, l, n)
 
 
 def test_hitting_bound_vanishes_as_p_to_one():
