@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .complexity import expected_toc_bound, highprob_toc_bound, monte_carlo_toc
+from .complexity import expected_toc_bound, highprob_toc_bound, monte_carlo_sweep
 from .errors import (
     AdastocError,
     AssumptionViolationError,
@@ -444,7 +444,11 @@ SWEEP_OPTIONS = {
 
 
 def run_sweep(opts: dict) -> int:
-    """One row per tolerance: Monte Carlo means and bounds on the cost models the runs pay."""
+    """One row per tolerance: Monte Carlo means and bounds on the cost models the runs pay.
+
+    Every tolerance's replications run together (`monte_carlo_sweep`), and
+    each row is what that tolerance's run alone gives.
+    """
     epsilons = opts["epsilons"]
     if not epsilons:
         raise CliValidationError("at least one epsilon is required")
@@ -467,24 +471,31 @@ def run_sweep(opts: dict) -> int:
     out = _resolve_out(opts["out"], "sweep.csv")
     x0 = np.array(opts["x0"]) if opts["x0"] else None
 
+    plans, runs = [], []
+    try:
+        for epsilon, master_seed in zip(epsilons, derive_seeds(opts["seed"], len(epsilons))):
+            if opts["mode"] == "strongly_convex":
+                n = math.ceil(opts["horizon_c1"] * max(1.0, math.log(1.0 / epsilon)) + opts["horizon_c2"])
+            else:
+                n = math.ceil(opts["horizon_c2"] * opts["horizon_c1"] / epsilon**2)
+            n = max(n, 2)
+            gamma = opts["gamma"]
+            if policy == "corollary":
+                gamma = gamma_threshold(p, n, opts["omega"], opts["beta"])
+            suite = _build_suite(opts, problem, epsilon)
+            config = _run_config(opts, problem, suite, epsilon, gamma)
+            alpha_bar = epsilon / opts["zeta"] if storm else config.alpha_max
+            params = WalkParams(p=p, gamma=gamma, alpha_bar=alpha_bar, omega=opts["omega"])
+            plans.append((epsilon, n, params, suite))
+            runs.append((suite, config, epsilon, master_seed))
+    except Exception:
+        if runs:  # the tolerances before this one run first, so their errors come first
+            monte_carlo_sweep(problem, method, runs, opts["reps"], opts["mode"], x0)
+        raise
+    summaries = monte_carlo_sweep(problem, method, runs, opts["reps"], opts["mode"], x0)
+
     rows = []
-    for epsilon, master_seed in zip(epsilons, derive_seeds(opts["seed"], len(epsilons))):
-        if opts["mode"] == "strongly_convex":
-            n = math.ceil(opts["horizon_c1"] * max(1.0, math.log(1.0 / epsilon)) + opts["horizon_c2"])
-        else:
-            n = math.ceil(opts["horizon_c2"] * opts["horizon_c1"] / epsilon**2)
-        n = max(n, 2)
-        gamma = opts["gamma"]
-        if policy == "corollary":
-            gamma = gamma_threshold(p, n, opts["omega"], opts["beta"])
-        suite = _build_suite(opts, problem, epsilon)
-        config = _run_config(opts, problem, suite, epsilon, gamma)
-        alpha_bar = epsilon / opts["zeta"] if storm else config.alpha_max
-        params = WalkParams(p=p, gamma=gamma, alpha_bar=alpha_bar, omega=opts["omega"])
-        summary = monte_carlo_toc(
-            problem, method, suite, config, epsilon, opts["reps"], master_seed,
-            mode=opts["mode"], x0=x0,
-        )
+    for (epsilon, n, params, suite), summary in zip(plans, summaries):
         # the trust region bounds P(T > n) by Markov; step search plugs in the observed fraction
         prob_t_exceeds_n = min(1.0, 1.0 / opts["horizon_c2"]) if storm else 1.0 - summary.stopped_fraction
         models = suite.cost_models(problem)

@@ -14,8 +14,10 @@ The trust-region and step-search reports evaluate both bounds on the
 matching per-iteration cost models.  `growth_exponent` states the
 asymptotic growth a cost model's total inherits from the step-size walk.
 Monte Carlo replications provide the empirical side of each bound:
-`monte_carlo_toc` advances all of them in lockstep through one adaptive
-loop and returns the loop's per-seed columns (`framework.McTocSummary`).
+`monte_carlo_sweep` advances the replications of every tolerance of a
+sweep in lockstep through one adaptive loop and returns the loop's
+per-seed columns (`framework.McTocSummary`), one summary per tolerance;
+`monte_carlo_toc` is its one-tolerance call.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssumptionViolationError, InvalidParameterError
-from .framework import AlgoConfig, McTocSummary, _lockstep, _start, derive_seeds
+from .framework import AlgoConfig, McTocSummary, _check_groups, _lockstep, _start, derive_seeds
 from .oracles import SassOracleSpec, StormOracleSpec, sass_cost_models, storm_cost_models
 from .problems import NoiseSpec, Problem
 from .walk import WalkParams, _walk_failure, stepsize_lower_bound
@@ -40,6 +42,7 @@ __all__ = [
     "sass_complexity_report",
     "growth_exponent",
     "monte_carlo_toc",
+    "monte_carlo_sweep",
 ]
 
 
@@ -237,16 +240,51 @@ def monte_carlo_toc(
     final_grad_norm and final_gap the trace's own.  A bad start point or
     configuration is refused before any replication runs; an error during
     the runs names the lowest replication that fails, with its iteration,
-    as one-at-a-time runs would.
+    as one-at-a-time runs would.  This is the one-run call of
+    `monte_carlo_sweep`, which advances several tolerances' replications
+    together and gives each the summary this call gives it.
     """
-    seeds = derive_seeds(master_seed, replications)
-    x = _start(problem, method, oracle_suite, epsilon, mode, x0)
+    run = (oracle_suite, config, epsilon, master_seed)
+    return monte_carlo_sweep(problem, method, [run], replications, mode, x0)[0]
+
+
+def monte_carlo_sweep(
+    problem: Problem,
+    method,
+    runs,
+    replications: int,
+    mode: str = "nonconvex",
+    x0: np.ndarray | None = None,
+) -> list[McTocSummary]:
+    """monte_carlo_toc for each (suite, config, epsilon, master_seed) of runs, in one lockstep loop.
+
+    Every run's replications advance together, and summary i is exactly
+    what monte_carlo_toc gives run i alone.  The runs must share theta,
+    theta2 and max_iterations.  Every run is checked before any replication
+    runs.  If the runs fail together, they are re-run one at a time, in
+    order, so the error raised is the one one-at-a-time monte_carlo_toc
+    calls raise first: that of the first failing run, naming its lowest
+    failing replication.
+    """
+    runs = list(runs)
+    if not runs:
+        raise InvalidParameterError("at least one run is needed")
+    groups = []
+    for suite, config, epsilon, master_seed in runs:
+        x = _start(problem, method, suite, epsilon, mode, x0)
+        groups.append((suite, config, epsilon, derive_seeds(master_seed, replications)))
+    _check_groups(groups)
     try:
-        return _lockstep(problem, method, oracle_suite, config, epsilon, mode, x, seeds, record=False)
+        return _lockstep(problem, method, groups, mode, x, record=False)
     except Exception:
-        for i, seed in enumerate(seeds):
-            try:
-                _lockstep(problem, method, oracle_suite, config, epsilon, mode, x, [seed], record=False)
-            except Exception as exc:
-                raise type(exc)(f"replication {i}: {exc}") from exc
+        if len(runs) > 1:
+            for run in runs:  # the first run that fails alone raises
+                monte_carlo_sweep(problem, method, [run], replications, mode, x0)
+        else:
+            suite, config, epsilon, seeds = groups[0]
+            for i, seed in enumerate(seeds):
+                try:
+                    _lockstep(problem, method, [(suite, config, epsilon, [seed])], mode, x, record=False)
+                except Exception as exc:
+                    raise type(exc)(f"replication {i}: {exc}") from exc
         raise

@@ -33,9 +33,8 @@ def _sass_rows(g: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     return (-alpha)[:, None] * g
 
 
-def _sass_accept_rows(f0, f_plus, g, step, theta: float, r: float) -> np.ndarray:
-    bar = -theta * row_dot(g, step)
-    return f0 - f_plus >= (bar - r if r else bar)  # x - 0.0 == x, bit for bit
+def _sass_accept_rows(f0, f_plus, g, step, theta: float, r: np.ndarray) -> np.ndarray:
+    return f0 - f_plus >= -theta * row_dot(g, step) - r  # x - 0.0 == x, bit for bit
 
 
 def _storm_rows(g: np.ndarray, alpha: np.ndarray):
@@ -57,21 +56,21 @@ def _storm_rows(g: np.ndarray, alpha: np.ndarray):
 
 
 def _storm_accept_rows(f0, f_plus, model_reduction, theta, grad_norm, theta2, alpha, r) -> np.ndarray:
-    decrease = f0 - f_plus
     return (
         (model_reduction > 0.0)
         & (grad_norm >= theta2 * alpha)
-        & ((decrease + r if r else decrease) >= theta * model_reduction)  # x + 0.0 compares as x
+        & (f0 - f_plus + r >= theta * model_reduction)  # x + 0.0 compares as x
     )
 
 
 # Each method has the row protocol the adaptive loop drives:
 #
 #   propose_rows(g, alpha) -> (steps, aux)
-#   accepts_rows(f0, f_plus, g, steps, aux, alpha, config) -> bool array
+#   accepts_rows(f0, f_plus, g, steps, aux, alpha, r, config) -> bool array
 #
 # where aux is whatever the method's acceptance test reuses from its step
-# (None, or one entry per row).  Both classes bind the one-point
+# (None, or one entry per row), r the rows' noise offsets and config
+# supplies theta and theta2.  Both classes bind the one-point
 # propose/accepts below, row 0 of an R = 1 row call; they take a positive
 # alpha and finite value estimates.
 
@@ -91,7 +90,8 @@ def _one_accepts(self, f0, f_plus, g, step, aux, alpha: float, config) -> bool:
     ok = self.accepts_rows(
         np.array([f0], dtype=float), np.array([f_plus], dtype=float),
         np.asarray(g, dtype=float)[None], np.asarray(step, dtype=float)[None],
-        None if aux is None else np.array([aux], dtype=float), np.array([alpha], dtype=float), config,
+        None if aux is None else np.array([aux], dtype=float), np.array([alpha], dtype=float),
+        np.array([config.r], dtype=float), config,
     )
     return bool(ok[0])
 
@@ -105,8 +105,8 @@ class SassMethod:
     def propose_rows(self, g: np.ndarray, alpha: np.ndarray):
         return _sass_rows(g, alpha), None
 
-    def accepts_rows(self, f0, f_plus, g, steps, aux, alpha, config) -> np.ndarray:
-        return _sass_accept_rows(f0, f_plus, g, steps, config.theta, config.r)
+    def accepts_rows(self, f0, f_plus, g, steps, aux, alpha, r, config) -> np.ndarray:
+        return _sass_accept_rows(f0, f_plus, g, steps, config.theta, r)
 
     propose = _one_propose
     accepts = _one_accepts
@@ -121,10 +121,8 @@ class StormMethod:
     def propose_rows(self, g: np.ndarray, alpha: np.ndarray):
         return _storm_rows(g, alpha)
 
-    def accepts_rows(self, f0, f_plus, g, steps, norm, alpha, config) -> np.ndarray:
-        return _storm_accept_rows(
-            f0, f_plus, alpha * norm, config.theta, norm, config.theta2, alpha, config.r
-        )
+    def accepts_rows(self, f0, f_plus, g, steps, norm, alpha, r, config) -> np.ndarray:
+        return _storm_accept_rows(f0, f_plus, alpha * norm, config.theta, norm, config.theta2, alpha, r)
 
     propose = _one_propose
     accepts = _one_accepts

@@ -393,6 +393,7 @@ def _norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(row_dot(v, v))
 
 
+@dataclass(frozen=True)
 class ExactOracles:
     """Noise-free oracles: estimates equal the ground truth, one sample per call."""
 

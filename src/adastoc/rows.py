@@ -16,6 +16,8 @@ replication computes on its own:
 
 from __future__ import annotations
 
+from itertools import compress
+
 import numpy as np
 
 __all__ = ["row_dot", "RowStreams"]
@@ -66,6 +68,6 @@ class RowStreams:
         self._buf, self._pos = buf, 0
 
     def keep(self, mask: np.ndarray) -> None:
-        """Drop the rows outside the bool mask."""
-        self.rngs = [rng for rng, m in zip(self.rngs, mask.tolist()) if m]
-        self._buf = self._buf[mask]
+        """Drop the rows outside the bool mask, keeping only the draws not yet taken."""
+        self.rngs = list(compress(self.rngs, mask.tolist()))
+        self._buf, self._pos = self._buf[mask, self._pos :], 0

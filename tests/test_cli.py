@@ -13,11 +13,18 @@ import pytest
 import adastoc
 from adastoc import cli, complexity, framework
 from adastoc.methods import SassMethod, StormMethod
-from adastoc.oracles import PairCorruptionOracles, SassOracleSpec, StormMinibatchOracles, StormOracleSpec
+from adastoc.oracles import (
+    PairCorruptionOracles,
+    SassMinibatchOracles,
+    SassOracleSpec,
+    StormMinibatchOracles,
+    StormOracleSpec,
+)
 from adastoc.problems import NoiseSpec, make_problem
 from adastoc.tableio import write_csv
 from adastoc.walk import (
     WalkParams,
+    gamma_threshold,
     hitting_prob_exact,
     simulate_walk,
     stepsize_lower_bound,
@@ -418,7 +425,7 @@ def test_sass_sweep_refuses_an_unreliable_p_before_running(tmp_path, capsys, mon
     def no_loop(*args, **kwargs):
         raise AssertionError("the adaptive loop ran before --reliability-p was checked")
 
-    monkeypatch.setattr(complexity, "_lockstep", no_loop)
+    monkeypatch.setattr(cli, "monte_carlo_sweep", no_loop)
     code = _run([
         "sweep", "--method=sass", f"--reliability-p={p}", "--epsilons=0.2", "--reps=4",
         "--seed=0", f"--out={tmp_path / 's.csv'}",
@@ -442,10 +449,27 @@ def test_sweep_refuses_a_nonpositive_horizon_constant_before_running(tmp_path, c
     def no_runs(*args, **kwargs):
         raise AssertionError("a replication ran before the horizon constants were checked")
 
-    monkeypatch.setattr(cli, "monte_carlo_toc", no_runs)
+    monkeypatch.setattr(cli, "monte_carlo_sweep", no_runs)
     out = tmp_path / "s.csv"
     assert _run(["sweep", *argv, "--epsilons=0.1", "--reps=2", "--seed=0", f"--out={out}"]) == 1
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_names_the_first_failing_replication_of_a_later_tolerance(tmp_path, capsys):
+    # a value estimate whose corruption coin hits is inf, so a run fails at
+    # its first corrupted iteration.  At seed 2 every replication at
+    # epsilon 0.1 stops first; at 0.01 replication 3 fails at iteration 25,
+    # before replication 0 fails at 43, and the lowest failing replication
+    # is the one named, as one-at-a-time runs would name it
+    out = tmp_path / "s.csv"
+    code = _run([
+        "sweep", "--method=sass", "--oracle=corruption", "--noise=none", "--dim=4", "--conditioning=10",
+        "--delta0=0.01", "--delta1=0.1", "--value-shift=inf", "--gamma=0.6", "--epsilons=0.1,0.01",
+        "--reps=4", "--seed=2", f"--out={out}",
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == "error: replication 0: non-finite value estimate at iteration 43\n"
     assert not out.exists()
 
 
@@ -482,16 +506,31 @@ def _sweep_rows_from_the_library(case, seed, epsilons, reps):
     """Each sweep row recomputed from monte_carlo_toc and the method's report, at the derived seeds."""
     rows = []
     for epsilon, master in zip(epsilons, framework.derive_seeds(seed, len(epsilons))):
-        if case == "storm-minibatch":
+        if case.startswith("storm"):
             prob = make_problem("quadratic", 2, 1.0, NoiseSpec.gaussian(sigma_f=1e-3, m_c=1e-2), seed=0)
             spec = StormOracleSpec(delta0=0.1, delta1=0.1, sigma_f=1e-3, sigma_g=0.1)
             n = max(2, math.ceil(10.0 * 2.0 / epsilon**2))
+            gamma = gamma_threshold(0.8, n, 1.0, 0.25) if case == "storm-corollary" else 0.8
             alpha_bar = epsilon / 10.0  # epsilon / zeta
-            cfg = framework.AlgoConfig(theta=0.1, gamma=0.8, alpha0=alpha_bar, alpha_max=alpha_bar)
+            cfg = framework.AlgoConfig(theta=0.1, gamma=gamma, alpha0=alpha_bar, alpha_max=alpha_bar)
             summary = complexity.monte_carlo_toc(
                 prob, StormMethod(), StormMinibatchOracles(spec), cfg, epsilon, reps, master
             )
-            report = complexity.storm_complexity_report(spec, epsilon, 10.0, n, 0.8, 1.0, prob_t_exceeds_n=0.1)
+            report = complexity.storm_complexity_report(spec, epsilon, 10.0, n, gamma, 1.0, prob_t_exceeds_n=0.1)
+        elif case == "sass-minibatch":
+            noise = NoiseSpec.gaussian(sigma_f=1e-3, m_c=1e-3, m_v=0.01)
+            prob = make_problem("quadratic", 2, 1.0, noise, seed=0)
+            n = max(2, math.ceil(10.0 * 2.0 / epsilon**2))
+            alpha_max = (1.0 - 0.1) / prob.lipschitz
+            suite = SassMinibatchOracles(SassOracleSpec(), epsilon)
+            # an unset r is twice the value estimate's deviation at this tolerance's batch
+            r = 2.0 * 1e-3 / math.sqrt(suite.cost_models(prob)[0].batch(1.0))
+            cfg = framework.AlgoConfig(theta=0.1, gamma=0.6, alpha0=alpha_max, alpha_max=alpha_max, r=r)
+            summary = complexity.monte_carlo_toc(prob, SassMethod(), suite, cfg, epsilon, reps, master)
+            report = complexity.sass_complexity_report(
+                SassOracleSpec(), noise, epsilon, n, 0.6, 1.0, "nonconvex",
+                p=0.8, alpha_bar=alpha_max, prob_t_exceeds_n=1.0 - summary.stopped_fraction,
+            )
         else:
             prob = make_problem("quadratic", 4, 10.0, NoiseSpec.none(), seed=0)
             n = max(2, math.ceil(1.0 * 0.05 / epsilon**2))
@@ -521,10 +560,15 @@ def _sweep_rows_from_the_library(case, seed, epsilons, reps):
                              "--gamma=0.8"]),
         ("sass-corrupt", ["--method=sass", "--oracle=corruption", "--noise=none", "--dim=4",
                           "--conditioning=10", "--gamma=0.6", "--horizon-c1=0.05", "--horizon-c2=1"]),
+        ("sass-minibatch", ["--method=sass", "--oracle=minibatch", "--sigma-f=0.001", "--m-c=0.001",
+                            "--m-v=0.01"]),
+        ("storm-corollary", ["--method=storm", "--oracle=minibatch", "--sigma-f=0.001", "--m-c=0.01",
+                             "--gamma-policy=corollary"]),
     ],
 )
 def test_sweep_rows_are_the_library_monte_carlo_and_report(tmp_path, case, flags):
-    # pins the sweep's wiring: seeds, horizon, config, bounds and exceedance
+    # pins the sweep's wiring: seeds, horizon, config, bounds and exceedance;
+    # the sweep runs its tolerances together, the library one at a time
     epsilons, reps, seed = [0.1, 0.03] if case == "sass-corrupt" else [0.2, 0.1], 6, 4
     out = tmp_path / "s.csv"
     argv = ["sweep", *flags, f"--epsilons={','.join(map(str, epsilons))}", f"--reps={reps}", f"--seed={seed}"]

@@ -15,6 +15,7 @@ from adastoc.complexity import (
     expected_toc_bound,
     growth_exponent,
     highprob_toc_bound,
+    monte_carlo_sweep,
     monte_carlo_toc,
     sass_complexity_report,
     storm_complexity_report,
@@ -406,14 +407,94 @@ def test_lockstep_replications_equal_separate_runs(name, alpha0, mode, k, j, mas
             assert paths[0].read_bytes() == paths[1].read_bytes()
     summary = monte_carlo_toc(prob, method, suite, cfg, eps, k, master, mode=mode)
     assert _records(summary) == [_totals(t) for t in separate]
-    # the other per-seed columns are each run's trace ends, bit for bit (nan included)
+    # the other per-seed columns are each run's ends; the measures at the
+    # last iterate are recomputed from the problem itself, bit for bit (nan included)
     stops = [t.stopping_iteration for t in separate]
     assert summary.stopped_at.tolist() == [-1 if stop is None else stop for stop in stops]
     assert summary.final_x.tolist() == [t.final_x.tolist() for t in separate]
-    assert [v.hex() for v in summary.final_grad_norm.tolist()] == [t.final_grad_norm.hex() for t in separate]
-    assert [v.hex() for v in summary.final_gap.tolist()] == [t.final_gap.hex() for t in separate]
+    min_value = math.nan if prob.min_value is None else prob.min_value
+    gaps = [prob.value(x) - min_value for x in summary.final_x]
+    norms = [float(np.sqrt(np.dot(g, g))) for g in map(prob.grad, summary.final_x)]
+    assert [v.hex() for v in summary.final_gap.tolist()] == [v.hex() for v in gaps]
+    assert [v.hex() for v in summary.final_grad_norm.tolist()] == [v.hex() for v in norms]
     j = min(j, k)
     assert _records(monte_carlo_toc(prob, method, suite, cfg, eps, j, master, mode=mode)) == _records(summary)[:j]
+
+
+def _sweep_runs(name, mode, draws):
+    """(problem, method, runs, mode): one run per drawn (epsilon, gamma, alpha_max, alpha0 share, r, suite).
+
+    The runs differ in epsilon, gamma, alpha_max, alpha0 and r; sass
+    minibatch runs take the CLI's unset r at each tolerance's batch, and
+    corruption runs switch between two suites, so that some neighbouring
+    runs share a suite call and some do not.
+    """
+    prob, method, suite, cfg, _, mode = _lockstep_case(name, 0.3, mode)
+    runs = []
+    for master, (epsilon, gamma, alpha_max, share, r, other) in enumerate(draws):
+        if name == "sass-minibatch":
+            suite = SassMinibatchOracles(SassOracleSpec(), epsilon, batch_scale=3.0)
+            r = 2.0 * prob.noise.sigma_f / math.sqrt(suite.cost_models(prob)[0].batch(1.0))
+        elif "corrupt" in name:
+            suite = PairCorruptionOracles(0.2, 0.15) if other else PairCorruptionOracles(0.1, 0.1)
+        alpha_max = min(alpha_max, 10.0 * epsilon)  # storm's epsilon / zeta at zeta = 0.1
+        config = AlgoConfig(
+            theta=cfg.theta, gamma=gamma, alpha0=alpha_max * share, alpha_max=alpha_max,
+            r=0.0 if isinstance(method, StormMethod) else r, max_iterations=cfg.max_iterations,
+        )
+        runs.append((suite, config, epsilon, master))
+    return prob, method, runs, mode
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    name=st.sampled_from(
+        ["sass-exact", "storm-exact", "sass-corrupt", "storm-corrupt", "storm-minibatch", "sass-minibatch",
+         "sass-corrupt-logistic"]
+    ),
+    mode=st.sampled_from(["nonconvex", "strongly_convex"]),
+    draws=st.lists(
+        st.tuples(
+            st.sampled_from([2e-3, 5e-3, 0.05]),
+            st.sampled_from([0.5, 0.6, 0.8]),
+            st.sampled_from([0.3, 0.1]),
+            st.sampled_from([1.0, 0.25]),
+            st.sampled_from([0.0, 0.01]),
+            st.booleans(),
+        ),
+        min_size=1, max_size=4,
+    ),
+    k=st.integers(1, 4),
+)
+@example(
+    name="sass-minibatch", mode="nonconvex", k=3,
+    draws=[(0.05, 0.6, 0.3, 1.0, 0.0, False), (5e-3, 0.8, 0.3, 0.25, 0.0, False)],
+)
+def test_a_sweep_gives_each_run_its_own_monte_carlo_columns(name, mode, draws, k):
+    # runs advanced in one lockstep loop give each run what monte_carlo_toc
+    # gives it alone, column by column, floats bit for bit
+    prob, method, runs, mode = _sweep_runs(name, mode, draws)
+    together = monte_carlo_sweep(prob, method, runs, k, mode)
+    assert len(together) == len(runs)
+    for summary, (suite, config, epsilon, master) in zip(together, runs):
+        alone = monte_carlo_toc(prob, method, suite, config, epsilon, k, master, mode=mode)
+        for name in ("stopped_at", "iterations", "toc0", "toc1", "final_x"):
+            a, b = getattr(summary, name), getattr(alone, name)
+            assert a.dtype == b.dtype and a.tolist() == b.tolist(), name
+        for name in ("final_grad_norm", "final_gap"):
+            assert [v.hex() for v in getattr(summary, name).tolist()] == [
+                v.hex() for v in getattr(alone, name).tolist()
+            ], name
+
+
+def test_a_sweep_refuses_runs_whose_loops_differ_before_running():
+    prob = make_problem("quadratic", 2, 1.0, NoiseSpec.none(), seed=0)
+    runs = [(ExactOracles(), _config(theta=theta), 1e-6, 0) for theta in (0.1, 0.2)]
+    with mock.patch("adastoc.complexity._lockstep", side_effect=AssertionError("a replication ran")):
+        with pytest.raises(InvalidParameterError, match="share theta, theta2 and max_iterations"):
+            monte_carlo_sweep(prob, SassMethod(), runs, 2)
+        with pytest.raises(InvalidParameterError, match="at least one run"):
+            monte_carlo_sweep(prob, SassMethod(), [], 2)
 
 
 class _FlakyValues(PairCorruptionOracles):

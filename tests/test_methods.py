@@ -17,7 +17,8 @@ def _config(theta, r, theta2=1.0):
 
 def _sass_accepts(f0, f_plus, g, step, theta, r):
     ok = SassMethod().accepts_rows(
-        np.array([f0]), np.array([f_plus]), g[None], step[None], None, np.ones(1), _config(theta, r)
+        np.array([f0]), np.array([f_plus]), g[None], step[None], None, np.ones(1), np.array([float(r)]),
+        _config(theta, r),
     )
     return bool(ok[0])
 
@@ -26,7 +27,7 @@ def _storm_accepts(f0, f_plus, grad_norm, alpha, theta, theta2, r):
     # the row protocol's model reduction is alpha * grad_norm
     ok = StormMethod().accepts_rows(
         np.array([f0]), np.array([f_plus]), np.zeros((1, 1)), np.zeros((1, 1)),
-        np.array([grad_norm]), np.array([alpha]), _config(theta, r, theta2),
+        np.array([grad_norm]), np.array([alpha]), np.array([float(r)]), _config(theta, r, theta2),
     )
     return bool(ok[0])
 
@@ -121,7 +122,8 @@ def test_sass_small_steps_always_succeed_on_smooth_quadratic():
         g = prob.grad(x)
         steps, aux = SassMethod().propose_rows(g, alpha)
         f0, fplus = prob.value(x), prob.value(x + steps)
-        assert SassMethod().accepts_rows(f0, fplus, g, steps, aux, alpha, _config(theta, 0.0)).all()
+        r = np.zeros(len(alpha))
+        assert SassMethod().accepts_rows(f0, fplus, g, steps, aux, alpha, r, _config(theta, 0.0)).all()
 
 
 def test_step_rejects_bad_alpha():
@@ -159,7 +161,7 @@ def test_one_point_calls_are_their_row_in_a_row_call(data, dim, rows, r, family)
                   for _ in range(2))
     config = _config(0.5, r, theta2=1e-3)
     steps, aux = method.propose_rows(g, alpha)
-    accepted = method.accepts_rows(f0, f_plus, g, steps, aux, alpha, config)
+    accepted = method.accepts_rows(f0, f_plus, g, steps, aux, alpha, np.full(rows, r), config)
     for i in range(rows):
         step, one_aux = method.propose(g[i], float(alpha[i]))
         assert step.tobytes() == steps[i].tobytes()
