@@ -14,10 +14,11 @@ The trust-region and step-search reports evaluate both bounds on the
 matching per-iteration cost models.  `growth_exponent` states the
 asymptotic growth a cost model's total inherits from the step-size walk.
 Monte Carlo replications provide the empirical side of each bound:
-`monte_carlo_sweep` advances the replications of every tolerance of a
-sweep in lockstep through one adaptive loop and returns the loop's
-per-seed columns (`framework.McTocSummary`), one summary per tolerance;
-`monte_carlo_toc` is its one-tolerance call.
+`monte_carlo_sweep` advances the replications of a sweep's tolerances in
+lockstep, one adaptive loop for each stretch of tolerances that share an
+oracle suite, and returns the loop's per-seed columns
+(`framework.McTocSummary`), one summary per tolerance; `monte_carlo_toc`
+is its one-tolerance call.
 """
 
 from __future__ import annotations
@@ -256,15 +257,15 @@ def monte_carlo_sweep(
     mode: str = "nonconvex",
     x0: np.ndarray | None = None,
 ) -> list[McTocSummary]:
-    """monte_carlo_toc for each (suite, config, epsilon, master_seed) of runs, in one lockstep loop.
+    """monte_carlo_toc for each (suite, config, epsilon, master_seed) of runs, in lockstep.
 
-    Every run's replications advance together, and summary i is exactly
-    what monte_carlo_toc gives run i alone.  The runs must share theta,
-    theta2 and max_iterations.  Every run is checked before any replication
-    runs.  If the runs fail together, they are re-run one at a time, in
-    order, so the error raised is the one one-at-a-time monte_carlo_toc
-    calls raise first: that of the first failing run, naming its lowest
-    failing replication.
+    Neighbouring runs with equal suites advance their replications together
+    in one loop, and summary i is exactly what monte_carlo_toc gives run i
+    alone.  The runs must share theta, theta2 and max_iterations.  Every run
+    is checked before any replication runs.  If runs fail together, they are
+    re-run one at a time, in order, so the error raised is the one
+    one-at-a-time monte_carlo_toc calls raise first: that of the first
+    failing run, naming its lowest failing replication.
     """
     runs = list(runs)
     if not runs:
@@ -272,19 +273,24 @@ def monte_carlo_sweep(
     groups = []
     for suite, config, epsilon, master_seed in runs:
         x = _start(problem, method, suite, epsilon, mode, x0)
-        groups.append((suite, config, epsilon, derive_seeds(master_seed, replications)))
+        groups.append((config, epsilon, derive_seeds(master_seed, replications)))
     _check_groups(groups)
-    try:
-        return _lockstep(problem, method, groups, mode, x, record=False)
-    except Exception:
-        if len(runs) > 1:
-            for run in runs:  # the first run that fails alone raises
-                monte_carlo_sweep(problem, method, [run], replications, mode, x0)
-        else:
-            suite, config, epsilon, seeds = groups[0]
-            for i, seed in enumerate(seeds):
-                try:
-                    _lockstep(problem, method, [(suite, config, epsilon, [seed])], mode, x, record=False)
-                except Exception as exc:
-                    raise type(exc)(f"replication {i}: {exc}") from exc
-        raise
+    starts = [i for i in range(len(runs)) if i == 0 or runs[i][0] != runs[i - 1][0]]
+    summaries = []
+    for lo, hi in zip(starts, [*starts[1:], len(runs)]):  # one loop per stretch of equal suites
+        suite = runs[lo][0]
+        try:
+            summaries += _lockstep(problem, method, suite, groups[lo:hi], mode, x, record=False)
+        except Exception:
+            if hi - lo > 1:
+                for run in runs[lo:hi]:  # the first run that fails alone raises
+                    monte_carlo_sweep(problem, method, [run], replications, mode, x0)
+            else:
+                config, epsilon, seeds = groups[lo]
+                for i, seed in enumerate(seeds):
+                    try:
+                        _lockstep(problem, method, suite, [(config, epsilon, [seed])], mode, x, record=False)
+                    except Exception as exc:
+                        raise type(exc)(f"replication {i}: {exc}") from exc
+            raise
+    return summaries

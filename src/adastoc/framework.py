@@ -15,17 +15,16 @@ gradient estimate, then the values at the iterate and at the trial
 point), and every row takes the same block of draws per call, so a
 replication's numbers do not depend on how many rows run beside it.
 
-The rows come in groups.  A group is one tolerance of a sweep: its oracle
-suite, its `AlgoConfig`, its epsilon and its seeds.  Each row carries its
-group's epsilon and noise offset r, and its step-size states, batches and
-charges come from its group's config and cost models, so a row gets
+The rows come in groups, which share one oracle suite.  A group is one
+tolerance of a sweep: its `AlgoConfig`, its epsilon and its seeds.  Each
+row carries its group's epsilon and noise offset r, and its step-size
+states, batches and charges come from its group's config, so a row gets
 exactly the numbers its group's run alone gives it.  The groups must
-share theta, theta2 and max_iterations.  Consecutive groups whose suites
-are equal share one suite call; others are called on their own rows.
-`run_lockstep` runs one group, keeps every row's trace and returns one
-`RunTrace` per seed; `run_adaptive` is its one-seed call.  The Monte
-Carlo harness (`complexity.monte_carlo_sweep`, and `monte_carlo_toc`, its
-one-group call) runs the loop keeping only where each row ended, one
+share theta, theta2 and max_iterations.  `run_lockstep` runs one group,
+keeps every row's trace and returns one `RunTrace` per seed;
+`run_adaptive` is its one-seed call.  The Monte Carlo harness
+(`complexity.monte_carlo_sweep`, and `monte_carlo_toc`, its one-group
+call) runs the loop keeping only where each row ended, one
 `McTocSummary` per group, so its memory does not grow with the
 iterations.
 
@@ -367,50 +366,50 @@ def run_lockstep(
     Trace i is what run_adaptive gives with seed seeds[i].
     """
     x = _start(problem, method, oracle_suite, epsilon, mode, x0)
-    return _lockstep(problem, method, [(oracle_suite, config, epsilon, seeds)], mode, x, record=True)
+    return _lockstep(problem, method, oracle_suite, [(config, epsilon, seeds)], mode, x, record=True)
 
 
-_BLOCK = 256  # draws each row's generator is read ahead by
+_BLOCK = 256  # draws each row's generator is read ahead by in a one-group loop; _BLOCK // G with G groups
 _CHUNK = 1024  # trace entries (rows x iterations) kept as per-iteration arrays before they are packed
 
 
 def _check_groups(groups) -> None:
-    """Refuse a group without seeds, a bad seed, and groups whose loops differ beyond the per-row parameters."""
+    """Refuse a group without seeds, a bad seed, and groups whose loops differ beyond per-row parameters."""
     for *_, seeds in groups:
         if len(seeds) < 1:
             raise InvalidParameterError("at least one seed is needed")
         for seed in seeds:
             _check_seed(seed)
-    if len({(c.theta, c.theta2, c.max_iterations) for _, c, _, _ in groups}) > 1:
+    if len({(c.theta, c.theta2, c.max_iterations) for c, _, _ in groups}) > 1:
         raise InvalidParameterError("grouped runs must share theta, theta2 and max_iterations")
 
 
-def _lockstep(problem, method, groups, mode, x, record):
+def _lockstep(problem, method, suite, groups, mode, x, record):
     """The adaptive loop over one row per seed of every group, from the start point x (see `_start`).
 
-    groups is a list of (suite, config, epsilon, seeds); the rows are laid
-    out group by group, in seed order.  With record, returns one RunTrace
-    per row.  Without, returns one McTocSummary per group: the trace is not
-    kept, only where each row ended.
+    groups is a list of (config, epsilon, seeds) sharing the oracle suite;
+    the rows are laid out group by group, in seed order.  With record,
+    returns one RunTrace per row.  Without, returns one McTocSummary per
+    group: the trace is not kept, only where each row ended.
     """
     _check_groups(groups)
     counts = [len(seeds) for *_, seeds in groups]
     group = np.repeat(np.arange(len(groups)), counts)
     min_value = math.nan if problem.min_value is None else problem.min_value
     gap_mode = mode == STRONGLY_CONVEX
-    config = groups[0][1]  # theta, theta2 and max_iterations, which every group shares
+    config = groups[0][0]  # theta, theta2 and max_iterations, which every group shares
 
     n = len(group)
     ids = np.arange(n)
-    eps = np.array([epsilon for _, _, epsilon, _ in groups])[group]
-    r = np.array([c.r for _, c, _, _ in groups])[group]
+    eps = np.array([epsilon for _, epsilon, _ in groups])[group]
+    r = np.array([c.r for c, _, _ in groups])[group]
     X = np.repeat(x[None], n, axis=0)
     value_rows, grad_rows = problem._value_rows, problem._grad_rows
     F, partial = value_rows(X)
     G = grad_rows(X, partial)
     grad_norm = np.sqrt(row_dot(G, G))
     met = (F - min_value if gap_mode else grad_norm) <= eps
-    sizes = _StepSizes([(c, suite.cost_models(problem)) for suite, c, _, _ in groups])
+    sizes = _StepSizes([c for c, _, _ in groups], suite.cost_models(problem))
     state = sizes.slot(group, 0, 0)  # alpha = alpha0
     toc0 = toc1 = np.zeros(n, dtype=object)
     ends = McTocSummary(
@@ -422,8 +421,11 @@ def _lockstep(problem, method, groups, mode, x, record):
     max_iterations = config.max_iterations
     # the loop body runs once per iteration whatever R is: bind its callees once
     count, isfinite = np.count_nonzero, np.isfinite
-    suites = _Suites([suite for suite, *_ in groups], [seeds for *_, seeds in groups])
-    gradient_rows, values_rows, streams = suites.gradient_rows, suites.values_rows, suites.streams
+    # G groups' rows hold the read-ahead of one group's, so memory grows with reps, not reps x G
+    block = max(1, _BLOCK // len(groups))
+    rngs = (np.random.default_rng(seed) for *_, seeds in groups for seed in seeds)
+    streams = RowStreams(rngs, suite.draws, block)
+    gradient_rows, values_rows = suite.gradient_rows, suite.values_rows
     propose_rows, accepts_rows = method.propose_rows, method.accepts_rows
 
     k = 0
@@ -444,7 +446,7 @@ def _lockstep(problem, method, groups, mode, x, record):
             ids, X, F, G, grad_norm, met, state, toc0, toc1, eps, r = (
                 a[keep] for a in (ids, X, F, G, grad_norm, met, state, toc0, toc1, eps, r)
             )
-            suites.keep(keep)
+            streams.keep(keep)
             retire = False
         if k >= sizes.valid_until:
             sizes.cover(state, k)
@@ -489,7 +491,7 @@ def _lockstep(problem, method, groups, mode, x, record):
             retire = count(met) > 0
         state = sizes.next[state + success]
         k += 1
-    del suites, streams  # the generators and their read-ahead buffers, before the trace is sorted
+    del streams  # the generators and their read-ahead buffers, before the trace is sorted
     bounds = np.cumsum([0, *counts]).tolist()
     if not record:
         return [
@@ -498,59 +500,8 @@ def _lockstep(problem, method, groups, mode, x, record):
         ]
     if columns:
         chunks.append(_pack(columns))
-    runs = [(c, epsilon) for _, c, epsilon, seeds in groups for _ in seeds]
+    runs = [(c, epsilon) for c, epsilon, seeds in groups for _ in seeds]
     return _traces(chunks, ends, sizes, min_value, runs, mode)
-
-
-class _Suites:
-    """The row calls of every group's suite as one suite's, each row drawing from its own generator.
-
-    Consecutive groups whose suites are equal form one part, and the loop
-    holds one part unless the suites differ: then `gradient_rows` and
-    `values_rows` call each part's suite on its own rows, with its own
-    RowStreams, and join the results, so every row gets what its own suite
-    gives it.  `streams` is what the loop hands those calls.
-    """
-
-    def __init__(self, suites, seeds):
-        self.suites, sizes = [], []
-        for suite, group_seeds in zip(suites, seeds):
-            if not self.suites or suite != self.suites[-1]:
-                self.suites.append(suite)
-                sizes.append(0)
-            sizes[-1] += len(group_seeds)
-        flat = [seed for group_seeds in seeds for seed in group_seeds]
-        self.part = np.repeat(np.arange(len(sizes)), sizes)
-        self.bounds = np.cumsum([0, *sizes]).tolist()
-        self.parts = [
-            RowStreams((np.random.default_rng(seed) for seed in flat[lo:hi]), suite.draws, _BLOCK)
-            for suite, lo, hi in zip(self.suites, self.bounds, self.bounds[1:])
-        ]
-        self.streams = None
-        if len(self.suites) == 1:  # the loop calls the suite itself
-            self.gradient_rows, self.values_rows = self.suites[0].gradient_rows, self.suites[0].values_rows
-            self.streams = self.parts[0]
-
-    def keep(self, mask: np.ndarray) -> None:
-        """Drop the rows outside the bool mask."""
-        for streams, lo, hi in zip(self.parts, self.bounds, self.bounds[1:]):
-            streams.keep(mask[lo:hi])
-        self.part = self.part[mask]
-        self.bounds = np.searchsorted(self.part, np.arange(len(self.parts) + 1)).tolist()
-
-    def _each(self, name, problem, *arrays):
-        lohi = zip(self.suites, self.parts, self.bounds, self.bounds[1:])
-        return [
-            getattr(suite, name)(problem, *(a[lo:hi] for a in arrays), streams)
-            for suite, streams, lo, hi in lohi if hi > lo
-        ]
-
-    def gradient_rows(self, problem, x, g, batch, streams):
-        return np.concatenate(self._each("gradient_rows", problem, x, g, batch))
-
-    def values_rows(self, problem, x, x_plus, f, f_plus, batch, streams):
-        f0, f_plus = zip(*self._each("values_rows", problem, x, x_plus, f, f_plus, batch))
-        return np.concatenate(f0), np.concatenate(f_plus)
 
 
 def _pack(columns) -> tuple:
@@ -593,15 +544,15 @@ def _traces(chunks, ends, sizes, min_value, runs, mode) -> list[RunTrace]:
 class _StepSizes:
     """The step-size law (`_step_law`) and the oracle costs as a table over step-size states.
 
-    Each group (config, models) has its own states.  A state is (anchor,
-    exp): alpha = base * gamma**exp with the group's gamma and base alpha0
+    Each group's config has its own states.  A state is (anchor, exp):
+    alpha = base * gamma**exp with the group's gamma and base alpha0
     (anchor 0) or alpha_max (anchor 1, after a re-anchoring).  Rows hold
     the state's slot 4 * (G * z(exp) + g) + 2 * anchor, g the group of G
     and z the zigzag map 0, -1, 1, -2, ... -> 0, 1, 2, 3, ..., so slots
     stay valid as the table grows in either direction.  alpha[slot] is
     base * gamma**exp, and next[slot + success] is the slot after one
     update: a row's update is one addition and two lookups.  For the value
-    model (i = 0) and the gradient model (i = 1) of the group's `models`,
+    model (i = 0) and the gradient model (i = 1) of `models`,
     batch[i][slot] is the per-call batch at alpha as a float, and
     charge[i][slot] the per-iteration charge calls_per_iteration * batch as
     a Python int.  The table is filled, a block of exponents at a time, for
@@ -614,8 +565,9 @@ class _StepSizes:
 
     SLACK = 16  # exponents kept filled beyond the live ones, on each side
 
-    def __init__(self, groups):
-        self.groups = list(groups)
+    def __init__(self, configs, models):
+        self.configs = list(configs)
+        self.models = models
         self.lo, self.hi = 0, -1
         self.alpha = np.empty(0)
         self.next = np.empty(0, dtype=np.intp)
@@ -627,7 +579,7 @@ class _StepSizes:
         self.valid_until = 0  # the first iteration that needs cover() again
 
     def slot(self, group, anchor, exp):
-        return 4 * (len(self.groups) * np.where(exp >= 0, 2 * exp, -2 * exp - 1) + group) + 2 * anchor
+        return 4 * (len(self.configs) * np.where(exp >= 0, 2 * exp, -2 * exp - 1) + group) + 2 * anchor
 
     def cover(self, state: np.ndarray, k: int) -> None:
         """Fill the states the rows can reach from iteration k on, and say until when.
@@ -644,7 +596,7 @@ class _StepSizes:
         self.valid_until = k + min(self.hi - hi, lo - self.lo)
 
     def _fill(self, lo: int, hi: int) -> None:
-        size = 4 * len(self.groups) * (max(2 * hi, -2 * lo - 1) + 1)
+        size = 4 * len(self.configs) * (max(2 * hi, -2 * lo - 1) + 1)
         grow = size - len(self.alpha)
         self.alpha = np.concatenate([self.alpha, np.full(grow, np.nan)])
         self.next = np.concatenate([self.next, np.full(grow, -1, dtype=np.intp)])
@@ -654,7 +606,7 @@ class _StepSizes:
         self.charge = [np.concatenate([c, np.zeros(grow, dtype=object)]) for c in self.charge]
         exps = np.concatenate([np.arange(lo, self.lo), np.arange(self.hi + 1, hi + 1)])
         success = np.array([[False], [True]])
-        for group, (config, models) in enumerate(self.groups):
+        for group, config in enumerate(self.configs):
             gamma, alpha_max = config.gamma, config.alpha_max
             # anchor 1 is reached by a re-anchoring that changes the base
             changes = math.isfinite(alpha_max) and config.alpha0 != alpha_max
@@ -668,7 +620,7 @@ class _StepSizes:
             after = self.slot(group, np.where(new_base == base, anchor, 1), new_exp)
             self.next[slots + success] = np.where((alpha == 0.0) | (alpha > alpha_max), -1, after)
             fails = alpha == 0.0
-            for i, model in enumerate(models):
+            for i, model in enumerate(self.models):
                 batch = model.per_call(alpha)
                 over = np.isinf(batch)
                 fails |= over
@@ -679,19 +631,13 @@ class _StepSizes:
         self.lo, self.hi = lo, hi
 
     def check(self, state: np.ndarray) -> None:
-        """Refuse a row whose alpha underflowed to 0, then one whose gradient or value cost overflows.
-
-        The cost message is the row's own group's model's, at the first row whose cost overflows.
-        """
+        """Refuse a row whose alpha underflowed to 0, then one whose gradient or value cost overflows."""
         alpha = self.alpha[state]
         if np.count_nonzero(alpha > 0.0) < len(alpha):
             raise InvalidParameterError("alpha must be positive")
         for i in (1, 0):
-            over = np.isinf(self.batch[i][state])
-            if over.any():
-                row = int(np.argmax(over))
-                _, models = self.groups[state[row] // 4 % len(self.groups)]
-                models[i].batch(alpha[row])  # raises
+            if np.isinf(self.batch[i][state]).any():
+                self.models[i].batch(alpha)  # raises at the first row whose cost overflows
 
 
 def _start(problem: Problem, method, oracle_suite, epsilon: float, mode: str, x0) -> np.ndarray:

@@ -63,8 +63,9 @@ class RowStreams:
         width = kept + max(n, self.block)
         buf = np.empty((len(self.rngs), width))
         buf[:, :kept] = self._buf[:, self._pos :]
-        for r, rng in enumerate(self.rngs):
-            buf[r, kept:] = getattr(rng, self.kind)(width - kept)
+        draw = getattr(np.random.Generator, self.kind)
+        for row, rng in zip(buf[:, kept:], self.rngs):
+            draw(rng, out=row)  # straight into the buffer: no array per row
         self._buf, self._pos = buf, 0
 
     def keep(self, mask: np.ndarray) -> None:

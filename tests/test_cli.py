@@ -473,6 +473,31 @@ def test_sweep_names_the_first_failing_replication_of_a_later_tolerance(tmp_path
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "shift, message",
+    [
+        ("inf", "error: replication 2: non-finite value estimate at iteration 64\n"),
+        ("0", "error: alpha0 must lie in (0, alpha_max]\n"),
+    ],
+    ids=["first-fails", "first-runs"],
+)
+def test_sweep_runs_earlier_tolerances_before_refusing_a_later_config(tmp_path, capsys, shift, message):
+    # alpha0 = 0.016 fits alpha_max = epsilon / zeta = 0.02 at epsilon 0.2
+    # but not 0.01 at epsilon 0.1.  With an infinite value shift the first
+    # tolerance fails at run time, and that error comes first, as it does
+    # when each tolerance runs before the next is configured; without it
+    # the first runs through and the second's configuration is refused
+    out = tmp_path / "s.csv"
+    code = _run([
+        "sweep", "--method=storm", "--oracle=corruption", "--noise=none", "--dim=4", "--conditioning=10",
+        "--delta0=0.01", "--delta1=0.1", f"--value-shift={shift}", "--gamma=0.6", "--epsilons=0.2,0.1",
+        "--alpha0=0.016", "--reps=4", "--seed=2", f"--out={out}",
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
 def test_corruption_sweep_bounds_ignore_the_noise_flags(tmp_path):
     # the corruption suite draws one sample per call whatever the noise, and the bounds count those
     argv = ["sweep", "--method=storm", "--oracle=corruption", "--epsilons=0.2,0.1", "--reps=5",

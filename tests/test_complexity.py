@@ -427,7 +427,7 @@ def _sweep_runs(name, mode, draws):
     The runs differ in epsilon, gamma, alpha_max, alpha0 and r; sass
     minibatch runs take the CLI's unset r at each tolerance's batch, and
     corruption runs switch between two suites, so that some neighbouring
-    runs share a suite call and some do not.
+    runs share a loop and some do not.
     """
     prob, method, suite, cfg, _, mode = _lockstep_case(name, 0.3, mode)
     runs = []

@@ -158,7 +158,7 @@ def test_step_size_table_walks_the_python_float_law(gamma, alpha_max, ratio, on_
     top = alpha_max if math.isfinite(alpha_max) else 1.0
     alpha0 = top * gamma ** math.floor(math.log(ratio) / -math.log(gamma)) if on_grid else top / ratio
     config = _config(gamma=gamma, alpha0=alpha0, alpha_max=alpha_max)
-    sizes = _StepSizes([(config, ExactOracles().cost_models(None))])
+    sizes = _StepSizes([config], ExactOracles().cost_models(None))
     state = np.zeros(1, dtype=np.intp)
     base, exp = alpha0, 0
     for k, success in enumerate([*outcomes, None]):
