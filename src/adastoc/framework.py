@@ -286,7 +286,8 @@ class McTocSummary:
     max_iterations; iterations counts the iterations each one ran, toc0 and
     toc1 (object arrays of Python ints) are its value and gradient sample
     totals, and final_x, final_grad_norm and final_gap the last iterate
-    reached and its ground-truth measures.
+    reached and its ground-truth measures.  The mean costs sum those ints
+    exactly and round once; a mean or total beyond the double range is inf.
     """
 
     stopped_at: np.ndarray
@@ -307,15 +308,15 @@ class McTocSummary:
 
     @property
     def mean_toc(self) -> float:
-        return float(np.mean(self._totals()))
+        return _mean((self.toc0 + self.toc1).tolist())
 
     @property
     def mean_toc0(self) -> float:
-        return float(np.mean(self.toc0.tolist()))
+        return _mean(self.toc0.tolist())
 
     @property
     def mean_toc1(self) -> float:
-        return float(np.mean(self.toc1.tolist()))
+        return _mean(self.toc1.tolist())
 
     @property
     def mean_iterations(self) -> float:
@@ -330,7 +331,23 @@ class McTocSummary:
         return float(np.mean(self._totals() > bound.bound_value))
 
     def _totals(self) -> np.ndarray:
-        return np.array((self.toc0 + self.toc1).tolist(), dtype=float)
+        """Each replication's total cost as a double, inf where it is beyond the double range."""
+        return np.array([_to_float(total) for total in (self.toc0 + self.toc1).tolist()])
+
+
+def _to_float(value: int) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
+def _mean(totals: list[int]) -> float:
+    """The mean of Python int totals, summed exactly and rounded once; inf beyond the double range."""
+    try:
+        return sum(totals) / len(totals)
+    except OverflowError:
+        return math.inf
 
 
 def run_adaptive(

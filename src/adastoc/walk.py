@@ -19,8 +19,11 @@ step-size floor alpha_star(n) with its failure probability.
 No Python loop runs per walk step or per level.  Simulated paths, the
 ensemble statistics and the coupling are one reflected cumulative sum over
 a boolean mask of up-moves (`_reflected_walks`); ensembles are generated in
-blocks of bounded size.  Exact hitting probabilities for any set of levels
-come from one O(n * sum(l)) recursion over all their chains at once.
+blocks of bounded size.  An exact hitting probability comes from binary
+powering of its level's absorbing chain, O(l**3 log n), up to level 63, and
+from one O(n * sum(l)) recursion over the chains of the higher levels at
+once.  The union sum over steps is the spectral formula summed in closed
+form.
 """
 
 from __future__ import annotations
@@ -285,15 +288,35 @@ def transition_matrix(p: float, l: int) -> np.ndarray:
     return mat
 
 
+def _spectrum(p: float, l: int) -> tuple[float, np.ndarray, np.ndarray, float]:
+    """(stationary, theta, eigvals, scale) of the {0..l} chain's spectral formula.
+
+    P^m_{0,l} = stationary - scale * sum_r sin(theta_r) sin(l theta_r)
+    eigvals_r**m / (1 - eigvals_r) over the l interior eigenvalues
+    eigvals_r = 2 sqrt(pq) cos(theta_r), theta_r = pi r / (l+1).  Powers of
+    q/p are taken in log space so levels up to a few hundred stay finite.
+    Needs 0 < q < 1.
+    """
+    q = 1.0 - p
+    log_r = math.log(q) - math.log(p)
+    r_pow_l = math.exp(l * log_r)
+    if p == q:
+        stationary = r_pow_l / (l + 1)
+    else:
+        stationary = (1.0 - math.exp(log_r)) / (1.0 - math.exp((l + 1) * log_r)) * r_pow_l
+    theta = np.pi * np.arange(1, l + 1) / (l + 1)
+    eigvals = 2.0 * math.sqrt(p * q) * np.cos(theta)
+    return stationary, theta, eigvals, (2.0 * q / (l + 1)) * math.exp(0.5 * (l - 1) * log_r)
+
+
 def feller_transition_prob(p: float, l: int, m: int) -> float:
     """Closed-form m-step probability of being at l for the {0..l} chain started at 0.
 
-    Spectral formula for the birth-death chain of `transition_matrix`; the
-    stationary part is the geometric term and the transient part is a sum
-    over the l interior eigenvalues 2 sqrt(pq) cos(pi r / (l+1)).  Powers of
-    q/p are taken in log space so levels up to a few hundred stay finite.
-    The walk climbs at most one level per step, so for m < l the value is
-    exactly 0.0 rather than the formula's rounding noise.
+    Spectral formula for the birth-death chain of `transition_matrix`
+    (`_spectrum`): the stationary part is the geometric term and the
+    transient part is a sum over the l interior eigenvalues.  The walk
+    climbs at most one level per step, so for m < l the value is exactly 0.0
+    rather than the formula's rounding noise.
     """
     if l < 1:
         raise InvalidParameterError("l must be at least 1")
@@ -301,36 +324,96 @@ def feller_transition_prob(p: float, l: int, m: int) -> float:
         raise InvalidParameterError("m must be nonnegative")
     if not (0.0 < p <= 1.0):
         raise InvalidParameterError("p must lie in (0,1]")
-    q = 1.0 - p
-    if q == 0.0 or m < l:
+    if p == 1.0 or m < l:
         return 0.0
-    log_r = math.log(q) - math.log(p)
-    r_pow_l = math.exp(l * log_r)
-    if p == q:
-        stationary = r_pow_l / (l + 1)
-    else:
-        stationary = (1.0 - math.exp(log_r)) / (1.0 - math.exp((l + 1) * log_r)) * r_pow_l
-
-    s = 2.0 * math.sqrt(p * q)
-    rr = np.arange(1, l + 1)
-    theta = np.pi * rr / (l + 1)
-    eigvals = s * np.cos(theta)
+    stationary, theta, eigvals, scale = _spectrum(p, l)
     series = np.sum(np.sin(theta) * np.sin(theta * l) * eigvals**m / (1.0 - eigvals))
-    transient = (2.0 * q / (l + 1)) * math.exp(0.5 * (l - 1) * log_r) * series
-    return float(stationary - transient)
+    return float(stationary - scale * series)
+
+
+# Level l at horizon n is taken by powering where (l+1)**3 * n.bit_length()
+# <= _POWER_K * n: _POWER_K is one recursion step's time over that of one
+# unit of (l+1)**3 matrix work, rounded down to a power of two
+# (BENCH_walk_laws.json).  Below the cap that holds for every l <= n.
+# _POWER_MAX_LEVEL keeps a chain's matrix at 32 KiB, small enough that
+# OpenBLAS multiplies it on one thread, so a powered value does not depend
+# on the BLAS thread count.
+_POWER_K = 2**16
+_POWER_MAX_LEVEL = 63
+
+
+def _by_powering(l: int, n: int) -> bool:
+    """Whether hitting_prob_exact takes level l at horizon n by powering rather than by the recursion."""
+    return l <= _POWER_MAX_LEVEL and (l + 1) ** 3 * int(n).bit_length() <= _POWER_K * n
+
+
+def _hitting_by_powering(p: float, l: int, n: int) -> float:
+    """e_0 P**n at l for the {0..l} chain with l absorbing, by squaring over the bits of n.
+
+    log2(n) squarings and one vector product per set bit; every entry is
+    nonnegative, so nothing cancels and a small probability keeps its
+    relative accuracy.  The mass at l is divided by the vector's total,
+    which rounding moves off 1 by a few ulps per squaring, so a level
+    reached almost surely reads at most 1.0.
+    """
+    mat = transition_matrix(p, l)
+    mat[l, l - 1], mat[l, l] = 0.0, 1.0  # l absorbing
+    v = np.zeros(l + 1)
+    v[0] = 1.0
+    while True:
+        if n & 1:
+            v = v @ mat
+        n >>= 1
+        if not n:
+            return float(v[l] / v.sum())
+        mat = mat @ mat
+
+
+def _hitting_by_recursion(p: float, levels: np.ndarray, n: int) -> np.ndarray:
+    """The absorbed mass after n steps of each level's {0..l} chain, one step at a time.
+
+    The chains of all the levels lie end to end in one vector and advance
+    together, so one O(n * sum(l)) recursion serves every level, and a
+    level's value does not depend on the others.
+    """
+    q = 1.0 - p
+    ends = np.cumsum(levels)  # chain j holds states ends[j] - levels[j] .. ends[j] - 1
+    size = int(levels.sum())
+    first, last = ends - levels, ends - 1
+    # state i takes coef[i] * v[below[i]] + p * v[above[i]]: q from the state
+    # below, or p from itself at a chain's state 0; index `size` is a zero
+    below = np.arange(-1, size - 1)
+    below[first] = first
+    coef = np.full(size, q)
+    coef[first] = p
+    above = np.arange(1, size + 1)
+    above[last] = size
+    v, nxt = np.zeros(size + 1), np.zeros(size + 1)
+    v[first] = 1.0
+    absorbed = np.zeros(len(levels))
+    step, gained = np.empty(size), np.empty(len(levels))
+    for _ in range(n):
+        np.multiply(q, v[last], out=gained)
+        absorbed += gained
+        np.multiply(coef, v[below], out=nxt[:size])
+        np.multiply(p, v[above], out=step)
+        nxt[:size] += step
+        v, nxt = nxt, v
+    return absorbed
 
 
 def hitting_prob_exact(p: float, l: int | Sequence[int], n: int) -> float | np.ndarray:
     """Exact probability that the walk reaches level l within n steps.
 
-    Iterates the distribution over the transient states 0..l-1 of the
-    {0..l} chain with l made absorbing; the absorbed mass after n steps is
-    the first-passage probability.  l may be one level (a float is
-    returned) or a sequence of levels (an array in the same order): the
-    chains of all distinct levels lie end to end in one vector and advance
-    together, so one O(n * sum(l)) recursion serves every level.  The walk
-    moves one level per step, so a level above n has probability 0.0 and
-    builds no chain: the sum runs over the levels 1..n only.
+    The first-passage probability is the mass absorbed at l after n steps
+    of the {0..l} chain with l made absorbing.  l may be one level (a float
+    is returned) or a sequence of levels (an array in the same order).  Each
+    level takes one of two paths, chosen from (l, n) alone (`_by_powering`):
+    binary powering of its chain, O(l**3 log n), or the step-by-step
+    recursion, O(n * l), which advances every level left to it together.
+    Either way a level's value is the same float whichever other levels
+    share the call.  The walk moves one level per step, so a level above n
+    has probability 0.0 and builds no chain.
     """
     levels = np.asarray(l)
     if levels.ndim > 1 or (levels.size and levels.dtype.kind not in "iu"):
@@ -342,45 +425,38 @@ def hitting_prob_exact(p: float, l: int | Sequence[int], n: int) -> float | np.n
         raise InvalidParameterError("n must be a positive integer")
     if not (0.0 < p <= 1.0):
         raise InvalidParameterError("p must lie in (0,1]")
-    q = 1.0 - p
     distinct, where = np.unique(levels, return_inverse=True)
-    reachable = (distinct > 0) & (distinct <= n)
-    chains = distinct[reachable]
-    ends = np.cumsum(chains)  # chain j holds states ends[j] - chains[j] .. ends[j] - 1
-    size = int(chains.sum())
-    first, last = ends - chains, ends - 1
-    # state i takes coef[i] * v[below[i]] + p * v[above[i]]: q from the state
-    # below, or p from itself at a chain's state 0; index `size` is a zero
-    below = np.arange(-1, size - 1)
-    below[first] = first
-    coef = np.full(size, q)
-    coef[first] = p
-    above = np.arange(1, size + 1)
-    above[last] = size
-    v, nxt = np.zeros(size + 1), np.zeros(size + 1)
-    v[first] = 1.0
-    absorbed = np.zeros(len(chains))
-    step, gained = np.empty(size), np.empty(len(chains))
-    for _ in range(n if size else 0):
-        np.multiply(q, v[last], out=gained)
-        absorbed += gained
-        np.multiply(coef, v[below], out=nxt[:size])
-        np.multiply(p, v[above], out=step)
-        nxt[:size] += step
-        v, nxt = nxt, v
     probs = (distinct == 0).astype(float)
-    probs[reachable] = absorbed
+    reachable = (distinct > 0) & (distinct <= n)
+    powered = reachable & np.array([_by_powering(level, n) for level in distinct.tolist()], dtype=bool)
+    probs[powered] = [_hitting_by_powering(p, level, n) for level in distinct[powered].tolist()]
+    stepped = reachable & ~powered
+    if stepped.any():
+        probs[stepped] = _hitting_by_recursion(p, distinct[stepped], n)
     out = probs[where].reshape(levels.shape)
     return float(out) if levels.ndim == 0 else out
 
 
 def hitting_prob_union_sum(p: float, l: int, n: int) -> float:
-    """Union-style upper bound sum_{m=l..n} P^m_{0,l} over the hold-at-l chain."""
+    """Union-style upper bound sum_{m=l..n} P^m_{0,l} over the hold-at-l chain, in closed form.
+
+    The spectral formula of `feller_transition_prob` summed over m: n - l + 1
+    times the stationary part, less one geometric sum over m for each of
+    the l eigenvalues.
+    """
     if l < 1:
         raise InvalidParameterError("l must be at least 1")
     if n < l:
         return 0.0
-    return float(sum(feller_transition_prob(p, l, m) for m in range(l, n + 1)))
+    if not (0.0 < p <= 1.0):
+        raise InvalidParameterError("p must lie in (0,1]")
+    if p == 1.0:
+        return 0.0
+    stationary, theta, eigvals, scale = _spectrum(p, l)
+    steps = n - l + 1
+    sums = eigvals**l * (1.0 - eigvals**steps) / (1.0 - eigvals)  # sum_{m=l..n} eigval**m
+    series = np.sum(np.sin(theta) * np.sin(theta * l) * sums / (1.0 - eigvals))
+    return float(steps * stationary - scale * series)
 
 
 def hitting_prob_bound(p: float, l: int, n: int) -> float:

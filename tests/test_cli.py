@@ -749,6 +749,36 @@ def test_sweep_reports_inf_when_the_step_size_floor_underflows(tmp_path):
     assert float(values["exceed_frac"]) == 0.0
 
 
+def test_sweep_reports_inf_for_mean_costs_beyond_the_double_range(tmp_path):
+    # at sigma_f = 1e149 the value batches pass 1e300 per call: six
+    # replications' summed samples leave the double range at epsilon 0.1, and
+    # the means are inf (summed as exact ints, rounded once), not an OverflowError
+    out = tmp_path / "s.csv"
+    assert _run([
+        "sweep", "--method=storm", "--sigma-f=1e149", "--m-c=0.01", "--gamma=0.8", "--epsilons=1,0.1",
+        "--reps=6", "--seed=0", f"--out={out}",
+    ]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["mean_toc0"] for row in rows][1] == "inf"
+    assert all(math.isfinite(float(row["mean_toc1"])) for row in rows)
+    assert all(0.0 <= float(row["exceed_frac"]) <= 1.0 for row in rows)
+
+
+@pytest.mark.parametrize("r_flag", [[], ["--r=0.1"]], ids=["default-r", "given-r"])
+def test_sweep_refuses_a_degenerate_batch_constant_as_a_configuration_error(tmp_path, capsys, r_flag):
+    # the suite's cost models are built before any replication runs, so the
+    # message names no replication whether or not --r is given
+    out = tmp_path / "s.csv"
+    code = _run([
+        "sweep", "--method=sass", "--oracle=minibatch", "--batch-c=0", *r_flag, "--epsilons=0.2",
+        "--reps=3", f"--out={out}",
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == "error: the batch multiplier must be positive\n"
+    assert not out.exists()
+
+
 def test_hitting_near_one_half_reports_an_infinite_bound(tmp_path):
     # at p = 1/2 + 1e-10 the overshoot constant c is inf: every bound with l >= 1 is inf
     out = tmp_path / "h.csv"

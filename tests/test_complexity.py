@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from adastoc import framework
+from adastoc import complexity, framework
 from adastoc.complexity import (
     expected_toc_bound,
     growth_exponent,
@@ -592,19 +592,29 @@ def test_theory_grid_expected_bounds_are_inf_exactly_where_the_sum_overflows():
 
 
 def _mp_expected_bound(models, params, n):
-    """n * sum_{l=0..n} w_l * oc(alpha_bar gamma**l) at 40 digits, from the same float inputs."""
+    """n * sum_{l=0..n} w_l * oc(alpha_bar gamma**l) at 40 digits, from the same float inputs.
+
+    The level powers advance by one product per level, which costs about
+    n * 1e-40 of relative accuracy.
+    """
     with mpmath.workdps(40):
         p, q = mpmath.mpf(params.p), mpmath.mpf(params.q)
         c = 2 * mpmath.sqrt(p * q) / (1 - 2 * mpmath.sqrt(p * q)) ** 2
-        total = mpmath.mpf(0)
-        for l in range(n + 1):
-            weight = min(1, n * (q / p) ** l + c * (2 * q) ** l)
-            alpha = mpmath.mpf(params.alpha_bar) * mpmath.mpf(params.gamma) ** l
+        terms = [
+            (model.calls_per_iteration, [(mpmath.mpf(ci), mpmath.mpf(ai), int(pi) if pi == int(pi) else pi)
+                                         for ci, ai, pi in model.terms])
+            for model in models
+        ]
+        gamma, total = mpmath.mpf(params.gamma), mpmath.mpf(0)
+        alpha, qp_l, two_q_l = mpmath.mpf(params.alpha_bar), mpmath.mpf(1), mpmath.mpf(1)
+        for _ in range(n + 1):
+            weight = min(1, n * qp_l + c * two_q_l)
             cost = 0
-            for model in models:
-                raw = sum(mpmath.mpf(ci) / min(alpha, mpmath.mpf(ai)) ** pi for ci, ai, pi in model.terms)
-                cost += model.calls_per_iteration * max(1, mpmath.ceil(raw))
+            for calls, model_terms in terms:
+                raw = sum(ci / min(alpha, ai) ** pi for ci, ai, pi in model_terms)
+                cost += calls * max(1, mpmath.ceil(raw))
             total += n * weight * cost
+            alpha, qp_l, two_q_l = alpha * gamma, qp_l * (q / p), two_q_l * (2 * q)
         return total
 
 
@@ -615,6 +625,10 @@ def _mp_expected_bound(models, params, n):
         ("sass", 0.5, 0.2), ("sass", 0.6, 0.2), ("sass", 0.6, 0.1), ("storm", 0.6, 0.2), ("storm", 0.7, 0.2),
         # convergent sums
         ("storm", 0.8, 0.1), ("sass", 0.8, 0.2), ("storm", 0.9, 0.2),
+        # the grid's other finite bounds
+        ("storm", 0.8, 0.2), ("storm", 0.8, 0.05), ("storm", 0.9, 0.1), ("storm", 0.9, 0.05),
+        ("sass", 0.7, 0.2), ("sass", 0.7, 0.1), ("sass", 0.7, 0.05), ("sass", 0.8, 0.1),
+        ("sass", 0.8, 0.05), ("sass", 0.9, 0.2), ("sass", 0.9, 0.1), ("sass", 0.9, 0.05),
     ],
 )
 def test_expected_bound_matches_mpmath_summation(kind, gamma, eps):
@@ -628,6 +642,7 @@ def test_expected_bound_matches_mpmath_summation(kind, gamma, eps):
         models = sass_cost_models(SassOracleSpec(), _GRID_NOISE, eps, "nonconvex")
     got = report.expected.bound_value
     assert math.isfinite(got)
+    assert complexity._head_end(models, params, n) <= n  # the closed-form tail carries levels H..n
     ref = _mp_expected_bound(models, params, n)
     assert abs(got - ref) <= 1e-12 * ref
 
@@ -642,3 +657,48 @@ def test_expected_bound_work_does_not_grow_with_n(gamma):
     value = expected_toc_bound(models, params, 10**9).bound_value
     assert time.perf_counter() - start < 0.5
     assert math.isinf(value) == (gamma**4 < 2 * params.q)
+
+
+@pytest.mark.parametrize("gamma, n", [(0.4**0.25 * (1 + 1e-9), 20_000), (0.4**0.25 * (1 - 1e-6), 2000)])
+def test_expected_bound_near_the_storm_threshold_matches_mpmath(gamma, n):
+    # 2q gamma**-4 within 1e-6 of 1: the tail's terms neither grow nor decay
+    # over n levels.  At gamma = 0.4**0.25 itself the raw costs 1e5 * 2.5**k
+    # of levels 4k sit within rounding of integers, so ceil of the double raw
+    # (what a run pays, and the head's charge) and ceil of the exact raw (the
+    # reference) differ by one sample at some levels, 5e-9 at n = 100
+    models = storm_cost_models(StormOracleSpec(sigma_f=1.0, sigma_g=1.0))
+    params = WalkParams(p=0.8, gamma=gamma, alpha_bar=0.1, omega=1.0)
+    got = expected_toc_bound(models, params, n).bound_value
+    ref = _mp_expected_bound(models, params, n)
+    assert abs(got - ref) <= 1e-12 * ref
+
+
+def test_expected_bound_at_the_storm_threshold_is_fast_at_any_horizon():
+    # 2q gamma**-4 = 1: every level up to n counts, and none is evaluated past the head
+    models = storm_cost_models(StormOracleSpec(sigma_f=1.0, sigma_g=1.0))
+    params = WalkParams(p=0.8, gamma=0.4**0.25, alpha_bar=0.1, omega=1.0)
+    start = time.perf_counter()
+    value = expected_toc_bound(models, params, 10**9).bound_value
+    assert time.perf_counter() - start < 0.5
+    assert math.isfinite(value) and value > expected_toc_bound(models, params, 10**8).bound_value
+
+
+def test_expected_bound_near_one_half_is_fast_at_any_horizon():
+    # at p = 1/2 + 1e-6 the weight is 1 at every level up to 10**7, so a
+    # constant cost of 7 gives n * 7 * (n + 1) exactly
+    const = CostModel(((7.0, math.inf, 0.0),))
+    params = WalkParams(p=0.5 + 1e-6, gamma=0.8, alpha_bar=0.1, omega=1.0)
+    start = time.perf_counter()
+    value = expected_toc_bound((const,), params, 10**7).bound_value
+    assert time.perf_counter() - start < 0.5
+    assert value == 7 * 10**7 * (10**7 + 1)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.floats(-1e300, 1e300) | st.floats(-1e-300, 1e-300), max_size=60), st.integers(1, 7))
+def test_exact_sum_never_rounds_a_running_total(values, block):
+    # accumulated block by block, the partials' sum is still the correctly rounded sum of all values
+    parts = []
+    for start in range(0, len(values), block):
+        parts = complexity._exact_sum([*parts, *values[start : start + block]])
+    assert math.fsum(parts) == math.fsum(values)

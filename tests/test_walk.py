@@ -1,7 +1,9 @@
 import math
+import time
 import tracemalloc
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -436,13 +438,25 @@ def _loop_trace_exponents(trace, alpha_bar):
 _reliability = st.one_of(st.just(1.0), st.floats(0.5, 1.0, exclude_min=True))
 
 
+def _assert_is_the_loop(p, l, n, value):
+    """A level the rule leaves on the recursion is the per-level loop bit for bit; a powered one is within 1e-12."""
+    loop = _loop_hitting_prob_exact(p, l, n)
+    if l == 0 or l > n or not walk._by_powering(l, n):
+        assert value == loop
+    else:
+        assert value == pytest.approx(loop, rel=1e-12, abs=1e-300)
+
+
 @settings(max_examples=60, deadline=None)
 @given(p=_reliability, n=st.integers(1, 120), top=st.integers(0, 25), data=st.data())
 def test_hitting_exact_levels_equal_the_per_level_loop(p, n, top, data):
-    # every level of one call equals its own per-level recursion bit for bit,
-    # for the full range 0..top and for shuffled subsets with repeats
-    reference = [_loop_hitting_prob_exact(p, l, n) for l in range(top + 1)]
+    # every level of one call equals its own one-level call bit for bit, for
+    # the full range 0..top and for shuffled subsets with repeats, and each
+    # level is its per-level recursion (`_assert_is_the_loop`)
+    reference = [hitting_prob_exact(p, l, n) for l in range(top + 1)]
     assert hitting_prob_exact(p, range(top + 1), n).tolist() == reference
+    for l, value in enumerate(reference):
+        _assert_is_the_loop(p, l, n, value)
     subset = data.draw(st.lists(st.integers(0, top), max_size=8))
     got = hitting_prob_exact(p, subset, n)
     assert got.shape == (len(subset),)
@@ -455,18 +469,91 @@ def test_hitting_exact_levels_equal_the_per_level_loop(p, n, top, data):
 @pytest.mark.parametrize("p, n", [(0.8, 1), (0.6, 7), (1.0, 4), (0.5 + 1e-9, 30)])
 def test_hitting_exact_levels_above_n_are_zero_without_a_chain(p, n):
     # the walk moves one level per step: levels n+1..n+3 are 0.0, as the
-    # per-level recursion gives them, and level n keeps its recursion value
+    # per-level recursion gives them, and level n keeps its own value
     above = list(range(n + 1, n + 4))
     assert [hitting_prob_exact(p, l, n) for l in above] == [0.0] * 3
     assert [_loop_hitting_prob_exact(p, l, n) for l in above] == [0.0] * 3
     got = hitting_prob_exact(p, [n, *above], n)
-    assert got.tolist() == [_loop_hitting_prob_exact(p, n, n), 0.0, 0.0, 0.0]
+    assert got.tolist() == [hitting_prob_exact(p, n, n), 0.0, 0.0, 0.0]
+    _assert_is_the_loop(p, n, n, got[0])
 
 
 def test_hitting_exact_unreachable_level_costs_nothing():
     # a chain of 10**12 states would never be allocated, let alone iterated
     got = hitting_prob_exact(0.6, [0, 3, 10**12], 5)
-    assert got.tolist() == [1.0, _loop_hitting_prob_exact(0.6, 3, 5), 0.0]
+    assert got.tolist() == [1.0, hitting_prob_exact(0.6, 3, 5), 0.0]
+    _assert_is_the_loop(0.6, 3, 5, got[1])
+
+
+_PS = (0.55, 0.7, 0.8, 0.95)
+
+
+def test_hitting_powering_equals_the_recursion():
+    # both paths, wherever both are cheap, agree to 1e-12 relative
+    for p in _PS:
+        for n in (1, 2, 7, 40, 333, 2000):
+            levels = range(1, min(40, n) + 1)
+            stepped = walk._hitting_by_recursion(p, np.array(levels), n)
+            for l, by_steps in zip(levels, stepped.tolist()):
+                assert walk._hitting_by_powering(p, l, n) == pytest.approx(by_steps, rel=1e-12, abs=1e-300)
+
+
+def _mp_hitting(p, l, n):
+    """The first-passage probability at 40 digits: the recursion of the {0..l} chain, l absorbing."""
+    with mpmath.workdps(40):
+        p = mpmath.mpf(p)
+        q = 1 - p
+        v = [mpmath.mpf(1)] + [mpmath.mpf(0)] * (l - 1)  # the transient states 0..l-1
+        absorbed = mpmath.mpf(0)
+        for _ in range(n):
+            absorbed += q * v[l - 1]
+            v = [p * (v[0] + (v[1] if l > 1 else 0))] + [
+                q * v[i - 1] + (p * v[i + 1] if i + 1 < l else 0) for i in range(1, l)
+            ]
+        return absorbed
+
+
+@pytest.mark.parametrize("p", [0.55, 0.8])
+@pytest.mark.parametrize("n, levels", [(40, (3, 40)), (257, (7, 23)), (2000, (1, 40))])
+def test_hitting_paths_equal_a_40_digit_recursion(p, n, levels):
+    for l in levels:
+        ref = _mp_hitting(p, l, n)
+        for value in (walk._hitting_by_powering(p, l, n), walk._hitting_by_recursion(p, np.array([l]), n)[0]):
+            assert abs(value - ref) <= 1e-12 * ref
+
+
+def test_hitting_level_is_the_same_float_alone_and_in_a_list_across_the_paths():
+    # levels 60..70 at n = 2000 straddle the powering cap: each is its own
+    # one-level call bit for bit, in any company
+    n = 2000
+    levels = list(range(60, 71))
+    assert walk._by_powering(63, n) and not walk._by_powering(64, n)
+    alone = {l: hitting_prob_exact(0.6, l, n) for l in (1, 2, *levels)}
+    assert hitting_prob_exact(0.6, levels, n).tolist() == [alone[l] for l in levels]
+    mixed = [70, 1, 63, 64, 2, 63]
+    assert hitting_prob_exact(0.6, mixed, n).tolist() == [alone[l] for l in mixed]
+
+
+def test_hitting_at_a_long_horizon_takes_no_step_loop():
+    # the 31 levels of a walk at n = 10**6 are all powered
+    start = time.perf_counter()
+    got = hitting_prob_exact(0.8, range(1, 32), 10**6)
+    assert time.perf_counter() - start < 0.5
+    assert np.all(np.diff(got) <= 1e-12) and 0.0 < got[-1] < got[0] <= 1.0  # non-increasing in l, within rounding
+
+
+def test_union_sum_closed_form_equals_the_per_step_sum():
+    # 1e-12 relative, or 1e-15 absolute where n is within a few dozen steps
+    # of l: there the spectral formula's stationary and transient parts
+    # cancel, and both forms lose digits (the per-step sum is 2.5e-8 off a
+    # 40-digit value at p = 0.95, l = n = 30)
+    for p in _PS:
+        for l in (1, 2, 5, 13, 30):
+            for n in sorted({l, l + 1, l + 6, 3 * l + 5, 200, *((2000,) if l in (1, 30) else ())}):
+                per_step = sum(feller_transition_prob(p, l, m) for m in range(l, n + 1))
+                assert hitting_prob_union_sum(p, l, n) == pytest.approx(per_step, rel=1e-12, abs=1e-15)
+    assert hitting_prob_union_sum(0.8, 5, 4) == 0.0
+    assert hitting_prob_union_sum(1.0, 5, 40) == 0.0
 
 
 @settings(max_examples=200, deadline=None)
