@@ -22,11 +22,11 @@ detected, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +48,7 @@ from .oracles import (
     StormOracleSpec,
 )
 from .problems import NoiseSpec, make_problem
-from .tableio import format_cell, write_csv, write_formatted_csv
+from .tableio import _write_lines, format_cell, write_csv
 from .walk import (
     WalkParams,
     _check_reliability,
@@ -65,7 +65,6 @@ Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 DEFAULT_GAMMA_GRID = "0.5,0.6,0.7,0.8,0.9"
 
 WALK_CSV_HEADER = ("gamma", "k", "alpha_walk_min_so_far", "alpha_star")
-_WALK_CSV_FORMAT = "%s,%d,%s,%s"  # the float cells arrive formatted by format_cell
 WALK_SUMMARY_HEADER = (
     "gamma", "alpha_star", "dip_fraction", "dip_exact", "failure_bound", "n", "reps"
 )
@@ -204,7 +203,7 @@ def run_walk(opts: dict) -> int:
     *children, ensemble_stream = np.random.SeedSequence(opts["seed"]).spawn(len(gammas) + 1)
     max_levels, _ = walk_ensemble_stats(p, n, reps, np.random.default_rng(ensemble_stream))
 
-    rows = []
+    lines = []
     summary_rows = []
     for walk_params, (alpha_star, success_prob, _), dip_depth, dip_exact, child in zip(
         params, floors, dip_depths, dip_exacts, children
@@ -212,19 +211,17 @@ def run_walk(opts: dict) -> int:
         gamma, alpha_bar = walk_params.gamma, walk_params.alpha_bar
         path = simulate_walk(walk_params, n, np.random.default_rng(child.spawn(1)[0]))
         running_max = np.maximum.accumulate(path.states)
-        min_so_far = alpha_bar * gamma ** running_max.astype(float)
-        # a running minimum takes few distinct values: format each once
-        values, which = np.unique(min_so_far, return_inverse=True)
-        cells = [format_cell(value) for value in values.tolist()]
-        rows.extend(zip(
-            repeat(format_cell(gamma)), range(n + 1), map(cells.__getitem__, which.tolist()),
-            repeat(format_cell(alpha_star)),
-        ))
+        # the running maximum passes through every level 0..running_max[-1]:
+        # format gamma, and each level's step size with alpha_star, once
+        step_sizes = alpha_bar * gamma ** np.arange(running_max[-1] + 1, dtype=float)
+        head, star = format_cell(gamma), format_cell(alpha_star)
+        rests = [f"{format_cell(value)},{star}" for value in step_sizes.tolist()]
+        lines.extend([f"{head},{k},{rests[z]}" for k, z in enumerate(running_max.tolist())])
         dip_fraction = float(np.mean(max_levels >= dip_depth))
         summary_rows.append(
             (gamma, alpha_star, dip_fraction, dip_exact, 1.0 - success_prob, n, reps)
         )
-    write_formatted_csv(out, WALK_CSV_HEADER, _WALK_CSV_FORMAT, rows)
+    _write_lines(out, WALK_CSV_HEADER, lines)
     write_csv(summary_out, WALK_SUMMARY_HEADER, summary_rows)
     print(f"wrote {out} and {summary_out}")
     return 0
@@ -544,10 +541,13 @@ _RUNNERS = {
 }
 
 
+_parser = functools.cache(build_parser)  # one parser per process: parsing leaves it unchanged
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         table, runner = _RUNNERS[args.command]
         opts = _merge(args, table)
         _check_seed(opts["seed"])  # every subcommand takes --seed

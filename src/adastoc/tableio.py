@@ -51,4 +51,7 @@ def write_formatted_csv(
 
 
 def _write_lines(path: str | Path, header: Sequence[str], lines: Iterable[str]) -> None:
-    Path(path).write_text("\n".join([",".join(header), *lines]) + "\n")
+    text = "\n".join([",".join(header), *lines])  # formatted before the file is opened
+    with open(path, "w") as fh:
+        fh.write(text)
+        fh.write("\n")  # apart, not appended to a copy of the text

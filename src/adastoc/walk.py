@@ -16,18 +16,20 @@ explicit pathwise coupling, exact and closed-form hitting/transition
 probabilities for the walk restricted to {0..l}, and the resulting
 step-size floor alpha_star(n) with its failure probability.
 
-No Python loop runs per walk step or per level.  Simulated paths, the
-ensemble statistics and the coupling are one reflected cumulative sum over
-a boolean mask of up-moves (`_reflected_walks`); ensembles are generated in
-blocks of bounded size.  An exact hitting probability comes from binary
-powering of its level's absorbing chain, O(l**3 log n), up to level 63, and
-from one O(n * sum(l)) recursion over the chains of the higher levels at
-once.  The union sum over steps is the spectral formula summed in closed
-form.
+No Python loop runs per walk step or per level.  Simulated paths and the
+coupling are one reflected cumulative sum over a boolean mask of up-moves
+(`_reflected_walks`).  Ensembles are generated in blocks of bounded size
+and read each row's mask 16 steps at a time from a lookup table built on
+first use (`_walk_stats`), so their running sums take one entry per 16
+steps.  An exact hitting probability comes from binary powering of its
+level's absorbing chain, O(l**3 log n), up to level 63, and from one
+O(n * sum(l)) recursion over the chains of the higher levels at once.  The
+union sum over steps is the spectral formula summed in closed form.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -148,6 +150,80 @@ def _reflected_walks(up: np.ndarray, z0: int | np.ndarray = 0) -> np.ndarray:
     return s
 
 
+_CHUNK = 16  # walk steps per table lookup: one uint16 of a row's packed up-move mask
+
+
+def _prefix_stats(bits: np.ndarray) -> np.ndarray:
+    """(net, max prefix, min prefix, max drawup) of the +-1 walk along each row of `bits`.
+
+    Prefixes are S_1..S_m of S_i = sum_{j<=i} (2 bits_j - 1); the drawup is
+    max_{1<=j<=i<=m} S_i - S_j.  Returns an (len(bits), 4) int8 array.
+    """
+    s = np.cumsum(2 * bits.astype(np.int8) - 1, axis=1, dtype=np.int8)
+    drawup = (s - np.minimum.accumulate(s, axis=1)).max(axis=1)
+    return np.stack([s[:, -1], s.max(axis=1), s.min(axis=1), drawup], axis=1)
+
+
+@functools.cache
+def _chunk_table() -> np.ndarray:
+    """`_prefix_stats` of every 16-step up-move mask, a (65536, 4) int8 table.
+
+    Entry (a << 8) | b is the mask whose first 8 steps are byte a and last 8
+    byte b, first step in the high bit, as np.packbits(...).view(">u2")
+    reads a row.  It is composed from the 256 bytes' statistics: the
+    second byte's prefixes are shifted by the first byte's net, and a
+    drawup either stays inside one byte or rises from the first byte's
+    lowest prefix to the second byte's highest.  Built on first use.
+    """
+    byte = _prefix_stats((np.arange(256)[:, None] >> np.arange(7, -1, -1)) & 1)
+    (net_a, high_a, low_a, up_a), (net_b, high_b, low_b, up_b) = byte.T[:, :, None], byte.T[:, None, :]
+    table = np.stack([
+        net_a + net_b,
+        np.maximum(high_a, net_a + high_b),
+        np.minimum(low_a, net_a + low_b),
+        np.maximum(np.maximum(up_a, up_b), net_a + high_b - low_a),
+    ], axis=-1).reshape(-1, 4)
+    table.flags.writeable = False  # shared by every later call
+    return table
+
+
+def _walk_stats(up: np.ndarray, z0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(max of Z_1..Z_n, Z_n) of the walk along each row of `up` from the (m, 1) column z0.
+
+    The walk is that of `_reflected_walks`, Z_k = S_k - F_k with F_k the
+    running minimum of -z0, S_1, .., S_k, read 16 steps at a time from
+    `_chunk_table`.  Over a chunk starting from S = start after the floor
+    F, the highest level is max(start + max prefix - F, max drawup) and the
+    floor after it is min(F, start + min prefix), so one cumulative sum of
+    the chunks' nets and one running minimum give every chunk's start and
+    floor.  The last n % 16 steps go through `_reflected_walks`.  The sums
+    are int32 whenever n + max(z0) < 2**30, else int64.
+    """
+    n = up.shape[-1]
+    full = n - n % _CHUNK
+    if not full:
+        z = _reflected_walks(up, z0)
+        return z.max(axis=1), z[:, -1]
+    dtype = np.int32 if n + int(np.max(z0)) < 2**30 else np.int64
+    masks = np.packbits(up[:, :full], axis=-1).view(">u2").astype(np.intp)
+    net, high, low, drawup = np.moveaxis(_chunk_table().take(masks, axis=0), -1, 0)
+    ends = np.cumsum(net, axis=1, dtype=dtype)
+    starts = ends - net
+    floor = np.empty((len(up), masks.shape[1] + 1), dtype=dtype)  # before each chunk, and after the last
+    floor[:, :1] = -z0
+    np.add(starts, low, out=floor[:, 1:])
+    np.minimum.accumulate(floor, axis=1, out=floor)
+    peaks = starts + high
+    peaks -= floor[:, :-1]
+    top = np.maximum(peaks.max(axis=1), drawup.max(axis=1))
+    last = ends[:, -1] - floor[:, -1]
+    if full < n:
+        z = _reflected_walks(up[:, full:], last[:, None])
+        top = np.maximum(top, z.max(axis=1))
+        last = z[:, -1]
+    return top, last
+
+
 def simulate_walk(params: WalkParams, n: int, rng: np.random.Generator) -> WalkPath:
     """Simulate n steps of the walk from Z_0 = 0 (n uniform draws)."""
     if n < 1:
@@ -163,7 +239,10 @@ def walk_ensemble_stats(
     Memory-bounded in n and reps: walks are generated in blocks of at most
     2**16 steps and never stored whole.  A block holds whole rows when a
     row fits, else one row continued segment by segment from its last
-    state; either way the draws are those of rng.random((reps, n)).
+    state; either way the draws are those of rng.random((reps, n)).  Each
+    block's rows are read 16 steps at a time from a table built on the
+    first call (`_walk_stats`), with the same maxima and finals as the
+    step-by-step walk.
     """
     if not (0.0 <= p <= 1.0):
         raise InvalidParameterError("p must be a probability")
@@ -177,9 +256,8 @@ def walk_ensemble_stats(
         top, last = max_levels[block], finals[block]  # views, filled in place
         for done in range(0, n, width):
             up = rng.random((len(last), min(width, n - done))) < 1.0 - p
-            z = _reflected_walks(up, last[:, None])
-            np.maximum(top, z.max(axis=1), out=top)
-            last[:] = z[:, -1]
+            block_top, last[:] = _walk_stats(up, last[:, None])
+            np.maximum(top, block_top, out=top)
     return max_levels, finals
 
 

@@ -21,7 +21,7 @@ from adastoc.oracles import (
     StormOracleSpec,
 )
 from adastoc.problems import NoiseSpec, make_problem
-from adastoc.tableio import write_csv
+from adastoc.tableio import write_csv, write_formatted_csv
 from adastoc.walk import (
     WalkParams,
     gamma_threshold,
@@ -283,6 +283,34 @@ def test_walk_draws_one_ensemble_and_keeps_each_gammas_path_stream(tmp_path, mon
             for k, alpha in enumerate(min_so_far.tolist())
         ]
         assert lines[i * (n + 1):(i + 1) * (n + 1)] == expected
+
+
+@pytest.mark.parametrize(
+    "p, gammas, alpha_bar, n, seed",
+    [
+        (0.8, "0.5,0.7", "1.0", 300, 0),
+        (0.55, "0.9,0.3,0.6", "2.5", 1000, 7),
+        (0.6, "1e-5", "1e-300", 400, 11),  # step sizes in the subnormals and underflowing to 0
+        (1.0, "0.5", "1.0", 20, 3),
+    ],
+)
+def test_walk_csv_is_the_formatted_rows_of_each_gammas_path(tmp_path, p, gammas, alpha_bar, n, seed):
+    # the lines built per level equal write_formatted_csv of the
+    # (gamma, k, min-so-far step size, alpha_star) rows of every path
+    assert _run(_walk_args(
+        tmp_path, p=str(p), gamma=gammas, **{"alpha-bar": alpha_bar}, n=str(n), reps="20", seed=str(seed),
+    )) == 0
+    gamma_list = [float(g) for g in gammas.split(",")]
+    children = np.random.SeedSequence(seed).spawn(len(gamma_list) + 1)
+    rows = []
+    for gamma, child in zip(gamma_list, children):
+        params = WalkParams(p=p, gamma=gamma, alpha_bar=float(alpha_bar), omega=1.0)
+        alpha_star = stepsize_lower_bound(params, n)[0]
+        states = simulate_walk(params, n, np.random.default_rng(child.spawn(1)[0])).states
+        min_so_far = params.alpha_bar * gamma ** np.maximum.accumulate(states).astype(float)
+        rows.extend((gamma, k, alpha, alpha_star) for k, alpha in enumerate(min_so_far.tolist()))
+    write_formatted_csv(tmp_path / "again.csv", cli.WALK_CSV_HEADER, "%.17e,%d,%.17e,%.17e", rows)
+    assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "walk.csv").read_bytes()
 
 
 def test_walk_dip_exact_is_the_probability_of_passing_the_floor_level(tmp_path):
@@ -862,3 +890,37 @@ def test_sweep_config_refuses_epsilon(tmp_path, capsys):
     assert _run(["sweep", f"--config={cfg}", f"--out={tmp_path / 's.csv'}"]) == 1
     assert "unknown config keys: ['epsilon']" in capsys.readouterr().err
     assert not (tmp_path / "s.csv").exists()
+
+
+def test_main_reuses_one_parser_and_answers_as_a_fresh_one(tmp_path, capsys):
+    # interleaved subcommands, bad flags and bad values give the outputs and
+    # exit codes they give with a parser built for the call alone
+    runs = [
+        _walk_args(tmp_path, n="30", reps="50"),
+        ["hitting", "--l-max=3", "--n=20", "--reps=50", "--bogus=1", f"--out={tmp_path / 'h.csv'}"],
+        ["optimize", "--epsilon=0.1", "--max-iterations=20", f"--out={tmp_path / 'o.csv'}"],
+        ["sweep", "--epsilons=0.2", "--reps=x", f"--out={tmp_path / 's.csv'}"],
+        ["walk", "--n=10", "--rep=5", f"--out={tmp_path / 'w2.csv'}"],
+        ["hitting", "--l-max=3", "--n=20", "--reps=50", f"--out={tmp_path / 'h.csv'}"],
+        ["frobnicate"],
+        [],
+        ["sweep", "--epsilons=0.2", "--reps=2", "--max-iterations=30", f"--out={tmp_path / 's.csv'}"],
+        _walk_args(tmp_path, n="30", reps="50", seed="-1"),
+    ]
+
+    def outcome(argv):
+        code = _run(argv)
+        files = {path.name: path.read_bytes() for path in sorted(tmp_path.glob("*.csv"))}
+        for path in tmp_path.glob("*.csv"):
+            path.unlink()
+        return code, capsys.readouterr(), files
+
+    cli._parser.cache_clear()
+    shared = [outcome(argv) for argv in runs]
+    assert cli._parser.cache_info().misses == 1
+    fresh = []
+    for argv in runs:
+        cli._parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 1, 0, 1, 1, 0, 1, 1, 0, 1]

@@ -1,6 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import mpmath
@@ -587,18 +591,21 @@ def test_hitting_exact_rejects_bad_levels():
             hitting_prob_exact(0.8, bad, 10)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(
     q=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
     m=st.integers(1, 5),
-    n=st.integers(1, 40),
-    block=st.sampled_from([1, 2, 3, 7, 64, 2**16]),
+    n=st.one_of(  # below 16, and one step either side of a multiple of 16
+        st.integers(1, 40), st.builds(lambda j, d: 16 * j + d, st.integers(1, 8), st.integers(-1, 1))
+    ),
+    block=st.sampled_from([1, 2, 3, 7, 15, 16, 17, 33, 48, 64, 2**16]),
     seed=st.integers(0, 2**31),
 )
 def test_walk_kernel_equals_the_step_loop(q, m, n, block, seed):
     # paths, ensemble maxima and finals match a step-by-step walk on the same
-    # draws, however the ensemble is cut into blocks, and leave the generator
-    # where rng.random((m, n)) leaves it
+    # draws, however the ensemble is cut into blocks and the blocks into
+    # 16-step chunks and a tail, and leave the generator where
+    # rng.random((m, n)) leaves it
     ref_rng = np.random.default_rng(seed)
     z = _loop_walks(q, m, n, ref_rng)
     after = ref_rng.random()
@@ -660,6 +667,56 @@ def test_trace_exponents_equal_the_record_loop(lift, alpha_max, outcomes, anchor
     if steps:
         with pytest.raises(InvalidParameterError):
             trace_exponents(trace, alpha0 * 0.7)
+
+
+def _brute_prefix_stats(bits):
+    """(net, max prefix, min prefix, max drawup) of each row's walk, by an int64 double loop."""
+    s = np.cumsum(2 * bits.astype(np.int64) - 1, axis=1)
+    drawup = np.zeros(len(s), dtype=np.int64)
+    for i in range(s.shape[1]):
+        for j in range(i + 1):
+            np.maximum(drawup, s[:, i] - s[:, j], out=drawup)
+    return np.stack([s[:, -1], s.max(axis=1), s.min(axis=1), drawup], axis=1)
+
+
+def _mask_bits(width):
+    """Every width-bit mask as a row of bits, first step in the high bit."""
+    return (np.arange(2**width)[:, None] >> np.arange(width - 1, -1, -1)) & 1
+
+
+def test_chunk_table_holds_the_prefix_statistics_of_every_16_step_mask():
+    # the table composed from bytes equals the statistics of all 65,536
+    # masks taken whole, in the order packbits(...).view(">u2") indexes it
+    bits = _mask_bits(16)
+    table = walk._chunk_table()
+    assert table.dtype == np.int8 and table.shape == (2**16, 4)
+    assert np.array_equal(table, _brute_prefix_stats(bits))
+    assert np.array_equal(walk._prefix_stats(_mask_bits(8)), _brute_prefix_stats(_mask_bits(8)))
+    rows = np.packbits(bits.astype(bool), axis=-1).view(">u2")[:, 0]
+    assert np.array_equal(rows, np.arange(2**16))
+    assert not table.flags.writeable
+
+
+def test_chunk_table_is_not_built_at_import():
+    src = str(Path(walk.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import adastoc, adastoc.cli, adastoc.walk as w; print(w._chunk_table.cache_info().currsize)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "0"
+
+
+@pytest.mark.parametrize("start", [0, 5, 2**30 - 40, 2**31])
+def test_chunked_walk_stats_equal_the_reflected_walk(start):
+    # maxima and finals from the table equal the reflected walk's, from
+    # starts that keep the sums int32 and from starts that need int64
+    rng = np.random.default_rng(start % 1000)
+    for n in (1, 15, 16, 17, 40, 48, 1000):
+        up = rng.random((6, n)) < np.array([0.0, 1.0, 0.5, 0.3, 0.7, 0.5])[:, None]
+        z0 = start + rng.integers(0, 4, (6, 1))
+        top, last = walk._walk_stats(up, z0)
+        z = walk._reflected_walks(up, z0)
+        assert top.tolist() == z.max(axis=1).tolist()
+        assert last.tolist() == z[:, -1].tolist()
 
 
 def test_walk_ensemble_memory_is_bounded_in_n_and_reps():
