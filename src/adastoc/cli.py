@@ -160,6 +160,28 @@ WALK_OPTIONS = {
 }
 
 
+def _dip_depth(params: WalkParams, alpha_star: float, level: int, n: int) -> int:
+    """The first depth m in 0..n with alpha_bar * gamma**m < alpha_star, n + 1 if there is none.
+
+    alpha_star lies a level or two below `stepsize_lower_bound`'s level, so
+    eight depths from level - 2 are tried first.  They decide when the first
+    is 0 or a normal double above alpha_star by a relative 1e-12 (every
+    shallower depth is then above it too, whatever the last bits of
+    gamma**m), and one is below alpha_star or the last is n.  Else every
+    depth is scanned.  Both use numpy's array **: Python's ** and
+    np.float_power differ from it in the last bit.
+    """
+    lo = min(max(level - 2, 0), n)
+    depths = np.arange(lo, min(lo + 8, n + 1), dtype=float)
+    steps = params.alpha_bar * params.gamma ** depths
+    below = steps < alpha_star
+    shallower_above = lo == 0 or steps[0] >= max(alpha_star * (1.0 + 1e-12), sys.float_info.min)
+    if not (shallower_above and (below.any() or depths[-1] == n)):
+        depths = np.arange(n + 1, dtype=float)
+        below = params.alpha_bar * params.gamma ** depths < alpha_star
+    return int(depths[np.argmax(below)]) if below.any() else n + 1
+
+
 def run_walk(opts: dict) -> int:
     """One representative path per gamma, and every gamma's dip fraction from one ensemble.
 
@@ -183,11 +205,7 @@ def run_walk(opts: dict) -> int:
         for gamma in gammas
     ]
     floors = [stepsize_lower_bound(walk_params, n) for walk_params in params]
-    depths = np.arange(n + 1, dtype=float)
-    dip_depths = [  # the first depth whose step size falls below alpha_star, n + 1 if none
-        int(np.append(np.flatnonzero(w.alpha_bar * w.gamma ** depths < alpha_star), n + 1)[0])
-        for w, (alpha_star, _, _) in zip(params, floors)
-    ]
+    dip_depths = [_dip_depth(w, alpha_star, level, n) for w, (alpha_star, _, level) in zip(params, floors)]
     dip_exacts = hitting_prob_exact(p, dip_depths, n).tolist()
     for gamma, (_, success_prob, _), dip_exact in zip(gammas, floors, dip_exacts):
         if dip_exact > 1.0 - success_prob + 1e-12:

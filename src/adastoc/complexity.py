@@ -358,10 +358,11 @@ def monte_carlo_toc(
     (`McTocSummary`); for run_adaptive at seed i, entry i of toc0/toc1 is
     the sum of its cost0/cost1 column, of iterations that column's length,
     of stopped_at its stopping_iteration (-1 for None) and of final_x,
-    final_grad_norm and final_gap the trace's own.  A bad start point or
-    configuration is refused before any replication runs; an error during
-    the runs names the lowest replication that fails, with its iteration,
-    as one-at-a-time runs would.  This is the one-run call of
+    final_grad_norm and final_gap the trace's own.  A bad start point (one
+    where f overflows too) or configuration is refused before any
+    replication runs.  A replication that fails leaves the one loop; then
+    the lowest one that fails raises, naming itself and its iteration as
+    one-at-a-time runs would.  This is the one-run call of
     `monte_carlo_sweep`, which advances several tolerances' replications
     together and gives each the summary this call gives it.
     """
@@ -383,10 +384,10 @@ def monte_carlo_sweep(
     in one loop, and summary i is exactly what monte_carlo_toc gives run i
     alone.  The runs must share theta, theta2 and max_iterations.  Every run
     is checked, and its suite's cost models built, before any replication
-    runs.  If runs fail together, they are re-run one at a time, in order,
-    so the error raised is the one one-at-a-time monte_carlo_toc calls raise
-    first: that of the first failing run, naming its lowest failing
-    replication.
+    runs.  A replication that fails retires from its loop, which runs on
+    (`framework._lockstep`) and then raises what one-at-a-time
+    monte_carlo_toc calls raise first: the first failing run's error,
+    naming its lowest failing replication.
     """
     runs = list(runs)
     if not runs:
@@ -400,19 +401,5 @@ def monte_carlo_sweep(
     starts = [i for i in range(len(runs)) if i == 0 or runs[i][0] != runs[i - 1][0]]
     summaries = []
     for lo, hi in zip(starts, [*starts[1:], len(runs)]):  # one loop per stretch of equal suites
-        suite = runs[lo][0]
-        try:
-            summaries += _lockstep(problem, method, suite, groups[lo:hi], mode, x, record=False)
-        except Exception:
-            if hi - lo > 1:
-                for run in runs[lo:hi]:  # the first run that fails alone raises
-                    monte_carlo_sweep(problem, method, [run], replications, mode, x0)
-            else:
-                config, epsilon, seeds = groups[lo]
-                for i, seed in enumerate(seeds):
-                    try:
-                        _lockstep(problem, method, suite, [(config, epsilon, [seed])], mode, x, record=False)
-                    except Exception as exc:
-                        raise type(exc)(f"replication {i}: {exc}") from exc
-            raise
+        summaries += _lockstep(problem, method, runs[lo][0], groups[lo:hi], mode, x, record=False)
     return summaries

@@ -380,7 +380,7 @@ def run_lockstep(
 ) -> list[RunTrace]:
     """One replication per seed, advanced together.
 
-    Trace i is what run_adaptive gives with seed seeds[i].
+    Trace i is what run_adaptive gives with seed seeds[i]; the first failing seed's error is raised.
     """
     x = _start(problem, method, oracle_suite, epsilon, mode, x0)
     return _lockstep(problem, method, oracle_suite, [(config, epsilon, seeds)], mode, x, record=True)
@@ -407,7 +407,11 @@ def _lockstep(problem, method, suite, groups, mode, x, record):
     groups is a list of (config, epsilon, seeds) sharing the oracle suite;
     the rows are laid out group by group, in seed order.  With record,
     returns one RunTrace per row.  Without, returns one McTocSummary per
-    group: the trace is not kept, only where each row ended.
+    group: the trace is not kept, only where each row ended.  A row whose
+    step size underflows, batch overflows or estimate is not finite keeps
+    the error it raises alone and retires with the rows after it; the other
+    rows run on, then the lowest failing row raises, its index in its group
+    prefixed without record.  A plug-in's own exception propagates as it is.
     """
     _check_groups(groups)
     counts = [len(seeds) for *_, seeds in groups]
@@ -444,11 +448,13 @@ def _lockstep(problem, method, suite, groups, mode, x, record):
     streams = RowStreams(rngs, suite.draws, block)
     gradient_rows, values_rows = suite.gradient_rows, suite.values_rows
     propose_rows, accepts_rows = method.propose_rows, method.accepts_rows
+    failed = (n, None)  # the lowest failing row and its error: it and the rows after it retire
 
     k = 0
     while True:
         if retire or k >= max_iterations:
             out = met if k < max_iterations else np.ones(len(ids), dtype=bool)
+            out = out if failed[1] is None else out | (ids >= failed[0])
             rows = ids[out]
             ends.stopped_at[rows] = np.where(met[out], k, -1)
             ends.iterations[rows] = k
@@ -467,22 +473,25 @@ def _lockstep(problem, method, suite, groups, mode, x, record):
             retire = False
         if k >= sizes.valid_until:
             sizes.cover(state, k)
-        alpha = sizes.alpha[state]
-        if sizes.may_fail:
-            sizes.check(state)
+        alpha, batch0, batch1 = sizes.alpha[state], sizes.batch[0][state], sizes.batch[1][state]
+        if sizes.may_fail and (checked := sizes.check(state)) is not None:  # failing rows end on stand-ins
+            failed, retire = _lowest(failed, ids, *checked), True
+            alpha, batch0, batch1 = (np.where(checked[0], 1.0, a) for a in (alpha, batch0, batch1))
 
-        g_hat = gradient_rows(problem, X, G, sizes.batch[1][state], streams)
-        if count(isfinite(g_hat)) < g_hat.size:
-            raise NumericError(f"non-finite gradient estimate at iteration {k}")
+        g_hat = gradient_rows(problem, X, G, batch1, streams)
+        if count(isfinite(g_hat)) < g_hat.size and (bad := ~isfinite(g_hat).all(axis=1)).any():
+            error = NumericError(f"non-finite gradient estimate at iteration {k}")
+            failed, retire = _lowest(failed, ids, bad, error), True
+            g_hat = np.where(bad[:, None], 0.0, g_hat)
         steps, aux = propose_rows(g_hat, alpha)
         X_plus = X + steps
         F_plus, partial = value_rows(X_plus)  # kept to build grad f at X_plus if a row accepts
-        f0, f_plus = values_rows(problem, X, X_plus, F, F_plus, sizes.batch[0][state], streams)
+        f0, f_plus = values_rows(problem, X, X_plus, F, F_plus, batch0, streams)
         # a finite difference means both are finite; only an overflow needs the full check
-        if count(isfinite(f0 - f_plus)) < len(f0) and not (
-            np.all(isfinite(f0)) and np.all(isfinite(f_plus))
-        ):
-            raise NumericError(f"non-finite value estimate at iteration {k}")
+        if count(isfinite(f0 - f_plus)) < len(f0) and (bad := ~(isfinite(f0) & isfinite(f_plus))).any():
+            error = NumericError(f"non-finite value estimate at iteration {k}")
+            failed, retire = _lowest(failed, ids, bad, error), True
+            f0, f_plus = np.where(bad, 0.0, f0), np.where(bad, 0.0, f_plus)
         success = accepts_rows(f0, f_plus, g_hat, steps, aux, alpha, r, config)
         if record:
             columns.append((ids, state, success, grad_norm, F))
@@ -505,11 +514,13 @@ def _lockstep(problem, method, suite, groups, mode, x, record):
                 G[success] = grad_rows(X_plus[success], partial[success])
             grad_norm = np.sqrt(row_dot(G, G))
             met = (F - min_value if gap_mode else grad_norm) <= eps
-            retire = count(met) > 0
+            retire = retire or count(met) > 0
         state = sizes.next[state + success]
         k += 1
     del streams  # the generators and their read-ahead buffers, before the trace is sorted
     bounds = np.cumsum([0, *counts]).tolist()
+    if (error := failed[1]) is not None:  # the first failing group's lowest failing seed
+        raise error if record else type(error)(f"replication {failed[0] - bounds[group[failed[0]]]}: {error}")
     if not record:
         return [
             McTocSummary(*(getattr(ends, f.name)[lo:hi] for f in fields(McTocSummary)))
@@ -519,6 +530,11 @@ def _lockstep(problem, method, suite, groups, mode, x, record):
         chunks.append(_pack(columns))
     runs = [(c, epsilon) for c, epsilon, seeds in groups for _ in seeds]
     return _traces(chunks, ends, sizes, min_value, runs, mode)
+
+
+def _lowest(failed, ids, bad, error) -> tuple:
+    """The lower of failed, a (row id, error) pair, and (the first row of the mask bad, error); failed on a tie."""
+    return min(failed, (int(ids[np.argmax(bad)]), error), key=lambda pair: pair[0])
 
 
 def _pack(columns) -> tuple:
@@ -576,8 +592,8 @@ class _StepSizes:
     exponents lo..hi in every group, which follow the live rows only: there
     is no floor.  A state whose alpha is 0 or above alpha_max is filled
     too, with next = -1; no row reaches it.  A batch beyond the float range
-    is filled as inf with charge 0; `check` refuses a row that reaches it,
-    or alpha = 0.  Other entries hold alpha = nan.
+    is filled as inf with charge 0; `check` finds the rows that reach it, or
+    alpha = 0, and the first one's error.  Other entries hold alpha = nan.
     """
 
     SLACK = 16  # exponents kept filled beyond the live ones, on each side
@@ -647,18 +663,23 @@ class _StepSizes:
             self.may_fail = self.may_fail or bool(fails.any())
         self.lo, self.hi = lo, hi
 
-    def check(self, state: np.ndarray) -> None:
-        """Refuse a row whose alpha underflowed to 0, then one whose gradient or value cost overflows."""
-        alpha = self.alpha[state]
-        if np.count_nonzero(alpha > 0.0) < len(alpha):
-            raise InvalidParameterError("alpha must be positive")
-        for i in (1, 0):
-            if np.isinf(self.batch[i][state]).any():
-                self.models[i].batch(alpha)  # raises at the first row whose cost overflows
+    def check(self, state: np.ndarray):
+        """None, or the mask of rows whose alpha is 0 or whose cost overflows and the first one's error."""
+        bad = ~(self.alpha[state] > 0.0) | np.isinf(self.batch[0][state]) | np.isinf(self.batch[1][state])
+        if np.count_nonzero(bad):
+            try:
+                for model in reversed(self.models):  # CostModel.batch's error, the gradient model's first
+                    model.batch(float(self.alpha[state[np.argmax(bad)]]))
+            except InvalidParameterError as exc:
+                return bad, exc
 
 
 def _start(problem: Problem, method, oracle_suite, epsilon: float, mode: str, x0) -> np.ndarray:
-    """Check a run's configuration before anything is drawn; return its start point."""
+    """Check a run's configuration and start point before anything is drawn; return the start point.
+
+    f and the norm of grad f must be finite at the start point, as the loop
+    evaluates them there first.
+    """
     _check_rows(oracle_suite, ("gradient", "values"))
     _check_rows(method, ("propose", "accepts"))
     if epsilon <= 0.0:
@@ -680,6 +701,12 @@ def _start(problem: Problem, method, oracle_suite, epsilon: float, mode: str, x0
         raise InvalidParameterError(f"x0 must have shape ({problem.dim},), got {x.shape}")
     if not np.all(np.isfinite(x)):
         raise InvalidParameterError("x0 must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):  # the ground truth the loop starts from
+        f, partial = problem._value_rows(x[None])
+        g = problem._grad_rows(x[None], partial)
+        grad_norm = np.sqrt(row_dot(g, g))
+    if not (np.isfinite(f[0]) and np.isfinite(grad_norm[0])):
+        raise InvalidParameterError("the objective or its gradient norm is not finite at x0")
     return x
 
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -351,6 +352,30 @@ def test_walk_dip_counts_the_first_depth_below_the_floor(tmp_path):
     stream = np.random.SeedSequence(seed).spawn(2)[-1]
     max_levels, _ = walk_ensemble_stats(p, n, reps, np.random.default_rng(stream))
     assert row["dip_fraction"] == np.mean(max_levels >= 10) < np.mean(max_levels >= 9)
+
+
+def _full_scan_dip_depth(params, alpha_star, n):
+    depths = np.arange(n + 1, dtype=float)
+    return int(np.append(np.flatnonzero(params.alpha_bar * params.gamma ** depths < alpha_star), n + 1)[0])
+
+
+def test_walk_dip_depth_from_a_window_equals_the_full_scan():
+    # the window of depths near the floor's level gives the first depth of
+    # the full scan, the no-dip value n + 1 included
+    no_dip = 0
+    for p in (0.55, 0.6, 0.8, 0.95, 1.0):
+        for gamma in (0.1, 0.5, 0.6, 0.9, 0.999, 1.0 - 2.0**-40):
+            for alpha_bar in (1.0, 0.3, 1e-300):
+                for omega in (0.01, 1.0, 3.0):
+                    for n in (2, 3, 16, 100, 12_345, 10**6):
+                        if n == 10**6 and (gamma not in (0.5, 1.0 - 2.0**-40) or (alpha_bar, omega) != (1.0, 1.0)):
+                            continue  # a full scan of 10**6 depths takes 0.1 s
+                        params = WalkParams(p=p, gamma=gamma, alpha_bar=alpha_bar, omega=omega)
+                        alpha_star, _, level = stepsize_lower_bound(params, n)
+                        expected = _full_scan_dip_depth(params, alpha_star, n)
+                        assert cli._dip_depth(params, alpha_star, level, n) == expected, (p, gamma, alpha_bar, omega, n)
+                        no_dip += expected == n + 1
+    assert no_dip > 0
 
 
 def test_walk_dip_exact_above_the_failure_bound_exits_2(tmp_path, monkeypatch):
@@ -728,6 +753,31 @@ def test_x0_of_the_wrong_length_is_refused_before_running(tmp_path, capsys, monk
     err = capsys.readouterr().err
     assert err.startswith("error: x0 must have shape (")
     assert "replication" not in err
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["optimize", "--problem=quadratic", "--dim=2", "--x0=1e300,1e300", "--method=sass", "--oracle=exact"],
+        ["sweep", "--method=sass", "--oracle=corruption", "--noise=none", "--dim=2", "--x0=1e300,1e300",
+         "--epsilons=0.1", "--reps=3"],
+        ["optimize", "--problem=logistic", "--dim=5", "--x0=1e200,1e200,1e200,1e200,1e200"],
+    ],
+)
+def test_a_finite_x0_whose_objective_overflows_is_refused_before_running(tmp_path, capsys, monkeypatch, argv):
+    # f (or grad f) overflows at a finite start point: the start point is
+    # named once, with no RuntimeWarning and no replication index
+    def no_loop(*args, **kwargs):
+        raise AssertionError("the adaptive loop ran from a start point whose objective overflows")
+
+    monkeypatch.setattr(framework, "_lockstep", no_loop)
+    monkeypatch.setattr(complexity, "_lockstep", no_loop)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert _run([*argv, f"--out={tmp_path / 'o.csv'}"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: the objective or its gradient norm is not finite at x0\n"
     assert not (tmp_path / "o.csv").exists()
 
 

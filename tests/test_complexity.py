@@ -500,9 +500,27 @@ def test_a_sweep_refuses_runs_whose_loops_differ_before_running():
 class _FlakyValues(PairCorruptionOracles):
     """Pair corruption whose trial value is nan on a rare coin, drawn row by row."""
 
+    coin = 0.004
+
     def values_rows(self, problem, x, x_plus, f, f_plus, batch, streams):
         f0, fp = super().values_rows(problem, x, x_plus, f, f_plus, batch, streams)
-        return f0, np.where(streams.take(1)[:, 0] < 0.004, np.nan, fp)
+        return f0, np.where(streams.take(1)[:, 0] < self.coin, np.nan, fp)
+
+
+class _RareFlakyValues(_FlakyValues):
+    coin = 2e-5
+
+
+def _count_loops(monkeypatch) -> list:
+    """Count the harness's calls of the lockstep loop: the list grows by one per call."""
+    calls, loop = [], complexity._lockstep
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return loop(*args, **kwargs)
+
+    monkeypatch.setattr(complexity, "_lockstep", counting)
+    return calls
 
 
 def test_monte_carlo_names_the_first_failing_replication_as_one_at_a_time_runs_do():
@@ -520,6 +538,74 @@ def test_monte_carlo_names_the_first_failing_replication_as_one_at_a_time_runs_d
     with pytest.raises(NumericError) as raised:
         monte_carlo_toc(prob, SassMethod(), suite, cfg, 1e-9, 12, 3)
     assert str(raised.value) == first
+
+
+def test_a_failing_replication_costs_one_loop(monkeypatch):
+    # replication 19 of 200 fails; the other rows run on beside it, so the
+    # error comes out of the one loop, with the message one-at-a-time runs give
+    prob = make_problem("quadratic", 2, 2.0, NoiseSpec.none(), seed=0)
+    cfg = _config(alpha0=0.1, alpha_max=0.1, max_iterations=400)
+    calls = _count_loops(monkeypatch)
+    with pytest.raises(NumericError) as raised:
+        monte_carlo_toc(prob, SassMethod(), _RareFlakyValues(0.1, 0.1), cfg, 1e-9, 200, 3)
+    assert str(raised.value) == "replication 19: non-finite value estimate at iteration 47"
+    assert len(calls) == 1
+
+
+def test_a_failing_stretch_of_a_sweep_costs_one_loop(monkeypatch):
+    # three tolerances share a suite and so a loop.  Alone, the first run
+    # passes, the second fails at iteration 56 and the third at 10; the
+    # error is the second's, as monte_carlo_toc calls in order raise it
+    prob = make_problem("quadratic", 2, 2.0, NoiseSpec.none(), seed=0)
+    suite = _FlakyValues(0.1, 0.1)
+    runs = [(suite, _config(alpha0=0.1, alpha_max=0.1, max_iterations=400), eps, seed)
+            for eps, seed in ((0.5, 3), (0.01, 0), (0.1, 2))]
+    alone = []
+    for run in runs:
+        try:
+            monte_carlo_toc(prob, SassMethod(), *run[:3], 12, run[3])
+            alone.append(None)
+        except NumericError as exc:
+            alone.append(str(exc))
+    first = "replication 1: non-finite value estimate at iteration 56"
+    assert alone == [None, first, "replication 3: non-finite value estimate at iteration 10"]
+    calls = _count_loops(monkeypatch)
+    with pytest.raises(NumericError) as raised:
+        monte_carlo_sweep(prob, SassMethod(), runs, 12)
+    assert str(raised.value) == first
+    assert len(calls) == 1
+
+
+def test_run_lockstep_raises_the_lowest_failing_seeds_error():
+    prob = make_problem("quadratic", 2, 2.0, NoiseSpec.none(), seed=0)
+    cfg = _config(alpha0=0.1, alpha_max=0.1, max_iterations=400)
+    suite, seeds = _FlakyValues(0.1, 0.1), derive_seeds(3, 12)
+    errors = []
+    for seed in seeds:
+        try:
+            run_adaptive(prob, SassMethod(), suite, cfg, 1e-9, seed=seed)
+        except NumericError as exc:
+            errors.append(str(exc))
+    # the lowest failing seed fails at iteration 161, after others fail at 58, 41 and 36
+    assert errors[0] == "non-finite value estimate at iteration 161"
+    with pytest.raises(NumericError) as raised:
+        run_lockstep(prob, SassMethod(), suite, cfg, 1e-9, seeds)
+    assert str(raised.value) == errors[0]
+
+
+def test_a_plug_in_error_propagates_unchanged(monkeypatch):
+    # an exception inside a plug-in's row method cannot be pinned to a row:
+    # it leaves the one loop as it was raised, with no replication index
+    class Boom(ExactOracles):
+        def values_rows(self, problem, x, x_plus, f, f_plus, batch, streams):
+            raise ValueError("boom")
+
+    prob = make_problem("quadratic", 2, 1.0, NoiseSpec.none(), seed=0)
+    calls = _count_loops(monkeypatch)
+    with pytest.raises(ValueError) as raised:
+        monte_carlo_toc(prob, SassMethod(), Boom(), _config(), 1e-6, 3, 0)
+    assert type(raised.value) is ValueError and str(raised.value) == "boom"
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("master_seed", [-1, 1.5])
