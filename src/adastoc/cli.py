@@ -262,17 +262,18 @@ def run_hitting(opts: dict) -> int:
     if l_max < 0:
         raise CliValidationError(f"l_max must be nonnegative, got {l_max}")
     _check_reliability(p)
-    out = _resolve_out(opts["out"], "hitting.csv")
-    rng = np.random.default_rng(np.random.SeedSequence(opts["seed"]))
-    max_levels, _ = walk_ensemble_stats(p, n, reps, rng)
-    rows = []
-    exacts = hitting_prob_exact(p, range(l_max + 1), n)
-    for level, exact in enumerate(exacts.tolist()):
-        bound = 1.0 if level == 0 else hitting_prob_bound(p, level, n)
+    exacts = hitting_prob_exact(p, range(l_max + 1), n).tolist()
+    bounds = [1.0 if level == 0 else hitting_prob_bound(p, level, n) for level in range(l_max + 1)]
+    for level, (exact, bound) in enumerate(zip(exacts, bounds)):
         if exact > min(1.0, bound) + 1e-12:
             raise TheoryViolationError(
                 f"exact hitting probability exceeds its bound at (p={p}, l={level}, n={n})"
             )
+    out = _resolve_out(opts["out"], "hitting.csv")
+    rng = np.random.default_rng(np.random.SeedSequence(opts["seed"]))
+    max_levels, _ = walk_ensemble_stats(p, n, reps, rng)
+    rows = []
+    for level, (exact, bound) in enumerate(zip(exacts, bounds)):
         mc = float(np.mean(max_levels >= level))
         ci = Z99 * math.sqrt(mc * (1.0 - mc) / reps)
         rows.append((level, exact, bound, mc, ci))
@@ -458,11 +459,27 @@ SWEEP_OPTIONS = {
 }
 
 
+def _horizon(opts: dict, epsilon: float) -> int:
+    """The sweep's horizon n at tolerance epsilon, at least 2; a horizon that is not finite is refused."""
+    c1, c2 = opts["horizon_c1"], opts["horizon_c2"]
+    if opts["mode"] == "strongly_convex":
+        n = c1 * max(1.0, math.log(1.0 / epsilon)) + c2
+    else:  # epsilon**2 as a double is 0 or inf at the range's ends, where Python's float ** raises
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            n = c2 * c1 / np.float64(epsilon) ** 2
+    if not math.isfinite(n):
+        raise CliValidationError(f"the horizon at epsilon={epsilon} is not finite")
+    return max(math.ceil(n), 2)
+
+
 def run_sweep(opts: dict) -> int:
     """One row per tolerance: Monte Carlo means and bounds on the cost models the runs pay.
 
-    Every tolerance's replications run together (`monte_carlo_sweep`), and
-    each row is what that tolerance's run alone gives.
+    Every tolerance is planned first (horizon, suite, config); then one
+    `monte_carlo_sweep` call checks every run and advances every
+    tolerance's replications together.  So every configuration is refused
+    before any replication runs, and each row is what its tolerance's run
+    alone gives.
     """
     epsilons = opts["epsilons"]
     if not epsilons:
@@ -487,26 +504,17 @@ def run_sweep(opts: dict) -> int:
     x0 = np.array(opts["x0"]) if opts["x0"] else None
 
     plans, runs = [], []
-    try:
-        for epsilon, master_seed in zip(epsilons, derive_seeds(opts["seed"], len(epsilons))):
-            if opts["mode"] == "strongly_convex":
-                n = math.ceil(opts["horizon_c1"] * max(1.0, math.log(1.0 / epsilon)) + opts["horizon_c2"])
-            else:
-                n = math.ceil(opts["horizon_c2"] * opts["horizon_c1"] / epsilon**2)
-            n = max(n, 2)
-            gamma = opts["gamma"]
-            if policy == "corollary":
-                gamma = gamma_threshold(p, n, opts["omega"], opts["beta"])
-            suite = _build_suite(opts, problem, epsilon)
-            config = _run_config(opts, problem, suite, epsilon, gamma)
-            alpha_bar = epsilon / opts["zeta"] if storm else config.alpha_max
-            params = WalkParams(p=p, gamma=gamma, alpha_bar=alpha_bar, omega=opts["omega"])
-            plans.append((epsilon, n, params, suite))
-            runs.append((suite, config, epsilon, master_seed))
-    except Exception:
-        if runs:  # the tolerances before this one run first, so their errors come first
-            monte_carlo_sweep(problem, method, runs, opts["reps"], opts["mode"], x0)
-        raise
+    for epsilon, master_seed in zip(epsilons, derive_seeds(opts["seed"], len(epsilons))):
+        n = _horizon(opts, epsilon)
+        gamma = opts["gamma"]
+        if policy == "corollary":
+            gamma = gamma_threshold(p, n, opts["omega"], opts["beta"])
+        suite = _build_suite(opts, problem, epsilon)
+        config = _run_config(opts, problem, suite, epsilon, gamma)
+        alpha_bar = epsilon / opts["zeta"] if storm else config.alpha_max
+        params = WalkParams(p=p, gamma=gamma, alpha_bar=alpha_bar, omega=opts["omega"])
+        plans.append((epsilon, n, params, suite))
+        runs.append((suite, config, epsilon, master_seed))
     summaries = monte_carlo_sweep(problem, method, runs, opts["reps"], opts["mode"], x0)
 
     rows = []

@@ -358,13 +358,15 @@ def monte_carlo_toc(
     (`McTocSummary`); for run_adaptive at seed i, entry i of toc0/toc1 is
     the sum of its cost0/cost1 column, of iterations that column's length,
     of stopped_at its stopping_iteration (-1 for None) and of final_x,
-    final_grad_norm and final_gap the trace's own.  A bad start point (one
-    where f overflows too) or configuration is refused before any
-    replication runs.  A replication that fails leaves the one loop; then
-    the lowest one that fails raises, naming itself and its iteration as
-    one-at-a-time runs would.  This is the one-run call of
-    `monte_carlo_sweep`, which advances several tolerances' replications
-    together and gives each the summary this call gives it.
+    final_grad_norm and final_gap the trace's own.  The run's pre-flight
+    (`framework._start`) refuses a bad start point (one where f overflows
+    too) or configuration, a cost that overflows at alpha0 included, with
+    run_adaptive's message before any replication runs.  A replication
+    that fails on its random path leaves the one loop; then the lowest one
+    that fails raises, naming itself and its iteration as one-at-a-time
+    runs would.  This is the one-run call of `monte_carlo_sweep`, which
+    advances several tolerances' replications together and gives each the
+    summary this call gives it.
     """
     run = (oracle_suite, config, epsilon, master_seed)
     return monte_carlo_sweep(problem, method, [run], replications, mode, x0)[0]
@@ -382,24 +384,25 @@ def monte_carlo_sweep(
 
     Neighbouring runs with equal suites advance their replications together
     in one loop, and summary i is exactly what monte_carlo_toc gives run i
-    alone.  The runs must share theta, theta2 and max_iterations.  Every run
-    is checked, and its suite's cost models built, before any replication
-    runs.  A replication that fails retires from its loop, which runs on
-    (`framework._lockstep`) and then raises what one-at-a-time
+    alone.  The runs must share theta, theta2 and max_iterations.  Every
+    run's pre-flight (`framework._start`, which builds its suite's cost
+    models and evaluates their batches at its alpha0) is made once, before
+    any replication of any run, and a refused run's error names no
+    replication.  A replication that fails retires from its loop, which
+    runs on (`framework._lockstep`) and then raises what one-at-a-time
     monte_carlo_toc calls raise first: the first failing run's error,
     naming its lowest failing replication.
     """
     runs = list(runs)
     if not runs:
         raise InvalidParameterError("at least one run is needed")
-    groups = []
+    groups, starts = [], []
     for suite, config, epsilon, master_seed in runs:
-        x = _start(problem, method, suite, epsilon, mode, x0)
-        suite.cost_models(problem)  # a degenerate cost model is a configuration error, not a replication's
+        starts.append(_start(problem, method, suite, config, epsilon, mode, x0))
         groups.append((config, epsilon, derive_seeds(master_seed, replications)))
     _check_groups(groups)
-    starts = [i for i in range(len(runs)) if i == 0 or runs[i][0] != runs[i - 1][0]]
+    stretches = [i for i in range(len(runs)) if i == 0 or runs[i][0] != runs[i - 1][0]]
     summaries = []
-    for lo, hi in zip(starts, [*starts[1:], len(runs)]):  # one loop per stretch of equal suites
-        summaries += _lockstep(problem, method, runs[lo][0], groups[lo:hi], mode, x, record=False)
+    for lo, hi in zip(stretches, [*stretches[1:], len(runs)]):  # one loop per stretch of equal suites
+        summaries += _lockstep(problem, method, runs[lo][0], groups[lo:hi], mode, *starts[lo], record=False)
     return summaries

@@ -39,8 +39,8 @@ for use outside the loop.  A plug-in that lacks a row method, or
 overrides a one-point method below its row method, is refused with
 ConfigurationError.
 
-The loop, not the suite, decides what an iteration costs: it reads the
-suite's `cost_models(problem)` once per run, and its step-size table holds,
+The loop, not the suite, decides what an iteration costs: a run reads the
+suite's `cost_models(problem)` once (`_start`), and the step-size table holds,
 next to each state's alpha, each model's per-call batch (handed to the
 row methods) and per-iteration charge (added to the totals, or recorded as
 the trace's cost0 and cost1).  So an iteration's cost depends only on its
@@ -380,10 +380,12 @@ def run_lockstep(
 ) -> list[RunTrace]:
     """One replication per seed, advanced together.
 
-    Trace i is what run_adaptive gives with seed seeds[i]; the first failing seed's error is raised.
+    Trace i is what run_adaptive gives with seed seeds[i]; the lowest failing seed's error is raised.
     """
-    x = _start(problem, method, oracle_suite, epsilon, mode, x0)
-    return _lockstep(problem, method, oracle_suite, [(config, epsilon, seeds)], mode, x, record=True)
+    x, models = _start(problem, method, oracle_suite, config, epsilon, mode, x0)
+    groups = [(config, epsilon, seeds)]
+    _check_groups(groups)
+    return _lockstep(problem, method, oracle_suite, groups, mode, x, models, record=True)
 
 
 _BLOCK = 256  # draws each row's generator is read ahead by in a one-group loop; _BLOCK // G with G groups
@@ -401,10 +403,10 @@ def _check_groups(groups) -> None:
         raise InvalidParameterError("grouped runs must share theta, theta2 and max_iterations")
 
 
-def _lockstep(problem, method, suite, groups, mode, x, record):
-    """The adaptive loop over one row per seed of every group, from the start point x (see `_start`).
+def _lockstep(problem, method, suite, groups, mode, x, models, record):
+    """The adaptive loop over one row per seed of every group, from `_start`'s x and cost models.
 
-    groups is a list of (config, epsilon, seeds) sharing the oracle suite;
+    groups is a list of (config, epsilon, seeds) sharing the oracle suite, checked by `_check_groups`;
     the rows are laid out group by group, in seed order.  With record,
     returns one RunTrace per row.  Without, returns one McTocSummary per
     group: the trace is not kept, only where each row ended.  A row whose
@@ -413,7 +415,6 @@ def _lockstep(problem, method, suite, groups, mode, x, record):
     rows run on, then the lowest failing row raises, its index in its group
     prefixed without record.  A plug-in's own exception propagates as it is.
     """
-    _check_groups(groups)
     counts = [len(seeds) for *_, seeds in groups]
     group = np.repeat(np.arange(len(groups)), counts)
     min_value = math.nan if problem.min_value is None else problem.min_value
@@ -430,7 +431,7 @@ def _lockstep(problem, method, suite, groups, mode, x, record):
     G = grad_rows(X, partial)
     grad_norm = np.sqrt(row_dot(G, G))
     met = (F - min_value if gap_mode else grad_norm) <= eps
-    sizes = _StepSizes([c for c, _, _ in groups], suite.cost_models(problem))
+    sizes = _StepSizes([c for c, _, _ in groups], models)
     state = sizes.slot(group, 0, 0)  # alpha = alpha0
     toc0 = toc1 = np.zeros(n, dtype=object)
     ends = McTocSummary(
@@ -674,11 +675,15 @@ class _StepSizes:
                 return bad, exc
 
 
-def _start(problem: Problem, method, oracle_suite, epsilon: float, mode: str, x0) -> np.ndarray:
-    """Check a run's configuration and start point before anything is drawn; return the start point.
+def _start(problem: Problem, method, oracle_suite, config: AlgoConfig, epsilon: float, mode: str, x0):
+    """Check one run before anything is drawn; return its start point and its suite's cost models.
 
-    f and the norm of grad f must be finite at the start point, as the loop
-    evaluates them there first.
+    This is the run's whole pre-flight, made once per run.  f and the norm
+    of grad f must be finite at the start point, as the loop evaluates them
+    there first, and each cost model must give a batch at config.alpha0,
+    the gradient model checked first as in `_StepSizes.check`: a batch that
+    overflows at the start step size is the configuration's error, not a
+    replication's.
     """
     _check_rows(oracle_suite, ("gradient", "values"))
     _check_rows(method, ("propose", "accepts"))
@@ -707,7 +712,10 @@ def _start(problem: Problem, method, oracle_suite, epsilon: float, mode: str, x0
         grad_norm = np.sqrt(row_dot(g, g))
     if not (np.isfinite(f[0]) and np.isfinite(grad_norm[0])):
         raise InvalidParameterError("the objective or its gradient norm is not finite at x0")
-    return x
+    models = oracle_suite.cost_models(problem)
+    for model in reversed(models):
+        model.batch(config.alpha0)
+    return x, models
 
 
 def _check_rows(plugin, names: tuple[str, ...]) -> None:

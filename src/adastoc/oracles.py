@@ -265,8 +265,10 @@ def storm_cost_models(spec: StormOracleSpec) -> tuple[CostModel, CostModel]:
     if spec.sigma_g > 0.0 and (spec.delta1 == 0.0 or spec.kappa_eg == 0.0):
         raise InvalidParameterError("delta1 and kappa_eg must be positive when sigma_g > 0")
     # np.float64: a coefficient beyond the double range is inf (every batch overflows), not an error
-    value = (np.float64(spec.sigma_f) ** 2 / (spec.delta0 * spec.kappa_ef**2) if spec.sigma_f else 0.0, math.inf, 4.0)
-    grad = (np.float64(spec.sigma_g) ** 2 / (spec.delta1 * spec.kappa_eg**2) if spec.sigma_g else 0.0, math.inf, 2.0)
+    sigma_f, sigma_g = np.float64(spec.sigma_f), np.float64(spec.sigma_g)
+    with np.errstate(over="ignore", divide="ignore"):
+        value = (sigma_f**2 / (spec.delta0 * spec.kappa_ef**2) if sigma_f else 0.0, math.inf, 4.0)
+        grad = (sigma_g**2 / (spec.delta1 * spec.kappa_eg**2) if sigma_g else 0.0, math.inf, 2.0)
     return _model([value], 2, "tr_value"), _model([grad], 1, "tr_grad")
 
 
@@ -294,11 +296,13 @@ def sass_cost_models(
         raise InvalidParameterError("the batch multiplier must be positive")
     value_order, grad_order = (4, 2) if case == "nonconvex" else (2, 1)
     c, eps = np.float64(c), np.float64(epsilon)  # as in storm_cost_models
-    value = (c * noise.sigma_f**2 / eps**value_order, math.inf, 0.0)
-    grad = [
-        (c * (noise.m_c / eps**grad_order), math.inf, 0.0),
-        (c * noise.m_v / spec.kappa**2, spec.tau / spec.kappa, 2.0),
-    ]
+    # and a 0 noise over an eps**order that underflows to 0 is nan, a term _model drops as it drops 0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        value = (c * noise.sigma_f**2 / eps**value_order, math.inf, 0.0)
+        grad = [
+            (c * (noise.m_c / eps**grad_order), math.inf, 0.0),
+            (c * noise.m_v / spec.kappa**2, spec.tau / spec.kappa, 2.0),
+        ]
     return _model([value], 2, "ss_value"), _model(grad, 1, "ss_grad")
 
 

@@ -212,9 +212,15 @@ def test_io_error_exit_code(tmp_path):
 
 
 def test_theory_violation_exit_code(tmp_path, monkeypatch):
+    # every level's bound is checked before the ensemble is drawn
+    def no_ensemble(*args, **kwargs):
+        raise AssertionError("hitting drew its ensemble before checking the bounds")
+
     monkeypatch.setattr(cli, "hitting_prob_bound", lambda p, l, n: -1.0)
+    monkeypatch.setattr(cli, "walk_ensemble_stats", no_ensemble)
     code = _run(["hitting", "--p=0.8", "--l-max=3", "--n=10", "--reps=100", f"--out={tmp_path / 'h.csv'}"])
     assert code == 2
+    assert not (tmp_path / "h.csv").exists()
 
 
 def test_config_file_defaults_and_flag_precedence(tmp_path):
@@ -526,20 +532,27 @@ def test_sweep_names_the_first_failing_replication_of_a_later_tolerance(tmp_path
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "shift, message",
-    [
-        ("inf", "error: replication 2: non-finite value estimate at iteration 64\n"),
-        ("0", "error: alpha0 must lie in (0, alpha_max]\n"),
-    ],
-    ids=["first-fails", "first-runs"],
-)
-def test_sweep_runs_earlier_tolerances_before_refusing_a_later_config(tmp_path, capsys, shift, message):
+def _count_loops(monkeypatch) -> list:
+    """Count the calls of the adaptive loop from either caller: the list grows by one per call."""
+    calls, loop = [], framework._lockstep
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return loop(*args, **kwargs)
+
+    monkeypatch.setattr(framework, "_lockstep", counting)
+    monkeypatch.setattr(complexity, "_lockstep", counting)
+    return calls
+
+
+@pytest.mark.parametrize("shift", ["inf", "0"], ids=["first-fails", "first-runs"])
+def test_sweep_refuses_a_later_config_before_any_tolerance_runs(tmp_path, capsys, monkeypatch, shift):
     # alpha0 = 0.016 fits alpha_max = epsilon / zeta = 0.02 at epsilon 0.2
-    # but not 0.01 at epsilon 0.1.  With an infinite value shift the first
-    # tolerance fails at run time, and that error comes first, as it does
-    # when each tolerance runs before the next is configured; without it
-    # the first runs through and the second's configuration is refused
+    # but not 0.01 at epsilon 0.1.  Every tolerance is configured before any
+    # replication runs, so the second's configuration is refused first,
+    # whether or not the first tolerance would fail at run time (an infinite
+    # value shift) or run through (none)
+    calls = _count_loops(monkeypatch)
     out = tmp_path / "s.csv"
     code = _run([
         "sweep", "--method=storm", "--oracle=corruption", "--noise=none", "--dim=4", "--conditioning=10",
@@ -547,8 +560,41 @@ def test_sweep_runs_earlier_tolerances_before_refusing_a_later_config(tmp_path, 
         "--alpha0=0.016", "--reps=4", "--seed=2", f"--out={out}",
     ])
     assert code == 1
-    assert capsys.readouterr().err == message
+    assert capsys.readouterr().err == "error: alpha0 must lie in (0, alpha_max]\n"
     assert not out.exists()
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sweep", "--method=storm", "--epsilons=0.2,0.1", "--sigma-f=1e200", "--reps=3"],
+         "cost model 'tr_value' overflows at alpha=0.02"),
+        (["sweep", "--method=storm", "--epsilons=0.2", "--kappa-ef=1e-300", "--reps=3"],
+         "cost model 'tr_value' overflows at alpha=0.02"),
+        (["sweep", "--method=sass", "--epsilons=0.1,1e-100", "--reps=3"],
+         "cost model 'ss_value' overflows at alpha=1.0"),
+        (["optimize", "--method=storm", "--sigma-f=1e200"], "cost model 'tr_value' overflows at alpha=0.01"),
+        (["sweep", "--method=storm", "--epsilons=0.2,1e-200", "--reps=2"],
+         "the horizon at epsilon=1e-200 is not finite"),
+        (["sweep", "--method=storm", "--epsilons=1e-320", "--reps=2"], "the horizon at epsilon=1e-320 is not finite"),
+        (["sweep", "--method=storm", "--epsilons=1e-160", "--reps=2"], "the horizon at epsilon=1e-160 is not finite"),
+        (["sweep", "--method=sass", "--mode=strongly_convex", "--horizon-c1=1e308", "--horizon-c2=1e308",
+          "--reps=2"], "the horizon at epsilon=0.2 is not finite"),
+    ],
+    ids=["storm-sigma-f", "storm-kappa-ef", "sass-tiny-epsilon", "optimize", "tiny-epsilon-later",
+         "subnormal-epsilon", "square-overflows", "huge-constants"],
+)
+def test_a_configuration_error_is_one_line_before_any_draw(tmp_path, capsys, monkeypatch, argv, message):
+    # a batch beyond the double range at alpha0 or a horizon beyond it is the
+    # configuration's error: one line, no warning, traceback or replication
+    # index, no output and no adaptive loop
+    calls = _count_loops(monkeypatch)
+    out = tmp_path / "o.csv"
+    assert _run([*argv, f"--out={out}"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+    assert calls == []
 
 
 def test_corruption_sweep_bounds_ignore_the_noise_flags(tmp_path):

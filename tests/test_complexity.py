@@ -608,6 +608,20 @@ def test_a_plug_in_error_propagates_unchanged(monkeypatch):
     assert len(calls) == 1
 
 
+def test_a_cost_that_overflows_at_alpha0_is_refused_before_any_loop(monkeypatch):
+    # a batch beyond the double range at the start step size is the
+    # configuration's error: run_adaptive's message, with no replication index
+    prob = make_problem("quadratic", 2, 1.0, NoiseSpec.gaussian(sigma_f=1e200), seed=0)
+    suite, cfg = StormMinibatchOracles(StormOracleSpec(sigma_f=1e200)), _config(alpha0=0.01, alpha_max=0.01)
+    with pytest.raises(InvalidParameterError) as alone:
+        run_adaptive(prob, StormMethod(), suite, cfg, 0.1)
+    calls = _count_loops(monkeypatch)
+    with pytest.raises(InvalidParameterError) as raised:
+        monte_carlo_toc(prob, StormMethod(), suite, cfg, 0.1, 5, 0)
+    assert str(raised.value) == str(alone.value) == "cost model 'tr_value' overflows at alpha=0.01"
+    assert calls == []
+
+
 @pytest.mark.parametrize("master_seed", [-1, 1.5])
 def test_monte_carlo_refuses_a_bad_master_seed(master_seed):
     prob = make_problem("quadratic", 2, 1.0, NoiseSpec.none(), seed=0)

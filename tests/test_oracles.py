@@ -189,6 +189,32 @@ def test_storm_models_reject_degenerate():
         storm_cost_models(StormOracleSpec())[0].batch(0.0)
 
 
+@pytest.mark.parametrize(
+    "build, label",
+    [
+        (lambda: storm_cost_models(StormOracleSpec(sigma_f=1e200))[0], "tr_value"),
+        (lambda: storm_cost_models(StormOracleSpec(sigma_f=1.0, kappa_ef=1e-300))[0], "tr_value"),
+        (lambda: sass_cost_models(SassOracleSpec(), NoiseSpec.gaussian(sigma_f=1e-3), 1e-100, "nonconvex")[0],
+         "ss_value"),
+        (lambda: sass_cost_models(SassOracleSpec(kappa=1e-200), NoiseSpec.gaussian(m_v=1.0), 0.1, "nonconvex")[1],
+         "ss_grad"),
+    ],
+    ids=["sigma-f-squared", "kappa-ef-squared", "epsilon-power", "kappa-squared"],
+)
+def test_a_coefficient_beyond_the_double_range_is_inf_without_a_warning(build, label):
+    # RuntimeWarnings are errors under pytest: the coefficient is inf quietly, and every batch overflows
+    model = build()
+    assert math.inf in [c for c, _, _ in model.terms]
+    with pytest.raises(InvalidParameterError, match=f"^cost model '{label}' overflows at alpha=1.0$"):
+        model.batch(1.0)
+
+
+def test_a_zero_noise_adds_no_term_where_the_epsilon_power_underflows():
+    # 0 / eps**order is 0 / 0 = nan in doubles, quietly: no term, one sample per call
+    for model in sass_cost_models(SassOracleSpec(), NoiseSpec.none(), 1e-100, "nonconvex"):
+        assert model.terms == () and model.batch(1e-3) == 1
+
+
 def test_storm_spec_requires_reliable_pair():
     with pytest.raises(InvalidParameterError):
         StormOracleSpec(delta0=0.3, delta1=0.2)
