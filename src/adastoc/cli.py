@@ -13,16 +13,29 @@ Four subcommands:
              expected and high-probability bounds.
 
 Flags are long-form `--name value`; unknown flags, and prefixes of known
-ones, are errors.  A JSON file passed with --config supplies defaults,
-explicit flags win.  Relative output paths resolve against $ADASTOC_OUTDIR
-when set.  Exit codes: 0 success, 1 validation error, 2 theory violation
-detected, 3 I/O error.
+ones, are errors.  A JSON file passed with --config supplies any option the
+run reads, explicit flags win.  A flag or config key the run does not read
+is refused before anything is drawn or written.  The oracle flags each
+method/oracle pair reads:
+
+  storm + minibatch               --kappa-ef --kappa-eg --delta0 --delta1
+  storm or sass + corruption      --delta0 --delta1 --value-shift
+  sass + minibatch                --kappa --tau --batch-c
+  storm or sass + exact           none
+
+--zeta and --theta2 are storm's; --noise none reads no noise level.  A
+sweep also reads storm's four constants whatever its oracle (its walk's p
+is 1 - delta0 - delta1), --reliability-p for sass only and --beta for
+--gamma-policy corollary only.  Relative output paths resolve against
+$ADASTOC_OUTDIR when set.  Exit codes: 0 success, 1 validation error,
+2 theory violation detected, 3 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -116,17 +129,49 @@ def _load_config_file(path: str | None) -> dict:
     return data
 
 
-def _merge(args: argparse.Namespace, table: dict) -> dict:
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+class _Options(dict):
+    """One run's options, recording the keys the runner reads as `opts[key]`.
+
+    `given` holds the keys set by a flag or a config key.  A runner calls
+    `refuse_unread` after its last read and before its first draw or file
+    write: a given key it has not read would change nothing, so it is an
+    error.  The runner's reads are thus the one statement of what each
+    method/oracle pair takes.
+    """
+
+    def __init__(self, command: str, values: dict, given: set[str]):
+        super().__init__(values)
+        self.command, self.given, self.read = command, given, set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def refuse_unread(self, *selectors: str) -> None:
+        """Refuse the given keys not read, naming the command and the selectors that decide its reads."""
+        unread = sorted(self.given - self.read)
+        if unread:
+            run = " ".join([self.command, *(f"{_flag(key)} {self[key]}" for key in selectors)])
+            raise CliValidationError(f"{run} does not read {', '.join(map(_flag, unread))}")
+
+
+def _merge(args: argparse.Namespace, table: dict) -> _Options:
     """Defaults <- config file <- explicit flags; unknown config keys are errors."""
     cfg = _load_config_file(getattr(args, "config", None))
     unknown = set(cfg) - set(table)
     if unknown:
         raise CliValidationError(f"unknown config keys: {sorted(unknown)}")
-    merged = {}
+    merged, given = {}, set(cfg)
     for key, (cast, default) in table.items():
         value = getattr(args, key, None)
         if value is None:
             value = cfg.get(key, default)
+        else:
+            given.add(key)
         if isinstance(value, list) and cast is not _floats:
             raise CliValidationError(f"{key} takes one value, not a list")
         if value is not None:
@@ -135,14 +180,13 @@ def _merge(args: argparse.Namespace, table: dict) -> dict:
             except (TypeError, ValueError) as exc:
                 raise CliValidationError(f"bad value for {key}: {value!r}") from exc
         merged[key] = value
-    return merged
+    return _Options(args.command, merged, given)
 
 
 def _add_options(parser: argparse.ArgumentParser, table: dict) -> None:
     parser.add_argument("--config", default=None, help="JSON file of defaults; flags win")
     for key in table:
-        flag = "--" + key.replace("_", "-")
-        parser.add_argument(flag, default=None)
+        parser.add_argument(_flag(key), default=None)
 
 
 # -- walk ---------------------------------------------------------------------
@@ -182,7 +226,19 @@ def _dip_depth(params: WalkParams, alpha_star: float, level: int, n: int) -> int
     return int(depths[np.argmax(below)]) if below.any() else n + 1
 
 
-def run_walk(opts: dict) -> int:
+def _path_lines(params: WalkParams, alpha_star: float, n: int, stream) -> list[str]:
+    """The walk CSV's lines for one gamma: its representative n-step path, drawn from stream's first child."""
+    path = simulate_walk(params, n, np.random.default_rng(stream.spawn(1)[0]))
+    running_max = np.maximum.accumulate(path.states)
+    # the running maximum passes through every level 0..running_max[-1]:
+    # format gamma, and each level's step size with alpha_star, once
+    step_sizes = params.alpha_bar * params.gamma ** np.arange(running_max[-1] + 1, dtype=float)
+    head, star = format_cell(params.gamma), format_cell(alpha_star)
+    rests = [f"{format_cell(value)},{star}" for value in step_sizes.tolist()]
+    return [f"{head},{k},{rests[z]}" for k, z in enumerate(running_max.tolist())]
+
+
+def run_walk(opts: _Options) -> int:
     """One representative path per gamma, and every gamma's dip fraction from one ensemble.
 
     The deepest level M = max_k Z_k of an n-step walk has a law that depends
@@ -192,7 +248,9 @@ def run_walk(opts: dict) -> int:
     `dip_exact` = P(M >= m) is its exact probability.  Every input is
     checked, and the run exits 2 if some dip_exact exceeds its
     failure_bound, before any random draw.  Gamma i's path draws from the first child of the i-th of
-    root.spawn(len(gammas) + 1); the ensemble draws from the last one.
+    root.spawn(len(gammas) + 1); the ensemble draws from the last one.  The
+    summary rows come first; each gamma's path is then drawn and written in
+    turn, so one gamma's lines are held at a time.
     """
     gammas = opts["gamma"]
     if not gammas:
@@ -219,27 +277,17 @@ def run_walk(opts: dict) -> int:
     else:
         summary_out = out.with_name(out.stem + "_summary.csv")
     *children, ensemble_stream = np.random.SeedSequence(opts["seed"]).spawn(len(gammas) + 1)
+    opts.refuse_unread()
     max_levels, _ = walk_ensemble_stats(p, n, reps, np.random.default_rng(ensemble_stream))
+    summary_rows = [
+        (w.gamma, alpha_star, float(np.mean(max_levels >= dip_depth)), dip_exact, 1.0 - success_prob, n, reps)
+        for w, (alpha_star, success_prob, _), dip_depth, dip_exact in zip(params, floors, dip_depths, dip_exacts)
+    ]
 
-    lines = []
-    summary_rows = []
-    for walk_params, (alpha_star, success_prob, _), dip_depth, dip_exact, child in zip(
-        params, floors, dip_depths, dip_exacts, children
-    ):
-        gamma, alpha_bar = walk_params.gamma, walk_params.alpha_bar
-        path = simulate_walk(walk_params, n, np.random.default_rng(child.spawn(1)[0]))
-        running_max = np.maximum.accumulate(path.states)
-        # the running maximum passes through every level 0..running_max[-1]:
-        # format gamma, and each level's step size with alpha_star, once
-        step_sizes = alpha_bar * gamma ** np.arange(running_max[-1] + 1, dtype=float)
-        head, star = format_cell(gamma), format_cell(alpha_star)
-        rests = [f"{format_cell(value)},{star}" for value in step_sizes.tolist()]
-        lines.extend([f"{head},{k},{rests[z]}" for k, z in enumerate(running_max.tolist())])
-        dip_fraction = float(np.mean(max_levels >= dip_depth))
-        summary_rows.append(
-            (gamma, alpha_star, dip_fraction, dip_exact, 1.0 - success_prob, n, reps)
-        )
-    _write_lines(out, WALK_CSV_HEADER, lines)
+    # one gamma's lines at a time: each path is drawn as the CSV reaches it
+    _write_lines(out, WALK_CSV_HEADER, itertools.chain.from_iterable(
+        _path_lines(w, alpha_star, n, child) for w, (alpha_star, _, _), child in zip(params, floors, children)
+    ))
     write_csv(summary_out, WALK_SUMMARY_HEADER, summary_rows)
     print(f"wrote {out} and {summary_out}")
     return 0
@@ -257,7 +305,7 @@ HITTING_OPTIONS = {
 }
 
 
-def run_hitting(opts: dict) -> int:
+def run_hitting(opts: _Options) -> int:
     p, l_max, n, reps = opts["p"], opts["l_max"], opts["n"], opts["reps"]
     if l_max < 0:
         raise CliValidationError(f"l_max must be nonnegative, got {l_max}")
@@ -271,6 +319,7 @@ def run_hitting(opts: dict) -> int:
             )
     out = _resolve_out(opts["out"], "hitting.csv")
     rng = np.random.default_rng(np.random.SeedSequence(opts["seed"]))
+    opts.refuse_unread()
     max_levels, _ = walk_ensemble_stats(p, n, reps, rng)
     rows = []
     for level, (exact, bound) in enumerate(zip(exacts, bounds)):
@@ -384,8 +433,10 @@ def _run_config(opts: dict, problem, suite, epsilon: float, gamma: float) -> Alg
         if not opts["zeta"] > 0.0:
             raise CliValidationError("zeta must be positive")
         anchor = epsilon / opts["zeta"]
-    else:
+        theta2 = opts["theta2"]
+    else:  # step search has no gradient-versus-radius test
         anchor = (1.0 - opts["theta"]) / problem.lipschitz
+        theta2 = AlgoConfig.theta2
     alpha_max = opts["alpha_max"] if opts["alpha_max"] is not None else anchor
     r = opts["r"]
     if r is None:
@@ -399,7 +450,7 @@ def _run_config(opts: dict, problem, suite, epsilon: float, gamma: float) -> Alg
         alpha0=opts["alpha0"] if opts["alpha0"] is not None else alpha_max,
         alpha_max=alpha_max,
         r=r,
-        theta2=opts["theta2"],
+        theta2=theta2,
         max_iterations=opts["max_iterations"],
     )
 
@@ -416,19 +467,24 @@ OPTIMIZE_OPTIONS = {
 }
 
 
-def run_optimize(opts: dict) -> int:
-    epsilon = opts["epsilon"]
+def _check_tolerance(epsilon: float, name: str) -> None:
     if not epsilon > 0.0:
-        raise CliValidationError("epsilon must be positive")
+        raise CliValidationError(f"{name} must be positive")
+    if epsilon == math.inf:
+        raise CliValidationError(f"{name} must be finite")
+
+
+def run_optimize(opts: _Options) -> int:
+    epsilon = opts["epsilon"]
+    _check_tolerance(epsilon, "epsilon")
     problem = _build_problem(opts)
     method = _build_method(opts)
     suite = _build_suite(opts, problem, epsilon)
     config = _run_config(opts, problem, suite, epsilon, opts["gamma"])
     x0 = np.array(opts["x0"]) if opts["x0"] else None
-    trace = run_adaptive(
-        problem, method, suite, config, epsilon, mode=opts["mode"], x0=x0, seed=opts["seed"]
-    )
-    out = _resolve_out(opts["out"], "trace.csv")
+    mode, seed, out = opts["mode"], opts["seed"], _resolve_out(opts["out"], "trace.csv")
+    opts.refuse_unread("method", "oracle", "noise")
+    trace = run_adaptive(problem, method, suite, config, epsilon, mode=mode, x0=x0, seed=seed)
     trace.write_csv(out)
     for line in problem.descriptor().splitlines():
         print(f"# {line}")
@@ -472,20 +528,20 @@ def _horizon(opts: dict, epsilon: float) -> int:
     return max(math.ceil(n), 2)
 
 
-def run_sweep(opts: dict) -> int:
+def run_sweep(opts: _Options) -> int:
     """One row per tolerance: Monte Carlo means and bounds on the cost models the runs pay.
 
     Every tolerance is planned first (horizon, suite, config); then one
     `monte_carlo_sweep` call checks every run and advances every
-    tolerance's replications together.  So every configuration is refused
-    before any replication runs, and each row is what its tolerance's run
-    alone gives.
+    tolerance's replications together.  So every configuration, and every
+    given option no tolerance's plan read, is refused before any replication
+    runs, and each row is what its tolerance's run alone gives.
     """
     epsilons = opts["epsilons"]
     if not epsilons:
         raise CliValidationError("at least one epsilon is required")
-    if not all(epsilon > 0.0 for epsilon in epsilons):
-        raise CliValidationError("every epsilon must be positive")
+    for epsilon in epsilons:
+        _check_tolerance(epsilon, "every epsilon")
     for key in ("horizon_c1", "horizon_c2"):
         if not opts[key] > 0.0:  # a horizon clamped to 2 would bound runs it does not cover
             raise CliValidationError(f"{key} must be positive")
@@ -515,7 +571,9 @@ def run_sweep(opts: dict) -> int:
         params = WalkParams(p=p, gamma=gamma, alpha_bar=alpha_bar, omega=opts["omega"])
         plans.append((epsilon, n, params, suite))
         runs.append((suite, config, epsilon, master_seed))
-    summaries = monte_carlo_sweep(problem, method, runs, opts["reps"], opts["mode"], x0)
+    reps, mode = opts["reps"], opts["mode"]
+    opts.refuse_unread("method", "oracle", "noise", "gamma_policy")
+    summaries = monte_carlo_sweep(problem, method, runs, reps, mode, x0)
 
     rows = []
     for (epsilon, n, params, suite), summary in zip(plans, summaries):

@@ -118,7 +118,7 @@ class AlgoConfig:
     theta is the sufficient-reduction fraction, gamma the step-size
     contraction factor, r the noise-compensation offset of the acceptance
     test, and theta2 the gradient-versus-radius threshold used by the
-    trust-region acceptance.  alpha_max may be infinite.
+    trust-region acceptance.  alpha_max may be infinite, alpha0 may not.
     """
 
     theta: float
@@ -138,6 +138,8 @@ class AlgoConfig:
             raise InvalidParameterError("alpha_max must be positive")
         if not (0.0 < self.alpha0 <= self.alpha_max):
             raise InvalidParameterError("alpha0 must lie in (0, alpha_max]")
+        if self.alpha0 == math.inf:
+            raise InvalidParameterError("alpha0 must be finite")
         if self.r < 0.0:
             raise InvalidParameterError("r must be nonnegative")
         if self.theta2 < 0.0:
@@ -687,8 +689,10 @@ def _start(problem: Problem, method, oracle_suite, config: AlgoConfig, epsilon: 
     """
     _check_rows(oracle_suite, ("gradient", "values"))
     _check_rows(method, ("propose", "accepts"))
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:
         raise InvalidParameterError("epsilon must be positive")
+    if epsilon == math.inf:
+        raise InvalidParameterError("epsilon must be finite")
     if mode not in _MODES:
         raise InvalidParameterError(f"unknown stopping mode {mode!r}")
     if mode not in getattr(method, "stopping_modes", _MODES):

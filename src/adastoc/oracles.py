@@ -250,7 +250,16 @@ def _minibatch_grad_rows(problem: Problem, g: np.ndarray, batch, streams) -> np.
 
 
 def _model(terms, calls_per_iteration: int, label: str) -> CostModel:
-    return CostModel(tuple(t for t in terms if t[0] > 0.0), calls_per_iteration, label)
+    """The model of the terms (noise, coefficient, cap, power) whose coefficient is positive.
+
+    A coefficient is computed in doubles, so it is inf past the double range
+    and 0 where a constant's square is inf.  A zero noise adds no term, even
+    where its coefficient is 0/0 = nan; a positive noise whose coefficient
+    is nan (inf/inf) has no batch and is refused.
+    """
+    if any(noise > 0.0 and math.isnan(coef) for noise, coef, _, _ in terms):
+        raise InvalidParameterError(f"cost model {label!r} has an undefined coefficient (inf/inf)")
+    return CostModel(tuple(term[1:] for term in terms if term[1] > 0.0), calls_per_iteration, label)
 
 
 def storm_cost_models(spec: StormOracleSpec) -> tuple[CostModel, CostModel]:
@@ -264,11 +273,12 @@ def storm_cost_models(spec: StormOracleSpec) -> tuple[CostModel, CostModel]:
         raise InvalidParameterError("delta0 and kappa_ef must be positive when sigma_f > 0")
     if spec.sigma_g > 0.0 and (spec.delta1 == 0.0 or spec.kappa_eg == 0.0):
         raise InvalidParameterError("delta1 and kappa_eg must be positive when sigma_g > 0")
-    # np.float64: a coefficient beyond the double range is inf (every batch overflows), not an error
+    # np.float64: a square beyond the double range is inf (every batch overflows), not an error
     sigma_f, sigma_g = np.float64(spec.sigma_f), np.float64(spec.sigma_g)
-    with np.errstate(over="ignore", divide="ignore"):
-        value = (sigma_f**2 / (spec.delta0 * spec.kappa_ef**2) if sigma_f else 0.0, math.inf, 4.0)
-        grad = (sigma_g**2 / (spec.delta1 * spec.kappa_eg**2) if sigma_g else 0.0, math.inf, 2.0)
+    kappa_ef, kappa_eg = np.float64(spec.kappa_ef), np.float64(spec.kappa_eg)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        value = (sigma_f, sigma_f**2 / (spec.delta0 * kappa_ef**2) if sigma_f else 0.0, math.inf, 4.0)
+        grad = (sigma_g, sigma_g**2 / (spec.delta1 * kappa_eg**2) if sigma_g else 0.0, math.inf, 2.0)
     return _model([value], 2, "tr_value"), _model([grad], 1, "tr_grad")
 
 
@@ -296,12 +306,12 @@ def sass_cost_models(
         raise InvalidParameterError("the batch multiplier must be positive")
     value_order, grad_order = (4, 2) if case == "nonconvex" else (2, 1)
     c, eps = np.float64(c), np.float64(epsilon)  # as in storm_cost_models
-    # and a 0 noise over an eps**order that underflows to 0 is nan, a term _model drops as it drops 0
+    sigma_f, kappa = np.float64(noise.sigma_f), np.float64(spec.kappa)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        value = (c * noise.sigma_f**2 / eps**value_order, math.inf, 0.0)
+        value = (sigma_f, c * sigma_f**2 / eps**value_order, math.inf, 0.0)
         grad = [
-            (c * (noise.m_c / eps**grad_order), math.inf, 0.0),
-            (c * noise.m_v / spec.kappa**2, spec.tau / spec.kappa, 2.0),
+            (noise.m_c, c * (noise.m_c / eps**grad_order), math.inf, 0.0),
+            (noise.m_v, c * noise.m_v / kappa**2, spec.tau / spec.kappa, 2.0),
         ]
     return _model([value], 2, "ss_value"), _model(grad, 1, "ss_grad")
 

@@ -7,6 +7,7 @@ notation, integers verbatim, booleans as 0/1.
 
 from __future__ import annotations
 
+import itertools
 import math
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -50,8 +51,19 @@ def write_formatted_csv(
     _write_lines(path, header, map(row_format.__mod__, rows))
 
 
+_CHUNK_LINES = 1 << 14
+
+
 def _write_lines(path: str | Path, header: Sequence[str], lines: Iterable[str]) -> None:
-    text = "\n".join([",".join(header), *lines])  # formatted before the file is opened
+    """Write the header and the lines, each newline-terminated, joining _CHUNK_LINES lines at a time.
+
+    lines may be a generator: at most one chunk of it is held as text, so a
+    file of any length is written in bounded memory.
+    """
+    lines = iter(lines)
     with open(path, "w") as fh:
-        fh.write(text)
-        fh.write("\n")  # apart, not appended to a copy of the text
+        fh.write(",".join(header))
+        while chunk := list(itertools.islice(lines, _CHUNK_LINES)):
+            fh.write("\n")
+            fh.write("\n".join(chunk))
+        fh.write("\n")

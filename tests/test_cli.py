@@ -2,6 +2,8 @@ import csv
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 
 import adastoc
-from adastoc import cli, complexity, framework
+from adastoc import cli, complexity, framework, tableio
 from adastoc.methods import SassMethod, StormMethod
 from adastoc.oracles import (
     PairCorruptionOracles,
@@ -320,6 +322,14 @@ def test_walk_csv_is_the_formatted_rows_of_each_gammas_path(tmp_path, p, gammas,
     assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "walk.csv").read_bytes()
 
 
+@pytest.mark.parametrize("count", [0, 1, tableio._CHUNK_LINES, 2 * tableio._CHUNK_LINES + 1])
+def test_lines_written_in_chunks_are_the_bytes_of_one_join(tmp_path, count):
+    # a walk CSV is written from a generator, one bounded chunk at a time
+    lines = [f"{i},{i * i}" for i in range(count)]
+    tableio._write_lines(tmp_path / "o.csv", ("a", "b"), iter(lines))
+    assert (tmp_path / "o.csv").read_bytes() == ("\n".join(["a,b", *lines]) + "\n").encode()
+
+
 def test_walk_dip_exact_is_the_probability_of_passing_the_floor_level(tmp_path):
     # dip_exact = P(M >= level + 1), one hitting probability for every gamma
     # (the level depends on p, omega and n only), and the simulated
@@ -581,9 +591,20 @@ def test_sweep_refuses_a_later_config_before_any_tolerance_runs(tmp_path, capsys
         (["sweep", "--method=storm", "--epsilons=1e-160", "--reps=2"], "the horizon at epsilon=1e-160 is not finite"),
         (["sweep", "--method=sass", "--mode=strongly_convex", "--horizon-c1=1e308", "--horizon-c2=1e308",
           "--reps=2"], "the horizon at epsilon=0.2 is not finite"),
+        (["sweep", "--method=storm", "--zeta=1e-320", "--epsilons=0.2", "--reps=2"], "alpha0 must be finite"),
+        (["optimize", "--method=storm", "--zeta=1e-320"], "alpha0 must be finite"),
+        (["optimize", "--method=sass", "--alpha-max=inf"], "alpha0 must be finite"),
+        (["sweep", "--method=storm", "--epsilons=inf", "--reps=2"], "every epsilon must be finite"),
+        (["sweep", "--method=sass", "--mode=strongly_convex", "--epsilons=0.1,inf"], "every epsilon must be finite"),
+        (["optimize", "--epsilon=inf"], "epsilon must be finite"),
+        (["optimize", "--method=sass", "--sigma-f=1e200"], "cost model 'ss_value' overflows at alpha=1.0"),
+        (["optimize", "--method=storm", "--sigma-f=1e200", "--kappa-ef=1e200"],
+         "cost model 'tr_value' has an undefined coefficient (inf/inf)"),
     ],
     ids=["storm-sigma-f", "storm-kappa-ef", "sass-tiny-epsilon", "optimize", "tiny-epsilon-later",
-         "subnormal-epsilon", "square-overflows", "huge-constants"],
+         "subnormal-epsilon", "square-overflows", "huge-constants", "sweep-infinite-alpha0",
+         "optimize-infinite-alpha0", "sass-infinite-alpha-max", "infinite-epsilon", "sass-infinite-epsilon",
+         "optimize-infinite-epsilon", "sass-sigma-f-squared", "undefined-coefficient"],
 )
 def test_a_configuration_error_is_one_line_before_any_draw(tmp_path, capsys, monkeypatch, argv, message):
     # a batch beyond the double range at alpha0 or a horizon beyond it is the
@@ -595,6 +616,21 @@ def test_a_configuration_error_is_one_line_before_any_draw(tmp_path, capsys, mon
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "argv, summary",
+    [
+        (["--method=storm", "--kappa-ef=1e200"], ",100,5000,5100"),
+        (["--method=storm", "--kappa-eg=1e200"], ",100000,50,100050"),
+        (["--method=sass", "--kappa=1e200", "--m-v=1"], "5,10,5,15"),
+    ],
+    ids=["kappa-ef", "kappa-eg", "sass-kappa"],
+)
+def test_a_constant_whose_square_overflows_leaves_one_sample_per_call(tmp_path, capsys, argv, summary):
+    # Python's float ** raised OverflowError here; the noise over an infinite square is a batch of 1
+    assert _run(["optimize", *argv, "--max-iterations=50", f"--out={tmp_path / 'o.csv'}"]) == 0
+    assert f"\nT_eps,toc0,toc1,toc\n{summary}\n" in capsys.readouterr().out
 
 
 def test_corruption_sweep_bounds_ignore_the_noise_flags(tmp_path):
@@ -850,6 +886,28 @@ def test_module_runs_as_a_script(tmp_path):
     assert not (tmp_path / "h.csv").exists()
 
 
+def _readme_examples() -> list[tuple[list[str], list[str]]]:
+    """README.md's `adastoc ...` commands as argvs, each with the `# ...` output lines shown below it."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    examples = []
+    for block in re.findall(r"```sh\n(.*?)```", text, re.S):
+        command, *rest = block.replace("\\\n", " ").splitlines()
+        if command.startswith("adastoc "):
+            examples.append((shlex.split(command)[1:], [line[2:] for line in rest if line.startswith("# ")]))
+    return examples
+
+
+_README_EXAMPLES = _readme_examples()
+
+
+@pytest.mark.parametrize("argv, shown", _README_EXAMPLES, ids=[argv[0] for argv, _ in _README_EXAMPLES])
+def test_readme_examples_run_as_shown(tmp_path, capsys, monkeypatch, argv, shown):
+    assert [argv[0] for argv, _ in _README_EXAMPLES] == ["walk", "hitting", "optimize", "sweep"]
+    monkeypatch.setenv("ADASTOC_OUTDIR", str(tmp_path))
+    assert _run(argv) == 0
+    assert "".join(f"{line}\n" for line in shown) in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("command", ["walk", "hitting", "optimize", "sweep"])
 def test_negative_seed_is_refused_with_the_package_message(tmp_path, capsys, command):
     # numpy's own "expected non-negative integer" never reaches the user
@@ -926,25 +984,15 @@ def test_walk_and_sass_sweep_near_one_half_run(tmp_path):
     assert len(out.read_text().splitlines()) == 2
 
 
-class _ReadKeys(dict):
-    """The options of one run, recording every key the runner reads."""
-
-    def __init__(self, opts, seen):
-        super().__init__(opts)
-        self.seen = seen
-
-    def __getitem__(self, key):
-        self.seen.add(key)
-        return super().__getitem__(key)
-
-
 def test_every_option_is_read_by_some_run(tmp_path, monkeypatch):
     # an option no run reads changes no output: it should not be settable
-    seen = {command: set() for command in cli._RUNNERS}
+    read = {command: set() for command in cli._RUNNERS}
     merge = cli._merge
 
     def recording_merge(args, table):
-        return _ReadKeys(merge(args, table), seen[args.command])
+        opts = merge(args, table)
+        opts.read = read[args.command]  # every run of a command records into one set
+        return opts
 
     monkeypatch.setattr(cli, "_merge", recording_merge)
     small = ["--max-iterations=30", "--seed=0", f"--out={tmp_path / 'o.csv'}"]
@@ -963,7 +1011,80 @@ def test_every_option_is_read_by_some_run(tmp_path, monkeypatch):
     for argv in runs:
         assert _run(argv) == 0, argv
     for command, (table, _) in cli._RUNNERS.items():
-        assert set(table) - seen[command] == set(), command
+        assert set(table) - read[command] == set(), command
+
+
+# The options each optimize run does not read, per method/oracle pair: the
+# trust region's constants are kappa_ef, kappa_eg, delta0 and delta1, step
+# search's kappa, tau and batch_c; zeta and theta2 are the trust region's.
+_STORM_KEYS = {"kappa_ef", "kappa_eg", "delta0", "delta1"}
+_OPTIMIZE_UNREAD = {
+    ("storm", "minibatch"): {"batch_c", "kappa", "tau", "value_shift"},
+    ("storm", "corruption"): {"batch_c", "kappa", "kappa_ef", "kappa_eg", "tau"},
+    ("storm", "exact"): {"batch_c", "kappa", "tau", "value_shift", *_STORM_KEYS},
+    ("sass", "minibatch"): {"value_shift", "zeta", "theta2", *_STORM_KEYS},
+    ("sass", "corruption"): {"batch_c", "kappa", "kappa_ef", "kappa_eg", "tau", "zeta", "theta2"},
+    ("sass", "exact"): {"batch_c", "kappa", "tau", "value_shift", "zeta", "theta2", *_STORM_KEYS},
+}
+
+
+def _unread(command, method, oracle, policy, noise) -> set:
+    unread = set(_OPTIMIZE_UNREAD[method, oracle])
+    if command == "sweep":
+        if method == "storm":  # the walk's p is 1 - delta0 - delta1 from the storm spec
+            unread = unread - _STORM_KEYS | {"reliability_p"}
+        if policy == "fixed":
+            unread.add("beta")
+    if noise == "none":
+        unread |= {"sigma_f", "m_c", "m_v"}
+    return unread
+
+
+_READ_RUNS = [
+    (command, method, oracle, mode, policy, noise)
+    for command in ("optimize", "sweep")
+    for method, oracle in _OPTIMIZE_UNREAD
+    for mode in ("nonconvex", "strongly_convex")
+    for policy in (("fixed", "corollary") if command == "sweep" else (None,))
+    for noise in ("gaussian", "none")
+]
+
+
+@pytest.mark.parametrize(
+    "command, method, oracle, mode, policy, noise", _READ_RUNS, ids=["-".join(filter(None, r)) for r in _READ_RUNS]
+)
+def test_a_run_refuses_exactly_the_given_options_it_does_not_read(
+    tmp_path, capsys, monkeypatch, command, method, oracle, mode, policy, noise
+):
+    # each unread key, as a flag or a config key, is one error line before
+    # any draw or write; every key the run reads is accepted
+    calls = _count_loops(monkeypatch)
+    table = cli._RUNNERS[command][0]
+    unread = _unread(command, method, oracle, policy, noise)
+    argv = [command, f"--method={method}", f"--oracle={oracle}", f"--mode={mode}", f"--noise={noise}",
+            "--max-iterations=30", "--seed=0"]
+    run = f"{command} --method {method} --oracle {oracle} --noise {noise}"
+    if command == "sweep":
+        argv += ["--epsilons=0.2", "--reps=2", f"--gamma-policy={policy}"]
+        run += f" --gamma-policy {policy}"
+    out, cfg = tmp_path / "o.csv", tmp_path / "cfg.json"
+    for key in sorted(unread):
+        flag = "--" + key.replace("_", "-")
+        cfg.write_text(json.dumps({key: table[key][1]}))
+        for given in (f"{flag}={table[key][1]}", f"--config={cfg}"):
+            assert _run([*argv, given, f"--out={out}"]) == 1
+            assert capsys.readouterr().err == f"error: {run} does not read {flag}\n"
+            assert not out.exists()
+    assert calls == []
+    # every other key at its default, from one config file; the flags above win
+    cfg.write_text(json.dumps({key: default for key, (_, default) in table.items() if key not in unread}))
+    code = _run([*argv, f"--config={cfg}", f"--out={out}"])
+    err = capsys.readouterr().err
+    if method == "storm" and mode == "strongly_convex":
+        assert (code, err) == (1, "error: StormMethod does not support strongly_convex stopping\n")
+    else:
+        assert (code, err) == (0, "")
+        assert out.exists()
 
 
 @pytest.mark.parametrize(

@@ -65,7 +65,7 @@ def test_config_validation():
     for bad in (
         dict(theta=0.0), dict(theta=1.0), dict(gamma=0.0), dict(gamma=1.0),
         dict(alpha0=2.0, alpha_max=1.0), dict(alpha0=0.0), dict(r=-1.0),
-        dict(theta2=-0.1), dict(max_iterations=0),
+        dict(theta2=-0.1), dict(max_iterations=0), dict(alpha0=math.inf, alpha_max=math.inf),
     ):
         with pytest.raises(InvalidParameterError):
             _config(**bad)
@@ -405,6 +405,15 @@ def test_method_oracle_mismatch():
     suite = StormMinibatchOracles(StormOracleSpec(sigma_f=0.1, sigma_g=0.3))
     with pytest.raises(ConfigurationError):
         run_adaptive(prob, SassMethod(), suite, _config(), 0.1)
+
+
+@pytest.mark.parametrize(
+    "epsilon, message", [(0.0, "positive"), (math.nan, "positive"), (math.inf, "finite")]
+)
+def test_a_tolerance_must_be_positive_and_finite(epsilon, message):
+    prob = make_problem("quadratic", 2, 1.0)
+    with pytest.raises(InvalidParameterError, match=f"^epsilon must be {message}$"):
+        run_adaptive(prob, SassMethod(), ExactOracles(), _config(), epsilon)
 
 
 def test_strongly_convex_requires_known_minimum():

@@ -198,8 +198,10 @@ def test_storm_models_reject_degenerate():
          "ss_value"),
         (lambda: sass_cost_models(SassOracleSpec(kappa=1e-200), NoiseSpec.gaussian(m_v=1.0), 0.1, "nonconvex")[1],
          "ss_grad"),
+        (lambda: sass_cost_models(SassOracleSpec(), NoiseSpec.gaussian(sigma_f=1e200), 0.1, "nonconvex")[0],
+         "ss_value"),
     ],
-    ids=["sigma-f-squared", "kappa-ef-squared", "epsilon-power", "kappa-squared"],
+    ids=["sigma-f-squared", "kappa-ef-squared", "epsilon-power", "kappa-squared", "sass-sigma-f-squared"],
 )
 def test_a_coefficient_beyond_the_double_range_is_inf_without_a_warning(build, label):
     # RuntimeWarnings are errors under pytest: the coefficient is inf quietly, and every batch overflows
@@ -213,6 +215,40 @@ def test_a_zero_noise_adds_no_term_where_the_epsilon_power_underflows():
     # 0 / eps**order is 0 / 0 = nan in doubles, quietly: no term, one sample per call
     for model in sass_cost_models(SassOracleSpec(), NoiseSpec.none(), 1e-100, "nonconvex"):
         assert model.terms == () and model.batch(1e-3) == 1
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: storm_cost_models(StormOracleSpec(sigma_f=1.0, kappa_ef=1e200))[0],
+        lambda: storm_cost_models(StormOracleSpec(sigma_g=1.0, kappa_eg=1e200))[1],
+        lambda: sass_cost_models(SassOracleSpec(kappa=1e200), NoiseSpec.gaussian(m_c=0.0, m_v=1.0), 0.1,
+                                 "nonconvex")[1],
+    ],
+    ids=["kappa-ef", "kappa-eg", "sass-kappa"],
+)
+def test_a_constant_whose_square_is_inf_asks_one_sample_per_call(build):
+    # a positive noise over an infinite square is a coefficient of 0: no term, batch 1, no warning
+    model = build()
+    assert model.terms == () and model.batch(1e-3) == 1
+
+
+@pytest.mark.parametrize(
+    "build, label",
+    [
+        (lambda: storm_cost_models(StormOracleSpec(sigma_f=1e200, kappa_ef=1e200)), "tr_value"),
+        (lambda: storm_cost_models(StormOracleSpec(sigma_g=1e200, kappa_eg=1e200)), "tr_grad"),
+        (lambda: sass_cost_models(SassOracleSpec(), NoiseSpec.gaussian(sigma_f=1e200), 1e100, "nonconvex"),
+         "ss_value"),
+        (lambda: sass_cost_models(SassOracleSpec(kappa=1e200), NoiseSpec.gaussian(m_v=math.inf), 0.1,
+                                  "nonconvex"), "ss_grad"),
+    ],
+    ids=["storm-value", "storm-grad", "sass-value", "sass-grad"],
+)
+def test_a_positive_noise_with_an_undefined_coefficient_is_refused(build, label):
+    # inf / inf = nan: the true coefficient is lost (sigma_f / kappa_ef = 1 here), so no batch is made up
+    with pytest.raises(InvalidParameterError, match=f"^cost model '{label}' has an undefined coefficient"):
+        build()
 
 
 def test_storm_spec_requires_reliable_pair():
