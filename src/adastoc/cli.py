@@ -25,10 +25,10 @@ method/oracle pair reads:
 
 --zeta and --theta2 are storm's; --noise none reads no noise level.  A
 sweep also reads storm's four constants whatever its oracle (its walk's p
-is 1 - delta0 - delta1), --reliability-p for sass only and --beta for
---gamma-policy corollary only.  Relative output paths resolve against
-$ADASTOC_OUTDIR when set.  Exit codes: 0 success, 1 validation error,
-2 theory violation detected, 3 I/O error.
+is 1 - delta0 - delta1), --reliability-p for sass only, --gamma for
+--gamma-policy fixed only and --beta for corollary only.  Relative output
+paths resolve against $ADASTOC_OUTDIR when set.  Exit codes: 0 success,
+1 validation error, 2 theory violation detected, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -562,9 +562,10 @@ def run_sweep(opts: _Options) -> int:
     plans, runs = [], []
     for epsilon, master_seed in zip(epsilons, derive_seeds(opts["seed"], len(epsilons))):
         n = _horizon(opts, epsilon)
-        gamma = opts["gamma"]
         if policy == "corollary":
             gamma = gamma_threshold(p, n, opts["omega"], opts["beta"])
+        else:
+            gamma = opts["gamma"]
         suite = _build_suite(opts, problem, epsilon)
         config = _run_config(opts, problem, suite, epsilon, gamma)
         alpha_bar = epsilon / opts["zeta"] if storm else config.alpha_max

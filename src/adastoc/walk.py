@@ -18,13 +18,15 @@ step-size floor alpha_star(n) with its failure probability.
 
 No Python loop runs per walk step or per level.  Simulated paths and the
 coupling are one reflected cumulative sum over a boolean mask of up-moves
-(`_reflected_walks`).  Ensembles are generated in blocks of bounded size
-and read each row's mask 16 steps at a time from a lookup table built on
-first use (`_walk_stats`), so their running sums take one entry per 16
-steps.  An exact hitting probability comes from binary powering of its
-level's absorbing chain, O(l**3 log n), up to level 63, and from one
-O(n * sum(l)) recursion over the chains of the higher levels at once.  The
-union sum over steps is the spectral formula summed in closed form.
+(`_reflected_walks`).  Ensembles are generated in blocks of bounded size,
+draw each up-move from one byte of the generator's raw output with the
+exact law of rng.random() < q (`_byte_moves`), and read each row's mask 16
+steps at a time from a lookup table built on first use (`_walk_stats`), so
+their running sums take one entry per 16 steps.  An exact hitting
+probability comes from binary powering of its level's absorbing chain,
+O(l**3 log n), up to level 63, and from one O(n * sum(l)) recursion over
+the chains of the higher levels at once.  The union sum over steps is the
+spectral formula summed in closed form.
 """
 
 from __future__ import annotations
@@ -126,7 +128,7 @@ class WalkPath:
         return int(self.states.max())
 
 
-_BLOCK = 2**16  # walk steps per ensemble block: 512 KiB of uniform draws, cache-resident
+_BLOCK = 2**16  # walk steps per ensemble block: 64 KiB of byte draws, cache-resident
 
 
 def _reflected_walks(up: np.ndarray, z0: int | np.ndarray = 0) -> np.ndarray:
@@ -231,6 +233,45 @@ def simulate_walk(params: WalkParams, n: int, rng: np.random.Generator) -> WalkP
     return WalkPath(states=np.concatenate(([0], _reflected_walks(rng.random(n) < params.q))))
 
 
+def _byte_moves(q: float, rng: np.random.Generator):
+    """A function (rows, width) -> the next rows x width up-moves of probability q, one byte each.
+
+    rng.random() < q is U < T for the top 53 bits U of one raw word and
+    T = ceil(q * 2**53).  Here a uniform byte B meets T's top byte
+    h = T >> 45, kept at most 255 (at q = 1 the tie takes the rest): B < h
+    is up, B > h down, and a tie, with probability 1/256, compares the top
+    45 bits of one raw word with r = T - h * 2**45.  So P(up) = (h * 2**45
+    + r) / 2**53 = T / 2**53, the law of rng.random() < q.  Bytes are read
+    in little-endian order from rng.bit_generator.random_raw and fill each
+    mask in row order; leftover bytes carry to the next call, so the moves
+    do not depend on how the calls cut them, and rng has advanced
+    ceil(steps / 8) raw words after `steps` moves.  Tie words come from a
+    second stream, rng's bit generator jumped once, which leaves rng as it
+    is.
+    """
+    t = math.ceil(q * 2.0**53)
+    head = min(t >> 45, 255)
+    rest = t - (head << 45)
+    bits, ties = rng.bit_generator, rng.bit_generator.jumped()
+    carry = np.empty(0, dtype=np.uint8)
+
+    def draw(rows: int, width: int) -> np.ndarray:
+        nonlocal carry
+        steps = rows * width
+        words = bits.random_raw(-(-(steps - len(carry)) // 8))
+        fresh = words.astype("<u8", copy=False).view(np.uint8)
+        stream = np.concatenate((carry, fresh)) if len(carry) else fresh
+        carry = stream[steps:].copy()
+        moves = stream[:steps].reshape(rows, width)
+        up = np.equal(moves, head)  # the tie mask's buffer then holds the moves: one temporary fewer
+        tied = np.flatnonzero(up)
+        np.less(moves, head, out=up)
+        up.reshape(-1)[tied] = (ties.random_raw(len(tied)) >> 19) < rest
+        return up
+
+    return draw
+
+
 def walk_ensemble_stats(
     p: float, n: int, reps: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -239,23 +280,30 @@ def walk_ensemble_stats(
     Memory-bounded in n and reps: walks are generated in blocks of at most
     2**16 steps and never stored whole.  A block holds whole rows when a
     row fits, else one row continued segment by segment from its last
-    state; either way the draws are those of rng.random((reps, n)).  Each
-    block's rows are read 16 steps at a time from a table built on the
-    first call (`_walk_stats`), with the same maxima and finals as the
+    state.  Each step's up-move takes one byte of rng's raw output
+    (`_byte_moves`), with P(up) exactly that of rng.random() < 1 - p; the
+    moves fill the rows in order whatever the blocks, so the first R rows
+    are the same for any reps >= R, and rng advances ceil(reps * n / 8) raw
+    words; rng's bit generator must have jumped() (numpy's SFC64 has not).
+    Each block's rows are read 16 steps at a time from a table built on
+    the first call (`_walk_stats`), with the same maxima and finals as the
     step-by-step walk.
     """
     if not (0.0 <= p <= 1.0):
         raise InvalidParameterError("p must be a probability")
     if n < 1 or reps < 1:
         raise InvalidParameterError("n and reps must be positive")
+    if not hasattr(rng.bit_generator, "jumped"):
+        raise InvalidParameterError("walk ensembles need a bit generator with jumped(), such as PCG64")
     rows, width = max(1, _BLOCK // n), min(n, _BLOCK)
     max_levels = np.zeros(reps, dtype=np.int64)
     finals = np.zeros(reps, dtype=np.int64)
+    moves = _byte_moves(1.0 - p, rng)
     for start in range(0, reps, rows):
         block = slice(start, min(start + rows, reps))
         top, last = max_levels[block], finals[block]  # views, filled in place
         for done in range(0, n, width):
-            up = rng.random((len(last), min(width, n - done))) < 1.0 - p
+            up = moves(len(last), min(width, n - done))
             block_top, last[:] = _walk_stats(up, last[:, None])
             np.maximum(top, block_top, out=top)
     return max_levels, finals

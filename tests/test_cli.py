@@ -1033,8 +1033,7 @@ def _unread(command, method, oracle, policy, noise) -> set:
     if command == "sweep":
         if method == "storm":  # the walk's p is 1 - delta0 - delta1 from the storm spec
             unread = unread - _STORM_KEYS | {"reliability_p"}
-        if policy == "fixed":
-            unread.add("beta")
+        unread.add("beta" if policy == "fixed" else "gamma")
     if noise == "none":
         unread |= {"sigma_f", "m_c", "m_v"}
     return unread

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from adastoc import walk
 from adastoc.errors import CouplingInfeasibleError, InvalidParameterError
@@ -379,13 +380,13 @@ def _loop_hitting_prob_exact(p, l, n):
     return float(v[l])
 
 
-def _loop_walks(q, m, n, rng):
-    """Z_0..Z_n of m walks, one step at a time, on the draws rng.random((m, n))."""
-    u = rng.random((m, n))
+def _loop_walks(up):
+    """Z_0..Z_n of each row's walk along the up-move mask `up`, one step at a time."""
+    m, n = up.shape
     z = np.zeros((m, n + 1), dtype=np.int64)
     for i in range(m):
         for k in range(n):
-            z[i, k + 1] = z[i, k] + 1 if u[i, k] < q else max(z[i, k] - 1, 0)
+            z[i, k + 1] = z[i, k] + 1 if up[i, k] else max(z[i, k] - 1, 0)
     return z
 
 
@@ -602,23 +603,49 @@ def test_hitting_exact_rejects_bad_levels():
     seed=st.integers(0, 2**31),
 )
 def test_walk_kernel_equals_the_step_loop(q, m, n, block, seed):
-    # paths, ensemble maxima and finals match a step-by-step walk on the same
-    # draws, however the ensemble is cut into blocks and the blocks into
-    # 16-step chunks and a tail, and leave the generator where
-    # rng.random((m, n)) leaves it
-    ref_rng = np.random.default_rng(seed)
-    z = _loop_walks(q, m, n, ref_rng)
-    after = ref_rng.random()
+    # ensemble maxima and finals match a step-by-step walk on the byte moves
+    # of m x n steps, however the ensemble is cut into blocks and the blocks
+    # into 16-step chunks and a tail; the generator ends ceil(m * n / 8) raw
+    # words on, and the m rows are the first of a larger ensemble.  Paths
+    # match the step-by-step walk on the draws rng.random(n).
+    p = 1.0 - q
+    z = _loop_walks(walk._byte_moves(1.0 - p, np.random.default_rng(seed))(m, n))
     rng = np.random.default_rng(seed)
     with mock.patch.object(walk, "_BLOCK", block):
-        max_levels, finals = walk_ensemble_stats(1.0 - q, n, m, rng)
+        max_levels, finals = walk_ensemble_stats(p, n, m, rng)
+        more_levels, more_finals = walk_ensemble_stats(p, n, m + 3, np.random.default_rng(seed))
     assert max_levels.tolist() == z.max(axis=1).tolist()
     assert finals.tolist() == z[:, -1].tolist()
-    assert rng.random() == after
+    ref = np.random.default_rng(seed)
+    ref.bit_generator.random_raw(-(-m * n // 8))
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert more_levels[:m].tolist() == max_levels.tolist()
+    assert more_finals[:m].tolist() == finals.tolist()
     rng = np.random.default_rng(seed)
-    path = simulate_walk(WalkParams(p=1.0 - q, gamma=0.5, alpha_bar=1.0), n, rng)
-    assert path.states.tolist() == _loop_walks(q, 1, n, np.random.default_rng(seed))[0].tolist()
+    path = simulate_walk(WalkParams(p=p, gamma=0.5, alpha_bar=1.0), n, rng)
+    assert path.states.tolist() == _loop_walks(np.random.default_rng(seed).random((1, n)) < q)[0].tolist()
     assert rng.random() == np.random.default_rng(seed).random(n + 1)[-1]
+
+
+def test_byte_moves_have_the_law_of_a_uniform_below_q():
+    # P(up) = ceil(q * 2**53) / 2**53, the law of rng.random() < q, by
+    # two-sided exact binomial tests at a family-wise level of 1e-6
+    # (Bonferroni over the five tests); 2**22 steps per q
+    steps, level = 2**22, 1e-6 / 5
+    assert not walk._byte_moves(0.0, np.random.default_rng(0))(1, steps).any()
+    assert walk._byte_moves(1.0, np.random.default_rng(0))(1, steps).all()
+    q_low_bits = 0.3  # T's low 45 bits are nonzero, so the ties decide some steps
+    assert math.ceil(q_low_bits * 2.0**53) % 2**45
+    q_half = (77 + 0.5) / 256  # T = 77 * 2**45 + 2**44: a tie byte 77 is up with probability 1/2
+    for seed, q in enumerate((0.2, 0.45, q_low_bits, q_half)):
+        up = walk._byte_moves(q, np.random.default_rng(seed))(1, steps)[0]
+        law = math.ceil(q * 2.0**53) / 2.0**53
+        assert stats.binomtest(int(up.sum()), steps, law).pvalue >= level
+    # at the loop's last q, q_half, a byte below or above 77 decides; among the ties, half go up
+    moves = np.random.default_rng(seed).bit_generator.random_raw(steps // 8).astype("<u8").view(np.uint8)
+    tied = moves == 77
+    assert np.array_equal(up[~tied], moves[~tied] < 77)
+    assert stats.binomtest(int(up[tied].sum()), int(tied.sum()), 0.5).pvalue >= level
 
 
 @settings(max_examples=80, deadline=None)
@@ -717,6 +744,11 @@ def test_chunked_walk_stats_equal_the_reflected_walk(start):
         z = walk._reflected_walks(up, z0)
         assert top.tolist() == z.max(axis=1).tolist()
         assert last.tolist() == z[:, -1].tolist()
+
+
+def test_walk_ensemble_refuses_a_bit_generator_without_a_second_stream():
+    with pytest.raises(InvalidParameterError, match="jumped"):
+        walk_ensemble_stats(0.8, 10, 10, np.random.Generator(np.random.SFC64(0)))
 
 
 def test_walk_ensemble_memory_is_bounded_in_n_and_reps():
