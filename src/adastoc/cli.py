@@ -23,10 +23,12 @@ method/oracle pair reads:
   sass + minibatch                --kappa --tau --batch-c
   storm or sass + exact           none
 
---zeta and --theta2 are storm's; --noise none reads no noise level.  A
-sweep also reads storm's four constants whatever its oracle (its walk's p
-is 1 - delta0 - delta1), --reliability-p for sass only, --gamma for
---gamma-policy fixed only and --beta for corollary only.  Relative output
+--zeta and --theta2 are storm's.  Only a minibatch run with --noise
+gaussian reads the noise levels --sigma-f --m-c --m-v, and only --problem
+logistic reads --problem-seed.  A storm sweep also reads --delta0 and
+--delta1 whatever its oracle (its walk's p is 1 - delta0 - delta1), and a
+sweep reads --reliability-p for sass only, --gamma for --gamma-policy
+fixed only and --beta for corollary only.  Relative output
 paths resolve against $ADASTOC_OUTDIR when set.  Exit codes: 0 success,
 1 validation error, 2 theory violation detected, 3 I/O error.
 """
@@ -372,16 +374,17 @@ _ALGO_OPTIONS = {
 
 
 def _build_problem(opts: dict):
+    """The run's problem; exact and corruption oracles draw no noise, and a quadratic draws nothing."""
     kind = {"quadratic": "quadratic", "logistic": "logistic_synthetic"}.get(opts["problem"])
     if kind is None:
         raise CliValidationError(f"unknown problem {opts['problem']!r}")
-    if opts["noise"] == "none":
-        noise = NoiseSpec.none()
-    elif opts["noise"] == "gaussian":
-        noise = NoiseSpec.gaussian(sigma_f=opts["sigma_f"], m_c=opts["m_c"], m_v=opts["m_v"])
-    else:
+    if opts["noise"] not in ("none", "gaussian"):
         raise CliValidationError(f"unknown noise kind {opts['noise']!r} (use none or gaussian)")
-    return make_problem(kind, opts["dim"], opts["conditioning"], noise, seed=opts["problem_seed"])
+    noise = NoiseSpec.none()
+    if opts["noise"] == "gaussian" and opts["oracle"] == "minibatch":
+        noise = NoiseSpec.gaussian(sigma_f=opts["sigma_f"], m_c=opts["m_c"], m_v=opts["m_v"])
+    seed = opts["problem_seed"] if kind == "logistic_synthetic" else 0
+    return make_problem(kind, opts["dim"], opts["conditioning"], noise, seed=seed)
 
 
 def _build_method(opts: dict):
@@ -390,17 +393,6 @@ def _build_method(opts: dict):
     if opts["method"] == "sass":
         return SassMethod()
     raise CliValidationError(f"unknown method {opts['method']!r}")
-
-
-def _storm_spec(opts: dict, noise: NoiseSpec) -> StormOracleSpec:
-    return StormOracleSpec(
-        kappa_ef=opts["kappa_ef"],
-        delta0=opts["delta0"],
-        kappa_eg=opts["kappa_eg"],
-        delta1=opts["delta1"],
-        sigma_f=noise.sigma_f,
-        sigma_g=math.sqrt(noise.m_c),
-    )
 
 
 def _build_suite(opts: dict, problem, epsilon: float):
@@ -413,7 +405,10 @@ def _build_suite(opts: dict, problem, epsilon: float):
         )
     if oracle == "minibatch":
         if opts["method"] == "storm":
-            return StormMinibatchOracles(_storm_spec(opts, problem.noise))
+            return StormMinibatchOracles(StormOracleSpec(
+                kappa_ef=opts["kappa_ef"], delta0=opts["delta0"], kappa_eg=opts["kappa_eg"], delta1=opts["delta1"],
+                sigma_f=problem.noise.sigma_f, sigma_g=math.sqrt(problem.noise.m_c),
+            ))
         case = "strongly_convex" if opts["mode"] == "strongly_convex" else "nonconvex"
         spec = SassOracleSpec(kappa=opts["kappa"], tau=opts["tau"])
         return SassMinibatchOracles(spec, epsilon=epsilon, case=case, batch_scale=opts["batch_c"])
@@ -549,7 +544,7 @@ def run_sweep(opts: _Options) -> int:
     problem = _build_problem(opts)
     method = _build_method(opts)
     if storm:
-        p = _storm_spec(opts, problem.noise).p  # an inadmissible spec fails before any run
+        p = StormOracleSpec(delta0=opts["delta0"], delta1=opts["delta1"]).p  # an inadmissible pair fails before any run
     else:
         p = opts["reliability_p"]
         _check_reliability(p)

@@ -490,11 +490,11 @@ def _lockstep(problem, method, suite, groups, mode, x, models, record):
         X_plus = X + steps
         F_plus, partial = value_rows(X_plus)  # kept to build grad f at X_plus if a row accepts
         f0, f_plus = values_rows(problem, X, X_plus, F, F_plus, batch0, streams)
-        # a finite difference means both are finite; only an overflow needs the full check
-        if count(isfinite(f0 - f_plus)) < len(f0) and (bad := ~(isfinite(f0) & isfinite(f_plus))).any():
+        finite = isfinite(f0) & isfinite(f_plus)
+        if count(finite) < len(f0):
             error = NumericError(f"non-finite value estimate at iteration {k}")
-            failed, retire = _lowest(failed, ids, bad, error), True
-            f0, f_plus = np.where(bad, 0.0, f0), np.where(bad, 0.0, f_plus)
+            failed, retire = _lowest(failed, ids, ~finite, error), True
+            f0, f_plus = np.where(finite, f0, 0.0), np.where(finite, f_plus, 0.0)
         success = accepts_rows(f0, f_plus, g_hat, steps, aux, alpha, r, config)
         if record:
             columns.append((ids, state, success, grad_norm, F))

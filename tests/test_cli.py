@@ -1005,6 +1005,8 @@ def test_every_option_is_read_by_some_run(tmp_path, monkeypatch):
         [*sweep, "--method=storm", "--oracle=minibatch", "--gamma-policy=corollary"],
         [*sweep, "--method=sass", "--oracle=minibatch", "--mode=strongly_convex"],
         [*sweep, "--method=sass", "--oracle=corruption"],
+        [*optimize, "--method=sass", "--oracle=exact", "--problem=logistic"],  # only logistic reads problem_seed
+        [*sweep, "--method=sass", "--oracle=exact", "--problem=logistic"],
         _walk_args(tmp_path, n="10", reps="10"),
         ["hitting", "--l-max=2", "--n=10", "--reps=10", f"--out={tmp_path / 'h.csv'}"],
     ]
@@ -1018,6 +1020,7 @@ def test_every_option_is_read_by_some_run(tmp_path, monkeypatch):
 # trust region's constants are kappa_ef, kappa_eg, delta0 and delta1, step
 # search's kappa, tau and batch_c; zeta and theta2 are the trust region's.
 _STORM_KEYS = {"kappa_ef", "kappa_eg", "delta0", "delta1"}
+_NOISE_LEVELS = {"sigma_f", "m_c", "m_v"}
 _OPTIMIZE_UNREAD = {
     ("storm", "minibatch"): {"batch_c", "kappa", "tau", "value_shift"},
     ("storm", "corruption"): {"batch_c", "kappa", "kappa_ef", "kappa_eg", "tau"},
@@ -1028,40 +1031,49 @@ _OPTIMIZE_UNREAD = {
 }
 
 
-def _unread(command, method, oracle, policy, noise) -> set:
+def _unread(command, method, oracle, policy, noise, problem="quadratic") -> set:
     unread = set(_OPTIMIZE_UNREAD[method, oracle])
     if command == "sweep":
-        if method == "storm":  # the walk's p is 1 - delta0 - delta1 from the storm spec
-            unread = unread - _STORM_KEYS | {"reliability_p"}
+        if method == "storm":  # the walk's p is 1 - delta0 - delta1
+            unread = unread - {"delta0", "delta1"} | {"reliability_p"}
         unread.add("beta" if policy == "fixed" else "gamma")
-    if noise == "none":
-        unread |= {"sigma_f", "m_c", "m_v"}
+    if noise == "none" or oracle != "minibatch":  # exact and corruption oracles draw no noise
+        unread |= _NOISE_LEVELS
+    if problem == "quadratic":  # building a quadratic draws nothing
+        unread.add("problem_seed")
     return unread
 
 
+# quadratic runs over every switch, and one logistic run per command and pair
 _READ_RUNS = [
-    (command, method, oracle, mode, policy, noise)
+    (command, method, oracle, mode, policy, noise, None)
     for command in ("optimize", "sweep")
     for method, oracle in _OPTIMIZE_UNREAD
     for mode in ("nonconvex", "strongly_convex")
     for policy in (("fixed", "corollary") if command == "sweep" else (None,))
     for noise in ("gaussian", "none")
+] + [
+    (command, method, oracle, "nonconvex", "fixed" if command == "sweep" else None, "gaussian", "logistic")
+    for command in ("optimize", "sweep")
+    for method, oracle in _OPTIMIZE_UNREAD
 ]
 
 
 @pytest.mark.parametrize(
-    "command, method, oracle, mode, policy, noise", _READ_RUNS, ids=["-".join(filter(None, r)) for r in _READ_RUNS]
+    "command, method, oracle, mode, policy, noise, problem", _READ_RUNS,
+    ids=["-".join(filter(None, r)) for r in _READ_RUNS],
 )
 def test_a_run_refuses_exactly_the_given_options_it_does_not_read(
-    tmp_path, capsys, monkeypatch, command, method, oracle, mode, policy, noise
+    tmp_path, capsys, monkeypatch, command, method, oracle, mode, policy, noise, problem
 ):
     # each unread key, as a flag or a config key, is one error line before
     # any draw or write; every key the run reads is accepted
     calls = _count_loops(monkeypatch)
     table = cli._RUNNERS[command][0]
-    unread = _unread(command, method, oracle, policy, noise)
+    problem = problem or "quadratic"
+    unread = _unread(command, method, oracle, policy, noise, problem)
     argv = [command, f"--method={method}", f"--oracle={oracle}", f"--mode={mode}", f"--noise={noise}",
-            "--max-iterations=30", "--seed=0"]
+            f"--problem={problem}", "--max-iterations=30", "--seed=0"]
     run = f"{command} --method {method} --oracle {oracle} --noise {noise}"
     if command == "sweep":
         argv += ["--epsilons=0.2", "--reps=2", f"--gamma-policy={policy}"]
@@ -1084,6 +1096,61 @@ def test_a_run_refuses_exactly_the_given_options_it_does_not_read(
     else:
         assert (code, err) == (0, "")
         assert out.exists()
+
+
+def _flag_tables() -> dict:
+    """The per-pair oracle-flag tables of the cli docstring and the README, each {(method, oracle): flags}."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = {
+        "cli docstring": [re.split(r"\s{2,}", line.strip()) for line in cli.__doc__.splitlines() if " + " in line],
+        "README": [line.split("|")[1:3] for line in readme.splitlines() if line.startswith("| `s") and " + " in line],
+    }
+    tables = {}
+    for name, cells in rows.items():
+        tables[name] = table = {}
+        for pairs, flags in cells:
+            for method in re.findall(r"storm|sass", pairs):
+                for oracle in set(re.findall(r"minibatch|corruption|exact", pairs)):
+                    assert (method, oracle) not in table, (name, pairs)
+                    table[method, oracle] = set(re.findall(r"--[a-z0-9-]+", flags))
+    return tables
+
+
+def test_the_oracle_flag_tables_state_what_each_pair_reads():
+    # the hand-written tables of --help and the README against the pinned read sets
+    oracle_keys = set(cli._ORACLE_OPTIONS) - {"oracle"}
+    reads = {
+        pair: {cli._flag(key) for key in oracle_keys - _unread("optimize", *pair, None, "gaussian")}
+        for pair in _OPTIMIZE_UNREAD
+    }
+    for name, table in _flag_tables().items():
+        assert table == reads, name
+
+
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["optimize"], "not json", "bad JSON config {cfg}: Expecting value: line 1 column 1 (char 0)"),
+        (["sweep"], "[1, 2]", "config file must hold a JSON object"),
+        (["walk", "--gamma="], None, "at least one gamma is required"),
+        (["optimize", "--problem=cubic"], None, "unknown problem 'cubic'"),
+        (["sweep", "--noise=laplace"], None, "unknown noise kind 'laplace' (use none or gaussian)"),
+        (["sweep", "--method=newton"], None, "unknown method 'newton'"),
+        (["optimize", "--oracle=perfect"], None, "unknown oracle kind 'perfect'"),
+        (["sweep", "--epsilons="], None, "at least one epsilon is required"),
+        (["sweep", "--gamma-policy=adaptive"], None, "unknown gamma policy 'adaptive'"),
+    ],
+    ids=["bad-json", "not-an-object", "no-gamma", "problem", "noise", "method", "oracle", "no-epsilon",
+         "gamma-policy"],
+)
+def test_a_bad_config_file_or_selector_is_one_line_and_no_file(tmp_path, capsys, argv, config, message):
+    cfg = tmp_path / "cfg.json"
+    if config is not None:
+        cfg.write_text(config)
+        argv = [*argv, f"--config={cfg}"]
+    assert _run([*argv, f"--out={tmp_path / 'o.csv'}"]) == 1
+    assert capsys.readouterr().err == f"error: {message.format(cfg=cfg)}\n"
+    assert [path.name for path in tmp_path.iterdir()] == (["cfg.json"] if config is not None else [])
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 import math
 import tempfile
 import time
+import warnings
+from dataclasses import fields
 from pathlib import Path
 from unittest import mock
 
@@ -640,6 +642,57 @@ def test_monte_carlo_propagates_errors_with_replication_index():
     prob = make_problem("quadratic", 2, 1.0, NoiseSpec.none(), seed=0)
     with pytest.raises(NumericError, match="replication 0"):
         monte_carlo_toc(prob, SassMethod(), Broken(), _config(), 1e-6, 3, 0)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+def test_equal_infinite_value_estimates_fail_their_row_without_a_warning(value):
+    # inf - inf is nan with a RuntimeWarning: the check masks each estimate, never their difference
+    class Infinite(ExactOracles):
+        def values_rows(self, problem, x, x_plus, f, f_plus, batch, streams):
+            return np.full_like(f, value), np.full_like(f_plus, value)
+
+    prob = make_problem("quadratic", 2, 1.0, NoiseSpec.none(), seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericError) as raised:
+            monte_carlo_toc(prob, SassMethod(), Infinite(), _config(), 1e-6, 3, 0)
+    assert str(raised.value) == "replication 0: non-finite value estimate at iteration 0"
+
+
+def _nan_gradient_suite(nan_at: dict) -> PairCorruptionOracles:
+    """Pair corruption whose gradient estimate is nan on stack row nan_at[k] at iteration k."""
+    calls = []
+
+    class NanGradients(PairCorruptionOracles):
+        def gradient_rows(self, problem, x, g, batch, streams):
+            g_hat = np.array(super().gradient_rows(problem, x, g, batch, streams))  # a copy: it may be g
+            if len(calls) in nan_at:
+                g_hat[nan_at[len(calls)]] = np.nan
+            calls.append(1)
+            return g_hat
+
+    return NanGradients(0.1, 0.1)
+
+
+def test_a_non_finite_gradient_fails_its_row_and_leaves_the_others_alone(monkeypatch):
+    # replication 3's gradient is nan at iteration 2 and replication 2's at
+    # iteration 5: the lowest failing replication, 2, is named, and rows 0
+    # and 1 end as their lone runs do.  A failing row steps from a zero
+    # stand-in gradient: a nan step would put nan into the logistic loss,
+    # whose logaddexp warns
+    prob = make_problem("logistic_synthetic", 3, 4.0, NoiseSpec.none(), seed=1)
+    cfg = _config(max_iterations=40)
+    alone = monte_carlo_toc(prob, SassMethod(), PairCorruptionOracles(0.1, 0.1), cfg, 1e-9, 4, 7)
+    ends, summary = [], framework.McTocSummary  # the loop fills its McTocSummary row by row before it raises
+    monkeypatch.setattr(framework, "McTocSummary", lambda *columns: ends.append(summary(*columns)) or ends[-1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericError) as raised:
+            monte_carlo_toc(prob, SassMethod(), _nan_gradient_suite({2: 3, 5: 2}), cfg, 1e-9, 4, 7)
+    assert str(raised.value) == "replication 2: non-finite gradient estimate at iteration 5"
+    assert alone.iterations.tolist() == [40] * 4
+    for column in fields(summary):
+        assert getattr(ends[0], column.name)[:2].tolist() == getattr(alone, column.name)[:2].tolist(), column.name
 
 
 def test_storm_report_is_inf_when_the_step_size_floor_underflows():
