@@ -28,7 +28,8 @@ gaussian reads the noise levels --sigma-f --m-c --m-v, and only --problem
 logistic reads --problem-seed.  A storm sweep also reads --delta0 and
 --delta1 whatever its oracle (its walk's p is 1 - delta0 - delta1), and a
 sweep reads --reliability-p for sass only, --gamma for --gamma-policy
-fixed only and --beta for corollary only.  Relative output
+fixed only and --beta for corollary only.  An optimize or sweep run with
+--oracle exact draws nothing and reads no --seed.  Relative output
 paths resolve against $ADASTOC_OUTDIR when set.  Exit codes: 0 success,
 1 validation error, 2 theory violation detected, 3 I/O error.
 """
@@ -161,6 +162,15 @@ class _Options(dict):
             raise CliValidationError(f"{run} does not read {', '.join(map(_flag, unread))}")
 
 
+def _seed(opts: _Options) -> int:
+    """The run's checked --seed; an optimize or sweep run with exact oracles draws nothing, reads none, runs at 0."""
+    if opts.get("oracle") == "exact":  # walk and hitting have no oracle
+        return 0
+    seed = opts["seed"]
+    _check_seed(seed)
+    return seed
+
+
 def _merge(args: argparse.Namespace, table: dict) -> _Options:
     """Defaults <- config file <- explicit flags; unknown config keys are errors."""
     cfg = _load_config_file(getattr(args, "config", None))
@@ -254,7 +264,7 @@ def run_walk(opts: _Options) -> int:
     summary rows come first; each gamma's path is then drawn and written in
     turn, so one gamma's lines are held at a time.
     """
-    gammas = opts["gamma"]
+    seed, gammas = _seed(opts), opts["gamma"]
     if not gammas:
         raise CliValidationError("at least one gamma is required")
     p, n, reps = opts["p"], opts["n"], opts["reps"]
@@ -278,7 +288,7 @@ def run_walk(opts: _Options) -> int:
         summary_out = _resolve_out(opts["summary_out"], "")
     else:
         summary_out = out.with_name(out.stem + "_summary.csv")
-    *children, ensemble_stream = np.random.SeedSequence(opts["seed"]).spawn(len(gammas) + 1)
+    *children, ensemble_stream = np.random.SeedSequence(seed).spawn(len(gammas) + 1)
     opts.refuse_unread()
     max_levels, _ = walk_ensemble_stats(p, n, reps, np.random.default_rng(ensemble_stream))
     summary_rows = [
@@ -308,7 +318,7 @@ HITTING_OPTIONS = {
 
 
 def run_hitting(opts: _Options) -> int:
-    p, l_max, n, reps = opts["p"], opts["l_max"], opts["n"], opts["reps"]
+    seed, p, l_max, n, reps = _seed(opts), opts["p"], opts["l_max"], opts["n"], opts["reps"]
     if l_max < 0:
         raise CliValidationError(f"l_max must be nonnegative, got {l_max}")
     _check_reliability(p)
@@ -320,7 +330,7 @@ def run_hitting(opts: _Options) -> int:
                 f"exact hitting probability exceeds its bound at (p={p}, l={level}, n={n})"
             )
     out = _resolve_out(opts["out"], "hitting.csv")
-    rng = np.random.default_rng(np.random.SeedSequence(opts["seed"]))
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
     opts.refuse_unread()
     max_levels, _ = walk_ensemble_stats(p, n, reps, rng)
     rows = []
@@ -477,8 +487,8 @@ def run_optimize(opts: _Options) -> int:
     suite = _build_suite(opts, problem, epsilon)
     config = _run_config(opts, problem, suite, epsilon, opts["gamma"])
     x0 = np.array(opts["x0"]) if opts["x0"] else None
-    mode, seed, out = opts["mode"], opts["seed"], _resolve_out(opts["out"], "trace.csv")
-    opts.refuse_unread("method", "oracle", "noise")
+    mode, seed, out = opts["mode"], _seed(opts), _resolve_out(opts["out"], "trace.csv")
+    opts.refuse_unread("problem", "method", "oracle", "noise")
     trace = run_adaptive(problem, method, suite, config, epsilon, mode=mode, x0=x0, seed=seed)
     trace.write_csv(out)
     for line in problem.descriptor().splitlines():
@@ -555,7 +565,7 @@ def run_sweep(opts: _Options) -> int:
     x0 = np.array(opts["x0"]) if opts["x0"] else None
 
     plans, runs = [], []
-    for epsilon, master_seed in zip(epsilons, derive_seeds(opts["seed"], len(epsilons))):
+    for epsilon, master_seed in zip(epsilons, derive_seeds(_seed(opts), len(epsilons))):
         n = _horizon(opts, epsilon)
         if policy == "corollary":
             gamma = gamma_threshold(p, n, opts["omega"], opts["beta"])
@@ -568,7 +578,7 @@ def run_sweep(opts: _Options) -> int:
         plans.append((epsilon, n, params, suite))
         runs.append((suite, config, epsilon, master_seed))
     reps, mode = opts["reps"], opts["mode"]
-    opts.refuse_unread("method", "oracle", "noise", "gamma_policy")
+    opts.refuse_unread("problem", "method", "oracle", "noise", "gamma_policy")
     summaries = monte_carlo_sweep(problem, method, runs, reps, mode, x0)
 
     rows = []
@@ -629,9 +639,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
         table, runner = _RUNNERS[args.command]
-        opts = _merge(args, table)
-        _check_seed(opts["seed"])  # every subcommand takes --seed
-        return runner(opts)
+        return runner(_merge(args, table))
     except (TheoryViolationError, AssumptionViolationError) as exc:
         print(f"theory violation: {exc}", file=sys.stderr)
         return 2

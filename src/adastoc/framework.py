@@ -482,7 +482,8 @@ def _lockstep(problem, method, suite, groups, mode, x, models, record):
             alpha, batch0, batch1 = (np.where(checked[0], 1.0, a) for a in (alpha, batch0, batch1))
 
         g_hat = gradient_rows(problem, X, G, batch1, streams)
-        if count(isfinite(g_hat)) < g_hat.size and (bad := ~isfinite(g_hat).all(axis=1)).any():
+        if count(isfinite(g_hat)) < g_hat.size:
+            bad = ~isfinite(g_hat).all(axis=1)
             error = NumericError(f"non-finite gradient estimate at iteration {k}")
             failed, retire = _lowest(failed, ids, bad, error), True
             g_hat = np.where(bad[:, None], 0.0, g_hat)

@@ -9,10 +9,14 @@ alpha, minimized exactly by s = -alpha * g / ||g||; acceptance requires the
 decrease-to-model-reduction ratio to reach theta and additionally
 ||g|| >= theta2 * alpha.
 
-All acceptance inequalities are non-strict: ties accept.
+Each formula is written once, in its class's row methods, for a stack of
+R gradient estimates g (R, dim) at step sizes alpha (R,).  All acceptance
+inequalities are non-strict: ties accept.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -22,47 +26,6 @@ from .rows import row_dot
 __all__ = ["SassMethod", "StormMethod"]
 
 
-# Every formula is written once, for a stack of R gradient estimates g
-# (R, dim) at step sizes alpha (R,); the one-point propose/accepts call it
-# with R = 1.  Row r of a result is bit-identical to the one-point result
-# for row r alone: dot products go through `row_dot`.
-
-
-def _sass_rows(g: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """The step -alpha * g per row."""
-    return (-alpha)[:, None] * g
-
-
-def _sass_accept_rows(f0, f_plus, g, step, theta: float, r: np.ndarray) -> np.ndarray:
-    return f0 - f_plus >= -theta * row_dot(g, step) - r  # x - 0.0 == x, bit for bit
-
-
-def _storm_rows(g: np.ndarray, alpha: np.ndarray):
-    """(step, ||g||) per row; a zero row gets the zero step.
-
-    The normalization is done at unit scale, so the step stays on the ball
-    even for subnormal gradient magnitudes.
-    """
-    scale = np.maximum.reduce(np.abs(g), axis=1)
-    zero = scale == 0.0
-    if np.count_nonzero(zero):
-        unit = g / np.where(zero, 1.0, scale)[:, None]
-        unit_norm = np.sqrt(row_dot(unit, unit))
-        step = (-alpha / np.where(zero, 1.0, unit_norm))[:, None] * unit
-        return np.where(zero[:, None], 0.0, step), scale * unit_norm
-    unit = g / scale[:, None]
-    unit_norm = np.sqrt(row_dot(unit, unit))
-    return (-alpha / unit_norm)[:, None] * unit, scale * unit_norm
-
-
-def _storm_accept_rows(f0, f_plus, model_reduction, theta, grad_norm, theta2, alpha, r) -> np.ndarray:
-    return (
-        (model_reduction > 0.0)
-        & (grad_norm >= theta2 * alpha)
-        & (f0 - f_plus + r >= theta * model_reduction)  # x + 0.0 compares as x
-    )
-
-
 # Each method has the row protocol the adaptive loop drives:
 #
 #   propose_rows(g, alpha) -> (steps, aux)
@@ -70,9 +33,10 @@ def _storm_accept_rows(f0, f_plus, model_reduction, theta, grad_norm, theta2, al
 #
 # where aux is whatever the method's acceptance test reuses from its step
 # (None, or one entry per row), r the rows' noise offsets and config
-# supplies theta and theta2.  Both classes bind the one-point
-# propose/accepts below, row 0 of an R = 1 row call; they take a positive
-# alpha and finite value estimates.
+# supplies theta and theta2.  Row r of a result is bit-identical to the
+# result for row r alone: dot products go through `row_dot`.  Both classes
+# bind the one-point propose/accepts below, row 0 of an R = 1 row call;
+# they take a positive alpha and finite value estimates.
 
 
 def _one_propose(self, g: np.ndarray, alpha: float):
@@ -103,10 +67,10 @@ class SassMethod:
     stopping_modes = ("nonconvex", "strongly_convex")
 
     def propose_rows(self, g: np.ndarray, alpha: np.ndarray):
-        return _sass_rows(g, alpha), None
+        return (-alpha)[:, None] * g, None
 
     def accepts_rows(self, f0, f_plus, g, steps, aux, alpha, r, config) -> np.ndarray:
-        return _sass_accept_rows(f0, f_plus, g, steps, config.theta, r)
+        return f0 - f_plus >= -config.theta * row_dot(g, steps) - r  # x - 0.0 == x, bit for bit
 
     propose = _one_propose
     accepts = _one_accepts
@@ -119,10 +83,23 @@ class StormMethod:
     stopping_modes = ("nonconvex",)
 
     def propose_rows(self, g: np.ndarray, alpha: np.ndarray):
-        return _storm_rows(g, alpha)
+        """(step, ||g||) per row, normalized at unit scale so a subnormal gradient's step stays on the ball.
+
+        A nonzero row's unit vector has a component of exactly +-1.0, so the
+        two floors leave it unchanged; a zero row gets a zero step and norm 0.0.
+        """
+        scale = np.maximum(np.maximum.reduce(np.abs(g), axis=1), math.ulp(0.0))
+        unit = g / scale[:, None]
+        unit_norm = np.sqrt(row_dot(unit, unit))
+        return (-alpha / np.maximum(unit_norm, 1.0))[:, None] * unit, scale * unit_norm
 
     def accepts_rows(self, f0, f_plus, g, steps, norm, alpha, r, config) -> np.ndarray:
-        return _storm_accept_rows(f0, f_plus, alpha * norm, config.theta, norm, config.theta2, alpha, r)
+        model_reduction = alpha * norm
+        return (
+            (model_reduction > 0.0)
+            & (norm >= config.theta2 * alpha)
+            & (f0 - f_plus + r >= config.theta * model_reduction)  # x + 0.0 compares as x
+        )
 
     propose = _one_propose
     accepts = _one_accepts

@@ -25,8 +25,9 @@ steps at a time from a lookup table built on first use (`_walk_stats`), so
 their running sums take one entry per 16 steps.  An exact hitting
 probability comes from binary powering of its level's absorbing chain,
 O(l**3 log n), up to level 63, and from one O(n * sum(l)) recursion over
-the chains of the higher levels at once.  The union sum over steps is the
-spectral formula summed in closed form.
+the chains of the higher levels at once: the path depends on the level
+alone.  The union sum over steps is the spectral formula summed in closed
+form.
 """
 
 from __future__ import annotations
@@ -457,20 +458,12 @@ def feller_transition_prob(p: float, l: int, m: int) -> float:
     return float(stationary - scale * series)
 
 
-# Level l at horizon n is taken by powering where (l+1)**3 * n.bit_length()
-# <= _POWER_K * n: _POWER_K is one recursion step's time over that of one
-# unit of (l+1)**3 matrix work, rounded down to a power of two
-# (BENCH_walk_laws.json).  Below the cap that holds for every l <= n.
-# _POWER_MAX_LEVEL keeps a chain's matrix at 32 KiB, small enough that
-# OpenBLAS multiplies it on one thread, so a powered value does not depend
-# on the BLAS thread count.
-_POWER_K = 2**16
+# A level up to _POWER_MAX_LEVEL is taken by powering, O(l**3 log n), which
+# beats the recursion's O(n * l) at every l <= n (BENCH_walk_laws.json).
+# The cap keeps a chain's matrix at 32 KiB, small enough that OpenBLAS
+# multiplies it on one thread, so a powered value does not depend on the
+# BLAS thread count.
 _POWER_MAX_LEVEL = 63
-
-
-def _by_powering(l: int, n: int) -> bool:
-    """Whether hitting_prob_exact takes level l at horizon n by powering rather than by the recursion."""
-    return l <= _POWER_MAX_LEVEL and (l + 1) ** 3 * int(n).bit_length() <= _POWER_K * n
 
 
 def _hitting_by_powering(p: float, l: int, n: int) -> float:
@@ -534,9 +527,9 @@ def hitting_prob_exact(p: float, l: int | Sequence[int], n: int) -> float | np.n
     The first-passage probability is the mass absorbed at l after n steps
     of the {0..l} chain with l made absorbing.  l may be one level (a float
     is returned) or a sequence of levels (an array in the same order).  Each
-    level takes one of two paths, chosen from (l, n) alone (`_by_powering`):
-    binary powering of its chain, O(l**3 log n), or the step-by-step
-    recursion, O(n * l), which advances every level left to it together.
+    level takes one of two paths, chosen from l alone: binary powering of
+    its chain, O(l**3 log n), up to `_POWER_MAX_LEVEL`, or above it the
+    step-by-step recursion, O(n * l), which advances those levels together.
     Either way a level's value is the same float whichever other levels
     share the call.  The walk moves one level per step, so a level above n
     has probability 0.0 and builds no chain.
@@ -554,7 +547,7 @@ def hitting_prob_exact(p: float, l: int | Sequence[int], n: int) -> float | np.n
     distinct, where = np.unique(levels, return_inverse=True)
     probs = (distinct == 0).astype(float)
     reachable = (distinct > 0) & (distinct <= n)
-    powered = reachable & np.array([_by_powering(level, n) for level in distinct.tolist()], dtype=bool)
+    powered = reachable & (distinct <= _POWER_MAX_LEVEL)
     probs[powered] = [_hitting_by_powering(p, level, n) for level in distinct[powered].tolist()]
     stepped = reachable & ~powered
     if stepped.any():

@@ -657,7 +657,7 @@ def test_corruption_sweep_bounds_ignore_the_noise_flags(tmp_path):
 def test_sweep_reports_a_perfectly_reliable_walk(tmp_path, argv):
     # p = 1 is admissible: the reports take q/p = 0 without a math domain error
     out = tmp_path / "s.csv"
-    assert _run(["sweep", *argv, "--epsilons=0.2,0.1", "--reps=3", "--seed=0", f"--out={out}"]) == 0
+    assert _run(["sweep", *argv, "--epsilons=0.2,0.1", "--reps=3", f"--out={out}"]) == 0
     rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
     assert rows.shape == (2, 7) and np.isfinite(rows).all()
 
@@ -1041,6 +1041,8 @@ def _unread(command, method, oracle, policy, noise, problem="quadratic") -> set:
         unread |= _NOISE_LEVELS
     if problem == "quadratic":  # building a quadratic draws nothing
         unread.add("problem_seed")
+    if oracle == "exact":  # an exact run draws nothing
+        unread.add("seed")
     return unread
 
 
@@ -1073,8 +1075,8 @@ def test_a_run_refuses_exactly_the_given_options_it_does_not_read(
     problem = problem or "quadratic"
     unread = _unread(command, method, oracle, policy, noise, problem)
     argv = [command, f"--method={method}", f"--oracle={oracle}", f"--mode={mode}", f"--noise={noise}",
-            f"--problem={problem}", "--max-iterations=30", "--seed=0"]
-    run = f"{command} --method {method} --oracle {oracle} --noise {noise}"
+            f"--problem={problem}", "--max-iterations=30"]
+    run = f"{command} --problem {problem} --method {method} --oracle {oracle} --noise {noise}"
     if command == "sweep":
         argv += ["--epsilons=0.2", "--reps=2", f"--gamma-policy={policy}"]
         run += f" --gamma-policy {policy}"

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from adastoc.errors import InvalidParameterError, NumericError
 from adastoc.framework import AlgoConfig
 from adastoc.methods import SassMethod, StormMethod
+from adastoc.rows import row_dot
 
 # exactly representable grids keep the accept tests bit-deterministic
 _grid = st.integers(-64, 64).map(lambda k: k / 64.0)
@@ -78,6 +79,47 @@ def test_storm_accept_worked_values():
     assert not _storm_accepts(100.0, 0.0, grad_norm=0.5, alpha=1.0, theta=0.5, theta2=1.0, r=0.0)
     # zero model reduction rejects without dividing, though decrease >= theta * 0 and ||g|| >= 0
     assert not _storm_accepts(1.0, 0.0, grad_norm=0.0, alpha=1.0, theta=0.5, theta2=0.0, r=0.0)
+
+
+def _two_branch_storm_rows(g, alpha):
+    """The trust-region step as once written, a zero row on its own branch: the reference for nonzero rows."""
+    scale = np.maximum.reduce(np.abs(g), axis=1)
+    zero = scale == 0.0
+    unit = g / np.where(zero, 1.0, scale)[:, None]
+    unit_norm = np.sqrt(row_dot(unit, unit))
+    step = (-alpha / np.where(zero, 1.0, unit_norm))[:, None] * unit
+    return np.where(zero[:, None], 0.0, step), scale * unit_norm
+
+
+def test_storm_step_on_awkward_rows_is_the_two_branch_formula():
+    # zero, signed-zero, subnormal and near-overflow rows among ordinary ones,
+    # and random magnitudes 1e-330..1e300 with zeroed entries and rows
+    tiny = 5e-324
+    fixed = np.array([
+        [0.0, 0.0, 0.0], [-0.0, 0.0, -0.0], [3.0, -4.0, 0.0], [tiny, 0.0, -tiny], [-tiny, 2 * tiny, 0.0],
+        [1e-310, -3e-312, 0.0], [1.7e308, -1.7e308, 1.7e308], [1e300, 1e-300, -0.0], [0.0, -2.5, 0.0],
+    ])
+    rng = np.random.default_rng(2019)
+    signs = rng.choice([-1.0, 1.0], size=(4000, 3))
+    random = np.where(rng.random((4000, 3)) < 0.2, signs * 0.0, signs * 10.0 ** rng.uniform(-330, 300, (4000, 3)))
+    random[rng.random(4000) < 0.05] = 0.0
+    g = np.vstack([fixed, random])
+    alpha = 10.0 ** rng.uniform(-8, 2, len(g))
+    with np.errstate(over="ignore"):  # a near-overflow row's norm is inf in both
+        steps, norm = StormMethod().propose_rows(g, alpha)
+        ref_steps, ref_norm = _two_branch_storm_rows(g, alpha)
+    zero = ~np.any(g != 0.0, axis=1)
+    assert zero[:2].all() and zero.sum() > 100
+    assert steps[~zero].tobytes() == ref_steps[~zero].tobytes()
+    assert norm[~zero].tobytes() == ref_norm[~zero].tobytes()
+    assert (steps[zero] == 0.0).all() and norm[zero].tolist() == [0.0] * zero.sum()
+    # a zero row's model reduction alpha * 0.0 fails `> 0`, whatever the decrease
+    rows = int(zero.sum())
+    accepted = StormMethod().accepts_rows(
+        np.full(rows, 1e9), np.zeros(rows), g[zero], steps[zero], norm[zero], alpha[zero], np.ones(rows),
+        _config(0.5, 1.0, theta2=0.0),
+    )
+    assert not accepted.any()
 
 
 @settings(max_examples=200, deadline=None)

@@ -444,9 +444,9 @@ _reliability = st.one_of(st.just(1.0), st.floats(0.5, 1.0, exclude_min=True))
 
 
 def _assert_is_the_loop(p, l, n, value):
-    """A level the rule leaves on the recursion is the per-level loop bit for bit; a powered one is within 1e-12."""
+    """A level above the powering cap is the per-level loop bit for bit; a powered one is within 1e-12."""
     loop = _loop_hitting_prob_exact(p, l, n)
-    if l == 0 or l > n or not walk._by_powering(l, n):
+    if l == 0 or l > n or l > walk._POWER_MAX_LEVEL:
         assert value == loop
     else:
         assert value == pytest.approx(loop, rel=1e-12, abs=1e-300)
@@ -527,12 +527,20 @@ def test_hitting_paths_equal_a_40_digit_recursion(p, n, levels):
             assert abs(value - ref) <= 1e-12 * ref
 
 
-def test_hitting_level_is_the_same_float_alone_and_in_a_list_across_the_paths():
-    # levels 60..70 at n = 2000 straddle the powering cap: each is its own
-    # one-level call bit for bit, in any company
+def test_hitting_level_is_the_same_float_alone_and_in_a_list_across_the_paths(monkeypatch):
+    # levels 60..70 at n = 2000 straddle the powering cap: 60..63 are
+    # powered and 64..70 stepped, and each is its own one-level call bit for
+    # bit, in any company
     n = 2000
     levels = list(range(60, 71))
-    assert walk._by_powering(63, n) and not walk._by_powering(64, n)
+    taken = {"powered": [], "stepped": []}
+    powering, recursion = walk._hitting_by_powering, walk._hitting_by_recursion
+    monkeypatch.setattr(walk, "_hitting_by_powering", lambda p, l, n: taken["powered"].append(l) or powering(p, l, n))
+    monkeypatch.setattr(
+        walk, "_hitting_by_recursion", lambda p, ls, n: taken["stepped"].extend(ls.tolist()) or recursion(p, ls, n)
+    )
+    hitting_prob_exact(0.6, levels, n)
+    assert taken == {"powered": [60, 61, 62, 63], "stepped": list(range(64, 71))}
     alone = {l: hitting_prob_exact(0.6, l, n) for l in (1, 2, *levels)}
     assert hitting_prob_exact(0.6, levels, n).tolist() == [alone[l] for l in levels]
     mixed = [70, 1, 63, 64, 2, 63]
