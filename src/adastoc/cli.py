@@ -22,16 +22,20 @@ method/oracle pair reads:
   storm or sass + corruption      --delta0 --delta1 --value-shift
   sass + minibatch                --kappa --tau --batch-c
   storm or sass + exact           none
+  storm or sass + minibatch + --noise none   none (the exact oracles)
 
---zeta and --theta2 are storm's.  Only a minibatch run with --noise
-gaussian reads the noise levels --sigma-f --m-c --m-v, and only --problem
-logistic reads --problem-seed.  A storm sweep also reads --delta0 and
---delta1 whatever its oracle (its walk's p is 1 - delta0 - delta1), and a
-sweep reads --reliability-p for sass only, --gamma for --gamma-policy
-fixed only and --beta for corollary only.  An optimize or sweep run with
---oracle exact draws nothing and reads no --seed.  Relative output
-paths resolve against $ADASTOC_OUTDIR when set.  Exit codes: 0 success,
-1 validation error, 2 theory violation detected, 3 I/O error.
+--zeta and --theta2 are storm's; optimize reads --zeta only when
+--alpha-max is unset, as alpha_max defaults to epsilon/zeta.  Only a
+minibatch run with --noise gaussian reads the noise levels --sigma-f
+--m-c --m-v, and only --problem logistic reads --problem-seed.  A storm
+sweep also reads --delta0 and --delta1 whatever its oracle (its walk's p
+is 1 - delta0 - delta1), and a sweep reads --reliability-p for sass only,
+--gamma for --gamma-policy fixed only and --beta for corollary only.  An
+optimize or sweep run with --oracle exact, or minibatch with --noise none,
+draws nothing: it reads no --seed, and a sweep runs one replication per
+tolerance and reads no --reps.  Relative output paths resolve against
+$ADASTOC_OUTDIR when set.  Exit codes: 0 success, 1 validation error,
+2 theory violation detected, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -162,9 +166,9 @@ class _Options(dict):
             raise CliValidationError(f"{run} does not read {', '.join(map(_flag, unread))}")
 
 
-def _seed(opts: _Options) -> int:
-    """The run's checked --seed; an optimize or sweep run with exact oracles draws nothing, reads none, runs at 0."""
-    if opts.get("oracle") == "exact":  # walk and hitting have no oracle
+def _seed(opts: _Options, draws: bool = True) -> int:
+    """The run's checked --seed; a run that draws nothing reads none and runs at 0."""
+    if not draws:
         return 0
     seed = opts["seed"]
     _check_seed(seed)
@@ -406,8 +410,9 @@ def _build_method(opts: dict):
 
 
 def _build_suite(opts: dict, problem, epsilon: float):
+    """The run's oracle suite; a minibatch of noise-free samples is the exact estimate at one sample per call."""
     oracle = opts["oracle"]
-    if oracle == "exact":
+    if oracle == "exact" or (oracle == "minibatch" and opts["noise"] == "none"):
         return ExactOracles()
     if oracle == "corruption":
         return PairCorruptionOracles(
@@ -425,28 +430,31 @@ def _build_suite(opts: dict, problem, epsilon: float):
     raise CliValidationError(f"unknown oracle kind {oracle!r}")
 
 
+def _storm_anchor(opts: dict, epsilon: float) -> float:
+    """epsilon/zeta: the trust region's unset alpha_max, and the alpha_bar of a storm sweep's walk."""
+    if not opts["zeta"] > 0.0:
+        raise CliValidationError("zeta must be positive")
+    return epsilon / opts["zeta"]
+
+
 def _run_config(opts: dict, problem, suite, epsilon: float, gamma: float) -> AlgoConfig:
     """The loop's parameters for one run of the suite at tolerance epsilon.
 
-    An unset alpha_max is epsilon/zeta for the trust region and the
-    deterministic success threshold (1-theta)/L for step search; an unset
-    alpha0 is alpha_max.  An unset r (noise compensation) is zero for the
-    trust region and the exact oracles, and twice the value-estimate
-    deviation of the suite's minibatch for step search.
+    An unset alpha_max is epsilon/zeta for the trust region (a given one
+    leaves zeta unread) and the deterministic success threshold
+    (1-theta)/L for step search; an unset alpha0 is alpha_max.  An unset r
+    (noise compensation) is zero except for step search's minibatch suite,
+    where it is twice the value-estimate deviation of the minibatch.
     """
-    if opts["method"] == "storm":
-        if not opts["zeta"] > 0.0:
-            raise CliValidationError("zeta must be positive")
-        anchor = epsilon / opts["zeta"]
-        theta2 = opts["theta2"]
-    else:  # step search has no gradient-versus-radius test
-        anchor = (1.0 - opts["theta"]) / problem.lipschitz
-        theta2 = AlgoConfig.theta2
-    alpha_max = opts["alpha_max"] if opts["alpha_max"] is not None else anchor
+    storm = opts["method"] == "storm"
+    alpha_max = opts["alpha_max"]
+    if alpha_max is None:
+        alpha_max = _storm_anchor(opts, epsilon) if storm else (1.0 - opts["theta"]) / problem.lipschitz
+    theta2 = opts["theta2"] if storm else AlgoConfig.theta2  # step search has no gradient-versus-radius test
     r = opts["r"]
     if r is None:
         r = 0.0
-        if opts["method"] == "sass" and opts["oracle"] == "minibatch":
+        if isinstance(suite, SassMinibatchOracles):
             value, _ = suite.cost_models(problem)
             r = 2.0 * problem.noise.sigma_f / math.sqrt(value.batch(1.0))
     return AlgoConfig(
@@ -487,8 +495,10 @@ def run_optimize(opts: _Options) -> int:
     suite = _build_suite(opts, problem, epsilon)
     config = _run_config(opts, problem, suite, epsilon, opts["gamma"])
     x0 = np.array(opts["x0"]) if opts["x0"] else None
-    mode, seed, out = opts["mode"], _seed(opts), _resolve_out(opts["out"], "trace.csv")
-    opts.refuse_unread("problem", "method", "oracle", "noise")
+    mode, seed, out = opts["mode"], _seed(opts, suite.draws is not None), _resolve_out(opts["out"], "trace.csv")
+    # a trust region's given alpha_max is why it reads no zeta
+    decides_zeta = ("alpha_max",) if opts["method"] == "storm" and opts["alpha_max"] is not None else ()
+    opts.refuse_unread("problem", "method", "oracle", "noise", *decides_zeta)
     trace = run_adaptive(problem, method, suite, config, epsilon, mode=mode, x0=x0, seed=seed)
     trace.write_csv(out)
     for line in problem.descriptor().splitlines():
@@ -565,7 +575,7 @@ def run_sweep(opts: _Options) -> int:
     x0 = np.array(opts["x0"]) if opts["x0"] else None
 
     plans, runs = [], []
-    for epsilon, master_seed in zip(epsilons, derive_seeds(_seed(opts), len(epsilons))):
+    for epsilon in epsilons:
         n = _horizon(opts, epsilon)
         if policy == "corollary":
             gamma = gamma_threshold(p, n, opts["omega"], opts["beta"])
@@ -573,13 +583,16 @@ def run_sweep(opts: _Options) -> int:
             gamma = opts["gamma"]
         suite = _build_suite(opts, problem, epsilon)
         config = _run_config(opts, problem, suite, epsilon, gamma)
-        alpha_bar = epsilon / opts["zeta"] if storm else config.alpha_max
+        alpha_bar = _storm_anchor(opts, epsilon) if storm else config.alpha_max
         params = WalkParams(p=p, gamma=gamma, alpha_bar=alpha_bar, omega=opts["omega"])
         plans.append((epsilon, n, params, suite))
-        runs.append((suite, config, epsilon, master_seed))
-    reps, mode = opts["reps"], opts["mode"]
+        runs.append((suite, config, epsilon))
+    # every tolerance's suite is of one kind; one that draws nothing repeats a single run, so it runs once
+    draws = suite.draws is not None
+    seeds = derive_seeds(_seed(opts, draws), len(epsilons))
+    reps, mode = opts["reps"] if draws else 1, opts["mode"]
     opts.refuse_unread("problem", "method", "oracle", "noise", "gamma_policy")
-    summaries = monte_carlo_sweep(problem, method, runs, reps, mode, x0)
+    summaries = monte_carlo_sweep(problem, method, [(*run, seed) for run, seed in zip(runs, seeds)], reps, mode, x0)
 
     rows = []
     for (epsilon, n, params, suite), summary in zip(plans, summaries):

@@ -27,7 +27,8 @@ def _stacked_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-# Dot product of each row of a with the same row of b, as np.dot(a[i], b[i]).
+# Dot product of each row of a with the same row of b, as 0.0 + np.dot(a[i], b[i]):
+# a sum from +0.0, so a zero sum is +0.0 where np.dot of one-element rows keeps the product's sign.
 row_dot = getattr(np, "vecdot", _stacked_dot)
 
 

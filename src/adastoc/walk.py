@@ -565,11 +565,9 @@ def hitting_prob_union_sum(p: float, l: int, n: int) -> float:
     """
     if l < 1:
         raise InvalidParameterError("l must be at least 1")
-    if n < l:
-        return 0.0
     if not (0.0 < p <= 1.0):
         raise InvalidParameterError("p must lie in (0,1]")
-    if p == 1.0:
+    if p == 1.0 or n < l:
         return 0.0
     stationary, theta, eigvals, scale = _spectrum(p, l)
     steps = n - l + 1

@@ -650,14 +650,14 @@ def test_corruption_sweep_bounds_ignore_the_noise_flags(tmp_path):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["--method=storm", "--oracle=exact", "--noise=none", "--delta0=0", "--delta1=0"],
-        ["--method=sass", "--reliability-p=1"],
+        ["--method=storm", "--oracle=exact", "--noise=none", "--delta0=0", "--delta1=0"],  # draws nothing: no --reps
+        ["--method=sass", "--reliability-p=1", "--reps=3"],
     ],
 )
 def test_sweep_reports_a_perfectly_reliable_walk(tmp_path, argv):
     # p = 1 is admissible: the reports take q/p = 0 without a math domain error
     out = tmp_path / "s.csv"
-    assert _run(["sweep", *argv, "--epsilons=0.2,0.1", "--reps=3", f"--out={out}"]) == 0
+    assert _run(["sweep", *argv, "--epsilons=0.2,0.1", f"--out={out}"]) == 0
     rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
     assert rows.shape == (2, 7) and np.isfinite(rows).all()
 
@@ -756,6 +756,7 @@ def test_walk_default_summary_lands_beside_out(tmp_path, monkeypatch):
         ["sweep", "--epsilons=0", "--mode=strongly_convex", "--reps=2"],
         ["sweep", "--method=storm", "--zeta=0", "--epsilons=0.2", "--reps=2"],
         ["optimize", "--method=storm", "--zeta=0"],
+        ["sweep", "--method=storm", "--alpha-max=0.01", "--zeta=0", "--epsilons=0.2", "--reps=2"],
         ["sweep", "--method=storm", "--horizon-c2=0", "--epsilons=0.2", "--reps=2"],
     ],
 )
@@ -765,6 +766,47 @@ def test_zero_divisor_is_validation_error(tmp_path, capsys, argv):
     assert _run([*argv, f"--out={tmp_path / 'o.csv'}"]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, replications",
+    [
+        (["--method=storm", "--oracle=exact"], 1),
+        (["--method=sass", "--oracle=minibatch", "--noise=none"], 1),
+        (["--method=sass", "--oracle=corruption", "--reps=3"], 3),
+    ],
+    ids=["storm-exact", "sass-noise-free-minibatch", "sass-corruption"],
+)
+def test_a_draw_free_sweep_hands_the_harness_one_replication(tmp_path, monkeypatch, argv, replications):
+    # a sweep whose suite draws nothing repeats one run: it runs it once, at seed 0
+    handed, sweep = [], cli.monte_carlo_sweep
+
+    def recording(problem, method, runs, reps, *rest):
+        handed.append(([seed for *_, seed in runs], reps))
+        return sweep(problem, method, runs, reps, *rest)
+
+    monkeypatch.setattr(cli, "monte_carlo_sweep", recording)
+    assert _run(["sweep", *argv, "--epsilons=0.2,0.1", f"--out={tmp_path / 's.csv'}"]) == 0
+    assert handed == [(framework.derive_seeds(0, 2), replications)]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--method=storm", "--oracle=exact", "--noise=none", "--alpha-max=0.05", "--zeta=3"],
+         "optimize --problem quadratic --method storm --oracle exact --noise none --alpha-max 0.05 does not read --zeta"),
+        (["--method=sass", "--alpha-max=0.05", "--zeta=3"],
+         "optimize --problem quadratic --method sass --oracle minibatch --noise gaussian does not read --zeta"),
+    ],
+    ids=["storm-alpha-max", "sass"],
+)
+def test_optimize_reads_zeta_only_for_a_trust_region_without_alpha_max(tmp_path, capsys, argv, message):
+    # alpha_max defaults to epsilon/zeta; a given alpha_max leaves zeta unread
+    out = tmp_path / "o.csv"
+    assert _run(["optimize", *argv, "--max-iterations=30", f"--out={out}"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+    assert _run(["optimize", "--method=storm", "--zeta=3", "--max-iterations=30", f"--out={out}"]) == 0
 
 
 def test_config_file_json_lists(tmp_path, capsys, monkeypatch):
@@ -995,17 +1037,18 @@ def test_every_option_is_read_by_some_run(tmp_path, monkeypatch):
         return opts
 
     monkeypatch.setattr(cli, "_merge", recording_merge)
-    small = ["--max-iterations=30", "--seed=0", f"--out={tmp_path / 'o.csv'}"]
-    optimize = ["optimize", "--epsilon=0.1", *small]
-    sweep = ["sweep", "--epsilons=0.2", "--reps=2", *small]
+    small = ["--max-iterations=30", f"--out={tmp_path / 'o.csv'}"]
+    optimize, sweep = ["optimize", "--epsilon=0.1", *small], ["sweep", "--epsilons=0.2", *small]
+    drawn_optimize, drawn_sweep = [*optimize, "--seed=0"], [*sweep, "--reps=2", "--seed=0"]
     runs = [
-        [*optimize, "--method=storm", "--oracle=minibatch"],
-        [*optimize, "--method=sass", "--oracle=minibatch"],
-        [*optimize, "--method=sass", "--oracle=corruption"],
-        [*sweep, "--method=storm", "--oracle=minibatch", "--gamma-policy=corollary"],
-        [*sweep, "--method=sass", "--oracle=minibatch", "--mode=strongly_convex"],
-        [*sweep, "--method=sass", "--oracle=corruption"],
-        [*optimize, "--method=sass", "--oracle=exact", "--problem=logistic"],  # only logistic reads problem_seed
+        [*drawn_optimize, "--method=storm", "--oracle=minibatch"],
+        [*drawn_optimize, "--method=sass", "--oracle=minibatch"],
+        [*drawn_optimize, "--method=sass", "--oracle=corruption"],
+        [*drawn_sweep, "--method=storm", "--oracle=minibatch", "--gamma-policy=corollary"],
+        [*drawn_sweep, "--method=sass", "--oracle=minibatch", "--mode=strongly_convex"],
+        [*drawn_sweep, "--method=sass", "--oracle=corruption"],
+        # only logistic reads problem_seed; an exact run draws nothing, so it reads no seed or reps
+        [*optimize, "--method=sass", "--oracle=exact", "--problem=logistic"],
         [*sweep, "--method=sass", "--oracle=exact", "--problem=logistic"],
         _walk_args(tmp_path, n="10", reps="10"),
         ["hitting", "--l-max=2", "--n=10", "--reps=10", f"--out={tmp_path / 'h.csv'}"],
@@ -1032,7 +1075,9 @@ _OPTIMIZE_UNREAD = {
 
 
 def _unread(command, method, oracle, policy, noise, problem="quadratic") -> set:
-    unread = set(_OPTIMIZE_UNREAD[method, oracle])
+    # a minibatch of noise-free samples is the exact estimate: the run takes the exact oracles
+    exact = oracle == "exact" or (oracle == "minibatch" and noise == "none")
+    unread = set(_OPTIMIZE_UNREAD[method, "exact" if exact else oracle])
     if command == "sweep":
         if method == "storm":  # the walk's p is 1 - delta0 - delta1
             unread = unread - {"delta0", "delta1"} | {"reliability_p"}
@@ -1041,8 +1086,8 @@ def _unread(command, method, oracle, policy, noise, problem="quadratic") -> set:
         unread |= _NOISE_LEVELS
     if problem == "quadratic":  # building a quadratic draws nothing
         unread.add("problem_seed")
-    if oracle == "exact":  # an exact run draws nothing
-        unread.add("seed")
+    if exact:  # an exact run draws nothing: no seed, and a sweep runs one replication
+        unread |= {"seed", "reps"} if command == "sweep" else {"seed"}
     return unread
 
 
@@ -1078,7 +1123,7 @@ def test_a_run_refuses_exactly_the_given_options_it_does_not_read(
             f"--problem={problem}", "--max-iterations=30"]
     run = f"{command} --problem {problem} --method {method} --oracle {oracle} --noise {noise}"
     if command == "sweep":
-        argv += ["--epsilons=0.2", "--reps=2", f"--gamma-policy={policy}"]
+        argv += ["--epsilons=0.2", f"--gamma-policy={policy}", *([] if "reps" in unread else ["--reps=2"])]
         run += f" --gamma-policy {policy}"
     out, cfg = tmp_path / "o.csv", tmp_path / "cfg.json"
     for key in sorted(unread):
@@ -1101,7 +1146,10 @@ def test_a_run_refuses_exactly_the_given_options_it_does_not_read(
 
 
 def _flag_tables() -> dict:
-    """The per-pair oracle-flag tables of the cli docstring and the README, each {(method, oracle): flags}."""
+    """The per-pair oracle-flag tables of the cli docstring and the README, each {(method, oracle, noise): flags}.
+
+    noise is "none" for a row that names `--noise none`, else "gaussian".
+    """
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     rows = {
         "cli docstring": [re.split(r"\s{2,}", line.strip()) for line in cli.__doc__.splitlines() if " + " in line],
@@ -1111,10 +1159,11 @@ def _flag_tables() -> dict:
     for name, cells in rows.items():
         tables[name] = table = {}
         for pairs, flags in cells:
+            noise = "none" if "--noise none" in pairs else "gaussian"
             for method in re.findall(r"storm|sass", pairs):
                 for oracle in set(re.findall(r"minibatch|corruption|exact", pairs)):
-                    assert (method, oracle) not in table, (name, pairs)
-                    table[method, oracle] = set(re.findall(r"--[a-z0-9-]+", flags))
+                    assert (method, oracle, noise) not in table, (name, pairs)
+                    table[method, oracle, noise] = set(re.findall(r"--[a-z0-9-]+", flags))
     return tables
 
 
@@ -1122,8 +1171,9 @@ def test_the_oracle_flag_tables_state_what_each_pair_reads():
     # the hand-written tables of --help and the README against the pinned read sets
     oracle_keys = set(cli._ORACLE_OPTIONS) - {"oracle"}
     reads = {
-        pair: {cli._flag(key) for key in oracle_keys - _unread("optimize", *pair, None, "gaussian")}
+        (*pair, noise): {cli._flag(key) for key in oracle_keys - _unread("optimize", *pair, None, noise)}
         for pair in _OPTIMIZE_UNREAD
+        for noise in (("gaussian", "none") if pair[1] == "minibatch" else ("gaussian",))
     }
     for name, table in _flag_tables().items():
         assert table == reads, name

@@ -489,6 +489,26 @@ def test_a_sweep_gives_each_run_its_own_monte_carlo_columns(name, mode, draws, k
             ], name
 
 
+@pytest.mark.parametrize("method", [StormMethod(), SassMethod()], ids=["storm", "sass"])
+def test_a_sweep_of_exact_runs_gives_the_same_columns_at_one_replication_and_seven(method):
+    # exact oracles draw nothing, so every replication repeats one run: a
+    # draw-free CLI sweep runs one.  The last tolerance does not stop
+    prob = make_problem("quadratic", 4, 10.0, NoiseSpec.none(), seed=0)
+    config = AlgoConfig(theta=0.1, gamma=0.6, alpha0=0.09, alpha_max=0.09, max_iterations=100)
+    epsilons = (0.1, 0.01, 1e-6)
+    runs = [(ExactOracles(), config, epsilon, seed) for epsilon, seed in zip(epsilons, derive_seeds(0, 3))]
+    one, seven = (monte_carlo_sweep(prob, method, runs, replications) for replications in (1, 7))
+    assert [summary.stopped_fraction for summary in one] == [1.0, 1.0, 0.0]
+    for a, b in zip(one, seven):
+        assert (a.replications, b.replications) == (1, 7)
+        for name in ("mean_iterations", "mean_toc0", "mean_toc1", "stopped_fraction"):
+            assert getattr(a, name).hex() == getattr(b, name).hex(), name
+        total = a.mean_toc0 + a.mean_toc1
+        for value in (0.0, total - 1.0, total, math.inf):
+            bound = complexity.BoundReport(value, 0.5, "expected")
+            assert a.exceed_fraction(bound) == b.exceed_fraction(bound), value
+
+
 def test_a_sweep_refuses_runs_whose_loops_differ_before_running():
     prob = make_problem("quadratic", 2, 1.0, NoiseSpec.none(), seed=0)
     runs = [(ExactOracles(), _config(theta=theta), 1e-6, 0) for theta in (0.1, 0.2)]

@@ -1,6 +1,7 @@
 import math
 import time
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from adastoc.errors import (
     NumericError,
 )
 from adastoc.framework import (
+    TRACE_COLUMNS,
     TRACE_CSV_HEADER,
     _StepSizes,
     AlgoConfig,
@@ -31,11 +33,14 @@ from adastoc.methods import SassMethod, StormMethod
 from adastoc.oracles import (
     ExactOracles,
     PairCorruptionOracles,
+    SassMinibatchOracles,
+    SassOracleSpec,
     StormMinibatchOracles,
     StormOracleSpec,
     storm_cost_models,
 )
 from adastoc.problems import NoiseSpec, make_problem
+from adastoc.rows import RowStreams
 from adastoc.tableio import format_row
 
 
@@ -583,3 +588,29 @@ def test_gap_column_is_measured_from_the_minimum_value():
     for trace in run_lockstep(prob, SassMethod(), ExactOracles(), cfg, 1e-9, [0, 1], x0=x0):
         assert trace.true_gap[0] == prob.value(x0) - prob.min_value
         assert trace.final_gap == prob.value(trace.final_x) - prob.min_value
+
+
+@pytest.mark.parametrize(
+    "method, suite",
+    [
+        (StormMethod(), StormMinibatchOracles(StormOracleSpec(kappa_ef=7.0, kappa_eg=0.01, delta0=0.2, delta1=0.01))),
+        (SassMethod(), SassMinibatchOracles(SassOracleSpec(kappa=0.5, tau=2.0), 1e-3, batch_scale=3.0)),
+        (SassMethod(), SassMinibatchOracles(SassOracleSpec(), 1e-3, case="strongly_convex")),
+    ],
+    ids=["storm", "sass", "sass-strongly-convex"],
+)
+def test_a_noise_free_minibatch_run_is_the_exact_run(method, suite):
+    # with no noise the cost models have no term (one sample per call) and
+    # a minibatch draws nothing, whatever the batch constants: so the CLI
+    # runs --oracle minibatch --noise none on the exact oracles
+    prob = make_problem("quadratic", 4, 10.0, NoiseSpec.none(), seed=0)
+    config = _config(gamma=0.6, alpha0=0.09, alpha_max=0.09, max_iterations=100)
+    with mock.patch.object(RowStreams, "take", side_effect=AssertionError("a noise-free minibatch drew")):
+        minibatch = run_adaptive(prob, method, suite, config, 1e-3, seed=3)
+    exact = run_adaptive(prob, method, ExactOracles(), config, 1e-3, seed=3)
+    assert minibatch.stopping_iteration == exact.stopping_iteration is not None
+    for name in TRACE_COLUMNS:
+        a, b = getattr(minibatch, name), getattr(exact, name)
+        assert a.dtype == b.dtype and list(map(repr, a.tolist())) == list(map(repr, b.tolist())), name
+    for name in ("final_grad_norm", "final_gap", "final_x"):
+        assert repr(np.asarray(getattr(minibatch, name)).tolist()) == repr(np.asarray(getattr(exact, name)).tolist())

@@ -2,7 +2,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adastoc.rows import RowStreams, row_dot
+from adastoc.rows import RowStreams, _stacked_dot, row_dot
 
 
 @settings(max_examples=100, deadline=None)
@@ -42,3 +42,25 @@ def test_row_dot_equals_one_dimensional_dot():
         a = rng.standard_normal((6, dim)) * 10.0 ** rng.uniform(-5, 5, (6, 1))
         b = rng.standard_normal((6, dim))
         assert row_dot(a, b).tolist() == [float(np.dot(x, y)) for x, y in zip(a, b)]
+
+
+def test_stacked_dot_fallback_is_vecdot_and_the_row_dot_bit_for_bit():
+    # numpy 1.x has no vecdot and takes _stacked_dot: the same bits as
+    # vecdot and as 0.0 + np.dot per row, on every dim 1-257, R in 1-200,
+    # row magnitudes 1e-300..1e300 (products that overflow or underflow
+    # included) and zero rows; np.dot of one-element rows returns a zero
+    # product's sign, where a sum that starts at +0.0 returns +0.0
+    rng = np.random.default_rng(5)
+    counts = (1, 2, 3, 5, 17, 64, 129, 200)
+    for dim in range(1, 258):
+        rows = counts[dim % len(counts)]
+        a = rng.standard_normal((rows, dim)) * 10.0 ** rng.uniform(-300.0, 300.0, (rows, 1))
+        b = rng.standard_normal((rows, dim)) * 10.0 ** rng.uniform(-300.0, 300.0, (rows, 1))
+        a[3::7] = 0.0
+        b[4::5] = 0.0
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            stacked = _stacked_dot(a, b)
+            expected = [np.array([0.0 + np.dot(x, y) for x, y in zip(a, b)])]
+            if hasattr(np, "vecdot"):  # numpy >= 2
+                expected.append(np.vecdot(a, b))
+        assert all(stacked.tobytes() == want.tobytes() for want in expected), (dim, rows)

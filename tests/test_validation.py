@@ -91,6 +91,7 @@ _RAISES = {
     "exact-p": (lambda: walk.hitting_prob_exact(0.0, 3, 10), "p must lie in (0,1]"),
     "union-l": (lambda: walk.hitting_prob_union_sum(0.8, 0, 10), "l must be at least 1"),
     "union-p": (lambda: walk.hitting_prob_union_sum(1.5, 2, 10), "p must lie in (0,1]"),
+    "union-p-short-horizon": (lambda: walk.hitting_prob_union_sum(1.5, 2, 1), "p must lie in (0,1]"),
     "bound-l": (lambda: walk.hitting_prob_bound(0.8, 0, 10), "l must be at least 1"),
     "bound-n": (lambda: walk.hitting_prob_bound(0.8, 2, 0), "n must be a positive integer"),
     "threshold-n": (lambda: walk.gamma_threshold(0.8, 1, 1.0, 0.25), "n must be at least 2"),

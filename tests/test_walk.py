@@ -555,6 +555,29 @@ def test_hitting_at_a_long_horizon_takes_no_step_loop():
     assert np.all(np.diff(got) <= 1e-12) and 0.0 < got[-1] < got[0] <= 1.0  # non-increasing in l, within rounding
 
 
+def test_hitting_values_do_not_depend_on_the_blas_thread_count():
+    # _POWER_MAX_LEVEL keeps each powered matrix small enough for OpenBLAS
+    # to multiply on one thread; levels 64-70 and 120 take the recursion
+    # (powered, level 120's 121 x 121 products differ in the last bits
+    # between one thread and two).  Two children, one BLAS thread and two,
+    # each print every value's bytes
+    src = str(Path(walk.__file__).resolve().parents[1])
+    code = (
+        "from adastoc.walk import hitting_prob_exact\n"
+        "for p, n in ((0.8, 2000), (0.55, 100003), (0.6, 12345)):\n"
+        "    print(hitting_prob_exact(p, [*range(1, 71), 120], n).tobytes().hex())\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    outs = [
+        subprocess.run(
+            [sys.executable, "-c", code], env=dict(env, OPENBLAS_NUM_THREADS=threads),
+            capture_output=True, text=True, check=True, timeout=60,
+        ).stdout
+        for threads in ("1", "2")
+    ]
+    assert len(outs[0].split()) == 3 and outs[0] == outs[1]
+
+
 def test_union_sum_closed_form_equals_the_per_step_sum():
     # 1e-12 relative, or 1e-15 absolute where n is within a few dozen steps
     # of l: there the spectral formula's stationary and transient parts
