@@ -23,11 +23,11 @@ draw each up-move from one byte of the generator's raw output with the
 exact law of rng.random() < q (`_byte_moves`), and read each row's mask 16
 steps at a time from a lookup table built on first use (`_walk_stats`), so
 their running sums take one entry per 16 steps.  An exact hitting
-probability comes from binary powering of its level's absorbing chain,
-O(l**3 log n), up to level 63, and from one O(n * sum(l)) recursion over
-the chains of the higher levels at once: the path depends on the level
-alone.  The union sum over steps is the spectral formula summed in closed
-form.
+probability comes from binary powering of its level's absorbing chain at
+every level, its products summed over tiles of at most 64 x 64 that
+OpenBLAS multiplies on one thread, so no value depends on the BLAS thread
+count: O(ceil((l+1)/64)**3 * 64**3 * log n).  The union sum over steps is
+the spectral formula summed in closed form.
 """
 
 from __future__ import annotations
@@ -98,10 +98,10 @@ class WalkParams:
             raise InvalidParameterError(f"p must be a probability, got {self.p}")
         if not (0.0 < self.gamma < 1.0):
             raise InvalidParameterError(f"gamma must lie in (0,1), got {self.gamma}")
-        if self.alpha_bar <= 0.0:
-            raise InvalidParameterError("alpha_bar must be positive")
-        if self.omega <= 0.0:
-            raise InvalidParameterError("omega must be positive")
+        if not (0.0 < self.alpha_bar < math.inf):
+            raise InvalidParameterError(f"alpha_bar must be positive and finite, got {self.alpha_bar}")
+        if not (0.0 < self.omega < math.inf):
+            raise InvalidParameterError(f"omega must be positive and finite, got {self.omega}")
 
     @property
     def q(self) -> float:
@@ -458,22 +458,39 @@ def feller_transition_prob(p: float, l: int, m: int) -> float:
     return float(stationary - scale * series)
 
 
-# A level up to _POWER_MAX_LEVEL is taken by powering, O(l**3 log n), which
-# beats the recursion's O(n * l) at every l <= n (BENCH_walk_laws.json).
-# The cap keeps a chain's matrix at 32 KiB, small enough that OpenBLAS
-# multiplies it on one thread, so a powered value does not depend on the
-# BLAS thread count.
-_POWER_MAX_LEVEL = 63
+_TILE = 64  # the largest square side OpenBLAS multiplies on one thread (a 32 KiB matrix)
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for a vector or square matrix a and a square matrix b, in tiles of at most 64 x 64.
+
+    OpenBLAS splits a product larger than 64 x 64 x 64 over its threads,
+    and the split can change the last bits with the thread count.  So a
+    chain of at most 64 states takes one a @ b, and a larger one sums the
+    products of its tiles in a fixed order, each small enough to run on one
+    thread: no value depends on the BLAS thread count, at any size.
+    """
+    size = len(b)
+    if size <= _TILE:
+        return a @ b
+    rows = a.reshape(-1, size)  # a vector is one row
+    out = np.zeros(rows.shape)
+    tiles = [slice(start, start + _TILE) for start in range(0, size, _TILE)]
+    for i in tiles if a.ndim == 2 else tiles[:1]:
+        for j in tiles:
+            for k in tiles:
+                out[i, j] += rows[i, k] @ b[k, j]
+    return out.reshape(a.shape)
 
 
 def _hitting_by_powering(p: float, l: int, n: int) -> float:
     """e_0 P**n at l for the {0..l} chain with l absorbing, by squaring over the bits of n.
 
-    log2(n) squarings and one vector product per set bit; every entry is
-    nonnegative, so nothing cancels and a small probability keeps its
-    relative accuracy.  The mass at l is divided by the vector's total,
-    which rounding moves off 1 by a few ulps per squaring, so a level
-    reached almost surely reads at most 1.0.
+    log2(n) squarings and one vector product per set bit, each a `_product`;
+    every entry is nonnegative, so nothing cancels and a small probability
+    keeps its relative accuracy.  The mass at l is divided by the vector's
+    total, which rounding moves off 1 by a few ulps per squaring, so a
+    level reached almost surely reads at most 1.0.
     """
     mat = transition_matrix(p, l)
     mat[l, l - 1], mat[l, l] = 0.0, 1.0  # l absorbing
@@ -481,44 +498,11 @@ def _hitting_by_powering(p: float, l: int, n: int) -> float:
     v[0] = 1.0
     while True:
         if n & 1:
-            v = v @ mat
+            v = _product(v, mat)
         n >>= 1
         if not n:
             return float(v[l] / v.sum())
-        mat = mat @ mat
-
-
-def _hitting_by_recursion(p: float, levels: np.ndarray, n: int) -> np.ndarray:
-    """The absorbed mass after n steps of each level's {0..l} chain, one step at a time.
-
-    The chains of all the levels lie end to end in one vector and advance
-    together, so one O(n * sum(l)) recursion serves every level, and a
-    level's value does not depend on the others.
-    """
-    q = 1.0 - p
-    ends = np.cumsum(levels)  # chain j holds states ends[j] - levels[j] .. ends[j] - 1
-    size = int(levels.sum())
-    first, last = ends - levels, ends - 1
-    # state i takes coef[i] * v[below[i]] + p * v[above[i]]: q from the state
-    # below, or p from itself at a chain's state 0; index `size` is a zero
-    below = np.arange(-1, size - 1)
-    below[first] = first
-    coef = np.full(size, q)
-    coef[first] = p
-    above = np.arange(1, size + 1)
-    above[last] = size
-    v, nxt = np.zeros(size + 1), np.zeros(size + 1)
-    v[first] = 1.0
-    absorbed = np.zeros(len(levels))
-    step, gained = np.empty(size), np.empty(len(levels))
-    for _ in range(n):
-        np.multiply(q, v[last], out=gained)
-        absorbed += gained
-        np.multiply(coef, v[below], out=nxt[:size])
-        np.multiply(p, v[above], out=step)
-        nxt[:size] += step
-        v, nxt = nxt, v
-    return absorbed
+        mat = _product(mat, mat)
 
 
 def hitting_prob_exact(p: float, l: int | Sequence[int], n: int) -> float | np.ndarray:
@@ -526,13 +510,13 @@ def hitting_prob_exact(p: float, l: int | Sequence[int], n: int) -> float | np.n
 
     The first-passage probability is the mass absorbed at l after n steps
     of the {0..l} chain with l made absorbing.  l may be one level (a float
-    is returned) or a sequence of levels (an array in the same order).  Each
-    level takes one of two paths, chosen from l alone: binary powering of
-    its chain, O(l**3 log n), up to `_POWER_MAX_LEVEL`, or above it the
-    step-by-step recursion, O(n * l), which advances those levels together.
-    Either way a level's value is the same float whichever other levels
-    share the call.  The walk moves one level per step, so a level above n
-    has probability 0.0 and builds no chain.
+    is returned) or a sequence of levels (an array in the same order).  Every
+    level takes one path: binary powering of its own chain, with products
+    over tiles of at most 64 x 64 that OpenBLAS runs on one thread
+    (`_product`), so O(ceil((l+1)/64)**3 * 64**3 * log n).  A level's value
+    is the same float whichever other levels share the call, and whatever
+    the BLAS thread count.  The walk moves one level per step, so a level
+    above n has probability 0.0 and builds no chain.
     """
     levels = np.asarray(l)
     if levels.ndim > 1 or (levels.size and levels.dtype.kind not in "iu"):
@@ -547,11 +531,7 @@ def hitting_prob_exact(p: float, l: int | Sequence[int], n: int) -> float | np.n
     distinct, where = np.unique(levels, return_inverse=True)
     probs = (distinct == 0).astype(float)
     reachable = (distinct > 0) & (distinct <= n)
-    powered = reachable & (distinct <= _POWER_MAX_LEVEL)
-    probs[powered] = [_hitting_by_powering(p, level, n) for level in distinct[powered].tolist()]
-    stepped = reachable & ~powered
-    if stepped.any():
-        probs[stepped] = _hitting_by_recursion(p, distinct[stepped], n)
+    probs[reachable] = [_hitting_by_powering(p, level, n) for level in distinct[reachable].tolist()]
     out = probs[where].reshape(levels.shape)
     return float(out) if levels.ndim == 0 else out
 
@@ -640,8 +620,8 @@ def gamma_threshold(p: float, n: int, omega: float, beta: float) -> float:
         raise InvalidParameterError(f"beta must lie in (0, 1/2), got {beta}")
     if n < 2:
         raise InvalidParameterError("n must be at least 2")
-    if omega <= 0.0:
-        raise InvalidParameterError("omega must be positive")
+    if not (0.0 < omega < math.inf):
+        raise InvalidParameterError(f"omega must be positive and finite, got {omega}")
     _check_reliability(p)
     q = 1.0 - p
     if q == 0.0:

@@ -410,6 +410,10 @@ def test_walk_dip_exact_above_the_failure_bound_exits_2(tmp_path, monkeypatch):
         ("--p=1.5", "p must be a probability"),
         ("--n=1", "n must be at least 2"),
         ("--reps=0", "reps must be positive"),
+        ("--alpha-bar=inf", "alpha_bar must be positive and finite, got inf"),
+        ("--alpha-bar=nan", "alpha_bar must be positive and finite, got nan"),
+        ("--omega=inf", "omega must be positive and finite, got inf"),
+        ("--omega=nan", "omega must be positive and finite, got nan"),
     ],
 )
 def test_walk_refuses_bad_inputs_before_simulating(tmp_path, capsys, monkeypatch, flag, expected):
@@ -502,6 +506,29 @@ def test_sass_sweep_refuses_an_unreliable_p_before_running(tmp_path, capsys, mon
     assert code == 1
     assert f"reliability p must lie in (1/2, 1], got {float(p)}" in capsys.readouterr().err
     assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--method=storm", "--omega=inf"], "omega must be positive and finite, got inf"),
+        (["--method=storm", "--gamma-policy=corollary", "--omega=nan"], "omega must be positive and finite, got nan"),
+        (["--method=storm", "--alpha-max=0.01", "--zeta=1e-320"], "alpha_bar must be positive and finite, got inf"),
+        (["--method=sass", "--alpha-max=inf", "--alpha0=0.5"], "alpha_bar must be positive and finite, got inf"),
+    ],
+)
+def test_sweep_refuses_a_non_finite_walk_parameter_before_running(tmp_path, capsys, monkeypatch, argv, message):
+    # an infinite omega would overflow the step-size floor's level; an
+    # infinite alpha_bar (epsilon/zeta for the trust region, alpha_max for
+    # step search) would bound nothing
+    def no_runs(*args, **kwargs):
+        raise AssertionError("a replication ran before the walk parameters were checked")
+
+    monkeypatch.setattr(cli, "monte_carlo_sweep", no_runs)
+    out = tmp_path / "s.csv"
+    assert _run(["sweep", *argv, "--epsilons=0.2", "--reps=2", "--seed=0", f"--out={out}"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -95,8 +95,19 @@ _RAISES = {
     "bound-l": (lambda: walk.hitting_prob_bound(0.8, 0, 10), "l must be at least 1"),
     "bound-n": (lambda: walk.hitting_prob_bound(0.8, 2, 0), "n must be a positive integer"),
     "threshold-n": (lambda: walk.gamma_threshold(0.8, 1, 1.0, 0.25), "n must be at least 2"),
-    "threshold-omega": (lambda: walk.gamma_threshold(0.8, 10, 0.0, 0.25), "omega must be positive"),
-    "params-omega": (lambda: walk.WalkParams(p=0.8, gamma=0.5, alpha_bar=1.0, omega=0.0), "omega must be positive"),
+    "threshold-omega": (lambda: walk.gamma_threshold(0.8, 10, 0.0, 0.25), "omega must be positive and finite, got 0.0"),
+    "threshold-omega-inf": (lambda: walk.gamma_threshold(0.8, 10, math.inf, 0.25),
+                            "omega must be positive and finite, got inf"),
+    "params-omega": (lambda: walk.WalkParams(p=0.8, gamma=0.5, alpha_bar=1.0, omega=0.0),
+                     "omega must be positive and finite, got 0.0"),
+    "params-omega-inf": (lambda: walk.WalkParams(p=0.8, gamma=0.5, alpha_bar=1.0, omega=math.inf),
+                         "omega must be positive and finite, got inf"),
+    "params-omega-nan": (lambda: walk.WalkParams(p=0.8, gamma=0.5, alpha_bar=1.0, omega=math.nan),
+                         "omega must be positive and finite, got nan"),
+    "params-alpha-bar-inf": (lambda: walk.WalkParams(p=0.8, gamma=0.5, alpha_bar=math.inf),
+                             "alpha_bar must be positive and finite, got inf"),
+    "params-alpha-bar-nan": (lambda: walk.WalkParams(p=0.8, gamma=0.5, alpha_bar=math.nan),
+                             "alpha_bar must be positive and finite, got nan"),
 }
 
 _VALUES = {

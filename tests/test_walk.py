@@ -444,9 +444,9 @@ _reliability = st.one_of(st.just(1.0), st.floats(0.5, 1.0, exclude_min=True))
 
 
 def _assert_is_the_loop(p, l, n, value):
-    """A level above the powering cap is the per-level loop bit for bit; a powered one is within 1e-12."""
+    """Level 0 and a level above n are the per-level loop bit for bit; a powered level is within 1e-12."""
     loop = _loop_hitting_prob_exact(p, l, n)
-    if l == 0 or l > n or l > walk._POWER_MAX_LEVEL:
+    if l == 0 or l > n:
         assert value == loop
     else:
         assert value == pytest.approx(loop, rel=1e-12, abs=1e-300)
@@ -493,16 +493,6 @@ def test_hitting_exact_unreachable_level_costs_nothing():
 _PS = (0.55, 0.7, 0.8, 0.95)
 
 
-def test_hitting_powering_equals_the_recursion():
-    # both paths, wherever both are cheap, agree to 1e-12 relative
-    for p in _PS:
-        for n in (1, 2, 7, 40, 333, 2000):
-            levels = range(1, min(40, n) + 1)
-            stepped = walk._hitting_by_recursion(p, np.array(levels), n)
-            for l, by_steps in zip(levels, stepped.tolist()):
-                assert walk._hitting_by_powering(p, l, n) == pytest.approx(by_steps, rel=1e-12, abs=1e-300)
-
-
 def _mp_hitting(p, l, n):
     """The first-passage probability at 40 digits: the recursion of the {0..l} chain, l absorbing."""
     with mpmath.workdps(40):
@@ -519,48 +509,43 @@ def _mp_hitting(p, l, n):
 
 
 @pytest.mark.parametrize("p", [0.55, 0.8])
-@pytest.mark.parametrize("n, levels", [(40, (3, 40)), (257, (7, 23)), (2000, (1, 40))])
+@pytest.mark.parametrize("n, levels", [(40, (3, 40)), (257, (7, 23)), (300, (65, 129)), (2000, (1, 40))])
 def test_hitting_paths_equal_a_40_digit_recursion(p, n, levels):
+    # levels 65 and 129 are chains of two and three tiles
     for l in levels:
         ref = _mp_hitting(p, l, n)
-        for value in (walk._hitting_by_powering(p, l, n), walk._hitting_by_recursion(p, np.array([l]), n)[0]):
-            assert abs(value - ref) <= 1e-12 * ref
+        assert abs(hitting_prob_exact(p, l, n) - ref) <= 1e-12 * ref
 
 
-def test_hitting_level_is_the_same_float_alone_and_in_a_list_across_the_paths(monkeypatch):
-    # levels 60..70 at n = 2000 straddle the powering cap: 60..63 are
-    # powered and 64..70 stepped, and each is its own one-level call bit for
-    # bit, in any company
+def test_hitting_level_is_the_same_float_alone_and_in_a_list_across_tile_boundaries():
+    # levels 60..70 and 127..130 at n = 2000 straddle the one-tile chain
+    # (up to 64 states) and the two- and three-tile ones, and each is its
+    # own one-level call bit for bit, in any company
     n = 2000
-    levels = list(range(60, 71))
-    taken = {"powered": [], "stepped": []}
-    powering, recursion = walk._hitting_by_powering, walk._hitting_by_recursion
-    monkeypatch.setattr(walk, "_hitting_by_powering", lambda p, l, n: taken["powered"].append(l) or powering(p, l, n))
-    monkeypatch.setattr(
-        walk, "_hitting_by_recursion", lambda p, ls, n: taken["stepped"].extend(ls.tolist()) or recursion(p, ls, n)
-    )
-    hitting_prob_exact(0.6, levels, n)
-    assert taken == {"powered": [60, 61, 62, 63], "stepped": list(range(64, 71))}
+    levels = [*range(60, 71), *range(127, 131)]
     alone = {l: hitting_prob_exact(0.6, l, n) for l in (1, 2, *levels)}
     assert hitting_prob_exact(0.6, levels, n).tolist() == [alone[l] for l in levels]
-    mixed = [70, 1, 63, 64, 2, 63]
+    mixed = [70, 1, 63, 128, 64, 2, 63, 130, 127]
     assert hitting_prob_exact(0.6, mixed, n).tolist() == [alone[l] for l in mixed]
 
 
 def test_hitting_at_a_long_horizon_takes_no_step_loop():
-    # the 31 levels of a walk at n = 10**6 are all powered
+    # the 31 levels of a walk at n = 10**6 and p = 0.8, and the dip depths
+    # of one near p = 1/2, are all powered
     start = time.perf_counter()
     got = hitting_prob_exact(0.8, range(1, 32), 10**6)
+    deep = hitting_prob_exact(0.55, [64, 100, 263], 10**6)
     assert time.perf_counter() - start < 0.5
-    assert np.all(np.diff(got) <= 1e-12) and 0.0 < got[-1] < got[0] <= 1.0  # non-increasing in l, within rounding
+    for values in (got, deep):  # non-increasing in l, within rounding
+        assert np.all(np.diff(values) <= 1e-12) and 0.0 < values[-1] < values[0] <= 1.0
 
 
 def test_hitting_values_do_not_depend_on_the_blas_thread_count():
-    # _POWER_MAX_LEVEL keeps each powered matrix small enough for OpenBLAS
-    # to multiply on one thread; levels 64-70 and 120 take the recursion
-    # (powered, level 120's 121 x 121 products differ in the last bits
-    # between one thread and two).  Two children, one BLAS thread and two,
-    # each print every value's bytes
+    # every product of a chain over 64 states is summed over tiles that
+    # OpenBLAS multiplies on one thread (`_product`); levels 64-70 and 120
+    # are such chains (untiled, level 120's 121 x 121 products differ in
+    # the last bits between one thread and two).  Two children, one BLAS
+    # thread and two, each print every value's bytes
     src = str(Path(walk.__file__).resolve().parents[1])
     code = (
         "from adastoc.walk import hitting_prob_exact\n"
@@ -576,6 +561,42 @@ def test_hitting_values_do_not_depend_on_the_blas_thread_count():
         for threads in ("1", "2")
     ]
     assert len(outs[0].split()) == 3 and outs[0] == outs[1]
+
+
+def test_product_is_matmul_up_to_one_tile_and_within_rounding_above():
+    # on random row-stochastic matrices: up to 64 states a product is a @ b
+    # itself, bit for bit; above, its tile sums move only the last bits
+    rng = np.random.default_rng(31)
+    for size in range(1, 201):
+        a, b = (m / m.sum(axis=1, keepdims=True) for m in rng.random((2, size, size)))
+        for left in (a, a[0]):
+            got, ref = walk._product(left, b), left @ b
+            assert got.shape == ref.shape
+            if size <= 64:
+                assert got.tobytes() == ref.tobytes()
+            else:
+                assert np.all(np.abs(got - ref) <= 1e-13 * ref)
+
+
+def test_tiled_hitting_values_do_not_depend_on_the_blas_thread_count():
+    # chains of three to five tiles, under one BLAS thread and four; untiled,
+    # level 129 at (0.6, 12345) differs in its last bits between the two
+    # (2 vCPU, OpenBLAS 0.3.31)
+    src = str(Path(walk.__file__).resolve().parents[1])
+    code = (
+        "from adastoc.walk import hitting_prob_exact\n"
+        "for p in (0.55, 0.6):\n"
+        "    print(hitting_prob_exact(p, [129, 200, 263], 12345).tobytes().hex())\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    outs = [
+        subprocess.run(
+            [sys.executable, "-c", code], env=dict(env, OPENBLAS_NUM_THREADS=threads),
+            capture_output=True, text=True, check=True, timeout=60,
+        ).stdout
+        for threads in ("1", "4")
+    ]
+    assert len(outs[0].split()) == 2 and outs[0] == outs[1]
 
 
 def test_union_sum_closed_form_equals_the_per_step_sum():
