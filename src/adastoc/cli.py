@@ -2,8 +2,9 @@
 
 Four subcommands:
 
-* walk     - simulate step sizes induced by the one-sided walk against the
-             theoretical floor alpha_star(n), per contraction factor gamma:
+* walk     - simulate step sizes alpha_bar * gamma**l (the C pow
+             np.float_power, as the loop's) induced by the one-sided walk
+             against the floor alpha_star(n), per contraction factor gamma:
              one representative path per gamma, and the dip fraction of one
              walk ensemble shared by every gamma next to its exact value;
 * hitting  - exact hitting probabilities versus the closed-form bound and a
@@ -72,6 +73,7 @@ from .tableio import _write_lines, format_cell, write_csv
 from .walk import (
     WalkParams,
     _check_reliability,
+    _first_level,
     gamma_threshold,
     hitting_prob_bound,
     hitting_prob_exact,
@@ -220,26 +222,12 @@ WALK_OPTIONS = {
 }
 
 
-def _dip_depth(params: WalkParams, alpha_star: float, level: int, n: int) -> int:
+def _dip_depth(params: WalkParams, alpha_star: float, n: int) -> int:
     """The first depth m in 0..n with alpha_bar * gamma**m < alpha_star, n + 1 if there is none.
 
-    alpha_star lies a level or two below `stepsize_lower_bound`'s level, so
-    eight depths from level - 2 are tried first.  They decide when the first
-    is 0 or a normal double above alpha_star by a relative 1e-12 (every
-    shallower depth is then above it too, whatever the last bits of
-    gamma**m), and one is below alpha_star or the last is n.  Else every
-    depth is scanned.  Both use numpy's array **: Python's ** and
-    np.float_power differ from it in the last bit.
+    gamma**m is the loop's C pow (np.float_power), and it falls with m.
     """
-    lo = min(max(level - 2, 0), n)
-    depths = np.arange(lo, min(lo + 8, n + 1), dtype=float)
-    steps = params.alpha_bar * params.gamma ** depths
-    below = steps < alpha_star
-    shallower_above = lo == 0 or steps[0] >= max(alpha_star * (1.0 + 1e-12), sys.float_info.min)
-    if not (shallower_above and (below.any() or depths[-1] == n)):
-        depths = np.arange(n + 1, dtype=float)
-        below = params.alpha_bar * params.gamma ** depths < alpha_star
-    return int(depths[np.argmax(below)]) if below.any() else n + 1
+    return _first_level(lambda m: params.alpha_bar * np.float_power(params.gamma, m) < alpha_star, 0, n + 1)
 
 
 def _path_lines(params: WalkParams, alpha_star: float, n: int, stream) -> list[str]:
@@ -248,7 +236,7 @@ def _path_lines(params: WalkParams, alpha_star: float, n: int, stream) -> list[s
     running_max = np.maximum.accumulate(path.states)
     # the running maximum passes through every level 0..running_max[-1]:
     # format gamma, and each level's step size with alpha_star, once
-    step_sizes = params.alpha_bar * params.gamma ** np.arange(running_max[-1] + 1, dtype=float)
+    step_sizes = params.alpha_bar * np.float_power(params.gamma, np.arange(running_max[-1] + 1))
     head, star = format_cell(params.gamma), format_cell(alpha_star)
     rests = [f"{format_cell(value)},{star}" for value in step_sizes.tolist()]
     return [f"{head},{k},{rests[z]}" for k, z in enumerate(running_max.tolist())]
@@ -260,7 +248,7 @@ def run_walk(opts: _Options) -> int:
     The deepest level M = max_k Z_k of an n-step walk has a law that depends
     on p and n only, so one ensemble of `reps` walks serves every gamma: a
     path dips below alpha_star when M >= m, m the first depth in 0..n with
-    alpha_bar * gamma**m < alpha_star (n + 1 if there is none), and
+    alpha_bar * gamma**m < alpha_star (`_dip_depth`; n + 1 if none), and
     `dip_exact` = P(M >= m) is its exact probability.  Every input is
     checked, and the run exits 2 if some dip_exact exceeds its
     failure_bound, before any random draw.  Gamma i's path draws from the first child of the i-th of
@@ -279,7 +267,7 @@ def run_walk(opts: _Options) -> int:
         for gamma in gammas
     ]
     floors = [stepsize_lower_bound(walk_params, n) for walk_params in params]
-    dip_depths = [_dip_depth(w, alpha_star, level, n) for w, (alpha_star, _, level) in zip(params, floors)]
+    dip_depths = [_dip_depth(w, alpha_star, n) for w, (alpha_star, _, _) in zip(params, floors)]
     dip_exacts = hitting_prob_exact(p, dip_depths, n).tolist()
     for gamma, (_, success_prob, _), dip_exact in zip(gammas, floors, dip_exacts):
         if dip_exact > 1.0 - success_prob + 1e-12:

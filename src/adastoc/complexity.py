@@ -12,6 +12,9 @@ Two abstract bounds are evaluated numerically (no hidden constants):
   P(T > n) + n^-omega + c n^-(1+omega), where alpha_star is the step-size
   floor.
 
+A step size alpha_bar gamma^l takes the C pow np.float_power, as the loop
+and the walk do; `walk._first_level` finds where the closed form starts.
+
 The trust-region and step-search reports evaluate both bounds on the
 matching per-iteration cost models.  `growth_exponent` states the
 asymptotic growth a cost model's total inherits from the step-size walk.
@@ -35,7 +38,7 @@ from .errors import AssumptionViolationError, InvalidParameterError
 from .framework import AlgoConfig, McTocSummary, _check_groups, _lockstep, _start, derive_seeds
 from .oracles import SassOracleSpec, StormOracleSpec, sass_cost_models, storm_cost_models
 from .problems import NoiseSpec, Problem
-from .walk import WalkParams, _walk_failure, stepsize_lower_bound
+from .walk import WalkParams, _first_level, _walk_failure, stepsize_lower_bound
 
 __all__ = [
     "BoundReport",
@@ -105,25 +108,6 @@ def _level_costs(models, params: WalkParams, levels: np.ndarray) -> tuple[np.nda
             for m, c in zip(models, costs)]
     with np.errstate(over="ignore"):
         return sum(costs), np.logaddexp.reduce(logs)
-
-
-def _first_level(test, lo: int, hi: int) -> int:
-    """The first level in lo..hi-1 that passes test, else hi; test is monotone and takes an array of levels.
-
-    The first call tests the 256 levels from lo, where the levels sought
-    usually lie; each later call tests 64 levels spread over the bracket,
-    so a bracket of n levels takes about log(n) / log(64) calls.
-    """
-    probes = list(range(lo, min(hi, lo + 256)))
-    while lo < hi:
-        hits = test(np.array(probes, dtype=float))
-        if hits.any():
-            j = int(np.argmax(hits))
-            lo, hi = (probes[j - 1] + 1 if j else lo), probes[j]
-        else:
-            lo = probes[-1] + 1
-        probes = sorted({lo + (hi - lo) * k // 64 for k in range(64)})
-    return hi
 
 
 def _head_end(models, params: WalkParams, n: int) -> int:
@@ -301,7 +285,7 @@ def storm_complexity_report(
     the growth exponents (`growth_exponent`) 4 log_{q/p} gamma and
     2 log_{q/p} gamma.
     """
-    if epsilon <= 0.0 or zeta <= 0.0:
+    if not (epsilon > 0.0 and zeta > 0.0):
         raise InvalidParameterError("epsilon and zeta must be positive")
     params = WalkParams(p=spec.p, gamma=gamma, alpha_bar=epsilon / zeta, omega=omega)
     models = storm_cost_models(spec)

@@ -134,15 +134,15 @@ class AlgoConfig:
             raise InvalidParameterError(f"theta must lie in (0,1), got {self.theta}")
         if not (0.0 < self.gamma < 1.0):
             raise InvalidParameterError(f"gamma must lie in (0,1), got {self.gamma}")
-        if self.alpha_max <= 0.0:
+        if not self.alpha_max > 0.0:
             raise InvalidParameterError("alpha_max must be positive")
         if not (0.0 < self.alpha0 <= self.alpha_max):
             raise InvalidParameterError("alpha0 must lie in (0, alpha_max]")
         if self.alpha0 == math.inf:
             raise InvalidParameterError("alpha0 must be finite")
-        if self.r < 0.0:
+        if not self.r >= 0.0:
             raise InvalidParameterError("r must be nonnegative")
-        if self.theta2 < 0.0:
+        if not self.theta2 >= 0.0:
             raise InvalidParameterError("theta2 must be nonnegative")
         if self.max_iterations < 1:
             raise InvalidParameterError("max_iterations must be positive")
@@ -234,9 +234,9 @@ def update_step_size(
     if not (0.0 < gamma < 1.0):
         raise InvalidParameterError(f"gamma must lie in (0,1), got {gamma}")
     alpha = base * gamma**exp
-    if alpha <= 0.0:
+    if not alpha > 0.0:
         raise InvalidParameterError("alpha must be positive")
-    if alpha > alpha_max:
+    if not alpha <= alpha_max:
         raise InvalidParameterError("alpha must not exceed alpha_max")
     new_base, new_exp = _step_law(base, exp, success, gamma, alpha_max)
     return float(new_base), int(new_exp)
@@ -260,7 +260,7 @@ def stopping_time(trace: RunTrace, epsilon: float, mode: str) -> int | None:
     Scans the recorded iterations and then the final iterate; returns None
     when the tolerance is never met within the trace.
     """
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:
         raise InvalidParameterError("epsilon must be positive")
     if mode not in _MODES:
         raise InvalidParameterError(f"unknown stopping mode {mode!r}")
@@ -755,7 +755,7 @@ def empirical_success_probability(
     Returns (p_hat, count); p_hat is None when no iteration qualifies, so a
     confidence interval can always be formed from count.
     """
-    if alpha_bar <= 0.0:
+    if not alpha_bar > 0.0:
         raise InvalidParameterError("alpha_bar must be positive")
     successes = count = 0
     for trace in traces:

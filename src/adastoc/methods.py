@@ -41,7 +41,7 @@ __all__ = ["SassMethod", "StormMethod"]
 
 def _one_propose(self, g: np.ndarray, alpha: float):
     """(step, aux) for one gradient estimate: row 0 of propose_rows."""
-    if alpha <= 0.0:
+    if not alpha > 0.0:
         raise InvalidParameterError("alpha must be positive")
     steps, aux = self.propose_rows(np.asarray(g, dtype=float)[None], np.array([alpha], dtype=float))
     return steps[0], None if aux is None else aux[0]

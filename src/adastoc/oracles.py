@@ -65,7 +65,7 @@ class SassOracleSpec:
     tau: float = math.inf
 
     def __post_init__(self):
-        if self.kappa <= 0.0 or self.tau <= 0.0:
+        if not (self.kappa > 0.0 and self.tau > 0.0):
             raise InvalidParameterError("kappa and tau must be positive")
 
 
@@ -81,9 +81,9 @@ class StormOracleSpec:
     sigma_g: float = 0.0
 
     def __post_init__(self):
-        if self.kappa_ef < 0.0 or self.kappa_eg < 0.0:
+        if not (self.kappa_ef >= 0.0 and self.kappa_eg >= 0.0):
             raise InvalidParameterError("kappa_ef and kappa_eg must be nonnegative")
-        if self.sigma_f < 0.0 or self.sigma_g < 0.0:
+        if not (self.sigma_f >= 0.0 and self.sigma_g >= 0.0):
             raise InvalidParameterError("sigma_f and sigma_g must be nonnegative")
         for name in ("delta0", "delta1"):
             if not (0.0 <= getattr(self, name) < 1.0):
@@ -298,11 +298,11 @@ def sass_cost_models(
     multiplier c makes the hidden constant explicit; scaling exponents are
     what matters.
     """
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:
         raise InvalidParameterError("epsilon must be positive")
     if case not in ("nonconvex", "strongly_convex"):
         raise InvalidParameterError(f"unknown case {case!r}")
-    if c <= 0.0:
+    if not c > 0.0:
         raise InvalidParameterError("the batch multiplier must be positive")
     value_order, grad_order = (4, 2) if case == "nonconvex" else (2, 1)
     c, eps = np.float64(c), np.float64(epsilon)  # as in storm_cost_models
@@ -538,6 +538,8 @@ class PairCorruptionOracles:
         for name in ("delta0", "delta1"):
             if not (0.0 <= getattr(self, name) < 0.5):
                 raise InvalidParameterError(f"{name} must lie in [0, 1/2)")
+        if not (0.0 < self.value_shift < math.inf):  # shifted up, so a corrupted trial is rejected
+            raise InvalidParameterError(f"value_shift must be positive and finite, got {self.value_shift}")
 
     def validate(self, problem: Problem) -> None:
         pass

@@ -53,7 +53,7 @@ class NoiseSpec:
 
     def __post_init__(self):
         for name in ("sigma_f", "m_c", "m_v"):
-            if getattr(self, name) < 0.0:
+            if not getattr(self, name) >= 0.0:
                 raise InvalidParameterError(f"{name} must be nonnegative")
 
     @classmethod
@@ -218,8 +218,8 @@ def make_problem(
     """
     if dim < 1:
         raise InvalidParameterError("dim must be at least 1")
-    if conditioning < 1.0:
-        raise InvalidParameterError("conditioning must be at least 1")
+    if not (1.0 <= conditioning < math.inf):
+        raise InvalidParameterError(f"conditioning must be finite and at least 1, got {conditioning}")
     noise = noise if noise is not None else NoiseSpec.none()
 
     if kind == "quadratic":

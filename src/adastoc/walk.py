@@ -28,6 +28,10 @@ every level, its products summed over tiles of at most 64 x 64 that
 OpenBLAS multiplies on one thread, so no value depends on the BLAS thread
 count: O(ceil((l+1)/64)**3 * 64**3 * log n).  The union sum over steps is
 the spectral formula summed in closed form.
+
+Every power of gamma or of an eigenvalue is np.float_power, the C pow that
+Python's float ** takes (numpy's array ** may run a SIMD loop that differs
+in the last bit), and `_first_level` is the one monotone level search.
 """
 
 from __future__ import annotations
@@ -454,7 +458,7 @@ def feller_transition_prob(p: float, l: int, m: int) -> float:
     if p == 1.0 or m < l:
         return 0.0
     stationary, theta, eigvals, scale = _spectrum(p, l)
-    series = np.sum(np.sin(theta) * np.sin(theta * l) * eigvals**m / (1.0 - eigvals))
+    series = np.sum(np.sin(theta) * np.sin(theta * l) * np.float_power(eigvals, m) / (1.0 - eigvals))
     return float(stationary - scale * series)
 
 
@@ -551,7 +555,7 @@ def hitting_prob_union_sum(p: float, l: int, n: int) -> float:
         return 0.0
     stationary, theta, eigvals, scale = _spectrum(p, l)
     steps = n - l + 1
-    sums = eigvals**l * (1.0 - eigvals**steps) / (1.0 - eigvals)  # sum_{m=l..n} eigval**m
+    sums = np.float_power(eigvals, l) * (1.0 - np.float_power(eigvals, steps)) / (1.0 - eigvals)
     series = np.sum(np.sin(theta) * np.sin(theta * l) * sums / (1.0 - eigvals))
     return float(steps * stationary - scale * series)
 
@@ -577,6 +581,25 @@ def hitting_prob_bound(p: float, l: int, n: int) -> float:
     first = max(0, n - l + 1) * (1.0 - math.exp(log_r)) / (1.0 - math.exp((l + 1) * log_r)) * r_pow_l
     second = overshoot_constant(p) * math.exp(l * math.log(2.0 * q))
     return first + second
+
+
+def _first_level(test, lo: int, hi: int) -> int:
+    """The first level in lo..hi-1 that passes test, else hi; test is monotone and takes an array of levels.
+
+    The first call tests the 256 levels from lo, where the levels sought
+    usually lie; each later call tests 64 levels spread over the bracket,
+    so a bracket of n levels takes about log(n) / log(64) calls.
+    """
+    probes = list(range(lo, min(hi, lo + 256)))
+    while lo < hi:
+        hits = test(np.array(probes, dtype=float))
+        if hits.any():
+            j = int(np.argmax(hits))
+            lo, hi = (probes[j - 1] + 1 if j else lo), probes[j]
+        else:
+            lo = probes[-1] + 1
+        probes = sorted({lo + (hi - lo) * k // 64 for k in range(64)})
+    return hi
 
 
 def stepsize_lower_bound(params: WalkParams, n: int) -> tuple[float, float, int]:

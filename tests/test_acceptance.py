@@ -104,7 +104,7 @@ def test_criterion_04_stepsize_floor_dip_fraction():
     budget = 1.0 - success_prob  # n^-omega + c * n^-(1+omega) = 0.012
     assert budget == pytest.approx(0.012, rel=1e-9)
     max_levels, _ = walk_ensemble_stats(params.p, n, reps, np.random.default_rng(77))
-    induced_min = params.alpha_bar * params.gamma ** max_levels.astype(float)
+    induced_min = params.alpha_bar * np.float_power(params.gamma, max_levels)
     dip = float(np.mean(induced_min < alpha_star))
     half_width = Z99 * math.sqrt(budget * (1 - budget) / reps)
     elapsed = time.time() - start

@@ -286,7 +286,7 @@ def test_walk_draws_one_ensemble_and_keeps_each_gammas_path_stream(tmp_path, mon
         alpha_star = stepsize_lower_bound(params, n)[0]
         stream = np.random.SeedSequence(seed).spawn(len(gammas))[i].spawn(2)[0]
         states = simulate_walk(params, n, np.random.default_rng(stream)).states
-        min_so_far = gamma ** np.maximum.accumulate(states).astype(float)
+        min_so_far = np.float_power(gamma, np.maximum.accumulate(states))
         expected = [
             "%.17e,%d,%.17e,%.17e" % (gamma, k, alpha, alpha_star)
             for k, alpha in enumerate(min_so_far.tolist())
@@ -316,7 +316,7 @@ def test_walk_csv_is_the_formatted_rows_of_each_gammas_path(tmp_path, p, gammas,
         params = WalkParams(p=p, gamma=gamma, alpha_bar=float(alpha_bar), omega=1.0)
         alpha_star = stepsize_lower_bound(params, n)[0]
         states = simulate_walk(params, n, np.random.default_rng(child.spawn(1)[0])).states
-        min_so_far = params.alpha_bar * gamma ** np.maximum.accumulate(states).astype(float)
+        min_so_far = params.alpha_bar * np.float_power(gamma, np.maximum.accumulate(states))
         rows.extend((gamma, k, alpha, alpha_star) for k, alpha in enumerate(min_so_far.tolist()))
     write_formatted_csv(tmp_path / "again.csv", cli.WALK_CSV_HEADER, "%.17e,%d,%.17e,%.17e", rows)
     assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "walk.csv").read_bytes()
@@ -372,12 +372,14 @@ def test_walk_dip_counts_the_first_depth_below_the_floor(tmp_path):
 
 def _full_scan_dip_depth(params, alpha_star, n):
     depths = np.arange(n + 1, dtype=float)
-    return int(np.append(np.flatnonzero(params.alpha_bar * params.gamma ** depths < alpha_star), n + 1)[0])
+    steps = params.alpha_bar * np.float_power(params.gamma, depths)
+    return int(np.append(np.flatnonzero(steps < alpha_star), n + 1)[0])
 
 
-def test_walk_dip_depth_from_a_window_equals_the_full_scan():
-    # the window of depths near the floor's level gives the first depth of
-    # the full scan, the no-dip value n + 1 included
+def test_walk_dip_depth_from_the_level_search_equals_the_full_scan():
+    # the level search's predicate is monotone on this grid: the search
+    # gives the first depth of the full scan, the no-dip value n + 1
+    # included, down to gamma = 1 - 2**-40, alpha_bar = 1e-300 and n = 10**6
     no_dip = 0
     for p in (0.55, 0.6, 0.8, 0.95, 1.0):
         for gamma in (0.1, 0.5, 0.6, 0.9, 0.999, 1.0 - 2.0**-40):
@@ -387,9 +389,9 @@ def test_walk_dip_depth_from_a_window_equals_the_full_scan():
                         if n == 10**6 and (gamma not in (0.5, 1.0 - 2.0**-40) or (alpha_bar, omega) != (1.0, 1.0)):
                             continue  # a full scan of 10**6 depths takes 0.1 s
                         params = WalkParams(p=p, gamma=gamma, alpha_bar=alpha_bar, omega=omega)
-                        alpha_star, _, level = stepsize_lower_bound(params, n)
+                        alpha_star = stepsize_lower_bound(params, n)[0]
                         expected = _full_scan_dip_depth(params, alpha_star, n)
-                        assert cli._dip_depth(params, alpha_star, level, n) == expected, (p, gamma, alpha_bar, omega, n)
+                        assert cli._dip_depth(params, alpha_star, n) == expected, (p, gamma, alpha_bar, omega, n)
                         no_dip += expected == n + 1
     assert no_dip > 0
 
@@ -534,6 +536,28 @@ def test_sweep_refuses_a_non_finite_walk_parameter_before_running(tmp_path, caps
 @pytest.mark.parametrize(
     "argv, message",
     [
+        (["--method=sass", "--oracle=exact", "--r=nan"], "r must be nonnegative"),
+        (["--method=storm", "--oracle=exact", "--theta2=nan"], "theta2 must be nonnegative"),
+        (["--oracle=minibatch", "--sigma-f=nan"], "sigma_f must be nonnegative"),
+    ],
+)
+def test_sweep_refuses_a_nan_option_before_running(tmp_path, capsys, monkeypatch, argv, message):
+    # a nan meets no range check written as the excluded side (x < 0); each
+    # check states what it admits, so a nan option is a configuration
+    # error, refused before any replication runs and naming none
+    def no_runs(*args, **kwargs):
+        raise AssertionError("a replication ran before the options were checked")
+
+    monkeypatch.setattr(cli, "monte_carlo_sweep", no_runs)
+    out = tmp_path / "s.csv"
+    assert _run(["sweep", *argv, "--epsilons=0.2", f"--out={out}"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
         (["--method=storm", "--horizon-c1=0"], "horizon_c1 must be positive"),
         (["--method=sass", "--horizon-c2=-3"], "horizon_c2 must be positive"),
         (["--method=sass", "--mode=strongly_convex", "--horizon-c1=-1"], "horizon_c1 must be positive"),
@@ -552,16 +576,29 @@ def test_sweep_refuses_a_nonpositive_horizon_constant_before_running(tmp_path, c
     assert not out.exists()
 
 
-def test_sweep_names_the_first_failing_replication_of_a_later_tolerance(tmp_path, capsys):
+class _InfinitelyShiftedOracles(PairCorruptionOracles):
+    """Corruption oracles whose shifted trial value is inf, drawing what PairCorruptionOracles draws.
+
+    A finite value_shift is the only one admitted, so a run that fails at
+    its first corrupted value pair needs this test-only suite.
+    """
+
+    def values_rows(self, problem, x, x_plus, f, f_plus, batch, streams):
+        f, shifted = super().values_rows(problem, x, x_plus, f, f_plus, batch, streams)
+        return f, np.where(shifted != f_plus, math.inf, shifted)
+
+
+def test_sweep_names_the_first_failing_replication_of_a_later_tolerance(tmp_path, capsys, monkeypatch):
     # a value estimate whose corruption coin hits is inf, so a run fails at
     # its first corrupted iteration.  At seed 2 every replication at
     # epsilon 0.1 stops first; at 0.01 replication 3 fails at iteration 25,
     # before replication 0 fails at 43, and the lowest failing replication
     # is the one named, as one-at-a-time runs would name it
+    monkeypatch.setattr(cli, "PairCorruptionOracles", _InfinitelyShiftedOracles)
     out = tmp_path / "s.csv"
     code = _run([
         "sweep", "--method=sass", "--oracle=corruption", "--noise=none", "--dim=4", "--conditioning=10",
-        "--delta0=0.01", "--delta1=0.1", "--value-shift=inf", "--gamma=0.6", "--epsilons=0.1,0.01",
+        "--delta0=0.01", "--delta1=0.1", "--gamma=0.6", "--epsilons=0.1,0.01",
         "--reps=4", "--seed=2", f"--out={out}",
     ])
     assert code == 1
@@ -582,18 +619,19 @@ def _count_loops(monkeypatch) -> list:
     return calls
 
 
-@pytest.mark.parametrize("shift", ["inf", "0"], ids=["first-fails", "first-runs"])
-def test_sweep_refuses_a_later_config_before_any_tolerance_runs(tmp_path, capsys, monkeypatch, shift):
+@pytest.mark.parametrize("suite", [_InfinitelyShiftedOracles, PairCorruptionOracles], ids=["first-fails", "first-runs"])
+def test_sweep_refuses_a_later_config_before_any_tolerance_runs(tmp_path, capsys, monkeypatch, suite):
     # alpha0 = 0.016 fits alpha_max = epsilon / zeta = 0.02 at epsilon 0.2
     # but not 0.01 at epsilon 0.1.  Every tolerance is configured before any
     # replication runs, so the second's configuration is refused first,
     # whether or not the first tolerance would fail at run time (an infinite
-    # value shift) or run through (none)
+    # shifted value) or run through (a finite one)
+    monkeypatch.setattr(cli, "PairCorruptionOracles", suite)
     calls = _count_loops(monkeypatch)
     out = tmp_path / "s.csv"
     code = _run([
         "sweep", "--method=storm", "--oracle=corruption", "--noise=none", "--dim=4", "--conditioning=10",
-        "--delta0=0.01", "--delta1=0.1", f"--value-shift={shift}", "--gamma=0.6", "--epsilons=0.2,0.1",
+        "--delta0=0.01", "--delta1=0.1", "--gamma=0.6", "--epsilons=0.2,0.1",
         "--alpha0=0.016", "--reps=4", "--seed=2", f"--out={out}",
     ])
     assert code == 1
@@ -967,6 +1005,58 @@ def _readme_examples() -> list[tuple[list[str], list[str]]]:
 
 
 _README_EXAMPLES = _readme_examples()
+
+
+# the README walk example's CSVs, then the bytes of 160 closed-form spectral values as hex
+_DISPATCH_PROBE = """
+import numpy as np
+from adastoc import cli, walk
+
+def run(argv):
+    assert cli.main(argv) == 0  # its CSVs land in $ADASTOC_OUTDIR
+    grid = [(p, l, m) for p in (0.55, 0.7, 0.8, 0.95) for l in (1, 3, 8, 20, 50) for m in (50, 200, 1000, 5000)]
+    values = [f(*args) for args in grid for f in (walk.feller_transition_prob, walk.hitting_prob_union_sum)]
+    return np.array(values).tobytes().hex()
+"""
+
+
+def test_walk_bytes_and_spectral_sums_do_not_depend_on_numpys_simd_dispatch(tmp_path, monkeypatch):
+    # numpy picks some ufunc loops by the CPU's SIMD extensions, and on
+    # AVX512 its array ** differs from the C library's pow in the last bit
+    # at some exponents; every power of gamma or of an eigenvalue is the C
+    # pow, so a child process with every dispatched extension disabled
+    # writes the same bytes as this one
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:
+        pytest.skip("numpy < 2 names its dispatch elsewhere")
+    dispatched, features = getattr(umath, "__cpu_dispatch__", ()), getattr(umath, "__cpu_features__", {})
+    disabled = [name for name in dispatched if features.get(name)]
+    if not disabled:
+        pytest.skip("numpy dispatches no SIMD extension on this host")
+    argv = _README_EXAMPLES[0][0]
+    assert argv[0] == "walk"
+    here, child = tmp_path / "here", tmp_path / "child"
+    here.mkdir(), child.mkdir()
+    monkeypatch.setenv("ADASTOC_OUTDIR", str(here))
+    probe = {}
+    exec(_DISPATCH_PROBE, probe)
+    digest = probe["run"](argv)
+    src = str(Path(adastoc.__file__).resolve().parents[1])
+    env = dict(
+        os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+        ADASTOC_OUTDIR=str(child), NPY_DISABLE_CPU_FEATURES=" ".join(disabled),
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", _DISPATCH_PROBE + f"print(run({argv!r}))"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == digest
+    names = sorted(path.name for path in here.iterdir())
+    assert names == sorted(path.name for path in child.iterdir()) == ["walk.csv", "walk_summary.csv"]
+    for name in names:
+        assert (child / name).read_bytes() == (here / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("argv, shown", _README_EXAMPLES, ids=[argv[0] for argv, _ in _README_EXAMPLES])

@@ -55,6 +55,20 @@ _RAISES = {
                          "alpha_max must be positive"),
     "lockstep-seeds": (lambda: framework.run_lockstep(_PROBLEM, SassMethod(), ExactOracles(), _CONFIG, 1e-3, []),
                        "at least one seed is needed"),
+    # a range is stated as what is admitted, so nan fails it
+    "config-alpha-max-nan": (lambda: framework.AlgoConfig(theta=0.1, gamma=0.5, alpha0=1.0, alpha_max=math.nan),
+                             "alpha_max must be positive"),
+    "config-r-nan": (lambda: framework.AlgoConfig(theta=0.1, gamma=0.5, alpha0=1.0, r=math.nan),
+                     "r must be nonnegative"),
+    "config-theta2-nan": (lambda: framework.AlgoConfig(theta=0.1, gamma=0.5, alpha0=1.0, theta2=math.nan),
+                          "theta2 must be nonnegative"),
+    "step-alpha-nan": (lambda: framework.update_step_size(math.nan, 0, True, 0.5, 1.0), "alpha must be positive"),
+    "step-alpha-max-nan": (lambda: framework.update_step_size(0.5, 0, True, 0.5, math.nan),
+                           "alpha must not exceed alpha_max"),
+    "stopping-time-epsilon-nan": (lambda: framework.stopping_time(None, math.nan, "nonconvex"),
+                                  "epsilon must be positive"),
+    "success-alpha-bar-nan": (lambda: framework.empirical_success_probability([], math.nan),
+                              "alpha_bar must be positive"),
     # oracles
     "minibatch-x": (lambda: oracles.minibatch_value(_PROBLEM, _NAN_X, 1, _rng()), "x must be finite"),
     "sass-case": (lambda: oracles.sass_cost_models(SassOracleSpec(), NoiseSpec.none(), 0.1, "convex"),
@@ -63,13 +77,35 @@ _RAISES = {
                                                                            0.1, 0, 0),
                             "trials must be at least 1"),
     "sass-spec": (lambda: SassOracleSpec(kappa=0.0), "kappa and tau must be positive"),
+    "sass-spec-kappa-nan": (lambda: SassOracleSpec(kappa=math.nan), "kappa and tau must be positive"),
+    "sass-spec-tau-nan": (lambda: SassOracleSpec(tau=math.nan), "kappa and tau must be positive"),
+    "sass-models-epsilon-nan": (lambda: oracles.sass_cost_models(SassOracleSpec(), NoiseSpec.none(), math.nan,
+                                                                 "nonconvex"),
+                                "epsilon must be positive"),
+    "sass-models-c-nan": (lambda: oracles.sass_cost_models(SassOracleSpec(), NoiseSpec.none(), 0.1, "nonconvex",
+                                                           c=math.nan),
+                          "the batch multiplier must be positive"),
     "storm-spec-kappa": (lambda: StormOracleSpec(kappa_eg=-1.0), "kappa_ef and kappa_eg must be nonnegative"),
+    "storm-spec-kappa-nan": (lambda: StormOracleSpec(kappa_ef=math.nan), "kappa_ef and kappa_eg must be nonnegative"),
     "storm-spec-sigma": (lambda: StormOracleSpec(sigma_g=-1.0), "sigma_f and sigma_g must be nonnegative"),
+    "storm-spec-sigma-nan": (lambda: StormOracleSpec(sigma_f=math.nan), "sigma_f and sigma_g must be nonnegative"),
+    "storm-report-zeta-nan": (lambda: complexity.storm_complexity_report(StormOracleSpec(), 0.1, math.nan, 100, 0.5,
+                                                                         1.0),
+                              "epsilon and zeta must be positive"),
     "storm-spec-delta": (lambda: StormOracleSpec(delta1=1.0), "delta1 must lie in [0,1)"),
     "cost-model-term": (lambda: CostModel(terms=((0.0, 1.0, 1.0),), label="v"),
                         "cost model 'v': a term needs c, a > 0, finite P"),
     "corruption-delta": (lambda: oracles.PairCorruptionOracles(delta0=0.5, delta1=0.1), "delta0 must lie in [0, 1/2)"),
+    # a corrupted trial value is shifted up, so that it is rejected
+    **{f"corruption-shift-{shift}": (lambda shift=shift: oracles.PairCorruptionOracles(0.1, 0.1, value_shift=shift),
+                                     f"value_shift must be positive and finite, got {shift}")
+       for shift in (math.nan, math.inf, -1.0, 0.0)},
     # problems
+    **{f"noise-{name}-nan": (lambda name=name: NoiseSpec(**{name: math.nan}), f"{name} must be nonnegative")
+       for name in ("sigma_f", "m_c", "m_v")},
+    **{f"problem-conditioning-{value}": (lambda value=value: make_problem("quadratic", 2, value),
+                                         f"conditioning must be finite and at least 1, got {value}")
+       for value in (math.nan, math.inf, 0.5)},
     "loss-batch": (lambda: _PROBLEM.sample_loss_batch(np.zeros(2), 0, _rng()), "batch must be at least 1"),
     "loss-x": (lambda: _PROBLEM.sample_loss_batch(_NAN_X, 1, _rng()), "x must be finite"),
     "grad-batch": (lambda: _PROBLEM.sample_grad_batch(np.zeros(2), 0, _rng()), "batch must be at least 1"),

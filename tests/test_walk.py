@@ -634,7 +634,7 @@ def test_dip_is_passing_one_level_above_the_floor_level(p, gamma, omega, n, alph
     assume(abs(x - round(x)) > 1e-9)
     assume(alpha_star > 1e-300)
     depths = np.arange(n + 2)
-    dips = alpha_bar * gamma ** depths.astype(float) < alpha_star
+    dips = alpha_bar * np.float_power(gamma, depths) < alpha_star
     assert np.array_equal(dips, depths >= level + 1)
 
 
