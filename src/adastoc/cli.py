@@ -69,7 +69,7 @@ from .oracles import (
     StormOracleSpec,
 )
 from .problems import NoiseSpec, make_problem
-from .tableio import _write_lines, format_cell, write_csv
+from .tableio import format_cell, write_csv, write_lines
 from .walk import (
     WalkParams,
     _check_reliability,
@@ -289,7 +289,7 @@ def run_walk(opts: _Options) -> int:
     ]
 
     # one gamma's lines at a time: each path is drawn as the CSV reaches it
-    _write_lines(out, WALK_CSV_HEADER, itertools.chain.from_iterable(
+    write_lines(out, WALK_CSV_HEADER, itertools.chain.from_iterable(
         _path_lines(w, alpha_star, n, child) for w, (alpha_star, _, _), child in zip(params, floors, children)
     ))
     write_csv(summary_out, WALK_SUMMARY_HEADER, summary_rows)
@@ -607,6 +607,14 @@ def run_sweep(opts: _Options) -> int:
 # -- entry point --------------------------------------------------------------
 
 
+_RUNNERS = {
+    "walk": (WALK_OPTIONS, run_walk),
+    "hitting": (HITTING_OPTIONS, run_hitting),
+    "optimize": (OPTIMIZE_OPTIONS, run_optimize),
+    "sweep": (SWEEP_OPTIONS, run_sweep),
+}
+
+
 def build_parser() -> _Parser:
     # allow_abbrev=False: a prefix of a flag is an unknown flag, not an alias
     parser = _Parser(
@@ -614,22 +622,9 @@ def build_parser() -> _Parser:
         allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, table in (
-        ("walk", WALK_OPTIONS),
-        ("hitting", HITTING_OPTIONS),
-        ("optimize", OPTIMIZE_OPTIONS),
-        ("sweep", SWEEP_OPTIONS),
-    ):
+    for name, (table, _) in _RUNNERS.items():
         _add_options(sub.add_parser(name, allow_abbrev=False), table)
     return parser
-
-
-_RUNNERS = {
-    "walk": (WALK_OPTIONS, run_walk),
-    "hitting": (HITTING_OPTIONS, run_hitting),
-    "optimize": (OPTIMIZE_OPTIONS, run_optimize),
-    "sweep": (SWEEP_OPTIONS, run_sweep),
-}
 
 
 _parser = functools.cache(build_parser)  # one parser per process: parsing leaves it unchanged

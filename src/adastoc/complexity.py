@@ -388,5 +388,5 @@ def monte_carlo_sweep(
     stretches = [i for i in range(len(runs)) if i == 0 or runs[i][0] != runs[i - 1][0]]
     summaries = []
     for lo, hi in zip(stretches, [*stretches[1:], len(runs)]):  # one loop per stretch of equal suites
-        summaries += _lockstep(problem, method, runs[lo][0], groups[lo:hi], mode, *starts[lo], record=False)
+        summaries += _lockstep(problem, method, runs[lo][0], groups[lo:hi], mode, starts[lo], record=False)
     return summaries

@@ -74,7 +74,7 @@ from .errors import (
 )
 from .problems import Problem
 from .rows import RowStreams, row_dot
-from .tableio import write_formatted_csv
+from .tableio import write_lines
 
 __all__ = [
     "AlgoConfig",
@@ -216,7 +216,7 @@ class RunTrace:
     def write_csv(self, path: str | Path) -> None:
         columns = [getattr(self, name).tolist() for name in TRACE_CSV_HEADER[1:]]
         rows = zip(range(len(self.alpha)), *columns)
-        write_formatted_csv(path, TRACE_CSV_HEADER, _TRACE_CSV_FORMAT, rows)
+        write_lines(path, TRACE_CSV_HEADER, map(_TRACE_CSV_FORMAT.__mod__, rows))
 
 
 def update_step_size(
@@ -384,10 +384,12 @@ def run_lockstep(
 
     Trace i is what run_adaptive gives with seed seeds[i]; the lowest failing seed's error is raised.
     """
-    x, models = _start(problem, method, oracle_suite, config, epsilon, mode, x0)
-    groups = [(config, epsilon, seeds)]
-    _check_groups(groups)
-    return _lockstep(problem, method, oracle_suite, groups, mode, x, models, record=True)
+    start = _start(problem, method, oracle_suite, config, epsilon, mode, x0)
+    if len(seeds) < 1:
+        raise InvalidParameterError("at least one seed is needed")
+    for seed in seeds:
+        _check_seed(seed)
+    return _lockstep(problem, method, oracle_suite, [(config, epsilon, seeds)], mode, start, record=True)
 
 
 _BLOCK = 256  # draws each row's generator is read ahead by in a one-group loop; _BLOCK // G with G groups
@@ -395,20 +397,15 @@ _CHUNK = 1024  # trace entries (rows x iterations) kept as per-iteration arrays 
 
 
 def _check_groups(groups) -> None:
-    """Refuse a group without seeds, a bad seed, and groups whose loops differ beyond per-row parameters."""
-    for *_, seeds in groups:
-        if len(seeds) < 1:
-            raise InvalidParameterError("at least one seed is needed")
-        for seed in seeds:
-            _check_seed(seed)
+    """Refuse groups whose loops differ beyond per-row parameters."""
     if len({(c.theta, c.theta2, c.max_iterations) for c, _, _ in groups}) > 1:
         raise InvalidParameterError("grouped runs must share theta, theta2 and max_iterations")
 
 
-def _lockstep(problem, method, suite, groups, mode, x, models, record):
-    """The adaptive loop over one row per seed of every group, from `_start`'s x and cost models.
+def _lockstep(problem, method, suite, groups, mode, start, record):
+    """The adaptive loop over one row per seed of every group, from what `_start` returns.
 
-    groups is a list of (config, epsilon, seeds) sharing the oracle suite, checked by `_check_groups`;
+    groups is a list of (config, epsilon, checked seeds) sharing the oracle suite, checked by `_check_groups`;
     the rows are laid out group by group, in seed order.  With record,
     returns one RunTrace per row.  Without, returns one McTocSummary per
     group: the trace is not kept, only where each row ended.  A row whose
@@ -427,11 +424,10 @@ def _lockstep(problem, method, suite, groups, mode, x, models, record):
     ids = np.arange(n)
     eps = np.array([epsilon for _, epsilon, _ in groups])[group]
     r = np.array([c.r for c, _, _ in groups])[group]
-    X = np.repeat(x[None], n, axis=0)
+    x, f, g, grad_norm, models = start
+    X, G = np.repeat(x[None], n, axis=0), np.repeat(g, n, axis=0)
+    F, grad_norm = np.repeat(f, n), np.repeat(grad_norm, n)
     value_rows, grad_rows = problem._value_rows, problem._grad_rows
-    F, partial = value_rows(X)
-    G = grad_rows(X, partial)
-    grad_norm = np.sqrt(row_dot(G, G))
     met = (F - min_value if gap_mode else grad_norm) <= eps
     sizes = _StepSizes([c for c, _, _ in groups], models)
     state = sizes.slot(group, 0, 0)  # alpha = alpha0
@@ -679,14 +675,15 @@ class _StepSizes:
 
 
 def _start(problem: Problem, method, oracle_suite, config: AlgoConfig, epsilon: float, mode: str, x0):
-    """Check one run before anything is drawn; return its start point and its suite's cost models.
+    """Check one run before anything is drawn; return (x, f, g, grad_norm, models), where its rows start.
 
-    This is the run's whole pre-flight, made once per run.  f and the norm
-    of grad f must be finite at the start point, as the loop evaluates them
-    there first, and each cost model must give a batch at config.alpha0,
-    the gradient model checked first as in `_StepSizes.check`: a batch that
-    overflows at the start step size is the configuration's error, not a
-    replication's.
+    This is the run's whole pre-flight, made once per run: the only place
+    a run reads its suite's cost_models (where a suite refuses a problem
+    it cannot serve) and evaluates its start point x.  f and the norm of
+    grad f must be finite at x, and each cost model must give a batch at
+    config.alpha0, the gradient model checked first as in
+    `_StepSizes.check`: a batch that overflows at the start step size is
+    the configuration's error, not a replication's.
     """
     _check_rows(oracle_suite, ("gradient", "values"))
     _check_rows(method, ("propose", "accepts"))
@@ -703,7 +700,7 @@ def _start(problem: Problem, method, oracle_suite, config: AlgoConfig, epsilon: 
         raise ConfigurationError(
             f"oracle suite family {suite_family!r} does not match method {method.family!r}"
         )
-    oracle_suite.validate(problem)
+    models = oracle_suite.cost_models(problem)
     if mode == STRONGLY_CONVEX and problem.min_value is None:
         raise MissingGroundTruthError("strongly_convex stopping needs a known minimum value")
     x = np.array(problem.x0 if x0 is None else x0, dtype=float)
@@ -717,10 +714,9 @@ def _start(problem: Problem, method, oracle_suite, config: AlgoConfig, epsilon: 
         grad_norm = np.sqrt(row_dot(g, g))
     if not (np.isfinite(f[0]) and np.isfinite(grad_norm[0])):
         raise InvalidParameterError("the objective or its gradient norm is not finite at x0")
-    models = oracle_suite.cost_models(problem)
     for model in reversed(models):
         model.batch(config.alpha0)
-    return x, models
+    return x, f, g, grad_norm, models
 
 
 def _check_rows(plugin, names: tuple[str, ...]) -> None:

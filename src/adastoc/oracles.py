@@ -349,10 +349,13 @@ def empirical_oracle_failure_rate(
 # -- runtime oracle suites ---------------------------------------------------
 #
 # A suite turns ground truth into the three estimates an iteration needs.
-# What they cost is not the suite's to say: cost_models(problem) -> (value,
-# grad) are the CostModels the adaptive loop charges every iteration from,
-# once per run.  The loop evaluates f and grad f once per distinct iterate
-# and calls only the row methods, for a stack of R rows at a time:
+# The loop reads `draws`, cost_models and the row methods; `family` is
+# optional (none: any method).  What estimates cost is not the suite's to
+# say: cost_models(problem) -> (value, grad) are the CostModels the loop
+# charges every iteration from, read once per run (`framework._start`), and
+# where a suite refuses a problem it cannot serve, so every path that
+# charges it refuses alike.  The loop evaluates f and grad f once per
+# distinct iterate and calls only the row methods, R rows at a time:
 #
 #   gradient_rows(problem, x, g, batch, streams) -> g_hat
 #   values_rows(problem, x, x_plus, f, f_plus, batch, streams)
@@ -411,11 +414,7 @@ def _norms(v: np.ndarray) -> np.ndarray:
 class ExactOracles:
     """Noise-free oracles: estimates equal the ground truth, one sample per call."""
 
-    family = "any"
     draws = None
-
-    def validate(self, problem: Problem) -> None:
-        pass
 
     def cost_models(self, problem: Problem) -> tuple[CostModel, CostModel]:
         return _UNIT_MODELS
@@ -450,13 +449,9 @@ class StormMinibatchOracles:
     def __post_init__(self):
         storm_cost_models(self.spec)  # a degenerate spec fails here, not mid-run
 
-    def validate(self, problem: Problem) -> None:
-        if problem.noise.m_v != 0.0:
-            raise ConfigurationError(
-                "trust-region oracles need a uniform gradient noise bound (m_v = 0)"
-            )
-
     def cost_models(self, problem: Problem) -> tuple[CostModel, CostModel]:
+        if problem.noise.m_v != 0.0:
+            raise ConfigurationError("trust-region oracles need a uniform gradient noise bound (m_v = 0)")
         return storm_cost_models(self.spec)
 
     def gradient_rows(self, problem, x, g, batch, streams):
@@ -493,9 +488,6 @@ class SassMinibatchOracles:
     family = "sass"
     draws = "standard_normal"
 
-    def validate(self, problem: Problem) -> None:
-        pass
-
     def cost_models(self, problem: Problem) -> tuple[CostModel, CostModel]:
         return sass_cost_models(self.spec, problem.noise, self.epsilon, self.case, self.batch_scale)
 
@@ -531,7 +523,6 @@ class PairCorruptionOracles:
     delta1: float
     value_shift: float = 1.0e6
 
-    family = "any"
     draws = "random"
 
     def __post_init__(self):
@@ -540,9 +531,6 @@ class PairCorruptionOracles:
                 raise InvalidParameterError(f"{name} must lie in [0, 1/2)")
         if not (0.0 < self.value_shift < math.inf):  # shifted up, so a corrupted trial is rejected
             raise InvalidParameterError(f"value_shift must be positive and finite, got {self.value_shift}")
-
-    def validate(self, problem: Problem) -> None:
-        pass
 
     def cost_models(self, problem: Problem) -> tuple[CostModel, CostModel]:
         return _UNIT_MODELS

@@ -2,7 +2,8 @@
 
 All experiment commands write through these helpers so that identical inputs
 produce byte-identical files: floats are rendered in full-precision scientific
-notation, integers verbatim, booleans as 0/1.
+notation, integers verbatim, booleans as 0/1.  `write_lines` writes every
+file; `write_csv` hands it rows whose cells `format_cell` prints.
 """
 
 from __future__ import annotations
@@ -29,36 +30,21 @@ def format_cell(value) -> str:
     return str(value)
 
 
-def format_row(cells: Sequence) -> str:
-    return ",".join(format_cell(c) for c in cells)
-
-
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    _write_lines(path, header, map(format_row, rows))
-
-
-def write_formatted_csv(
-    path: str | Path, header: Sequence[str], row_format: str, rows: Iterable[tuple]
-) -> None:
-    """write_csv for rows of fixed cell types, each row formatted by one `%` format string.
-
-    row_format holds one %d, %.17e or %s per cell, which print as format_cell
-    does: %d prints ints of any size and bools as 1/0, %.17e prints floats
-    including nan, inf, -inf, -0.0 and subnormals, and %s takes a cell the
-    caller formatted already with format_cell, so a value that repeats
-    down a column is formatted once.  A row must be a tuple.
-    """
-    _write_lines(path, header, map(row_format.__mod__, rows))
+    write_lines(path, header, (",".join(map(format_cell, row)) for row in rows))
 
 
 _CHUNK_LINES = 1 << 14
 
 
-def _write_lines(path: str | Path, header: Sequence[str], lines: Iterable[str]) -> None:
+def write_lines(path: str | Path, header: Sequence[str], lines: Iterable[str]) -> None:
     """Write the header and the lines, each newline-terminated, joining _CHUNK_LINES lines at a time.
 
     lines may be a generator: at most one chunk of it is held as text, so a
-    file of any length is written in bounded memory.
+    file of any length is written in bounded memory.  A caller that formats
+    its own lines prints each cell as format_cell does: `%d` prints ints of
+    any size and bools as 1/0, and `%.17e` prints floats including nan,
+    inf, -inf, -0.0 and subnormals.
     """
     lines = iter(lines)
     with open(path, "w") as fh:

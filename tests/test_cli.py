@@ -24,7 +24,7 @@ from adastoc.oracles import (
     StormOracleSpec,
 )
 from adastoc.problems import NoiseSpec, make_problem
-from adastoc.tableio import write_csv, write_formatted_csv
+from adastoc.tableio import write_csv
 from adastoc.walk import (
     WalkParams,
     gamma_threshold,
@@ -304,7 +304,7 @@ def test_walk_draws_one_ensemble_and_keeps_each_gammas_path_stream(tmp_path, mon
     ],
 )
 def test_walk_csv_is_the_formatted_rows_of_each_gammas_path(tmp_path, p, gammas, alpha_bar, n, seed):
-    # the lines built per level equal write_formatted_csv of the
+    # the lines built per level equal write_csv of the
     # (gamma, k, min-so-far step size, alpha_star) rows of every path
     assert _run(_walk_args(
         tmp_path, p=str(p), gamma=gammas, **{"alpha-bar": alpha_bar}, n=str(n), reps="20", seed=str(seed),
@@ -318,7 +318,7 @@ def test_walk_csv_is_the_formatted_rows_of_each_gammas_path(tmp_path, p, gammas,
         states = simulate_walk(params, n, np.random.default_rng(child.spawn(1)[0])).states
         min_so_far = params.alpha_bar * np.float_power(gamma, np.maximum.accumulate(states))
         rows.extend((gamma, k, alpha, alpha_star) for k, alpha in enumerate(min_so_far.tolist()))
-    write_formatted_csv(tmp_path / "again.csv", cli.WALK_CSV_HEADER, "%.17e,%d,%.17e,%.17e", rows)
+    write_csv(tmp_path / "again.csv", cli.WALK_CSV_HEADER, rows)
     assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "walk.csv").read_bytes()
 
 
@@ -326,7 +326,7 @@ def test_walk_csv_is_the_formatted_rows_of_each_gammas_path(tmp_path, p, gammas,
 def test_lines_written_in_chunks_are_the_bytes_of_one_join(tmp_path, count):
     # a walk CSV is written from a generator, one bounded chunk at a time
     lines = [f"{i},{i * i}" for i in range(count)]
-    tableio._write_lines(tmp_path / "o.csv", ("a", "b"), iter(lines))
+    tableio.write_lines(tmp_path / "o.csv", ("a", "b"), iter(lines))
     assert (tmp_path / "o.csv").read_bytes() == ("\n".join(["a,b", *lines]) + "\n").encode()
 
 

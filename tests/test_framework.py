@@ -39,9 +39,9 @@ from adastoc.oracles import (
     StormOracleSpec,
     storm_cost_models,
 )
-from adastoc.problems import NoiseSpec, make_problem
+from adastoc.problems import NoiseSpec, Problem, make_problem
 from adastoc.rows import RowStreams
-from adastoc.tableio import format_row
+from adastoc.tableio import format_cell
 
 
 def _config(**kw):
@@ -240,7 +240,7 @@ def test_trace_csv_schema(tmp_path):
 
 
 def test_trace_csv_formats_every_cell_as_format_cell_does(tmp_path):
-    # one format string per row gives the bytes of format_row, edge values included
+    # one format string per row prints every cell as format_cell does, edge values included
     cells = [
         (math.nan, True, 2**70, 0, -0.0, math.inf),
         (5e-324, False, 3, 2**63, math.inf, -math.inf),
@@ -260,7 +260,7 @@ def test_trace_csv_formats_every_cell_as_format_cell_does(tmp_path):
     )
     path = tmp_path / "t.csv"
     trace.write_csv(path)
-    lines = [",".join(TRACE_CSV_HEADER)] + [format_row((k, *row)) for k, row in enumerate(cells)]
+    lines = [",".join(TRACE_CSV_HEADER)] + [",".join(map(format_cell, (k, *row))) for k, row in enumerate(cells)]
     assert path.read_text() == "\n".join(lines) + "\n"
 
 
@@ -466,17 +466,54 @@ class _OnlyAccepts(StormMethod):
 class _OneCallSuite:
     """A suite with the one-point calls only, no row methods."""
 
-    family = "any"
     draws = None
-
-    def validate(self, problem):
-        pass
 
     def gradient(self, problem, x, alpha, rng):
         return problem.grad(x), 1
 
     def values(self, problem, x, x_plus, alpha, rng):
         return problem.value(x), problem.value(x_plus), 2
+
+
+class _ProtocolSuite:
+    """Only the members the loop reads, taken from a corruption suite: no family, no one-point calls."""
+
+    draws = "random"
+    _suite = PairCorruptionOracles(0.2, 0.2)
+
+    def cost_models(self, problem):
+        return self._suite.cost_models(problem)
+
+    def gradient_rows(self, *args):
+        return self._suite.gradient_rows(*args)
+
+    def values_rows(self, *args):
+        return self._suite.values_rows(*args)
+
+
+def test_a_suite_of_the_protocol_members_alone_runs():
+    # draws, cost_models and the two row methods are the whole suite protocol
+    prob = make_problem("quadratic", 2, 10.0)
+    cfg = _config(max_iterations=200)
+    trace = run_adaptive(prob, SassMethod(), _ProtocolSuite(), cfg, 1e-6, seed=4)
+    same = run_adaptive(prob, SassMethod(), _ProtocolSuite._suite, cfg, 1e-6, seed=4)
+    for name in TRACE_COLUMNS:
+        assert getattr(trace, name).tolist() == getattr(same, name).tolist(), name
+    assert not trace.success.all() and trace.stopping_iteration is not None
+    summary = monte_carlo_toc(prob, SassMethod(), _ProtocolSuite(), cfg, 1e-6, 3, 0)
+    alike = monte_carlo_toc(prob, SassMethod(), _ProtocolSuite._suite, cfg, 1e-6, 3, 0)
+    assert summary.iterations.tolist() == alike.iterations.tolist()
+    assert summary.toc0.tolist() == alike.toc0.tolist()
+
+
+def test_rows_start_from_the_pre_flights_evaluation():
+    # `_start` evaluates the start point once and every row starts from it:
+    # replications that all stop at iteration 0 evaluate f nowhere else
+    prob = make_problem("quadratic", 2, 1.0)
+    with mock.patch.object(Problem, "_value_rows", autospec=True, side_effect=Problem._value_rows) as value_rows:
+        summary = monte_carlo_toc(prob, SassMethod(), PairCorruptionOracles(0.1, 0.1), _config(), 1e6, 40, 0)
+    assert summary.stopped_at.tolist() == [0] * 40
+    assert [call.args[1].shape for call in value_rows.call_args_list] == [(1, 2)]
 
 
 @pytest.mark.parametrize(

@@ -329,7 +329,7 @@ def test_each_suite_charges_exactly_its_cost_models(suite):
     # the loop charges every iteration from the models a sweep bounds, in the
     # trace and in the Monte Carlo totals alike
     problem = make_problem("quadratic", 2, 1.0, NoiseSpec.gaussian(sigma_f=0.01, m_c=0.01), seed=0)
-    method = StormMethod() if suite.family == "storm" else SassMethod()
+    method = StormMethod() if getattr(suite, "family", "any") == "storm" else SassMethod()
     config = AlgoConfig(theta=0.1, gamma=0.5, alpha0=0.5, alpha_max=0.5, max_iterations=40)
     value, grad = suite.cost_models(problem)
     traces = run_lockstep(problem, method, suite, config, 1e-6, derive_seeds(0, 3))
@@ -585,7 +585,30 @@ def test_minibatch_suite_rejects_unbounded_gradient_noise():
     prob = make_problem("quadratic", 2, 1.0, NoiseSpec.gaussian(m_c=1.0, m_v=1.0), seed=0)
     suite = StormMinibatchOracles(StormOracleSpec(sigma_f=1.0, sigma_g=1.0))
     with pytest.raises(ConfigurationError):
-        suite.validate(prob)
+        suite.cost_models(prob)
+
+
+_UNBOUNDED = make_problem("quadratic", 2, 1.0, NoiseSpec.gaussian(sigma_f=1e-3, m_c=1e-2, m_v=0.5), seed=0)
+_STORM_SUITE = StormMinibatchOracles(StormOracleSpec(sigma_f=1e-3, sigma_g=0.1))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: run_lockstep(
+            _UNBOUNDED, StormMethod(), _STORM_SUITE, AlgoConfig(theta=0.1, gamma=0.5, alpha0=0.01), 1e-3, [0]
+        ),
+        lambda: empirical_oracle_failure_rate(_STORM_SUITE, _UNBOUNDED, _UNBOUNDED.x0, 0.01, 200, 1),
+        lambda: _STORM_SUITE.gradient(_UNBOUNDED, _UNBOUNDED.x0, 0.01, np.random.default_rng(1)),
+        lambda: _STORM_SUITE.values(_UNBOUNDED, _UNBOUNDED.x0, _UNBOUNDED.x0, 0.01, np.random.default_rng(1)),
+    ],
+    ids=["loop", "failure-rate", "gradient", "values"],
+)
+def test_every_path_that_charges_a_suite_refuses_what_the_loop_refuses(call):
+    # the refusal lives in cost_models, which every path that charges the
+    # suite reads: none of them draws or charges on m_v > 0
+    with pytest.raises(ConfigurationError, match=r"uniform gradient noise bound \(m_v = 0\)"):
+        call()
 
 
 _ALPHAS = np.geomspace(1e-3, 10.0, 9)
