@@ -46,15 +46,23 @@ row methods) and per-iteration charge (added to the totals, or recorded as
 the trace's cost0 and cost1).  So an iteration's cost depends only on its
 step size, and a row is charged exactly what the bounds count.
 
-Ground truth is evaluated once per distinct iterate: f at an accepted
-trial point becomes f at the next iterate, and grad f is computed only
-for rows that moved.  A·x is computed once per point: evaluating f at the
-trial points (`Problem._value_rows`) also returns the partial result grad
-f is built from, which is kept until acceptance is known and finishes
-grad f for the rows that moved.  The oracle suite turns that truth into
-estimates; the optimizer itself never reads it.  The gradient norm and
-optimality gap are recorded every iteration, purely for instrumentation
-and stopping-time detection.
+Ground truth is evaluated once per point: f at an accepted trial point
+becomes f at the next iterate, and A·x is computed once per point:
+evaluating f at the trial points (`Problem._value_rows`) also returns the
+partial result grad f is built from, which is kept until acceptance is
+known.  When any row moved, grad f is evaluated at every trial point from
+it, in one call for the whole stack (a rejected row's is discarded), and
+the loop writes the moved rows of its iterates x and gradients g in place;
+when every row moved, the trial stacks become the iterates.  So a suite
+must not keep the arrays it is handed or returns.  The oracle suite turns
+that truth into estimates; the optimizer itself never reads it.  The
+gradient norm and optimality gap are recorded every iteration, purely for
+instrumentation and stopping-time detection.
+
+The totals of a run without a trace are one (R, 2) array, value and
+gradient samples, to which each iteration adds its rows' charges: int64
+while every charge the step-size table holds keeps a run's total below
+2**63, Python ints from then on.
 """
 
 from __future__ import annotations
@@ -67,6 +75,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    AssumptionViolationError,
     ConfigurationError,
     InvalidParameterError,
     MissingGroundTruthError,
@@ -431,7 +440,7 @@ def _lockstep(problem, method, suite, groups, mode, start, record):
     met = (F - min_value if gap_mode else grad_norm) <= eps
     sizes = _StepSizes([c for c, _, _ in groups], models)
     state = sizes.slot(group, 0, 0)  # alpha = alpha0
-    toc0 = toc1 = np.zeros(n, dtype=object)
+    toc = np.zeros((n, 2), dtype=np.int64)  # each row's value and gradient sample totals
     ends = McTocSummary(
         np.full(n, -1), np.zeros(n, dtype=int), np.zeros(n, dtype=object), np.zeros(n, dtype=object),
         np.empty_like(X), np.empty(n), np.empty(n),
@@ -454,26 +463,27 @@ def _lockstep(problem, method, suite, groups, mode, start, record):
         if retire or k >= max_iterations:
             out = met if k < max_iterations else np.ones(len(ids), dtype=bool)
             out = out if failed[1] is None else out | (ids >= failed[0])
-            rows = ids[out]
-            ends.stopped_at[rows] = np.where(met[out], k, -1)
-            ends.iterations[rows] = k
-            ends.toc0[rows] = toc0[out]
-            ends.toc1[rows] = toc1[out]
-            ends.final_x[rows] = X[out]
-            ends.final_grad_norm[rows] = grad_norm[out]
-            ends.final_gap[rows] = F[out] - min_value
             keep = ~out
-            if not count(keep):
+            gone, kept = np.flatnonzero(out), np.flatnonzero(keep)
+            rows = ids[gone]
+            ends.stopped_at[rows] = np.where(met[gone], k, -1)
+            ends.iterations[rows] = k
+            ends.toc0[rows], ends.toc1[rows] = toc.take(gone, axis=0).T  # stored as Python ints
+            ends.final_x[rows] = X.take(gone, axis=0)
+            ends.final_grad_norm[rows] = grad_norm[gone]
+            ends.final_gap[rows] = F[gone] - min_value
+            if not len(kept):
                 break
-            ids, X, F, G, grad_norm, met, state, toc0, toc1, eps, r = (
-                a[keep] for a in (ids, X, F, G, grad_norm, met, state, toc0, toc1, eps, r)
+            ids, X, F, G, grad_norm, met, state, toc, eps, r = (
+                a.take(kept, axis=0) for a in (ids, X, F, G, grad_norm, met, state, toc, eps, r)
             )
             streams.keep(keep)
             retire = False
         if k >= sizes.valid_until:
             sizes.cover(state, k)
+            toc = toc.astype(sizes.charge.dtype, copy=False)  # Python ints once the table holds them
         alpha, batch0, batch1 = sizes.alpha[state], sizes.batch[0][state], sizes.batch[1][state]
-        if sizes.may_fail and (checked := sizes.check(state)) is not None:  # failing rows end on stand-ins
+        if sizes.may_fail and (checked := sizes.check(state, k)) is not None:  # failing rows end on stand-ins
             failed, retire = _lowest(failed, ids, *checked), True
             alpha, batch0, batch1 = (np.where(checked[0], 1.0, a) for a in (alpha, batch0, batch1))
 
@@ -500,18 +510,17 @@ def _lockstep(problem, method, suite, groups, mode, start, record):
                 chunks.append(_pack(columns))
                 columns, pending = [], 0
         else:
-            toc0 = toc0 + sizes.charge[0][state]
-            toc1 = toc1 + sizes.charge[1][state]
+            toc += sizes.charge.take(state, axis=0)
 
         moved = count(success)
         if moved:
             if moved == len(success):
                 X, F, G = X_plus, F_plus, grad_rows(X_plus, partial)
-            else:
-                X = np.where(success[:, None], X_plus, X)
+            else:  # X and G are the loop's own: the moved rows are written in place; a trace holds F
+                rows_moved = success[:, None]
+                np.copyto(X, X_plus, where=rows_moved)
                 F = np.where(success, F_plus, F)
-                G = G.copy()
-                G[success] = grad_rows(X_plus[success], partial[success])
+                np.copyto(G, grad_rows(X_plus, partial), where=rows_moved)
             grad_norm = np.sqrt(row_dot(G, G))
             met = (F - min_value if gap_mode else grad_norm) <= eps
             retire = retire or count(met) > 0
@@ -556,8 +565,9 @@ def _traces(chunks, ends, sizes, min_value, runs, mode) -> list[RunTrace]:
         order = np.argsort(np.concatenate(parts.pop(0)), kind="stable")
         state, success, grad_norm, gap = (np.concatenate(parts.pop(0))[order] for _ in range(4))
         gap -= min_value
+        charge = sizes.charge.astype(object)  # the cost columns hold Python ints
         columns = dict(zip(TRACE_COLUMNS, (
-            sizes.alpha[state], success, *(charge[state] for charge in sizes.charge), grad_norm, gap,
+            sizes.alpha[state], success, charge[state, 0], charge[state, 1], grad_norm, gap,
             sizes.base[state], sizes.exp[state],
         )))
     bounds = np.cumsum(ends.iterations).tolist()
@@ -587,8 +597,11 @@ class _StepSizes:
     update: a row's update is one addition and two lookups.  For the value
     model (i = 0) and the gradient model (i = 1) of `models`,
     batch[i][slot] is the per-call batch at alpha as a float, and
-    charge[i][slot] the per-iteration charge calls_per_iteration * batch as
-    a Python int.  The table is filled, a block of exponents at a time, for
+    charge[slot, i] the per-iteration charge calls_per_iteration * batch.
+    charge is int64 while every filled charge is at most
+    (2**63 - 1) // max_iterations, so a row's total over a run stays exact
+    in int64; from the first fill where one is larger it holds Python ints.
+    The table is filled, a block of exponents at a time, for
     exponents lo..hi in every group, which follow the live rows only: there
     is no floor.  A state whose alpha is 0 or above alpha_max is filled
     too, with next = -1; no row reaches it.  A batch beyond the float range
@@ -601,13 +614,15 @@ class _StepSizes:
     def __init__(self, configs, models):
         self.configs = list(configs)
         self.models = models
+        # the largest charge every iteration of a run can take with the total in int64
+        self.int64_share = (2**63 - 1) // self.configs[0].max_iterations
         self.lo, self.hi = 0, -1
         self.alpha = np.empty(0)
         self.next = np.empty(0, dtype=np.intp)
         self.base = np.empty(0)
         self.exp = np.empty(0, dtype=np.int64)
         self.batch = [np.empty(0), np.empty(0)]
-        self.charge = [np.empty(0, dtype=object), np.empty(0, dtype=object)]
+        self.charge = np.empty((0, 2), dtype=np.int64)
         self.may_fail = False  # whether a filled state fails `check`
         self.valid_until = 0  # the first iteration that needs cover() again
 
@@ -636,7 +651,7 @@ class _StepSizes:
         self.base = np.concatenate([self.base, np.full(grow, np.nan)])
         self.exp = np.concatenate([self.exp, np.zeros(grow, dtype=np.int64)])
         self.batch = [np.concatenate([b, np.full(grow, np.nan)]) for b in self.batch]
-        self.charge = [np.concatenate([c, np.zeros(grow, dtype=object)]) for c in self.charge]
+        self.charge = np.concatenate([self.charge, np.zeros((grow, 2), dtype=self.charge.dtype)])
         exps = np.concatenate([np.arange(lo, self.lo), np.arange(self.hi + 1, hi + 1)])
         success = np.array([[False], [True]])
         for group, config in enumerate(self.configs):
@@ -659,17 +674,28 @@ class _StepSizes:
                 fails |= over
                 self.batch[i][slots] = batch
                 calls = model.calls_per_iteration
-                self.charge[i][slots] = [calls * int(b) for b in np.where(over, 0.0, batch).tolist()]
+                charges = [calls * int(b) for b in np.where(over, 0.0, batch).tolist()]
+                if max(charges) > self.int64_share:
+                    self.charge = self.charge.astype(object, copy=False)
+                self.charge[slots, i] = charges
             self.may_fail = self.may_fail or bool(fails.any())
         self.lo, self.hi = lo, hi
 
-    def check(self, state: np.ndarray):
-        """None, or the mask of rows whose alpha is 0 or whose cost overflows and the first one's error."""
+    def check(self, state: np.ndarray, k: int):
+        """None, or the mask of rows whose alpha is 0 or whose cost overflows and the first one's error.
+
+        alpha = 0 has left the step-size grid the bounds assume: an
+        AssumptionViolationError naming iteration k.  A cost that overflows
+        is CostModel.batch's error, the gradient model's first.
+        """
         bad = ~(self.alpha[state] > 0.0) | np.isinf(self.batch[0][state]) | np.isinf(self.batch[1][state])
         if np.count_nonzero(bad):
+            alpha = float(self.alpha[state[np.argmax(bad)]])
+            if not alpha > 0.0:
+                return bad, AssumptionViolationError(f"the step size underflows to 0 at iteration {k}")
             try:
-                for model in reversed(self.models):  # CostModel.batch's error, the gradient model's first
-                    model.batch(float(self.alpha[state[np.argmax(bad)]]))
+                for model in reversed(self.models):
+                    model.batch(alpha)
             except InvalidParameterError as exc:
                 return bad, exc
 

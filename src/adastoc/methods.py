@@ -85,10 +85,11 @@ class StormMethod:
     def propose_rows(self, g: np.ndarray, alpha: np.ndarray):
         """(step, ||g||) per row, normalized at unit scale so a subnormal gradient's step stays on the ball.
 
-        A nonzero row's unit vector has a component of exactly +-1.0, so the
-        two floors leave it unchanged; a zero row gets a zero step and norm 0.0.
+        The scale is floored at the least subnormal inside its reduction.  A
+        nonzero row's unit vector has a component of exactly +-1.0, so the
+        floors leave it unchanged; a zero row gets a zero step and norm 0.0.
         """
-        scale = np.maximum(np.maximum.reduce(np.abs(g), axis=1), math.ulp(0.0))
+        scale = np.maximum.reduce(np.abs(g), axis=1, initial=math.ulp(0.0))
         unit = g / scale[:, None]
         unit_norm = np.sqrt(row_dot(unit, unit))
         return (-alpha / np.maximum(unit_norm, 1.0))[:, None] * unit, scale * unit_norm

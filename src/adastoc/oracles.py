@@ -366,7 +366,11 @@ def empirical_oracle_failure_rate(
 # model at each row's step size, as floats, and streams a RowStreams of the
 # suite's `draws` kind (None: the suite draws nothing); a call takes the
 # same block of draws for every row.  gradient is drawn first (the step
-# depends on it), then the values of x and x_plus.
+# depends on it), then the values of x and x_plus.  The arrays are the
+# loop's own, and a suite may return g, f or f_plus itself: after a turn
+# the loop writes the moved rows of x and g in place (grad f is evaluated
+# at every trial point when any row moved), so a suite must not change
+# what it is handed, nor keep it or what it returns beyond the call.
 #
 #   violated(problem, x, x_plus, alpha, g, f0, f_plus)
 #       -> (value_failed, grad_failed)
@@ -535,14 +539,15 @@ class PairCorruptionOracles:
     def cost_models(self, problem: Problem) -> tuple[CostModel, CostModel]:
         return _UNIT_MODELS
 
+    # a corrupted row is negated or shifted in a copy: g and f_plus are the loop's ground truth
     def gradient_rows(self, problem, x, g, batch, streams):
         flip = streams.take(1)[:, 0] < self.delta1
-        return np.where(flip[:, None], -g, g) if np.count_nonzero(flip) else g
+        return np.negative(g, out=g.copy(), where=flip[:, None]) if np.count_nonzero(flip) else g
 
     def values_rows(self, problem, x, x_plus, f, f_plus, batch, streams):
         shift = streams.take(1)[:, 0] < self.delta0
         if np.count_nonzero(shift):
-            f_plus = np.where(shift, f_plus + self.value_shift, f_plus)
+            f_plus = np.add(f_plus, self.value_shift, out=f_plus.copy(), where=shift)
         return f, f_plus
 
     gradient = _one_gradient

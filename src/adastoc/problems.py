@@ -78,9 +78,14 @@ class Problem:
     seed: int
     x0: np.ndarray = field(repr=False)
     _diag: np.ndarray | None = field(default=None, repr=False)
-    _features: np.ndarray | None = field(default=None, repr=False)
+    _signed_features: np.ndarray | None = field(default=None, repr=False)  # -labels * features, by row
     _neg_labels: np.ndarray | None = field(default=None, repr=False)  # -labels, the margins' signs
     _reg: float = 0.0
+
+    @property
+    def _features(self) -> np.ndarray:
+        """The unsigned features: the label signs taken back out of `_signed_features`, exactly."""
+        return self._neg_labels[:, None] * self._signed_features
 
     # -- exact ground truth -------------------------------------------------
     #
@@ -91,6 +96,10 @@ class Problem:
     # f with the partial result grad f is built from (the margins -y * (A x)
     # for logistic, D x for the quadratic), and `_grad_rows` finishes grad f
     # from it, so a caller holding f at a point never computes A x again.
+    # The label signs are folded into the features once (-y * A, exact as
+    # y is +-1), so the margins are one matmul and grad f takes no sign.
+    # grad f may be evaluated at any trial point the loop proposes, so a
+    # margin whose exp overflows gives its exact limit, sigmoid 0, silently.
 
     def value(self, x: np.ndarray):
         """f(x): a float for one point, an (R,) array for a stack of points."""
@@ -115,7 +124,7 @@ class Problem:
         if self.kind == "quadratic":
             dx = self._diag * rows
             return 0.5 * row_dot(rows, dx), dx
-        margins = self._neg_labels * np.matmul(self._features, rows[:, :, None])[:, :, 0]
+        margins = np.matmul(self._signed_features, rows[:, :, None])[:, :, 0]
         loss = np.add.reduce(np.logaddexp(0.0, margins), axis=1) / len(self._neg_labels)
         return loss + 0.5 * self._reg * row_dot(rows, rows), margins
 
@@ -123,9 +132,13 @@ class Problem:
         """grad f at each row of rows, from `_value_rows(rows)[1]` (or the same rows of it)."""
         if self.kind == "quadratic":
             return partial
-        sig = 1.0 / (1.0 + np.exp(-partial))
-        coeff = self._neg_labels * sig / len(self._neg_labels)
-        return np.matmul(self._features.T, coeff[:, :, None])[:, :, 0] + self._reg * rows
+        coeff = np.negative(partial)  # sigmoid(partial) / N, formed in place in this one array
+        with np.errstate(over="ignore"):
+            np.exp(coeff, out=coeff)
+        coeff += 1.0
+        np.divide(1.0, coeff, out=coeff)
+        coeff /= len(self._neg_labels)
+        return np.matmul(self._signed_features.T, coeff[:, :, None])[:, :, 0] + self._reg * rows
 
     # -- stochastic sampling ------------------------------------------------
 
@@ -256,7 +269,7 @@ def make_problem(
             min_value=min_value,
             seed=seed,
             x0=np.full(dim, 0.5),
-            _features=features,
+            _signed_features=-labels[:, None] * features,
             _neg_labels=-labels,
             _reg=reg,
         )

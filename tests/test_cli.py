@@ -1090,6 +1090,21 @@ def test_sweep_reports_inf_when_the_step_size_floor_underflows(tmp_path):
     assert float(values["exceed_frac"]) == 0.0
 
 
+def test_a_step_size_underflowing_to_zero_is_an_assumption_violation(tmp_path, capsys):
+    # at delta0 = delta1 = 0.3 a step-search iteration is clean with
+    # probability 0.49, so the step sizes drift down: one replication halves
+    # its step size to 0.0, off the grid the bounds assume, and the sweep
+    # exits 2 naming it and its iteration, writing nothing
+    out = tmp_path / "s.csv"
+    assert _run([
+        "sweep", "--method=sass", "--oracle=corruption", "--noise=none", "--delta0=0.3", "--delta1=0.3",
+        "--reliability-p=0.99", "--gamma=0.5", "--epsilons=0.1,0.05", "--reps=200", "--seed=1", f"--out={out}",
+    ]) == 2
+    message = "theory violation: replication 31: the step size underflows to 0 at iteration 3613\n"
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
 def test_sweep_reports_inf_for_mean_costs_beyond_the_double_range(tmp_path):
     # at sigma_f = 1e149 the value batches pass 1e300 per call: six
     # replications' summed samples leave the double range at epsilon 0.1, and

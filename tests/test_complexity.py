@@ -423,6 +423,34 @@ def test_lockstep_replications_equal_separate_runs(name, alpha0, mode, k, j, mas
     assert _records(monte_carlo_toc(prob, method, suite, cfg, eps, j, master, mode=mode)) == _records(summary)[:j]
 
 
+@pytest.mark.parametrize(
+    "gamma, sigma_f, kappa_ef, max_iterations",
+    [
+        (0.5, 1e-11, 10.0, 60),  # later charges leave the int64 range altogether
+        (0.99, 1e8, math.sqrt(10.0), 100),  # every charge a row reaches fits int64, the totals do not
+    ],
+)
+def test_totals_stay_exact_when_charges_pass_the_int64_share_mid_run(gamma, sigma_f, kappa_ef, max_iterations):
+    # theta2 = 1e30 fails every trust-region iteration, so alpha = gamma**k and
+    # the value batch grows as alpha**-4: the charges of the step sizes the
+    # first table fill holds (exponents up to 32) are at most the int64 share
+    # (2**63 - 1) // max_iterations, later ones exceed it, and every total
+    # passes 2**63; the totals are still the Python-int sums of the traces
+    prob = make_problem("quadratic", 2, 1.0, NoiseSpec.none(), seed=0)
+    spec = StormOracleSpec(sigma_f=sigma_f, kappa_ef=kappa_ef)
+    suite = StormMinibatchOracles(spec)
+    cfg = _config(gamma=gamma, theta2=1e30, max_iterations=max_iterations)
+    value, _ = storm_cost_models(spec)
+    charges = [2 * value.batch(gamma**k) for k in range(max_iterations)]
+    share = (2**63 - 1) // max_iterations
+    assert max(charges[:33]) <= share < max(charges) and sum(charges) > 2**63
+    summary = monte_carlo_toc(prob, StormMethod(), suite, cfg, 1e-9, 3, 7)
+    separate = [run_adaptive(prob, StormMethod(), suite, cfg, 1e-9, seed=s) for s in derive_seeds(7, 3)]
+    assert [t.cost0.tolist() for t in separate] == [charges] * 3
+    assert _records(summary) == [_totals(t) for t in separate]
+    assert all(type(total) is int for total in [*summary.toc0, *summary.toc1])
+
+
 def _sweep_runs(name, mode, draws):
     """(problem, method, runs, mode): one run per drawn (epsilon, gamma, alpha_max, alpha0 share, r, suite).
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from adastoc.complexity import monte_carlo_toc
 from adastoc.errors import (
+    AssumptionViolationError,
     ConfigurationError,
     InvalidParameterError,
     MissingGroundTruthError,
@@ -371,6 +372,18 @@ def test_an_overflowing_cost_raises_only_when_a_row_reaches_it():
     message = r"^cost model 'tr_value' overflows at alpha=1.0000000000000004e-07$"
     with pytest.raises(InvalidParameterError, match=message):
         run_lockstep(prob, StormMethod(), suite, replace(cfg, max_iterations=60), 1e-6, [0, 1, 2, 3])
+
+
+def test_a_step_size_underflowing_to_zero_raises_an_assumption_violation_at_its_iteration():
+    # theta2 = inf fails every trust-region iteration, so alpha = 0.1**k,
+    # which is 0.0 from the first k past the double range's subnormals on
+    prob = make_problem("quadratic", 2, 1.0, NoiseSpec.none(), seed=0)
+    zero = next(k for k in range(400) if 0.1**k == 0.0)
+    cfg = _config(gamma=0.1, theta2=math.inf, max_iterations=zero)
+    assert len(run_adaptive(prob, StormMethod(), ExactOracles(), cfg, 1e-6).alpha) == zero
+    message = f"^the step size underflows to 0 at iteration {zero}$"
+    with pytest.raises(AssumptionViolationError, match=message):
+        run_lockstep(prob, StormMethod(), ExactOracles(), replace(cfg, max_iterations=zero + 5), 1e-6, [0, 1])
 
 
 def test_the_loop_asks_for_the_cost_models_once_per_run():
